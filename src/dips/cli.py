@@ -236,6 +236,15 @@ def cmd_eval(cfg, checkpoint):
     sketch_sizes = _int_list(cfg["eval.sketch_sizes"], cfg["train.sketch_size"])
     taus = _int_list(cfg["eval.taus"], cfg["train.tau"])
     seeds = _int_list(cfg["eval.seeds"], 0)
+    # the tau=1 head removes the highest score, the top-K head keeps the
+    # highest scores, so a trained policy reads inverted across tau=1
+    learned = [p for p in policies if p in tr.LEARNED_POLICIES]
+    crossing = [t for t in taus if (t == 1) != (ckpt_cfg.tau == 1)]
+    if learned and crossing and ckpt_cfg.policy in tr.LEARNED_POLICIES:
+        raise ConfigError(
+            f"checkpoint was trained at tau={ckpt_cfg.tau}, so policy "
+            f"{learned[0]!r} cannot be evaluated at eval.taus entry {crossing[0]}: "
+            f"the tau=1 and tau>1 heads read the scores with opposite signs")
 
     rows = {}
     for policy in policies:

@@ -5,6 +5,21 @@ recorded operations, so gradients returned by :func:`grad` are ordinary
 graph tensors.  Differentiating a loss that was built from earlier
 gradient computations (unrolled inner optimization steps) therefore
 needs no special machinery beyond calling :func:`grad` again.
+
+Every recorded op carries a vector-Jacobian product ``vjp(g, need)``: given
+the gradient ``g`` of the loss w.r.t. the op's output and one bool per
+parent in ``need``, it returns one entry per parent: the gradient w.r.t.
+that parent where ``need`` is true, and ``None`` where it is false.  The
+entries of parents not needed are never read, so an op builds no work for
+them.
+
+:func:`grad` prunes the backward pass to the requested tensors.  A node is
+*live* when it is a requested tensor that requires a gradient, or when one
+of its parents is live.  Only a node with a live parent runs its VJP, and
+``need`` is true exactly for its live parents.  This is exact: a node that
+is not live never adds into the gradient of a live one, and the live nodes
+are processed in the same relative order as in the full pass, so every
+returned gradient is accumulated from the same terms in the same order.
 """
 
 from __future__ import annotations
@@ -137,7 +152,8 @@ def add(a, b):
     return _node(
         a.data + b.data,
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
+        lambda g, need: (_unbroadcast(g, a.shape) if need[0] else None,
+                         _unbroadcast(g, b.shape) if need[1] else None),
         "add",
     )
 
@@ -148,14 +164,15 @@ def sub(a, b):
     return _node(
         a.data - b.data,
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(neg(g), b.shape)),
+        lambda g, need: (_unbroadcast(g, a.shape) if need[0] else None,
+                         _unbroadcast(neg(g), b.shape) if need[1] else None),
         "sub",
     )
 
 
 def neg(a):
     a = as_tensor(a)
-    return _node(-a.data, (a,), lambda g: (neg(g),), "neg")
+    return _node(-a.data, (a,), lambda g, need: (neg(g),), "neg")
 
 
 def mul(a, b):
@@ -164,7 +181,8 @@ def mul(a, b):
     return _node(
         a.data * b.data,
         (a, b),
-        lambda g: (_unbroadcast(mul(g, b), a.shape), _unbroadcast(mul(g, a), b.shape)),
+        lambda g, need: (_unbroadcast(mul(g, b), a.shape) if need[0] else None,
+                         _unbroadcast(mul(g, a), b.shape) if need[1] else None),
         "mul",
     )
 
@@ -175,9 +193,9 @@ def div(a, b):
     out = _node(
         a.data / b.data,
         (a, b),
-        lambda g: (
-            _unbroadcast(div(g, b), a.shape),
-            _unbroadcast(neg(div(mul(g, a), mul(b, b))), b.shape),
+        lambda g, need: (
+            _unbroadcast(div(g, b), a.shape) if need[0] else None,
+            _unbroadcast(neg(div(mul(g, a), mul(b, b))), b.shape) if need[1] else None,
         ),
         "div",
     )
@@ -192,13 +210,14 @@ def matmul(a, b):
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     data = a.data @ b.data
     if a.ndim == 2 and b.ndim == 2:
-        vjp = lambda g: (matmul(g, transpose(b)), matmul(transpose(a), g))
+        ga, gb = lambda g: matmul(g, transpose(b)), lambda g: matmul(transpose(a), g)
     elif a.ndim == 2 and b.ndim == 1:
-        vjp = lambda g: (outer(g, b), matmul(transpose(a), g))
+        ga, gb = lambda g: outer(g, b), lambda g: matmul(transpose(a), g)
     elif a.ndim == 1 and b.ndim == 2:
-        vjp = lambda g: (matmul(b, g), outer(a, g))
+        ga, gb = lambda g: matmul(b, g), lambda g: outer(a, g)
     else:  # dot product
-        vjp = lambda g: (mul(g, b), mul(g, a))
+        ga, gb = lambda g: mul(g, b), lambda g: mul(g, a)
+    vjp = lambda g, need: (ga(g) if need[0] else None, gb(g) if need[1] else None)
     return _node(data, (a, b), vjp, "matmul")
 
 
@@ -209,7 +228,8 @@ def outer(a, b):
     return _node(
         np.outer(a.data, b.data),
         (a, b),
-        lambda g: (matmul(g, b), matmul(a, g)),
+        lambda g, need: (matmul(g, b) if need[0] else None,
+                         matmul(a, g) if need[1] else None),
         "outer",
     )
 
@@ -218,13 +238,13 @@ def transpose(a):
     a = as_tensor(a)
     if a.ndim != 2:
         raise ShapeError(f"transpose: expected matrix, got {a.shape}")
-    return _node(a.data.T, (a,), lambda g: (transpose(g),), "transpose")
+    return _node(a.data.T, (a,), lambda g, need: (transpose(g),), "transpose")
 
 
 def relu(a):
     a = as_tensor(a)
     mask = Tensor((a.data > 0).astype(np.float64))
-    return _node(a.data * mask.data, (a,), lambda g: (mul(g, mask),), "relu")
+    return _node(a.data * mask.data, (a,), lambda g, need: (mul(g, mask),), "relu")
 
 
 def sigmoid(a):
@@ -232,19 +252,19 @@ def sigmoid(a):
     s_data = 1.0 / (1.0 + np.exp(-np.clip(a.data, -500.0, 500.0)))
     out = _node(s_data, (a,), None, "sigmoid")
     # use `out` itself in the backward expression so d2/dx2 stays on the graph
-    out._vjp = lambda g: (mul(g, mul(out, sub(1.0, out))),)
+    out._vjp = lambda g, need: (mul(g, mul(out, sub(1.0, out))),)
     return out
 
 
 def log(a):
     a = as_tensor(a)
-    return _node(np.log(a.data), (a,), lambda g: (div(g, a),), "log")
+    return _node(np.log(a.data), (a,), lambda g, need: (div(g, a),), "log")
 
 
 def exp(a):
     a = as_tensor(a)
     out = _node(np.exp(a.data), (a,), None, "exp")
-    out._vjp = lambda g: (mul(g, out),)
+    out._vjp = lambda g, need: (mul(g, out),)
     return out
 
 
@@ -256,7 +276,7 @@ def softmax(a, axis=-1):
     s_data = e / np.sum(e, axis=axis, keepdims=True)
     out = _node(s_data, (a,), None, "softmax")
 
-    def vjp(g):
+    def vjp(g, need):
         gs = mul(g, out)
         inner = tsum(gs, axis=axis, keepdims=True)
         return (mul(out, sub(g, inner)),)
@@ -269,7 +289,7 @@ def tsum(a, axis=None, keepdims=False):
     a = as_tensor(a)
     data = np.sum(a.data, axis=axis, keepdims=keepdims)
 
-    def vjp(g):
+    def vjp(g, need):
         if axis is None:
             return (broadcast_to(g, a.shape),)
         gd = g
@@ -296,7 +316,7 @@ def reshape(a, shape):
     a = as_tensor(a)
     if int(np.prod(shape)) != a.data.size:
         raise ShapeError(f"reshape: cannot reshape {a.shape} to {shape}")
-    return _node(a.data.reshape(shape), (a,), lambda g: (reshape(g, a.shape),), "reshape")
+    return _node(a.data.reshape(shape), (a,), lambda g, need: (reshape(g, a.shape),), "reshape")
 
 
 def broadcast_to(a, shape):
@@ -306,7 +326,7 @@ def broadcast_to(a, shape):
     except ValueError as e:
         raise ShapeError(f"broadcast_to: {a.shape} to {shape}") from e
 
-    def vjp(g):
+    def vjp(g, need):
         extra = g.ndim - a.ndim
         out = g
         for _ in range(extra):
@@ -334,9 +354,9 @@ def concat(tensors, axis=0):
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def vjp(g):
+    def vjp(g, need):
         return tuple(
-            slice_axis(g, int(offsets[i]), int(offsets[i + 1]), axis)
+            slice_axis(g, int(offsets[i]), int(offsets[i + 1]), axis) if need[i] else None
             for i in range(len(tensors))
         )
 
@@ -351,7 +371,7 @@ def slice_axis(a, start, stop, axis=0):
     return _node(
         a.data[idx],
         (a,),
-        lambda g: (pad_slice(g, a.shape, start, axis),),
+        lambda g, need: (pad_slice(g, a.shape, start, axis),),
         "slice",
     )
 
@@ -363,7 +383,7 @@ def pad_slice(g, full_shape, start, axis=0):
     idx[axis] = slice(start, start + g.shape[axis])
     idx = tuple(idx)
     data[idx] = g.data
-    return _node(data, (g,), lambda h: (slice_axis(h, start, start + g.shape[axis], axis),), "pad")
+    return _node(data, (g,), lambda h, need: (slice_axis(h, start, start + g.shape[axis], axis),), "pad")
 
 
 def gather(a, idx):
@@ -374,14 +394,14 @@ def gather(a, idx):
         raise ShapeError(f"gather: non-integer index of dtype {idx.dtype}")
     if idx.size and (idx.min() < -a.shape[0] or idx.max() >= a.shape[0]):
         raise ShapeError(f"gather: index out of range for axis-0 size {a.shape[0]}")
-    return _node(a.data[idx], (a,), lambda g: (scatter_add(g, idx, a.shape),), "gather")
+    return _node(a.data[idx], (a,), lambda g, need: (scatter_add(g, idx, a.shape),), "gather")
 
 
 def scatter_add(g, idx, full_shape):
     g = as_tensor(g)
     data = np.zeros(full_shape)
     np.add.at(data, np.asarray(idx), g.data)
-    return _node(data, (g,), lambda h: (gather(h, idx),), "scatter_add")
+    return _node(data, (g,), lambda h, need: (gather(h, idx),), "scatter_add")
 
 
 def dropout(a, rate, rng=None, mask=None):
@@ -411,59 +431,82 @@ def straight_through(p, hard_value):
     hard_value = np.asarray(hard_value, dtype=np.float64)
     if hard_value.shape != p.shape:
         raise ShapeError(f"straight_through: value shape {hard_value.shape} != {p.shape}")
-    return _node(hard_value, (p,), lambda g: (g,), "straight_through")
+    return _node(hard_value, (p,), lambda g, need: (g,), "straight_through")
 
 
 def custom_op(data, parents, vjp, name):
-    """Escape hatch for ops with bespoke forward/backward (e.g. projections)."""
+    """Escape hatch for ops with bespoke forward/backward (e.g. projections).
+
+    ``vjp(g, need)`` follows the module contract: it returns one gradient
+    per parent, and :func:`grad` reads only those whose ``need`` flag is
+    true.  It is called only when at least one flag is true.
+    """
     return _node(data, tuple(as_tensor(p) for p in parents), vjp, name)
 
 
-def _toposort(root):
+def _toposort(root, wanted):
+    """Post-order of the nodes under ``root`` that have a live parent, and
+    the set of live nodes.
+
+    A node is live when it is in ``wanted`` or one of its parents is live.
+    In post-order every parent is finished before its child, so liveness is
+    decided when a node is finished, in the same pass.
+    """
     order = []
-    visited = set()
+    live = set()
+    visited = {root}
     stack = [(root, iter(root._parents))]
-    visited.add(id(root))
     while stack:
         node, parents = stack[-1]
-        advanced = False
         for p in parents:
-            if p.requires_grad and id(p) not in visited:
-                visited.add(id(p))
+            if p.requires_grad and p not in visited:
+                visited.add(p)
                 stack.append((p, iter(p._parents)))
-                advanced = True
                 break
-        if not advanced:
-            order.append(node)
+        else:
             stack.pop()
-    return order
+            if not live.isdisjoint(node._parents):
+                live.add(node)
+                order.append(node)
+            elif node in wanted:
+                live.add(node)
+    return order, live
 
 
 def grad(loss, params, create_graph=False, allow_unused=True):
     """Gradients of a scalar loss w.r.t. each tensor in ``params``.
 
     With ``create_graph`` the returned gradients stay on the graph, so a
-    scalar built from them can be differentiated again.
+    scalar built from them can be differentiated again.  Only the ops that
+    lie between ``loss`` and ``params`` run their VJPs (see the module
+    docstring).  A tensor in ``params`` that does not require a gradient, or
+    is not reached, gets zeros, or raises with ``allow_unused=False``.
     """
     if loss.data.ndim != 0:
         raise GraphError(f"grad: loss must be scalar, got shape {loss.shape}")
-    grads = {id(loss): Tensor(1.0)}
+    # sets and dicts of tensors are keyed by identity: Tensor defines no __eq__
+    grads = {loss: Tensor(1.0)}
     if loss.requires_grad:
+        order, live = _toposort(loss, {p for p in params if p.requires_grad})
         ctx = contextlib.nullcontext() if create_graph else no_grad()
         with ctx:
-            for node in reversed(_toposort(loss)):
-                g = grads.get(id(node))
+            for node in reversed(order):
+                g = grads.get(node)
                 if g is None or node._vjp is None:
                     continue
-                parent_grads = node._vjp(g)
-                for p, pg in zip(node._parents, parent_grads):
-                    if not p.requires_grad:
+                parents = node._parents
+                if live.issuperset(parents):
+                    need = (True,) * len(parents)
+                else:
+                    need = tuple(map(live.__contains__, parents))
+                for p, needed, pg in zip(parents, need, node._vjp(g, need)):
+                    if not needed:
                         continue
-                    acc = grads.get(id(p))
-                    grads[id(p)] = pg if acc is None else add(acc, pg)
+                    acc = grads.get(p)
+                    grads[p] = pg if acc is None else add(acc, pg)
     out = []
     for p in params:
-        g = grads.get(id(p))
+        g = grads.get(p)
         if g is None:
             if not allow_unused:
                 raise GraphError("grad: a parameter is not reachable from the loss")

@@ -228,7 +228,7 @@ def topk_project(scores, k):
     u = np.zeros_like(f)
     u[finite] = 1.0 / (1.0 + np.exp(-(f[finite] + nu)))
 
-    def vjp(g):
+    def vjp(g, need):
         return (Tensor(topk_grad(f, u, g.data)),)
 
     return dc.custom_op(u, (scores,), vjp, "topk_project")

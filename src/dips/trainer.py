@@ -11,7 +11,9 @@ over a queue of stored intermediate sketch indicators.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import warnings
 from collections import deque
 from dataclasses import dataclass, field, asdict
@@ -26,6 +28,8 @@ from .recmodel import LocalParams, RecParams
 from .policies import IntermediateSketch, PolicyParams, Sketch, SketchEntry
 
 POLICIES = ("random", "hardest", "influence", "dips", "dips1", "oracle")
+# policies whose scores come from the trained network phi
+LEARNED_POLICIES = ("dips", "dips1")
 
 
 @dataclass
@@ -358,7 +362,7 @@ def train(cfg: TrainConfig, data, oracle_anchors=None, trace_file=None,
     opt_user = SGDMomentum([rec.user_emb], cfg.lr_user, cfg.momentum, cfg.weight_decay)
     opt_item = Adam(rec.item_params(), cfg.lr_item, weight_decay=cfg.weight_decay)
     opt_policy = Adam(phi.params(), cfg.lr_policy, weight_decay=cfg.weight_decay)
-    learned = cfg.policy in ("dips", "dips1")
+    learned = cfg.policy in LEARNED_POLICIES
     metric_log = []
 
     usable = []
@@ -455,13 +459,33 @@ def _trace(fh, state, t, incoming, kept, absorbed):
 
 
 def save_checkpoint(path, rec: RecParams, phi: PolicyParams, cfg: TrainConfig):
+    """Write the parameters and config to ``path`` atomically.
+
+    The archive goes to a temporary file in the same directory, which then
+    replaces ``path``; a failed write leaves the previous checkpoint intact.
+    Like ``np.savez``, a name without the ``.npz`` suffix gets one.
+    """
     arrays = {"version": np.array([1])}
     for name, arr in rec.state_arrays().items():
         arrays[f"rec_{name}"] = arr
     for name, arr in phi.state_arrays().items():
         arrays[f"phi_{name}"] = arr
     arrays["meta"] = np.frombuffer(json.dumps(asdict(cfg)).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
+    path = os.fspath(path)
+    if not path.endswith(".npz"):
+        path += ".npz"
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{os.getpid()}.{tail}")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

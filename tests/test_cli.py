@@ -136,6 +136,22 @@ def test_eval_mismatched_catalog_rejected(trained, tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+def test_eval_learned_policy_across_tau_boundary_rejected(trained, tmp_path, capsys):
+    # the fixture's checkpoint holds a dips policy trained at tau=1
+    ckpt = str(trained / "checkpoint.npz")
+    code = cli.main(["eval", "--checkpoint", ckpt]
+                    + tiny_overrides(tmp_path / "e", "eval.policies=dips", "eval.taus=1,2"))
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "tau=1" in err and "eval.taus entry 2" in err
+    assert not (tmp_path / "e" / "eval.csv").exists()
+    # baselines do not read the policy scores, so any tau is fine
+    code = cli.main(["eval", "--checkpoint", ckpt]
+                    + tiny_overrides(tmp_path / "b", "eval.policies=random,hardest",
+                                     "eval.taus=2"))
+    assert code == cli.EXIT_OK
+
+
 def test_eval_missing_checkpoint(tmp_path):
     code = cli.main(["eval", "--checkpoint", str(tmp_path / "nope.npz")]
                     + tiny_overrides(tmp_path / "e"))

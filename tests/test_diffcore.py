@@ -58,8 +58,12 @@ def test_grad_rejects_nonscalar():
 def test_unused_param_gets_zero():
     x = Tensor(2.0, requires_grad=True)
     y = Tensor(1.0, requires_grad=True)
-    (gx, gy) = grad(dc.mul(x, x), [x, y])
+    frozen = Tensor([3.0, 4.0])      # on the graph, but requires no gradient
+    loss = dc.mul(x, dc.tsum(dc.mul(x, frozen)))
+    (gx, gy, gf) = grad(loss, [x, y, frozen])
+    assert gx.data == 2 * 2.0 * 7.0
     assert gy.data == 0.0
+    np.testing.assert_array_equal(gf.data, [0.0, 0.0])
 
 
 def _mlp_loss(params, x, target):
@@ -270,3 +274,52 @@ def test_straight_through_identity_backward():
     v = np.array([1.0, -2.0, 3.0])
     (g,) = grad(dc.tsum(dc.mul(w, Tensor(v))), [p])
     np.testing.assert_array_equal(g.data, v)
+
+
+def test_backward_skips_branches_that_reach_no_requested_tensor():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    y = Tensor([3.0, -1.0], requires_grad=True)
+
+    def boom(g, need):
+        raise AssertionError("VJP of a branch nobody asked for")
+
+    side = dc.custom_op(2.0 * y.data, (y,), boom, "boom")
+    loss = dc.add(dc.tsum(dc.mul(x, x)), dc.tsum(dc.mul(side, x)))
+    (gx,) = grad(loss, [x])
+    np.testing.assert_array_equal(gx.data, 2.0 * x.data + side.data)
+    with pytest.raises(AssertionError, match="nobody asked"):
+        grad(loss, [y])
+
+
+def _adapted_loss(a, b, c, inner_params=None):
+    """A loss of ``a``, ``b`` and ``c``.  With ``inner_params``, one recorded
+    inner step on ``a`` comes first (as in trainer.inner_adapt), and the
+    inner gradient asks for ``inner_params``."""
+    idx = np.array([0, 2, 3, 2])
+    target = Tensor([1.0, -0.5, 0.25, 2.0])
+
+    def loss_of(u):
+        pred = dc.matmul(dc.gather(b, idx), dc.sigmoid(u))
+        resid = dc.sub(pred, target)
+        return dc.tsum(dc.mul(c, dc.mul(resid, resid)))
+
+    if inner_params is None:
+        return loss_of(a)
+    g = grad(loss_of(a), inner_params, create_graph=True)[0]
+    return loss_of(dc.sub(a, dc.mul(Tensor(0.3), g)))
+
+
+def test_grad_of_one_tensor_matches_grad_of_all_bit_for_bit():
+    rng = np.random.default_rng(11)
+    a = Tensor(rng.normal(size=3), requires_grad=True)
+    b = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    c = Tensor(rng.uniform(0.5, 1.5, size=4), requires_grad=True)
+    first = _adapted_loss(a, b, c, [a])
+    for loss in (_adapted_loss(a, b, c), first, _adapted_loss(a, b, c, [a, b, c])):
+        (alone,) = grad(loss, [a])
+        together = grad(loss, [a, b, c])
+        np.testing.assert_array_equal(alone.data, together[0].data)
+    # recording the inner step for [a] alone leaves the outer loss unchanged
+    outer_all = grad(_adapted_loss(a, b, c, [a, b, c]), [a, b, c])
+    for g_pruned, g_full in zip(grad(first, [a, b, c]), outer_all):
+        np.testing.assert_array_equal(g_pruned.data, g_full.data)

@@ -454,3 +454,29 @@ def test_checkpoint_roundtrip(tmp_path):
         np.testing.assert_array_equal(getattr(rec2, n).data, getattr(res.rec, n).data)
     for n in res.phi.param_names():
         np.testing.assert_array_equal(getattr(phi2, n).data, getattr(res.phi, n).data)
+
+
+def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
+    cfg = small_cfg()
+    rng = np.random.default_rng(4)
+    rec = rm.RecParams(n_items=6, dim=cfg.dim, hidden=cfg.hidden, rng=rng)
+    phi = pol.PolicyParams(6, hidden=cfg.policy_hidden, rng=rng)
+    path = tmp_path / "checkpoint.npz"
+    tr.save_checkpoint(path, rec, phi, cfg)
+    before = path.read_bytes()
+
+    def failing_savez(fh, **arrays):
+        fh.write(b"PK\x03\x04 partial archive")
+        raise OSError("disk full")
+
+    rec.user_emb.data += 1.0
+    monkeypatch.setattr(tr.np, "savez", failing_savez)
+    with pytest.raises(OSError, match="disk full"):
+        tr.save_checkpoint(path, rec, phi, cfg)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.npz"]
+
+    monkeypatch.undo()
+    tr.save_checkpoint(tmp_path / "bare", rec, phi, cfg)   # np.savez naming
+    rec2, _, _ = tr.load_checkpoint(tmp_path / "bare.npz")
+    np.testing.assert_array_equal(rec2.user_emb.data, rec.user_emb.data)
