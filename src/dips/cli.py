@@ -72,8 +72,8 @@ DEFAULTS = {
     "eval.exclude_history": False,
     "eval.seeds": "0",
     "eval.policies": "",           # empty -> train.policy only
-    "eval.sketch_sizes": "",       # empty -> train.sketch_size only
-    "eval.taus": "",
+    "eval.sketch_sizes": "",       # empty -> the checkpoint's sketch_size only
+    "eval.taus": "",               # empty -> the checkpoint's tau only
     "diagnose.probe_steps": 10,
     "diagnose.max_len": 50,
     "diagnose.max_items": 100,
@@ -224,17 +224,18 @@ def cmd_eval(cfg, checkpoint):
         raise ConfigError(
             f"checkpoint/config mismatch: checkpoint has {rec.n_items} items, "
             f"dataset has {data.n_items}")
-    if ckpt_cfg.dim != cfg["train.dim"]:
-        raise ConfigError(
-            f"checkpoint/config mismatch: checkpoint dim {ckpt_cfg.dim}, "
-            f"config dim {cfg['train.dim']}")
+    for key in ("dim", "setting"):
+        if getattr(ckpt_cfg, key) != cfg[f"train.{key}"]:
+            raise ConfigError(
+                f"checkpoint/config mismatch: checkpoint {key} {getattr(ckpt_cfg, key)}, "
+                f"config {key} {cfg[f'train.{key}']}")
     policies = [p for p in cfg["eval.policies"].split(",") if p.strip()] \
         or [cfg["train.policy"]]
     for p in policies:
         if p not in tr.POLICIES:
             raise ConfigError(f"unknown eval policy {p!r}")
-    sketch_sizes = _int_list(cfg["eval.sketch_sizes"], cfg["train.sketch_size"])
-    taus = _int_list(cfg["eval.taus"], cfg["train.tau"])
+    sketch_sizes = _int_list(cfg["eval.sketch_sizes"], ckpt_cfg.sketch_size)
+    taus = _int_list(cfg["eval.taus"], ckpt_cfg.tau)
     seeds = _int_list(cfg["eval.seeds"], 0)
     # the tau=1 head removes the highest score, the top-K head keeps the
     # highest scores, so a trained policy reads inverted across tau=1

@@ -319,29 +319,3 @@ def synth_stream(cfg: SynthConfig, seed=0, split=SplitSpec()) -> SynthData:
     return SynthData(
         splits=DatasetSplits(train, valid, test, cfg.n_items),
         anchors=anchors, groups=groups, preferences=prefs)
-
-
-CACHE_VERSION = 1
-
-
-def save_cache(path, streams, catalog: Catalog):
-    arrays = {"version": np.array([CACHE_VERSION]),
-              "user_ids": np.array(catalog.user_ids, dtype=np.int64),
-              "item_ids": np.array(catalog.item_ids, dtype=np.int64)}
-    for s in streams:
-        arrays[f"items_{s.user}"] = s.items
-        arrays[f"ratings_{s.user}"] = s.ratings
-    np.savez_compressed(path, **arrays)
-
-
-def load_cache(path):
-    with np.load(path) as data:
-        if int(data["version"][0]) != CACHE_VERSION:
-            raise DataError(f"cache version {data['version'][0]} unsupported")
-        catalog = Catalog(tuple(int(u) for u in data["user_ids"]),
-                          tuple(int(i) for i in data["item_ids"]))
-        streams = []
-        for u in range(catalog.n_users):
-            streams.append(UserStream(
-                user=u, items=data[f"items_{u}"], ratings=data[f"ratings_{u}"]))
-    return streams, catalog

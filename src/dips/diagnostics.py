@@ -3,8 +3,9 @@
 The production trainer estimates the policy gradient from a bounded queue
 of stored intermediate indicators.  Here the whole sketching trajectory
 is replayed from the first step with the current policy, so every past
-selection contributes; the estimator code path is shared with the
-trainer, which makes the two gradients exactly equal when the policy was
+selection contributes.  The replay advances the sketch with the trainer's
+own stepper (``_UserState.observe``/``commit``) and calls the trainer's
+estimator, which makes the two gradients exactly equal when the policy was
 frozen during the original run.
 """
 
@@ -15,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import recmodel as rm
 from . import trainer as tr
 
 
@@ -40,29 +40,17 @@ def true_policy_grad(rec, phi, stream, cfg, probe_t, max_len=50, max_items=100):
     st = tr._UserState(stream, rec.n_items, replay_cfg)
     past = []
     for t in range(1, probe_t + 1):
-        entry = tr.SketchEntry(int(stream.items[t - 1]), float(stream.ratings[t - 1]), t)
-        st.pending.append(entry)
-        zhat = st.sketch.z
-        for e in st.pending:
-            zhat[e.item] += 1.0
-        boundary = t > cfg.sketch_size and len(st.pending) == cfg.tau
+        inter, boundary = st.observe(t, replay_cfg)
         if t == probe_t:
             if not boundary:
                 raise ValueError(f"probe step {probe_t} is not a sketch-update boundary")
-            nxt = int(stream.items[t])
-            nxt_rating = float(stream.ratings[t])
-            grads, v, loss = tr.policy_gradient(
-                phi, rec, st.y, st.mask, zhat, past, nxt, nxt_rating,
-                replay_cfg, rng=rng, stochastic=False)
+            grads, v, _ = tr.policy_gradient(
+                phi, rec, st.y, st.mask, inter.zhat, past, int(stream.items[t]),
+                float(stream.ratings[t]), replay_cfg, rng=rng, stochastic=False)
             return grads, v
         if boundary and cfg.policy == "dips":
-            past.append(zhat.copy())
-        if len(st.sketch) + len(st.pending) <= cfg.sketch_size:
-            st.sketch = tr.Sketch(cfg.sketch_size, rec.n_items,
-                                  tuple(st.sketch.entries) + tuple(st.pending))
-            st.pending = []
-        elif boundary:
-            tr._update_sketch(st, rec, phi, replay_cfg, rng, t)
+            past.append(inter.zhat)
+        st.commit(inter, rec, phi, replay_cfg, rng)
     raise AssertionError("unreachable")
 
 

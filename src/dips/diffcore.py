@@ -306,12 +306,6 @@ def _expanded_shape(shape, axis):
     return tuple(out)
 
 
-def tmean(a, axis=None, keepdims=False):
-    a = as_tensor(a)
-    n = a.data.size if axis is None else a.shape[axis]
-    return div(tsum(a, axis=axis, keepdims=keepdims), float(n))
-
-
 def reshape(a, shape):
     a = as_tensor(a)
     if int(np.prod(shape)) != a.data.size:
@@ -513,18 +507,6 @@ def grad(loss, params, create_graph=False, allow_unused=True):
             g = Tensor(np.zeros(p.shape))
         out.append(g)
     return out
-
-
-def grad_through_grad(outer_loss, params):
-    """Gradient of a loss built on top of earlier ``grad(..., create_graph=True)``
-    results; rejects graphs where the inner steps were recorded detached."""
-    try:
-        return grad(outer_loss, params, create_graph=False, allow_unused=False)
-    except GraphError as e:
-        raise GraphError(
-            "grad_through_grad: outer loss is not connected to the parameters; "
-            "inner gradient steps were likely recorded in no-grad mode"
-        ) from e
 
 
 def zeros(shape, requires_grad=False):

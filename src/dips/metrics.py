@@ -110,14 +110,8 @@ def evaluate(rec, phi, streams, cfg, k=20, exclude_history=False, seed=None,
                     records.append(EvalRecord(s.user, t, "rank",
                                               float(rank_of(nxt, scores))))
             # advance the sketch exactly as the trainer would
-            entry = tr.SketchEntry(int(s.items[t - 1]), float(s.ratings[t - 1]), t)
-            st.pending.append(entry)
-            if len(st.sketch) + len(st.pending) <= cfg.sketch_size:
-                st.sketch = tr.Sketch(cfg.sketch_size, rec.n_items,
-                                      tuple(st.sketch.entries) + tuple(st.pending))
-                st.pending = []
-            elif len(st.pending) == cfg.tau:
-                tr._update_sketch(st, rec, phi, eval_cfg, rng, t, anchors)
+            inter, _ = st.observe(t, eval_cfg)
+            st.commit(inter, rec, phi, eval_cfg, rng, anchors)
     aggregates = aggregate_records(records, cfg.setting, k)
     if return_records:
         return EvalResult(records=records, aggregates=aggregates)

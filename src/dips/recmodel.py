@@ -78,10 +78,6 @@ class LocalParams:
     base: RecParams
 
 
-def local_from_global(rec: RecParams) -> LocalParams:
-    return LocalParams(user=rec.user_emb, base=rec)
-
-
 def _check_item(rec, item):
     if not 0 <= int(item) < rec.n_items:
         raise IndexError(f"item {item} out of range [0, {rec.n_items})")
@@ -125,16 +121,11 @@ def logsumexp(scores: Tensor) -> Tensor:
 
 
 def pointwise_loss(rating, prediction, kind) -> Tensor:
-    """Single-interaction loss: squared error, binary or categorical cross-entropy."""
+    """Single-interaction loss: squared error (``"mse"``, explicit ratings) or
+    categorical cross-entropy over all item scores (``"cce"``, implicit)."""
     if kind == "mse":
         d = prediction - float(rating)
         return dc.mul(d, d)
-    if kind == "bce":
-        r = float(rating)
-        if r not in (0.0, 1.0):
-            raise ValueError(f"bce: rating must be 0/1, got {rating}")
-        s = dc.sigmoid(prediction)
-        return -(r * dc.log(s) + (1.0 - r) * dc.log(1.0 - s))
     if kind == "cce":
         j = int(rating)
         if prediction.ndim != 1:

@@ -177,21 +177,6 @@ def theta_gradients(rec: RecParams, z, y, mask, next_item, next_rating, cfg):
     return [g.data for g in grads], loss.item()
 
 
-def outer_theta_step(rec: RecParams, z, y, mask, next_item, next_rating, cfg,
-                     opt_user=None, opt_item=None):
-    """One outer update of the recommender on a single interaction."""
-    if not 0 <= int(next_item) < rec.n_items:
-        raise IndexError(f"next item {next_item} out of range [0, {rec.n_items})")
-    if opt_user is None:
-        opt_user = SGDMomentum([rec.user_emb], cfg.lr_user, cfg.momentum, cfg.weight_decay)
-    if opt_item is None:
-        opt_item = Adam(rec.item_params(), cfg.lr_item, weight_decay=cfg.weight_decay)
-    grads, loss = theta_gradients(rec, z, y, mask, next_item, next_rating, cfg)
-    opt_user.step(grads[:1])
-    opt_item.step(grads[1:])
-    return loss
-
-
 def grad_wrt_sketch(rec: RecParams, z, y, mask, next_item, next_rating, cfg):
     """v_j = d(next-interaction loss)/dz_j, defined for every interacted item."""
     zt = Tensor(np.asarray(z, dtype=np.float64), requires_grad=True)
@@ -284,7 +269,11 @@ def _replay_term(phi, y, past_zhats, v, cfg, rng, mode, training, drop_rng):
 
 
 class _UserState:
-    """Per-user mutable training state: sketch, pending items, queue."""
+    """Per-user mutable state: sketch, pending items, queue.
+
+    ``observe`` and ``commit`` are the one copy of the sketch transition,
+    shared by training, evaluation and the exact replay.
+    """
 
     def __init__(self, stream, n_items, cfg):
         self.stream = stream
@@ -299,38 +288,56 @@ class _UserState:
         else:
             self.y[stream.items] = 1.0
 
+    def observe(self, t, cfg):
+        """Queue interaction ``t-1``; returns the intermediate sketch and
+        whether step ``t`` is a policy boundary (past warm-up, tau pending)."""
+        s = self.stream
+        self.pending.append(SketchEntry(int(s.items[t - 1]), float(s.ratings[t - 1]), t))
+        inter = IntermediateSketch(self.sketch, tuple(self.pending))
+        return inter, t > cfg.sketch_size and len(self.pending) == cfg.tau
 
-def _update_sketch(state: _UserState, rec, phi, cfg, rng, t, oracle_anchors=None):
-    """Commit the pending items into the sketch using the configured policy."""
-    inter = IntermediateSketch(state.sketch, tuple(state.pending))
+    def commit(self, inter, rec, phi, cfg, rng, anchors=None):
+        """Absorb while the intermediate sketch fits, else apply the policy
+        once tau items are pending; returns "absorbed", "updated" or None."""
+        if len(inter) <= cfg.sketch_size:
+            self.sketch = Sketch(cfg.sketch_size, inter.base.n_items, inter.all_entries())
+            outcome = "absorbed"
+        elif len(self.pending) == cfg.tau:
+            self.sketch = _update_sketch(self, inter, rec, phi, cfg, rng, anchors)
+            outcome = "updated"
+        else:
+            return None
+        self.pending = []
+        return outcome
+
+
+def _update_sketch(state: _UserState, inter, rec, phi, cfg, rng, oracle_anchors=None):
+    """The sketch the configured policy keeps from ``inter``."""
     if cfg.policy == "random":
-        sk = state.sketch
-        for e in state.pending:
+        sk = inter.base
+        for e in inter.incoming:
             sk = pol.reservoir_update(sk, e.item, e.rating, e.step, rng)
-        state.sketch = sk
-    elif cfg.policy in ("hardest", "influence"):
-        theta = inner_adapt(rec, state.sketch.z, state.y, state.mask,
+        return sk
+    if cfg.policy in ("hardest", "influence"):
+        theta = inner_adapt(rec, inter.base.z, state.y, state.mask,
                             cfg.inner_lr, cfg.inner_steps, record=False)
         if cfg.policy == "hardest":
-            state.sketch = pol.hardest_update(inter, theta)
-        else:
-            state.sketch = pol.influence_update(inter, theta, damping=cfg.influence_damping)
-    elif cfg.policy == "oracle":
+            return pol.hardest_update(inter, theta)
+        return pol.influence_update(inter, theta, damping=cfg.influence_damping)
+    if cfg.policy == "oracle":
         anchors = oracle_anchors.get(state.stream.user, set()) if oracle_anchors else set()
         entries = inter.all_entries()
         preferred = [e for e in entries if e.item in anchors]
         rest = sorted((e for e in entries if e.item not in anchors), key=lambda e: -e.step)
-        kept = (preferred + rest)[: cfg.sketch_size]
-        state.sketch = inter.keep([e.item for e in kept])
-    else:  # dips / dips1
-        mode = "stochastic" if cfg.stochastic_train else "deterministic"
-        drop_rng = rng if (cfg.policy_dropout and cfg.stochastic_train) else None
-        with dc.no_grad():
-            _, kept = select_with_policy(
-                phi, inter.zhat, state.y, cfg.sketch_size, cfg.tau, mode,
-                rng=rng, training=drop_rng is not None, drop_rng=drop_rng)
-        state.sketch = inter.keep(kept)
-    state.pending = []
+        return inter.keep([e.item for e in (preferred + rest)[: cfg.sketch_size]])
+    # dips / dips1
+    mode = "stochastic" if cfg.stochastic_train else "deterministic"
+    drop_rng = rng if (cfg.policy_dropout and cfg.stochastic_train) else None
+    with dc.no_grad():
+        _, kept = select_with_policy(
+            phi, inter.zhat, state.y, cfg.sketch_size, cfg.tau, mode,
+            rng=rng, training=drop_rng is not None, drop_rng=drop_rng)
+    return inter.keep(kept)
 
 
 @dataclass
@@ -387,10 +394,8 @@ def train(cfg: TrainConfig, data, oracle_anchors=None, trace_file=None,
                     items = st.stream.items
                     if t >= len(items):
                         continue
-                    x_t = int(items[t - 1])
                     nxt = int(items[t])
                     nxt_rating = float(st.stream.ratings[t])
-                    entry = SketchEntry(x_t, float(st.stream.ratings[t - 1]), t)
 
                     # outer model update on the current sketch
                     grads, loss_val = theta_gradients(
@@ -399,46 +404,46 @@ def train(cfg: TrainConfig, data, oracle_anchors=None, trace_file=None,
                         a + g for a, g in zip(theta_acc, grads)]
                     n_theta += 1
 
-                    st.pending.append(entry)
-                    inter_zhat = st.sketch.z
-                    for e in st.pending:
-                        inter_zhat[e.item] += 1.0
-
-                    if learned and t > cfg.sketch_size and len(st.pending) == cfg.tau:
+                    inter, boundary = st.observe(t, cfg)
+                    if learned and boundary:
+                        zhat = inter.zhat
                         pg, v, _ = policy_gradient(
-                            phi, rec, st.y, st.mask, inter_zhat, st.queue.entries(),
+                            phi, rec, st.y, st.mask, zhat, st.queue.entries(),
                             nxt, nxt_rating, cfg, rng=rng, stochastic=cfg.stochastic_train)
                         policy_acc = pg if policy_acc is None else [
                             a + g for a, g in zip(policy_acc, pg)]
                         n_policy += 1
                         if policy_grad_hook is not None:
                             policy_grad_hook(st.stream.user, t, pg, v)
-                        st.queue.push(inter_zhat)
+                        st.queue.push(zhat)
 
-                    # sketch transition
-                    if len(st.sketch) + len(st.pending) <= cfg.sketch_size:
-                        state_entries = tuple(st.sketch.entries) + tuple(st.pending)
-                        st.sketch = Sketch(cfg.sketch_size, data.n_items, state_entries)
-                        st.pending = []
-                        if trace_file is not None:
-                            _trace(trace_file, st, t, x_t, kept=None, absorbed=True)
-                    elif len(st.pending) == cfg.tau:
-                        _update_sketch(st, rec, phi, cfg, rng, t, oracle_anchors)
-                        if trace_file is not None:
-                            _trace(trace_file, st, t, x_t,
-                                   kept=sorted(st.sketch.items().tolist()), absorbed=False)
+                    outcome = st.commit(inter, rec, phi, cfg, rng, oracle_anchors)
+                    if outcome is not None and trace_file is not None:
+                        _trace(trace_file, st, t, absorbed=outcome == "absorbed")
 
                 if n_theta:
                     opt_user.step([theta_acc[0] / n_theta])
                     opt_item.step([g / n_theta for g in theta_acc[1:]])
+                    _check_finite("rec", rec, epoch, t, batch)
                 if learned and n_policy:
                     opt_policy.step([g / n_policy for g in policy_acc])
+                    _check_finite("phi", phi, epoch, t, batch)
 
         if validate_each_epoch and data.valid:
             aggregates = met.evaluate(rec, phi, data.valid, cfg)
             for name, value in aggregates.items():
                 metric_log.append(_record(cfg, epoch, "valid", name, value))
     return TrainResult(rec=rec, phi=phi, metric_log=metric_log)
+
+
+def _check_finite(prefix, params, epoch, t, batch):
+    """Raise on the first non-finite parameter array after an optimizer step."""
+    for name, arr in params.state_arrays().items():
+        if not np.isfinite(arr).all():
+            users = [int(s.user) for s in batch]
+            raise FloatingPointError(
+                f"non-finite {prefix}.{name} after the optimizer step at epoch {epoch}, "
+                f"step t={t}, batch users {users}")
 
 
 def _record(cfg, epoch, split, metric, value):
@@ -448,13 +453,13 @@ def _record(cfg, epoch, split, metric, value):
     }
 
 
-def _trace(fh, state, t, incoming, kept, absorbed):
+def _trace(fh, state, t, absorbed):
     fh.write(json.dumps({
         "user": int(state.stream.user),
         "step": int(t),
-        "incoming": int(incoming),
-        "kept": kept if kept is not None else sorted(state.sketch.items().tolist()),
-        "absorbed": bool(absorbed),
+        "incoming": int(state.stream.items[t - 1]),
+        "kept": sorted(state.sketch.items().tolist()),
+        "absorbed": absorbed,
     }) + "\n")
 
 

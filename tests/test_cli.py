@@ -100,6 +100,19 @@ def test_train_invalid_config_exits_config_code(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("policy", ["random", "dips"])
+def test_train_non_finite_parameters_exit_numeric(tmp_path, capsys, policy):
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        code = cli.main(["train"] + tiny_overrides(
+            out, f"train.policy={policy}", "train.lr_item=1e200", "train.lr_user=1e200"))
+    assert code == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "non-finite rec.user_emb after the optimizer step at epoch 0, step t=" in err
+    assert "batch users [" in err
+    assert not (out / "checkpoint.npz").exists()
+
+
 # -------------------------------------------------------------------- eval
 
 @pytest.fixture(scope="module")
@@ -150,6 +163,27 @@ def test_eval_learned_policy_across_tau_boundary_rejected(trained, tmp_path, cap
                     + tiny_overrides(tmp_path / "b", "eval.policies=random,hardest",
                                      "eval.taus=2"))
     assert code == cli.EXIT_OK
+
+
+def test_eval_defaults_to_checkpoint_sketch_size_and_tau(tmp_path):
+    ckpt_dir = tmp_path / "tau2"
+    assert cli.main(["train"] + tiny_overrides(
+        ckpt_dir, "train.sketch_size=3", "train.tau=2", "train.mode=batch")) == cli.EXIT_OK
+    # the config still says K=2, tau=1; the checkpoint's K=3, tau=2 win
+    out = tmp_path / "eval"
+    code = cli.main(["eval", "--checkpoint", str(ckpt_dir / "checkpoint.npz")]
+                    + tiny_overrides(out, "eval.policies=dips,random"))
+    assert code == cli.EXIT_OK
+    rows = (out / "eval.csv").read_text().strip().split("\n")[1:]
+    assert [r.split(",")[:3] for r in rows] == [["dips", "3", "2"], ["random", "3", "2"]]
+
+
+def test_eval_mismatched_setting_rejected(trained, tmp_path, capsys):
+    code = cli.main(["eval", "--checkpoint", str(trained / "checkpoint.npz")]
+                    + tiny_overrides(tmp_path / "e", "train.setting=implicit"))
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "checkpoint setting explicit" in err and "config setting implicit" in err
 
 
 def test_eval_missing_checkpoint(tmp_path):

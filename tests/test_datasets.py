@@ -250,22 +250,6 @@ def test_synth_deterministic():
         np.testing.assert_array_equal(s1.ratings, s2.ratings)
 
 
-# ------------------------------------------------------------------- cache
-
-def test_cache_roundtrip(tmp_path):
-    rows = ["user,item,rating,timestamp"] + \
-           [f"{u},{i},{(i % 5) + 1},{i}" for u in (1, 2) for i in range(6)]
-    path = write(tmp_path, "r.csv", "\n".join(rows) + "\n")
-    streams, cat = ds.load_explicit(path, "csv", min_ratings=1)
-    cache = tmp_path / "cache.npz"
-    ds.save_cache(cache, streams, cat)
-    streams2, cat2 = ds.load_cache(cache)
-    assert cat2 == cat
-    for a, b in zip(streams, streams2):
-        np.testing.assert_array_equal(a.items, b.items)
-        np.testing.assert_array_equal(a.ratings, b.ratings)
-
-
 # -------------------------------------------------------------- properties
 
 @settings(max_examples=200, deadline=None)

@@ -65,7 +65,7 @@ def tiny_model(setting="explicit", n_items=8, seed=0):
 def test_hardest_under_capacity_keeps_all():
     rec = tiny_model()
     inter = IntermediateSketch(make_sketch([0], K=3, M=8), (SketchEntry(1, 2.0, 2),))
-    out = pol.hardest_update(inter, rm.local_from_global(rec))
+    out = pol.hardest_update(inter, rm.LocalParams(user=rec.user_emb, base=rec))
     assert sorted(out.items().tolist()) == [0, 1]
 
 
@@ -79,7 +79,7 @@ def test_hardest_keeps_largest_losses():
         make_sketch([3, 4], K=2, M=8, ratings=ratings[:2], steps=[1, 2]),
         (SketchEntry(5, ratings[2], 3),),
     )
-    out = pol.hardest_update(inter, rm.local_from_global(rec))
+    out = pol.hardest_update(inter, rm.LocalParams(user=rec.user_emb, base=rec))
     assert sorted(out.items().tolist()) == [3, 5]
 
 
@@ -91,7 +91,7 @@ def test_hardest_ties_keep_most_recent():
         make_sketch([0, 1], K=2, M=8, ratings=[1.0, 1.0], steps=[1, 2]),
         (SketchEntry(2, 1.0, 3),),
     )
-    out = pol.hardest_update(inter, rm.local_from_global(rec))
+    out = pol.hardest_update(inter, rm.LocalParams(user=rec.user_emb, base=rec))
     assert sorted(out.items().tolist()) == [1, 2]
 
 
@@ -101,7 +101,7 @@ def test_influence_single_entry_analytic():
     # with one entry, target = its own loss, so I = -g . (H + lam I)^-1 . g
     rec = tiny_model(seed=3)
     inter = IntermediateSketch(make_sketch([2], K=1, M=8, ratings=[4.0]), ())
-    theta = rm.local_from_global(rec)
+    theta = rm.LocalParams(user=rec.user_emb, base=rec)
     scores = pol.influence_scores(inter, theta, damping=1e-3)
 
     u = Tensor(rec.user_emb.data.copy(), requires_grad=True)
@@ -124,7 +124,8 @@ def test_influence_equal_gradients_equal_scores():
     inter = IntermediateSketch(
         make_sketch([2, 5], K=2, M=8, ratings=[3.0, 3.0]), (SketchEntry(1, 1.0, 3),)
     )
-    scores = pol.influence_scores(inter, rm.local_from_global(rec))
+    theta = rm.LocalParams(user=rec.user_emb, base=rec)
+    scores = pol.influence_scores(inter, theta)
     assert scores[0] == pytest.approx(scores[1], rel=1e-10)
 
 

@@ -117,7 +117,8 @@ def test_inner_adapt_monotone_decrease_convex_toy():
     rec, z, y, mask, _, _ = small_problem(seed=2)
     rec.b1.data[:] = 5.0
     rec.w1.data *= 0.1
-    prev = rm.sketch_loss(z, y, mask, rm.local_from_global(rec)).item()
+    theta0 = rm.LocalParams(user=rec.user_emb, base=rec)
+    prev = rm.sketch_loss(z, y, mask, theta0).item()
     for n in range(1, 11):
         theta = tr.inner_adapt(rec, z, y, mask, 0.2, n, record=False)
         cur = rm.sketch_loss(z, y, mask, theta).item()
@@ -146,25 +147,28 @@ def test_zero_inner_steps_meta_grad_is_plain_grad():
     rec, z, y, mask, nxt, r = small_problem(seed=5)
     cfg = small_cfg(inner_steps=0)
     grads, _ = tr.theta_gradients(rec, z, y, mask, nxt, r, cfg)
-    loss = rm.next_item_loss(rm.local_from_global(rec), nxt, r)
+    loss = rm.next_item_loss(rm.LocalParams(user=rec.user_emb, base=rec), nxt, r)
     plain = dc.grad(loss, rec.all_params())
     for g, p in zip(grads, plain):
         np.testing.assert_allclose(g, p.data, atol=1e-12)
 
 
 def test_outer_step_zero_rate_keeps_params():
-    rec, z, y, mask, nxt, r = small_problem(seed=6)
-    cfg = small_cfg(lr_user=0.0, lr_item=0.0, weight_decay=0.0)
-    before = {n: a.copy() for n, a in rec.state_arrays().items()}
-    tr.outer_theta_step(rec, z, y, mask, nxt, r, cfg)
-    for n, a in rec.state_arrays().items():
+    # the frozen-recommender phase of gate 5: the policy trains, the
+    # recommender (weight decay included) stays bit-identical
+    data = synth(seed=6).splits
+    init = tr.train(small_cfg(policy="random"), data, validate_each_epoch=False).rec
+    before = {n: a.copy() for n, a in init.state_arrays().items()}
+    res = tr.train(small_cfg(lr_user=0.0, lr_item=0.0, stochastic_train=True), data,
+                   validate_each_epoch=False, init_rec=init)
+    for n, a in res.rec.state_arrays().items():
         np.testing.assert_array_equal(a, before[n])
 
 
 def test_outer_step_rejects_bad_item():
     rec, z, y, mask, _, r = small_problem(seed=7)
     with pytest.raises(IndexError):
-        tr.outer_theta_step(rec, z, y, mask, rec.n_items, r, small_cfg())
+        tr.theta_gradients(rec, z, y, mask, rec.n_items, r, small_cfg())
 
 
 def test_meta_gradient_matches_finite_differences():
@@ -365,6 +369,33 @@ def test_policy_gradient_batch_mode_runs():
 
 
 # ------------------------------------------------------------------- train
+
+# (outcome, boundary, sketch items, pending items) after each step of a
+# K=2 stream 5, 1, 7, 3 under the oracle policy with anchor 5: warm-up
+# absorbs, then the policy keeps the anchor plus the most recent item
+STEPS_TAU2 = [("absorbed", False, [5], []), ("absorbed", False, [1, 5], []),
+              (None, False, [1, 5], [7]), ("updated", True, [3, 5], [])]
+STEPS_TAU1 = [("absorbed", False, [5], []), ("absorbed", False, [1, 5], []),
+              ("updated", True, [5, 7], []), ("updated", True, [3, 5], [])]
+
+
+@pytest.mark.parametrize("tau, expected", [(2, STEPS_TAU2), (1, STEPS_TAU1)])
+def test_stepper_follows_the_transition_rules(tau, expected):
+    stream = ds.UserStream(user=0, items=np.array([5, 1, 7, 3, 0]),
+                           ratings=np.array([4.0, 2.0, 3.0, 5.0, 1.0]))
+    cfg = small_cfg(sketch_size=2, tau=tau, policy="oracle",
+                    mode="online" if tau == 1 else "batch")
+    st = tr._UserState(stream, 8, cfg)
+    got = []
+    for t in range(1, 5):
+        inter, boundary = st.observe(t, cfg)
+        assert inter.incoming[-1] == tr.SketchEntry(int(stream.items[t - 1]),
+                                                    float(stream.ratings[t - 1]), t)
+        outcome = st.commit(inter, None, None, cfg, None, {0: {5}})
+        got.append((outcome, boundary, sorted(st.sketch.items().tolist()),
+                    [e.item for e in st.pending]))
+    assert got == expected
+
 
 def synth(seed=0, n_users=10, length=8, setting="explicit"):
     return ds.synth_stream(
