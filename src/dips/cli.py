@@ -195,7 +195,7 @@ def cmd_train(cfg):
     tcfg = train_config(cfg)
     data, anchors = load_data(cfg)
     trace_path = os.path.join(out_dir, "sketch_trace.jsonl")
-    with open(trace_path, "w") as trace:
+    with tr.atomic_open(trace_path) as trace:
         result = tr.train(tcfg, data, oracle_anchors=anchors, trace_file=trace)
     ckpt = os.path.join(out_dir, "checkpoint.npz")
     tr.save_checkpoint(ckpt, result.rec, result.phi, tcfg)
@@ -453,7 +453,7 @@ def cmd_dump_trace(cfg):
     tcfg = train_config(cfg)
     data, anchors = load_data(cfg)
     trace_path = os.path.join(out_dir, "sketch_trace.jsonl")
-    with open(trace_path, "w") as trace:
+    with tr.atomic_open(trace_path) as trace:
         tr.train(tcfg, data, oracle_anchors=anchors, trace_file=trace,
                  validate_each_epoch=False)
     _write_manifest(out_dir, cfg, ["sketch_trace.jsonl", "manifest.json"])
@@ -476,25 +476,8 @@ def build_parser():
     return parser
 
 
-def _apply_thread_limit():
-    """Honor DIPS_THREADS by capping the BLAS/OpenMP pools numpy uses."""
-    n = os.environ.get("DIPS_THREADS", "").strip()
-    if not n:
-        return
-    if not n.isdigit() or int(n) < 1:
-        raise ConfigError(f"DIPS_THREADS must be a positive integer, got {n!r}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = n
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    try:
-        _apply_thread_limit()
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         if args.command == "gradcheck":
             return cmd_gradcheck()

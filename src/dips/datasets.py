@@ -38,9 +38,6 @@ class Catalog:
     def n_items(self):
         return len(self.item_ids)
 
-    def user_index(self):
-        return {raw: i for i, raw in enumerate(self.user_ids)}
-
     def item_index(self):
         return {raw: i for i, raw in enumerate(self.item_ids)}
 

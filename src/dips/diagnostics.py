@@ -46,7 +46,7 @@ def true_policy_grad(rec, phi, stream, cfg, probe_t, max_len=50, max_items=100):
                 raise ValueError(f"probe step {probe_t} is not a sketch-update boundary")
             grads, v, _ = tr.policy_gradient(
                 phi, rec, st.y, st.mask, inter.zhat, past, int(stream.items[t]),
-                float(stream.ratings[t]), replay_cfg, rng=rng, stochastic=False)
+                float(stream.ratings[t]), replay_cfg, rng=rng)
             return grads, v
         if boundary and cfg.policy == "dips":
             past.append(inter.zhat)

@@ -74,9 +74,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def detach(self):
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor({self.data!r}, requires_grad={self.requires_grad})"
 

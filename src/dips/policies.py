@@ -156,27 +156,30 @@ def policy_scores(zhat, y, phi: PolicyParams, training=False, rng=None):
 
 
 def online_remove(scores, mode="deterministic", rng=None):
-    """Pick one item to drop from softmax(scores); returns (w, removed_item).
+    """Pick one item per row to drop from softmax(scores); returns (w, removed).
 
-    ``w`` is a one-hot tensor with straight-through backward onto the
-    softmax probabilities.
+    ``scores`` is one score vector (M,) or a stack (R, M) whose rows are
+    solved one by one, in row order.  ``removed`` is the dropped item of a
+    vector, or an array of R items for a stack.  ``w`` is one-hot per row,
+    with straight-through backward onto the softmax probabilities.
     """
     scores = dc.as_tensor(scores)
-    finite = np.isfinite(scores.data)
-    if not finite.any():
+    if not np.isfinite(np.atleast_2d(scores.data)).any(axis=1).all():
         raise ValueError("online_remove: no finite score (empty intermediate sketch)")
     probs = dc.softmax(scores)
+    rows = np.atleast_2d(probs.data)
     if mode == "deterministic":
-        removed = int(np.argmax(probs.data))
+        removed = np.argmax(rows, axis=1)
     elif mode == "stochastic":
         if rng is None:
             raise ValueError("online_remove: stochastic mode needs an rng")
-        removed = int(rng.choice(len(probs.data), p=probs.data))
+        removed = np.array([rng.choice(rows.shape[1], p=p) for p in rows], dtype=np.int64)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    hard = np.zeros(scores.shape)
-    hard[removed] = 1.0
-    return dc.straight_through(probs, hard), removed
+    hard = np.zeros(rows.shape)
+    hard[np.arange(len(rows)), removed] = 1.0
+    w = dc.straight_through(probs, hard.reshape(scores.shape))
+    return w, (int(removed[0]) if scores.ndim == 1 else removed)
 
 
 def _bisect_shift(f, k, tol=1e-9, max_iter=200):
@@ -209,27 +212,31 @@ def _bisect_shift(f, k, tol=1e-9, max_iter=200):
 def topk_project(scores, k):
     """Entropic Top-K relaxation: u = sigmoid(f + nu) with sum(u) = k.
 
-    Masked (-inf) scores map to exactly zero.  Gradients follow the
-    implicit-function rule implemented in :func:`topk_grad`.
+    ``scores`` is one score vector (M,) or a stack (R, M); each row gets
+    its own shift nu, solved in row order.  Masked (-inf) scores map to
+    exactly zero.  Gradients follow the implicit-function rule of
+    :func:`topk_grad`, applied per row.
     """
     scores = dc.as_tensor(scores)
     f = scores.data
-    finite = np.isfinite(f)
-    n_finite = int(finite.sum())
-    if n_finite < 1:
-        raise ValueError("topk_project: no finite scores")
-    if k >= n_finite:
-        raise ValueError(
-            f"topk_project: k={k} must be smaller than the number of finite scores ({n_finite})"
-        )
-    if k < 1:
-        raise ValueError(f"topk_project: k={k} must be positive")
-    nu = _bisect_shift(f[finite], k)
     u = np.zeros_like(f)
-    u[finite] = 1.0 / (1.0 + np.exp(-(f[finite] + nu)))
+    for f_row, u_row in zip(np.atleast_2d(f), np.atleast_2d(u)):
+        finite = np.isfinite(f_row)
+        n_finite = int(finite.sum())
+        if n_finite < 1:
+            raise ValueError("topk_project: no finite scores")
+        if k >= n_finite:
+            raise ValueError(
+                f"topk_project: k={k} must be smaller than the number of finite scores ({n_finite})"
+            )
+        if k < 1:
+            raise ValueError(f"topk_project: k={k} must be positive")
+        nu = _bisect_shift(f_row[finite], k)
+        u_row[finite] = 1.0 / (1.0 + np.exp(-(f_row[finite] + nu)))
 
     def vjp(g, need):
-        return (Tensor(topk_grad(f, u, g.data)),)
+        rows = zip(np.atleast_2d(f), np.atleast_2d(u), np.atleast_2d(g.data))
+        return (Tensor(np.array([topk_grad(*r) for r in rows]).reshape(f.shape)),)
 
     return dc.custom_op(u, (scores,), vjp, "topk_project")
 
@@ -249,37 +256,43 @@ def topk_grad(f, u, v):
 
 
 def batch_keep(u, k, mode="deterministic", rng=None):
-    """Choose K items to keep from the relaxed indicator u; returns (w, kept).
+    """Choose K items per row to keep from the relaxed indicator u; returns
+    (w, kept).
 
-    ``w`` is a binary tensor with straight-through backward onto u.
-    Stochastic mode samples sequentially without replacement with
-    probabilities proportional to u.
+    ``u`` is one relaxed indicator (M,) or a stack (R, M) whose rows are
+    solved one by one, in row order.  ``kept`` holds the sorted kept items
+    of a vector, or one such row per row of a stack.  ``w`` is binary, with
+    straight-through backward onto u.  Stochastic mode samples sequentially
+    without replacement with probabilities proportional to u.
     """
     u = dc.as_tensor(u)
-    uv = u.data
-    candidates = np.flatnonzero(uv > 0)
-    if candidates.size < k:
-        raise ValueError(f"batch_keep: only {candidates.size} candidates for k={k}")
-    if mode == "deterministic":
-        order = np.argsort(-uv, kind="stable")
-        kept = np.sort(order[:k])
-    elif mode == "stochastic":
-        if rng is None:
-            raise ValueError("batch_keep: stochastic mode needs an rng")
-        pool = list(candidates)
-        weights = uv[candidates].astype(np.float64).copy()
-        kept = []
-        for _ in range(k):
-            p = weights / weights.sum()
-            pick = int(rng.choice(len(pool), p=p))
-            kept.append(pool.pop(pick))
-            weights = np.delete(weights, pick)
-        kept = np.sort(np.array(kept, dtype=np.int64))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    hard = np.zeros_like(uv)
-    hard[kept] = 1.0
-    return dc.straight_through(u, hard), kept
+    hard = np.zeros_like(u.data)
+    kept_rows = []
+    for uv, hard_row in zip(np.atleast_2d(u.data), np.atleast_2d(hard)):
+        candidates = np.flatnonzero(uv > 0)
+        if candidates.size < k:
+            raise ValueError(f"batch_keep: only {candidates.size} candidates for k={k}")
+        if mode == "deterministic":
+            order = np.argsort(-uv, kind="stable")
+            kept = np.sort(order[:k])
+        elif mode == "stochastic":
+            if rng is None:
+                raise ValueError("batch_keep: stochastic mode needs an rng")
+            pool = list(candidates)
+            weights = uv[candidates].astype(np.float64).copy()
+            kept = []
+            for _ in range(k):
+                p = weights / weights.sum()
+                pick = int(rng.choice(len(pool), p=p))
+                kept.append(pool.pop(pick))
+                weights = np.delete(weights, pick)
+            kept = np.sort(np.array(kept, dtype=np.int64))
+        else:
+            raise ValueError(f"unknown mode {mode!r}")
+        hard_row[kept] = 1.0
+        kept_rows.append(kept)
+    w = dc.straight_through(u, hard)
+    return w, (kept_rows[0] if u.ndim == 1 else np.stack(kept_rows))
 
 
 def reservoir_update(sketch: Sketch, item, rating, step, rng) -> Sketch:

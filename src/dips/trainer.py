@@ -186,41 +186,44 @@ def grad_wrt_sketch(rec: RecParams, z, y, mask, next_item, next_rating, cfg):
     return v.data
 
 
-def select_with_policy(phi: PolicyParams, zhat, y, k, tau, mode, rng=None,
-                       training=False, drop_rng=None):
-    """Run the scoring network and the selection head on one indicator.
+def select_with_policy(phi: PolicyParams, zhat, y, cfg, rng=None):
+    """Score ``zhat`` with the policy network and apply the selection head.
 
-    Returns ``(z, kept_items)`` where ``z`` is the new indicator tensor with
-    straight-through backward onto the policy scores.
+    ``zhat`` is one intermediate indicator (M,) or a stack (R, M) whose
+    rows are selected one by one, in row order.  Returns the new indicator
+    tensor ``z``, shaped like ``zhat``, with straight-through backward onto
+    the policy scores; the kept items of a row are ``flatnonzero(z > 0.5)``.
+    ``cfg.tau`` picks the head: softmax removal for tau = 1, the Top-K
+    projection otherwise.  With ``cfg.stochastic_train`` the head samples
+    from ``rng`` and, if ``cfg.policy_dropout``, dropout is on, its masks
+    drawn from ``rng`` for the whole stack before the head's draws; without
+    it the selection is deterministic and dropout off.
     """
-    scores = pol.policy_scores(zhat, y, phi, training=training, rng=drop_rng)
-    if tau == 1:
-        w, removed = pol.online_remove(scores, mode, rng=rng)
-        z = Tensor(np.asarray(zhat, dtype=np.float64)) - w
-        kept = np.flatnonzero(z.data > 0.5)
-    else:
-        u = pol.topk_project(scores, k)
-        w, kept = pol.batch_keep(u, k, mode, rng=rng)
-        z = w
-    return z, kept
+    stochastic = cfg.stochastic_train
+    dropout = stochastic and cfg.policy_dropout
+    scores = pol.policy_scores(zhat, y, phi, training=dropout, rng=rng)
+    mode = "stochastic" if stochastic else "deterministic"
+    if cfg.tau == 1:
+        w, _ = pol.online_remove(scores, mode, rng=rng)
+        return Tensor(np.asarray(zhat, dtype=np.float64)) - w
+    u = pol.topk_project(scores, cfg.sketch_size)
+    w, _ = pol.batch_keep(u, cfg.sketch_size, mode, rng=rng)
+    return w
 
 
 def policy_gradient(phi: PolicyParams, rec: RecParams, y, mask, zhat_t, past_zhats,
-                    next_item, next_rating, cfg, rng=None, stochastic=False):
-    """Two-term approximate policy gradient.
+                    next_item, next_rating, cfg, rng=None):
+    """Two-term approximate policy gradient; returns (grads, v, loss).
 
     First term: straight-through gradient of the next-interaction loss
     through the current selection from ``zhat_t``.  Second term: with the
     sketch-weight gradient v held fixed, gradient of v . sum_j z_j where
     each past z_j is recomputed from its stored indicator with the current
-    policy.  Cross-step Jacobians are treated as identity.
+    policy, all stored indicators in one stack.  Cross-step Jacobians are
+    treated as identity.  Both selections go through
+    :func:`select_with_policy`, so ``cfg`` decides mode and dropout.
     """
-    mode = "stochastic" if stochastic else "deterministic"
-    drop_rng = rng if (cfg.policy_dropout and stochastic) else None
-    training = drop_rng is not None
-
-    z_t, _ = select_with_policy(phi, zhat_t, y, cfg.sketch_size, cfg.tau, mode,
-                                rng=rng, training=training, drop_rng=drop_rng)
+    z_t = select_with_policy(phi, zhat_t, y, cfg, rng)
     z_probe = dc.zeros(rec.n_items, requires_grad=True)
     z_used = z_t + z_probe
     theta_star = inner_adapt(rec, z_used, y, mask, cfg.inner_lr, cfg.inner_steps)
@@ -230,42 +233,11 @@ def policy_gradient(phi: PolicyParams, rec: RecParams, y, mask, zhat_t, past_zha
     total = [g.data.copy() for g in grads1[:-1]]
 
     if past_zhats:
-        scalar = _replay_term(phi, y, past_zhats, v, cfg, rng=rng, mode=mode,
-                              training=training, drop_rng=drop_rng)
-        grads2 = dc.grad(scalar, phi.params())
+        z_past = select_with_policy(phi, np.stack(past_zhats), y, cfg, rng)
+        grads2 = dc.grad(dc.tsum(dc.mul(z_past, Tensor(v))), phi.params())
         for acc, g in zip(total, grads2):
             acc += g.data
     return total, v, loss.item()
-
-
-def _replay_term(phi, y, past_zhats, v, cfg, rng, mode, training, drop_rng):
-    """v^T sum_j z_j(zhat_j; phi) over stored indicators, v constant."""
-    zhat_mat = np.stack(past_zhats)
-    vt = Tensor(v)
-    if cfg.tau == 1:
-        scores = pol.policy_scores(zhat_mat, y, phi, training=training, rng=drop_rng)
-        probs = dc.softmax(scores, axis=1)
-        hard = np.zeros_like(probs.data)
-        if mode == "deterministic":
-            hard[np.arange(len(past_zhats)), np.argmax(probs.data, axis=1)] = 1.0
-        else:
-            for i in range(len(past_zhats)):
-                hard[i, int(rng.choice(probs.data.shape[1], p=probs.data[i]))] = 1.0
-        w = dc.straight_through(probs, hard)
-        z_rows = Tensor(zhat_mat) - w
-        return dc.tsum(dc.mul(z_rows, vt))
-    scores = pol.policy_scores(zhat_mat, y, phi, training=training, rng=drop_rng)
-    parts = []
-    for i in range(len(past_zhats)):
-        row = dc.slice_axis(scores, i, i + 1, axis=0)
-        row = dc.reshape(row, (scores.shape[1],))
-        u = pol.topk_project(row, cfg.sketch_size)
-        w, _ = pol.batch_keep(u, cfg.sketch_size, mode, rng=rng)
-        parts.append(dc.matmul(w, vt))
-    out = parts[0]
-    for p in parts[1:]:
-        out = out + p
-    return out
 
 
 class _UserState:
@@ -331,13 +303,9 @@ def _update_sketch(state: _UserState, inter, rec, phi, cfg, rng, oracle_anchors=
         rest = sorted((e for e in entries if e.item not in anchors), key=lambda e: -e.step)
         return inter.keep([e.item for e in (preferred + rest)[: cfg.sketch_size]])
     # dips / dips1
-    mode = "stochastic" if cfg.stochastic_train else "deterministic"
-    drop_rng = rng if (cfg.policy_dropout and cfg.stochastic_train) else None
     with dc.no_grad():
-        _, kept = select_with_policy(
-            phi, inter.zhat, state.y, cfg.sketch_size, cfg.tau, mode,
-            rng=rng, training=drop_rng is not None, drop_rng=drop_rng)
-    return inter.keep(kept)
+        z = select_with_policy(phi, inter.zhat, state.y, cfg, rng)
+    return inter.keep(np.flatnonzero(z.data > 0.5))
 
 
 @dataclass
@@ -409,7 +377,7 @@ def train(cfg: TrainConfig, data, oracle_anchors=None, trace_file=None,
                         zhat = inter.zhat
                         pg, v, _ = policy_gradient(
                             phi, rec, st.y, st.mask, zhat, st.queue.entries(),
-                            nxt, nxt_rating, cfg, rng=rng, stochastic=cfg.stochastic_train)
+                            nxt, nxt_rating, cfg, rng=rng)
                         policy_acc = pg if policy_acc is None else [
                             a + g for a, g in zip(policy_acc, pg)]
                         n_policy += 1
@@ -463,12 +431,32 @@ def _trace(fh, state, t, absorbed):
     }) + "\n")
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode="w"):
+    """Write ``path`` through a temporary file in the same directory.
+
+    On a clean exit the file is flushed, fsynced and moved onto ``path``;
+    on an exception it is removed, so ``path`` keeps its previous content.
+    """
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{os.getpid()}.{tail}")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(path, rec: RecParams, phi: PolicyParams, cfg: TrainConfig):
     """Write the parameters and config to ``path`` atomically.
 
-    The archive goes to a temporary file in the same directory, which then
-    replaces ``path``; a failed write leaves the previous checkpoint intact.
-    Like ``np.savez``, a name without the ``.npz`` suffix gets one.
+    A failed write leaves the previous checkpoint intact.  Like
+    ``np.savez``, a name without the ``.npz`` suffix gets one.
     """
     arrays = {"version": np.array([1])}
     for name, arr in rec.state_arrays().items():
@@ -479,18 +467,8 @@ def save_checkpoint(path, rec: RecParams, phi: PolicyParams, cfg: TrainConfig):
     path = os.fspath(path)
     if not path.endswith(".npz"):
         path += ".npz"
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{os.getpid()}.{tail}")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def load_checkpoint(path):

@@ -1,6 +1,5 @@
 import io
 import json
-import os
 
 import numpy as np
 import pytest
@@ -111,6 +110,20 @@ def test_train_non_finite_parameters_exit_numeric(tmp_path, capsys, policy):
     assert "non-finite rec.user_emb after the optimizer step at epoch 0, step t=" in err
     assert "batch users [" in err
     assert not (out / "checkpoint.npz").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "dump-trace"])
+def test_failed_run_keeps_the_previous_sketch_trace(tmp_path, command):
+    out = tmp_path / "run"
+    assert cli.main([command] + tiny_overrides(out)) == cli.EXIT_OK
+    before = (out / "sketch_trace.jsonl").read_bytes()
+    files = sorted(p.name for p in out.iterdir())
+    with np.errstate(all="ignore"):
+        code = cli.main([command] + tiny_overrides(
+            out, "train.lr_item=1e200", "train.lr_user=1e200"))
+    assert code == cli.EXIT_NUMERIC
+    assert (out / "sketch_trace.jsonl").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == files
 
 
 # -------------------------------------------------------------------- eval
@@ -257,16 +270,3 @@ def test_dump_trace(tmp_path):
         rec = json.loads(line)
         assert len(rec["kept"]) <= 2  # never exceeds the sketch size
         assert rec["step"] >= 1
-
-# ------------------------------------------------------------------ threads
-
-def test_thread_limit_env(monkeypatch):
-    monkeypatch.setenv("DIPS_THREADS", "2")
-    assert cli.main(["gradcheck"]) == cli.EXIT_OK
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
-
-
-def test_thread_limit_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("DIPS_THREADS", "lots")
-    assert cli.main(["gradcheck"]) == cli.EXIT_CONFIG

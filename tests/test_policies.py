@@ -436,6 +436,65 @@ def test_batch_keep_too_few_candidates():
         pol.batch_keep(Tensor(u), 2, "stochastic", rng=np.random.default_rng(0))
 
 
+# ------------------------------------------------------------ stacked rows
+
+def score_stack(seed, R=4, M=9, n_live=5):
+    """R score rows, each finite on its own n_live items and -inf elsewhere."""
+    rng = np.random.default_rng(seed)
+    f = np.full((R, M), -np.inf)
+    for row in f:
+        row[rng.choice(M, size=n_live, replace=False)] = rng.normal(size=n_live)
+    return f
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+def test_online_remove_stack_equals_row_calls(mode):
+    f = score_stack(12)
+    rng_stack, rng_rows = np.random.default_rng(3), np.random.default_rng(3)
+    w, removed = pol.online_remove(Tensor(f), mode, rng=rng_stack)
+    assert w.shape == f.shape and removed.shape == (len(f),)
+    for r, row in enumerate(f):
+        w_r, removed_r = pol.online_remove(Tensor(row), mode, rng=rng_rows)
+        assert removed[r] == removed_r
+        np.testing.assert_array_equal(w.data[r], w_r.data)
+    assert rng_stack.random() == rng_rows.random()
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+def test_topk_project_and_batch_keep_stack_equal_row_calls(mode):
+    f = score_stack(14)
+    v = np.random.default_rng(15).normal(size=f.shape)
+    rng_stack, rng_rows = np.random.default_rng(3), np.random.default_rng(3)
+    scores = Tensor(f, requires_grad=True)
+    u = pol.topk_project(scores, 2)
+    w, kept = pol.batch_keep(u, 2, mode, rng=rng_stack)
+    (g,) = grad(dc.tsum(dc.mul(u, Tensor(v))), [scores])
+    assert kept.shape == (len(f), 2)
+    for r, row in enumerate(f):
+        scores_r = Tensor(row, requires_grad=True)
+        u_r = pol.topk_project(scores_r, 2)
+        w_r, kept_r = pol.batch_keep(u_r, 2, mode, rng=rng_rows)
+        (g_r,) = grad(dc.tsum(dc.mul(u_r, Tensor(v[r]))), [scores_r])
+        np.testing.assert_array_equal(u.data[r], u_r.data)
+        np.testing.assert_array_equal(w.data[r], w_r.data)
+        np.testing.assert_array_equal(kept[r], kept_r)
+        np.testing.assert_array_equal(g.data[r], g_r.data)
+    assert rng_stack.random() == rng_rows.random()
+
+
+def test_stacked_heads_reject_one_all_masked_row():
+    f = score_stack(16)
+    f[2] = -np.inf
+    with pytest.raises(ValueError, match="online_remove: no finite score"):
+        pol.online_remove(Tensor(f), "deterministic")
+    with pytest.raises(ValueError, match="topk_project: no finite scores"):
+        pol.topk_project(Tensor(f), 2)
+    u = pol.topk_project(Tensor(score_stack(16)), 2).data
+    u[2] = 0.0
+    with pytest.raises(ValueError, match="batch_keep: only 0 candidates for k=2"):
+        pol.batch_keep(Tensor(u), 2, "deterministic")
+
+
 # ---------------------------------------------------------- straight-through
 
 def test_st_composed_with_softmax_matches_fd():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -358,6 +360,35 @@ def test_policy_gradient_finite_differences_first_term():
         fd = (lp - lm) / (2 * h)
         rg = relaxed_grads[-1].data[i]
         assert abs(rg - fd) <= 1e-4 * max(abs(fd), abs(rg), 1e-3)
+
+
+@pytest.mark.parametrize("stochastic", [False, True])
+@pytest.mark.parametrize("tau", [1, 2])
+def test_policy_gradient_replay_is_the_sum_of_per_row_selections(tau, stochastic):
+    rec, phi, y, mask, zhat, nxt, r, cfg = pg_setup(seed=5, tau=tau)
+    cfg = replace(cfg, stochastic_train=stochastic, policy_dropout=False)
+    perm = np.random.default_rng(6).permutation
+    interacted = np.flatnonzero(mask)
+    past = []
+    for _ in range(3):
+        z = np.zeros(rec.n_items)
+        z[perm(interacted)[:cfg.sketch_size + tau]] = 1.0
+        past.append(z)
+    grads, v, _ = tr.policy_gradient(phi, rec, y, mask, zhat, past, nxt, r, cfg,
+                                     rng=np.random.default_rng(7))
+
+    # reference: the first term alone, then v . z_j for one stored row at a
+    # time, drawing from the rng in the same order
+    rng = np.random.default_rng(7)
+    expected, v_ref, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [], nxt, r, cfg,
+                                            rng=rng)
+    np.testing.assert_array_equal(v, v_ref)
+    for zj in past:
+        z = tr.select_with_policy(phi, zj, y, cfg, rng)
+        for acc, g in zip(expected, dc.grad(dc.tsum(dc.mul(z, Tensor(v))), phi.params())):
+            acc += g.data
+    for a, b in zip(grads, expected):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
 def test_policy_gradient_batch_mode_runs():
