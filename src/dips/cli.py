@@ -184,7 +184,7 @@ def load_data(cfg):
 def _write_manifest(out_dir, cfg, artifacts):
     manifest = {"config": cfg, "artifacts": sorted(artifacts)}
     path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
+    with tr.atomic_open(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     return path
 
@@ -200,7 +200,7 @@ def cmd_train(cfg):
     ckpt = os.path.join(out_dir, "checkpoint.npz")
     tr.save_checkpoint(ckpt, result.rec, result.phi, tcfg)
     log_path = os.path.join(out_dir, "metrics.jsonl")
-    with open(log_path, "w") as fh:
+    with tr.atomic_open(log_path) as fh:
         for record in result.metric_log:
             fh.write(json.dumps(record) + "\n")
     _write_manifest(out_dir, cfg, ["checkpoint.npz", "metrics.jsonl",
@@ -264,7 +264,7 @@ def cmd_eval(cfg, checkpoint):
     os.makedirs(out_dir, exist_ok=True)
     table = met.summary_table(rows)
     table_path = os.path.join(out_dir, "eval.csv")
-    with open(table_path, "w") as fh:
+    with tr.atomic_open(table_path) as fh:
         fh.write(table)
     _write_manifest(out_dir, cfg, ["eval.csv", "manifest.json"])
     print(table, end="")
@@ -429,7 +429,7 @@ def cmd_diagnose(cfg):
     os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, "diagnose.jsonl")
     n = 0
-    with open(report_path, "w") as fh:
+    with tr.atomic_open(report_path) as fh:
         for t in sorted(captured):
             if n >= cfg["diagnose.probe_steps"]:
                 break

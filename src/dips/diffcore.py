@@ -25,6 +25,7 @@ returned gradient is accumulated from the same terms in the same order.
 from __future__ import annotations
 
 import contextlib
+import itertools
 
 import numpy as np
 
@@ -38,6 +39,8 @@ class GraphError(RuntimeError):
 
 
 _grad_enabled = True
+# creation stamps: a tensor's parents exist before it, so they are older
+_created = itertools.count()
 
 
 @contextlib.contextmanager
@@ -53,7 +56,7 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "_parents", "_vjp", "op_name", "ctx")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjp", "op_name", "ctx", "_stamp")
 
     def __init__(self, data, requires_grad=False, _parents=(), _vjp=None, op_name=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -62,6 +65,7 @@ class Tensor:
         self._vjp = _vjp
         self.op_name = op_name
         self.ctx = None
+        self._stamp = next(_created)
 
     @property
     def shape(self):
@@ -122,6 +126,8 @@ def _node(data, parents, vjp, name):
 
 
 def _check_broadcast(name, a, b):
+    if a.shape == b.shape:
+        return
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
@@ -441,16 +447,20 @@ def _toposort(root, wanted):
 
     A node is live when it is in ``wanted`` or one of its parents is live.
     In post-order every parent is finished before its child, so liveness is
-    decided when a node is finished, in the same pass.
+    decided when a node is finished, in the same pass.  A node older than
+    every wanted tensor has only older ancestors, none of them wanted, so
+    unless it is wanted itself it is not live and the walk does not enter
+    it.  Skipping it leaves the order of the live nodes unchanged.
     """
     order = []
     live = set()
+    oldest = min((w._stamp for w in wanted), default=root._stamp)
     visited = {root}
     stack = [(root, iter(root._parents))]
     while stack:
         node, parents = stack[-1]
         for p in parents:
-            if p.requires_grad and p not in visited:
+            if p.requires_grad and p._stamp >= oldest and p not in visited:
                 visited.add(p)
                 stack.append((p, iter(p._parents)))
                 break

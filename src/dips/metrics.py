@@ -99,7 +99,7 @@ def evaluate(rec, phi, streams, cfg, k=20, exclude_history=False, seed=None,
             nxt = int(s.items[t])
             with dc.no_grad():
                 if cfg.setting == rm.EXPLICIT:
-                    pred = rm.predict_explicit(theta, nxt).item()
+                    pred = rm.predict_explicit_many(theta, [nxt]).data[0]
                     err = (pred - float(s.ratings[t])) ** 2
                     records.append(EvalRecord(s.user, t, "sq_error", err))
                 else:

@@ -5,6 +5,13 @@ embeddings and a small MLP tower).  Explicit ratings come from an MLP on
 the concatenated user/item embeddings; implicit next-item scores come
 from dotting a user tower output with every item embedding so one pass
 yields all scores.
+
+The forward and the losses take one user embedding (d,) or a stack (B, d)
+of independent users in one graph.  Explicit predictions concatenate the
+items of every user, each with a segment index naming its user row;
+implicit scores form a (B, M) matrix.  Losses are summed over the stack,
+so one backward pass yields every user's gradient; a single embedding is
+the one-row case of the same code.
 """
 
 from __future__ import annotations
@@ -72,101 +79,119 @@ class RecParams:
 
 @dataclass
 class LocalParams:
-    """Per-user adapted parameters: adapted user embedding, frozen item side."""
+    """Adapted user embedding (d,), or a stack (B, d), and the frozen item side."""
 
     user: Tensor
     base: RecParams
 
 
-def _check_item(rec, item):
-    if not 0 <= int(item) < rec.n_items:
-        raise IndexError(f"item {item} out of range [0, {rec.n_items})")
+def _check_items(rec, items):
+    items = np.atleast_1d(items)
+    if items.size and (items.min() < 0 or items.max() >= rec.n_items):
+        bad = items[(items < 0) | (items >= rec.n_items)][0]
+        raise IndexError(f"item {bad} out of range [0, {rec.n_items})")
 
 
-def predict_explicit(theta: LocalParams, item) -> Tensor:
-    """Predicted rating g(item; theta), a scalar tensor."""
+def _weight_shape(theta):
+    """Shape of a weight row (M,) for one user embedding, (B, M) for a stack."""
     rec = theta.base
-    _check_item(rec, item)
-    x = dc.concat([theta.user, dc.gather(rec.item_emb, int(item))])
-    h = dc.relu(dc.matmul(x, rec.w1) + rec.b1)
-    out = dc.matmul(h, rec.w2) + rec.b2
-    return dc.tsum(out)  # (1,) -> scalar
+    return (rec.n_items,) if theta.user.ndim == 1 else (theta.user.shape[0], rec.n_items)
 
 
-def predict_explicit_many(theta: LocalParams, items) -> Tensor:
-    """Predicted ratings for several items in one matrix pass."""
+def _entries(a: Tensor, rows, cols) -> Tensor:
+    """``a[rows, cols]`` of a matrix, or ``a[cols]`` of a vector, as one gather."""
+    if a.ndim == 1:
+        return dc.gather(a, cols)
+    return dc.gather(dc.reshape(a, (a.data.size,)), rows * a.shape[1] + cols)
+
+
+def predict_explicit_many(theta: LocalParams, items, rows=None) -> Tensor:
+    """Predicted ratings g(items[n]; user rows[n]), shape (N,), in one pass.
+
+    ``theta.user`` is one embedding (d,), repeated for every item, or a
+    stack (B, d) whose row ``rows[n]`` goes with ``items[n]`` (the segment
+    index).
+    """
     rec = theta.base
     items = np.asarray(items, dtype=np.int64)
-    if items.size and (items.min() < 0 or items.max() >= rec.n_items):
-        raise IndexError(f"item index out of range [0, {rec.n_items})")
-    rows = dc.gather(rec.item_emb, items)
-    user_rows = dc.broadcast_to(dc.reshape(theta.user, (1, rec.dim)), (items.size, rec.dim))
-    x = dc.concat([user_rows, rows], axis=1)
+    _check_items(rec, items)
+    if theta.user.ndim == 2:
+        users = dc.gather(theta.user, rows)
+    else:
+        users = dc.broadcast_to(theta.user, (items.size, rec.dim))
+    x = dc.concat([users, dc.gather(rec.item_emb, items)], axis=1)
     h = dc.relu(dc.matmul(x, rec.w1) + rec.b1)
     return dc.tsum(dc.matmul(h, rec.w2) + rec.b2, axis=1)
 
 
 def predict_implicit(theta: LocalParams) -> Tensor:
-    """Unnormalized scores over all items; softmax is applied by the loss."""
+    """Unnormalized scores over all items, (M,) for one user embedding and
+    (B, M) for a stack; softmax is applied by the loss."""
     rec = theta.base
     h = dc.relu(dc.matmul(theta.user, rec.w1) + rec.b1)
     t = dc.matmul(h, rec.w2) + rec.b2
-    return dc.matmul(rec.item_emb, t)
+    return dc.matmul(t, dc.transpose(rec.item_emb))
 
 
 def logsumexp(scores: Tensor) -> Tensor:
+    """Log-sum-exp over the last axis: a scalar for (M,), (B,) for (B, M)."""
     # shift by a detached max; subtracting a constant keeps gradients exact
-    m = float(np.max(scores.data))
-    return dc.log(dc.tsum(dc.exp(scores - m))) + m
-
-
-def pointwise_loss(rating, prediction, kind) -> Tensor:
-    """Single-interaction loss: squared error (``"mse"``, explicit ratings) or
-    categorical cross-entropy over all item scores (``"cce"``, implicit)."""
-    if kind == "mse":
-        d = prediction - float(rating)
-        return dc.mul(d, d)
-    if kind == "cce":
-        j = int(rating)
-        if prediction.ndim != 1:
-            raise ValueError("cce: prediction must be a score vector")
-        if not 0 <= j < prediction.shape[0]:
-            raise ValueError(f"cce: class index {j} out of range [0, {prediction.shape[0]})")
-        return logsumexp(prediction) - dc.gather(prediction, j)
-    raise ValueError(f"unknown loss kind {kind!r}")
+    m = np.max(scores.data, axis=-1)
+    return dc.log(dc.tsum(dc.exp(scores - m[..., None]), axis=-1)) + m
 
 
 def next_item_loss(theta: LocalParams, item, rating) -> Tensor:
-    """Outer-objective loss on the next interaction."""
-    if theta.base.setting == EXPLICIT:
-        return pointwise_loss(rating, predict_explicit(theta, item), "mse")
-    _check_item(theta.base, item)
-    return pointwise_loss(item, predict_implicit(theta), "cce")
+    """Outer-objective loss on the next interaction, summed over users.
+
+    ``item`` and ``rating`` are scalars for one user embedding, or (B,)
+    arrays for a stack: squared rating error in the explicit setting,
+    cross-entropy over all M item scores in the implicit one.
+    """
+    rec = theta.base
+    if np.shape(item) != _weight_shape(theta)[:-1]:
+        raise ValueError(f"next_item_loss: next items of shape {np.shape(item)} "
+                         f"for user rows of shape {theta.user.shape}")
+    _check_items(rec, item)
+    items = np.atleast_1d(np.asarray(item, dtype=np.int64))
+    rows = np.arange(items.size)
+    if rec.setting == EXPLICIT:
+        d = predict_explicit_many(theta, items, rows) - Tensor(np.atleast_1d(rating))
+        return dc.tsum(d * d)
+    scores = predict_implicit(theta)
+    return dc.tsum(logsumexp(scores) - _entries(scores, rows, items))
 
 
 def sketch_loss(z, y, mask, theta: LocalParams) -> Tensor:
-    """Weighted per-item loss sum over interacted items.
+    """Weighted per-item loss sum over interacted items, summed over users.
 
-    ``z`` is a length-M weight vector (array or tensor), ``y`` the rating
-    vector and ``mask`` the binary interaction mask.  Weights must vanish
-    outside the mask; entries of ``y`` outside the mask are never read.
+    ``z`` is a weight vector (M,) for one user embedding, or a stack (B, M)
+    with one row per row of ``theta.user``; it may be an array or a tensor.
+    ``y`` is the rating vector (or stack) and ``mask`` the binary
+    interaction mask.  Weights must vanish outside the mask; entries of
+    ``y`` outside the mask are never read.
     """
     rec = theta.base
     mask = np.asarray(mask)
     z_data = z.data if isinstance(z, Tensor) else np.asarray(z, dtype=np.float64)
-    if z_data.shape != (rec.n_items,):
-        raise ValueError(f"sketch_loss: z has shape {z_data.shape}, expected ({rec.n_items},)")
+    expected = _weight_shape(theta)
+    if z_data.shape != expected:
+        raise ValueError(f"sketch_loss: z has shape {z_data.shape}, expected {expected}")
+    if mask.shape != expected:
+        raise ValueError(f"sketch_loss: mask has shape {mask.shape}, expected {expected}")
     if np.any(z_data < -1e-12):
         raise ValueError("sketch_loss: negative sketch weights")
     if np.any((z_data != 0) & (mask == 0)):
         raise ValueError("sketch_loss: positive weight on a non-interacted item")
     z = dc.as_tensor(z)
-    items = np.flatnonzero(mask)
-    zw = dc.gather(z, items)
+    rows, items = np.nonzero(mask.reshape(-1, rec.n_items))
+    zw = _entries(z, rows, items)
     if rec.setting == EXPLICIT:
-        preds = predict_explicit_many(theta, items)
-        d = preds - Tensor(np.asarray(y, dtype=np.float64)[items])
+        preds = predict_explicit_many(theta, items, rows)
+        y = np.asarray(y, dtype=np.float64).reshape(-1, rec.n_items)
+        d = preds - Tensor(y[rows, items])
         return dc.tsum(zw * d * d)
     scores = predict_implicit(theta)
     lse = logsumexp(scores)
-    return lse * dc.tsum(zw) - dc.tsum(zw * dc.gather(scores, items))
+    if lse.ndim:
+        lse = dc.gather(lse, rows)
+    return dc.tsum(zw * (lse - _entries(scores, rows, items)))

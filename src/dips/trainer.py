@@ -4,9 +4,12 @@ recommender updates, and the queue-based approximate policy gradient.
 Every time step runs a fixed number of recorded gradient-descent steps on
 the user embedding (the inner problem), evaluates the next-interaction
 loss, and backpropagates through the unrolled inner steps to update the
-global model.  The sketching policy is updated with a two-term gradient:
-a straight-through term for the current selection plus a replay term
-over a queue of stored intermediate sketch indicators.
+global model.  The users of a mini-batch are independent inner problems
+that share one initialisation, so each time step builds one graph for
+all users still streaming: their user embeddings are stacked (B, d) and
+their losses summed.  The sketching policy is updated per user with a
+two-term gradient: a straight-through term for the current selection plus
+a replay term over a queue of stored intermediate sketch indicators.
 """
 
 from __future__ import annotations
@@ -148,29 +151,34 @@ class Adam:
 def inner_adapt(rec: RecParams, z, y, mask, alpha, n_steps, record=True) -> LocalParams:
     """Adapt the user embedding on the weighted sketch loss.
 
-    With ``record`` the gradient steps stay on the graph so the outer loss
-    can be meta-differentiated; item-side parameters are never touched.
+    ``z``, ``y`` and ``mask`` are one user's rows (M,) or a stack (B, M);
+    a stack adapts B copies of the user embedding at once, each on its own
+    row.  With ``record`` the gradient steps stay on the graph so the outer
+    loss can be meta-differentiated; item-side parameters are never touched.
     """
-    if n_steps == 0 or alpha == 0.0:
-        return LocalParams(user=rec.user_emb, base=rec)
     u = rec.user_emb
-    if record:
-        for _ in range(n_steps):
-            loss = rm.sketch_loss(z, y, mask, LocalParams(user=u, base=rec))
-            (g,) = dc.grad(loss, [u], create_graph=True, allow_unused=True)
-            u = u - alpha * g
+    shape = np.shape(z.data if isinstance(z, Tensor) else z)
+    if len(shape) == 2:
+        u = dc.broadcast_to(u, (shape[0], rec.dim))
+    if n_steps == 0 or alpha == 0.0:
         return LocalParams(user=u, base=rec)
-    u_data = u.data.copy()
+    if not record:
+        u = Tensor(u.data, requires_grad=True)
     for _ in range(n_steps):
-        ut = Tensor(u_data, requires_grad=True)
-        loss = rm.sketch_loss(z, y, mask, LocalParams(user=ut, base=rec))
-        (g,) = dc.grad(loss, [ut], allow_unused=True)
-        u_data = u_data - alpha * g.data
-    return LocalParams(user=Tensor(u_data), base=rec)
+        loss = rm.sketch_loss(z, y, mask, LocalParams(user=u, base=rec))
+        (g,) = dc.grad(loss, [u], create_graph=record, allow_unused=True)
+        u = u - alpha * g if record else Tensor(u.data - alpha * g.data, requires_grad=True)
+    return LocalParams(user=u if record else Tensor(u.data), base=rec)
 
 
 def theta_gradients(rec: RecParams, z, y, mask, next_item, next_rating, cfg):
-    """Meta-gradient of the next-interaction loss w.r.t. the global parameters."""
+    """Meta-gradient of the next-interaction loss w.r.t. the global parameters.
+
+    One user's ``z``, ``y``, ``mask`` (M,) with a scalar next item and
+    rating, or a stack (B, M) with (B,) next items and ratings: one graph
+    for all B users.  Returns the gradients and the loss, both summed over
+    the users.
+    """
     theta_star = inner_adapt(rec, z, y, mask, cfg.inner_lr, cfg.inner_steps)
     loss = rm.next_item_loss(theta_star, next_item, next_rating)
     grads = dc.grad(loss, rec.all_params())
@@ -352,32 +360,32 @@ def train(cfg: TrainConfig, data, oracle_anchors=None, trace_file=None,
         for start in range(0, len(order), cfg.batch_size):
             batch = [usable[i] for i in order[start:start + cfg.batch_size]]
             states = [_UserState(s, data.n_items, cfg) for s in batch]
+            ys = np.stack([st.y for st in states])
+            masks = np.stack([st.mask for st in states])
             max_t = max(len(s.items) for s in batch)
             for t in range(1, max_t):
-                theta_acc = None
+                active = [i for i, s in enumerate(batch) if t < len(s.items)]
+                nxt = np.array([batch[i].items[t] for i in active], dtype=np.int64)
+                nxt_rating = np.array([batch[i].ratings[t] for i in active], dtype=np.float64)
+
+                # outer model update on the current sketches, one graph for
+                # every active user; it reads rec and the sketches only, so
+                # it runs before any sketch of this step is committed
+                theta_acc, _ = theta_gradients(
+                    rec, np.stack([states[i].sketch.z for i in active]), ys[active],
+                    masks[active], nxt, nxt_rating, cfg)
+                n_theta = len(active)
+
                 policy_acc = None
-                n_theta = 0
                 n_policy = 0
-                for st in states:
-                    items = st.stream.items
-                    if t >= len(items):
-                        continue
-                    nxt = int(items[t])
-                    nxt_rating = float(st.stream.ratings[t])
-
-                    # outer model update on the current sketch
-                    grads, loss_val = theta_gradients(
-                        rec, st.sketch.z, st.y, st.mask, nxt, nxt_rating, cfg)
-                    theta_acc = grads if theta_acc is None else [
-                        a + g for a, g in zip(theta_acc, grads)]
-                    n_theta += 1
-
+                for i, n_item, n_rating in zip(active, nxt, nxt_rating):
+                    st = states[i]
                     inter, boundary = st.observe(t, cfg)
                     if learned and boundary:
                         zhat = inter.zhat
                         pg, v, _ = policy_gradient(
                             phi, rec, st.y, st.mask, zhat, st.queue.entries(),
-                            nxt, nxt_rating, cfg, rng=rng)
+                            int(n_item), float(n_rating), cfg, rng=rng)
                         policy_acc = pg if policy_acc is None else [
                             a + g for a, g in zip(policy_acc, pg)]
                         n_policy += 1
@@ -389,10 +397,9 @@ def train(cfg: TrainConfig, data, oracle_anchors=None, trace_file=None,
                     if outcome is not None and trace_file is not None:
                         _trace(trace_file, st, t, absorbed=outcome == "absorbed")
 
-                if n_theta:
-                    opt_user.step([theta_acc[0] / n_theta])
-                    opt_item.step([g / n_theta for g in theta_acc[1:]])
-                    _check_finite("rec", rec, epoch, t, batch)
+                opt_user.step([theta_acc[0] / n_theta])
+                opt_item.step([g / n_theta for g in theta_acc[1:]])
+                _check_finite("rec", rec, epoch, t, batch)
                 if learned and n_policy:
                     opt_policy.step([g / n_policy for g in policy_acc])
                     _check_finite("phi", phi, epoch, t, batch)

@@ -126,6 +126,23 @@ def test_failed_run_keeps_the_previous_sketch_trace(tmp_path, command):
     assert sorted(p.name for p in out.iterdir()) == files
 
 
+def test_failed_manifest_write_keeps_the_previous_manifest(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert cli.main(["train"] + tiny_overrides(out)) == cli.EXIT_OK
+    before = (out / "manifest.json").read_bytes()
+    files = sorted(p.name for p in out.iterdir())
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write('{"config": {')
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli.json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="no space left"):
+        cli.main(["train"] + tiny_overrides(out, "train.seed=1"))
+    assert (out / "manifest.json").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == files
+
+
 # -------------------------------------------------------------------- eval
 
 @pytest.fixture(scope="module")

@@ -322,3 +322,27 @@ def test_grad_of_one_tensor_matches_grad_of_all_bit_for_bit():
     outer_all = grad(_adapted_loss(a, b, c, [a, b, c]), [a, b, c])
     for g_pruned, g_full in zip(grad(first, [a, b, c]), outer_all):
         np.testing.assert_array_equal(g_pruned.data, g_full.data)
+
+
+def test_walk_does_not_enter_nodes_older_than_every_requested_tensor():
+    # as in a recorded inner step: the gradient asks for a tensor created
+    # after an earlier subgraph, which therefore cannot lead to it
+    entered = []
+
+    class Watched(tuple):
+        def __iter__(self):
+            entered.append(True)
+            return super().__iter__()
+
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    old = dc.mul(a, a)
+    old._parents = Watched(old._parents)
+    u = Tensor([0.5, -1.0], requires_grad=True)
+    loss = dc.tsum(dc.mul(old, dc.mul(u, u)))
+    (gu,) = grad(loss, [u])
+    np.testing.assert_array_equal(gu.data, 2.0 * u.data * old.data)
+    assert entered == []
+    # asking for the older tensor walks into it again
+    (ga,) = grad(loss, [a])
+    np.testing.assert_array_equal(ga.data, 2.0 * a.data * u.data * u.data)
+    assert entered

@@ -106,7 +106,7 @@ def test_influence_single_entry_analytic():
 
     u = Tensor(rec.user_emb.data.copy(), requires_grad=True)
     th = rm.LocalParams(user=u, base=rec)
-    loss = rm.pointwise_loss(4.0, rm.predict_explicit(th, 2), "mse")
+    loss = rm.next_item_loss(th, 2, 4.0)
     (g,) = grad(loss, [u], create_graph=True)
     d = rec.dim
     H = np.zeros((d, d))
@@ -116,6 +116,35 @@ def test_influence_single_entry_analytic():
     H = 0.5 * (H + H.T) + 1e-3 * np.eye(d)
     expected = -float(g.data @ np.linalg.solve(H, g.data))
     assert scores[0] == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("setting", ["explicit", "implicit"])
+def test_influence_scores_match_a_d_pass_hessian_reference(setting):
+    rng = np.random.default_rng(12)
+    rec = rm.RecParams(n_items=10, dim=4, hidden=6, setting=setting, rng=rng)
+    rec.b1.data[:] = 0.2
+    items = rng.choice(10, size=5, replace=False)
+    entries = [SketchEntry(int(it), float(rng.uniform(1, 5)), i + 1)
+               for i, it in enumerate(items)]
+    inter = IntermediateSketch(Sketch(4, 10, tuple(entries[:4])), (entries[4],))
+    u0 = 0.5 * rng.normal(size=4)
+    damping = 1e-3
+    scores = pol.influence_scores(inter, rm.LocalParams(user=Tensor(u0), base=rec),
+                                  damping=damping)
+
+    # one backward pass per entry, one more per Hessian row
+    u = Tensor(u0.copy(), requires_grad=True)
+    theta = rm.LocalParams(user=u, base=rec)
+    grads = [grad(rm.next_item_loss(theta, e.item, e.rating), [u], create_graph=True)[0]
+             for e in entries]
+    total = grads[0]
+    for g in grads[1:]:
+        total = total + g
+    H = np.array([grad(dc.gather(total, i), [u])[0].data for i in range(4)])
+    H = 0.5 * (H + H.T) + damping * np.eye(4)
+    x = np.linalg.solve(H, np.mean([g.data for g in grads], axis=0))
+    expected = np.array([-float(x @ g.data) for g in grads])
+    assert np.max(np.abs(scores - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_influence_equal_gradients_equal_scores():

@@ -18,21 +18,22 @@ def test_predict_explicit_zero_params_is_bias():
     for name in rec.param_names():
         setattr(rec, name, Tensor(np.zeros(getattr(rec, name).shape), requires_grad=True))
     rec.b2 = Tensor(np.array([0.37]), requires_grad=True)
-    pred = rm.predict_explicit(rm.LocalParams(user=rec.user_emb, base=rec), 2)
-    assert pred.item() == pytest.approx(0.37)
+    pred = rm.predict_explicit_many(rm.LocalParams(user=rec.user_emb, base=rec), [2])
+    assert pred.data[0] == pytest.approx(0.37)
 
 
 def test_predict_explicit_identical_embeddings_identical_predictions():
     rec = tiny_model()
     rec.item_emb.data[3] = rec.item_emb.data[1]
     theta = rm.LocalParams(user=rec.user_emb, base=rec)
-    assert rm.predict_explicit(theta, 1).item() == pytest.approx(rm.predict_explicit(theta, 3).item())
+    pred = rm.predict_explicit_many(theta, [1, 3]).data
+    assert pred[0] == pytest.approx(pred[1])
 
 
 def test_predict_explicit_out_of_range():
     rec = tiny_model()
     with pytest.raises(IndexError):
-        rm.predict_explicit(rm.LocalParams(user=rec.user_emb, base=rec), 5)
+        rm.predict_explicit_many(rm.LocalParams(user=rec.user_emb, base=rec), [5])
 
 
 def test_predict_explicit_matches_straightline_oracle():
@@ -41,7 +42,6 @@ def test_predict_explicit_matches_straightline_oracle():
     item = 4
     x = np.concatenate([rec.user_emb.data, rec.item_emb.data[item]])
     expected = float((np.maximum(x @ rec.w1.data + rec.b1.data, 0) @ rec.w2.data + rec.b2.data)[0])
-    assert rm.predict_explicit(theta, item).item() == pytest.approx(expected, abs=1e-12)
     many = rm.predict_explicit_many(theta, [4, 1])
     assert many.data[0] == pytest.approx(expected, abs=1e-12)
 
@@ -66,11 +66,21 @@ def test_softmax_shift_invariance_of_scores():
     np.testing.assert_allclose(p1, p2, atol=1e-12)
 
 
-def test_pointwise_losses_analytic():
-    assert rm.pointwise_loss(2.0, Tensor(2.0), "mse").item() == 0.0
-    assert rm.pointwise_loss(1, Tensor(np.zeros(4)), "cce").item() == pytest.approx(np.log(4))
-    with pytest.raises(ValueError):
-        rm.pointwise_loss(9, Tensor(np.zeros(4)), "cce")
+def test_next_item_losses_analytic():
+    rec = tiny_model()
+    for name in rec.param_names():
+        setattr(rec, name, Tensor(np.zeros(getattr(rec, name).shape), requires_grad=True))
+    rec.b2 = Tensor(np.array([2.0]), requires_grad=True)
+    theta = rm.LocalParams(user=rec.user_emb, base=rec)
+    assert rm.next_item_loss(theta, 1, 2.0).item() == 0.0
+    assert rm.next_item_loss(theta, 1, 5.0).item() == pytest.approx(9.0)
+    # all-zero item embeddings score every item alike: cross-entropy log M
+    rec = tiny_model(setting="implicit", n_items=4)
+    rec.item_emb.data[:] = 0.0
+    theta = rm.LocalParams(user=rec.user_emb, base=rec)
+    assert rm.next_item_loss(theta, 1, 1.0).item() == pytest.approx(np.log(4))
+    with pytest.raises(IndexError, match="item 9 out of range"):
+        rm.next_item_loss(theta, 9, 1.0)
 
 
 def _mask_y(rec, rng, n_interacted=4):
@@ -98,8 +108,9 @@ def test_sketch_loss_one_hot_reduces_to_pointwise():
     z[j] = 1.0
     theta = rm.LocalParams(user=rec.user_emb, base=rec)
     loss = rm.sketch_loss(z, y, mask, theta)
-    direct = rm.pointwise_loss(y[j], rm.predict_explicit(theta, j), "mse")
-    assert loss.item() == pytest.approx(direct.item(), abs=1e-12)
+    x = np.concatenate([rec.user_emb.data, rec.item_emb.data[j]])
+    pred = (np.maximum(x @ rec.w1.data + rec.b1.data, 0) @ rec.w2.data + rec.b2.data)[0]
+    assert loss.item() == pytest.approx((pred - y[j]) ** 2, abs=1e-12)
 
 
 def test_sketch_loss_rejects_weight_outside_mask():
@@ -110,6 +121,18 @@ def test_sketch_loss_rejects_weight_outside_mask():
     z[off] = 0.5
     with pytest.raises(ValueError, match="non-interacted"):
         rm.sketch_loss(z, y, mask, rm.LocalParams(user=rec.user_emb, base=rec))
+
+
+def test_stacked_losses_reject_rows_that_do_not_match_the_users():
+    rec = tiny_model()
+    theta = rm.LocalParams(user=Tensor(np.zeros((2, rec.dim))), base=rec)
+    z = np.zeros((2, rec.n_items))
+    with pytest.raises(ValueError, match="z has shape"):
+        rm.sketch_loss(np.zeros((3, rec.n_items)), z, z, theta)
+    with pytest.raises(ValueError, match="mask has shape"):
+        rm.sketch_loss(z, z, np.zeros(rec.n_items), theta)
+    with pytest.raises(ValueError, match="next items of shape"):
+        rm.next_item_loss(theta, np.array([1, 2, 3]), np.ones(3))
 
 
 @pytest.mark.parametrize("setting", ["explicit", "implicit"])
@@ -128,10 +151,7 @@ def test_sketch_loss_grad_wrt_z_is_pointwise_loss(setting):
 
     # dloss/dz_j equals the pointwise loss on item j (linearity in z)
     for j in items:
-        if setting == "explicit":
-            lj = rm.pointwise_loss(y[j], rm.predict_explicit(theta, j), "mse").item()
-        else:
-            lj = rm.pointwise_loss(j, rm.predict_implicit(theta), "cce").item()
+        lj = rm.next_item_loss(theta, j, y[j]).item()
         assert gz.data[j] == pytest.approx(lj, rel=1e-10)
 
     # finite differences agree
@@ -173,7 +193,7 @@ def test_sketch_loss_grad_wrt_user_is_weighted_sum():
     for j in items:
         uj = Tensor(rec.user_emb.data.copy(), requires_grad=True)
         tj = rm.LocalParams(user=uj, base=rec)
-        lj = rm.pointwise_loss(y[j], rm.predict_explicit(tj, j), "mse")
+        lj = rm.next_item_loss(tj, j, y[j])
         (gj,) = grad(lj, [uj])
         total += z[j] * gj.data
     np.testing.assert_allclose(g.data, total, atol=1e-10)

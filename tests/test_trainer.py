@@ -202,6 +202,109 @@ def test_meta_gradient_matches_finite_differences():
             assert abs(gflat[i] - fd) / scale <= 1e-3
 
 
+# ------------------------------------------------------ stacked users
+
+def stacked_problem(setting, B, seed=0, M=12, d=3):
+    """B users with 3, 4, ... interacted items; the last one is the next
+    item.  With B > 1 the sketch weights of row 1 are all zero."""
+    rng = np.random.default_rng(seed)
+    rec = rm.RecParams(n_items=M, dim=d, hidden=4, setting=setting, rng=rng)
+    rec.b1.data[:] = 0.2  # live relus, so every parameter gets a gradient
+    z, y, mask = np.zeros((3, B, M))
+    nxt, r = [], []
+    for b in range(B):
+        items = rng.choice(M, size=3 + b, replace=False)
+        mask[b, items] = 1.0
+        y[b, items] = rng.uniform(1, 5, size=items.size) if setting == "explicit" else 1.0
+        if b != 1:
+            z[b, items[:-1]] = rng.uniform(0.3, 1.5, size=items.size - 1)
+        nxt.append(int(items[-1]))
+        r.append(float(y[b, items[-1]]))
+    return rec, z, y, mask, np.array(nxt), np.array(r)
+
+
+def assert_close_rel(a, ref, rel=1e-12):
+    a, ref = np.asarray(a), np.asarray(ref)
+    assert a.shape == ref.shape
+    assert np.max(np.abs(a - ref), initial=0.0) <= rel * max(np.max(np.abs(ref), initial=0.0), 1e-300)
+
+
+@pytest.mark.parametrize("setting", ["explicit", "implicit"])
+@pytest.mark.parametrize("B", [1, 3, 5])
+def test_theta_gradients_stack_equals_sum_of_row_calls(setting, B):
+    rec, z, y, mask, nxt, r = stacked_problem(setting, B)
+    cfg = small_cfg(setting=setting, inner_steps=3, inner_lr=0.3)
+    grads, loss = tr.theta_gradients(rec, z, y, mask, nxt, r, cfg)
+    ref_grads = [np.zeros(p.shape) for p in rec.all_params()]
+    ref_loss = 0.0
+    for b in range(B):
+        g_b, l_b = tr.theta_gradients(rec, z[b], y[b], mask[b], int(nxt[b]), float(r[b]), cfg)
+        ref_loss += l_b
+        for acc, g in zip(ref_grads, g_b):
+            acc += g
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    for g, g_ref in zip(grads, ref_grads):
+        assert np.any(g_ref != 0)
+        assert_close_rel(g, g_ref)
+
+
+def test_train_stacks_exactly_the_active_users_at_every_step(monkeypatch):
+    rng = np.random.default_rng(5)
+    M = 30
+    streams = []
+    for user, length in enumerate((6, 9, 12)):
+        items = rng.choice(M, size=length, replace=False)
+        streams.append(ds.UserStream(user, items, rng.uniform(1, 5, size=length)))
+    calls = []
+    original = tr.theta_gradients
+
+    def spy(rec, z, y, mask, next_item, next_rating, cfg):
+        calls.append((np.array(z), np.array(mask), np.array(next_item), np.array(next_rating)))
+        return original(rec, z, y, mask, next_item, next_rating, cfg)
+
+    monkeypatch.setattr(tr, "theta_gradients", spy)
+    cfg = small_cfg(batch_size=3, sketch_size=3)
+    tr.train(cfg, ds.DatasetSplits(streams, [], [], M), validate_each_epoch=False)
+
+    assert len(calls) == 11
+    for t, (z, mask, nxt, rating) in enumerate(calls, start=1):
+        active = [s for s in streams if t < len(s.items)]
+        assert z.shape == mask.shape == (len(active), M)
+        # each row is one active user's: its interaction mask, its next
+        # interaction, and a sketch drawn from its first t items
+        by_row = [next(s for s in active if np.array_equal(mask[i], np.isin(np.arange(M), s.items)))
+                  for i in range(len(active))]
+        assert sorted(s.user for s in by_row) == [s.user for s in active]
+        for i, s in enumerate(by_row):
+            assert nxt[i] == s.items[t]
+            assert rating[i] == s.ratings[t]
+            kept = np.flatnonzero(z[i])
+            assert set(kept) <= set(s.items[:t]) and kept.size == min(t - 1, cfg.sketch_size)
+
+
+BAD_ROW_ERRORS = {
+    "negative_weight": (ValueError, "sketch_loss: negative sketch weights"),
+    "weight_outside_mask": (ValueError, "sketch_loss: positive weight on a non-interacted item"),
+    "next_item_out_of_range": (IndexError, "item 12 out of range"),
+}
+
+
+@pytest.mark.parametrize("setting", ["explicit", "implicit"])
+@pytest.mark.parametrize("bad_row", [0, 2])
+@pytest.mark.parametrize("fault", sorted(BAD_ROW_ERRORS))
+def test_stacked_theta_gradients_reject_one_bad_row(setting, bad_row, fault):
+    rec, z, y, mask, nxt, r = stacked_problem(setting, 3)
+    if fault == "negative_weight":
+        z[bad_row, np.flatnonzero(mask[bad_row])[0]] = -0.5
+    elif fault == "weight_outside_mask":
+        z[bad_row, np.flatnonzero(mask[bad_row] == 0)[0]] = 0.5
+    else:
+        nxt[bad_row] = rec.n_items
+    error, match = BAD_ROW_ERRORS[fault]
+    with pytest.raises(error, match=match):
+        tr.theta_gradients(rec, z, y, mask, nxt, r, small_cfg(setting=setting))
+
+
 # --------------------------------------------------------- grad wrt sketch
 
 def test_grad_wrt_sketch_finite_differences():
