@@ -181,10 +181,12 @@ def load_data(cfg):
     return ds.DatasetSplits(train, valid, test, catalog.n_items), None
 
 
-def _write_manifest(out_dir, cfg, artifacts):
+def _write_manifest(files, out_dir, cfg, artifacts):
+    """Write ``manifest.json`` into the open ``trainer.atomic_files`` group;
+    written last, it is also the last file the group moves into place."""
     manifest = {"config": cfg, "artifacts": sorted(artifacts)}
     path = os.path.join(out_dir, "manifest.json")
-    with tr.atomic_open(path) as fh:
+    with files.open(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     return path
 
@@ -194,17 +196,17 @@ def cmd_train(cfg):
     os.makedirs(out_dir, exist_ok=True)
     tcfg = train_config(cfg)
     data, anchors = load_data(cfg)
-    trace_path = os.path.join(out_dir, "sketch_trace.jsonl")
-    with tr.atomic_open(trace_path) as trace:
-        result = tr.train(tcfg, data, oracle_anchors=anchors, trace_file=trace)
     ckpt = os.path.join(out_dir, "checkpoint.npz")
-    tr.save_checkpoint(ckpt, result.rec, result.phi, tcfg)
-    log_path = os.path.join(out_dir, "metrics.jsonl")
-    with tr.atomic_open(log_path) as fh:
-        for record in result.metric_log:
-            fh.write(json.dumps(record) + "\n")
-    _write_manifest(out_dir, cfg, ["checkpoint.npz", "metrics.jsonl",
-                                   "sketch_trace.jsonl", "manifest.json"])
+    # the four artefacts replace an earlier run's only once all are written
+    with tr.atomic_files() as files:
+        with files.open(os.path.join(out_dir, "sketch_trace.jsonl")) as trace:
+            result = tr.train(tcfg, data, oracle_anchors=anchors, trace_file=trace)
+        tr.save_checkpoint(ckpt, result.rec, result.phi, tcfg, files=files)
+        with files.open(os.path.join(out_dir, "metrics.jsonl")) as fh:
+            for record in result.metric_log:
+                fh.write(json.dumps(record) + "\n")
+        _write_manifest(files, out_dir, cfg, ["checkpoint.npz", "metrics.jsonl",
+                                              "sketch_trace.jsonl", "manifest.json"])
     print(f"wrote {ckpt}")
     return EXIT_OK
 
@@ -263,10 +265,10 @@ def cmd_eval(cfg, checkpoint):
     out_dir = cfg["out.dir"]
     os.makedirs(out_dir, exist_ok=True)
     table = met.summary_table(rows)
-    table_path = os.path.join(out_dir, "eval.csv")
-    with tr.atomic_open(table_path) as fh:
-        fh.write(table)
-    _write_manifest(out_dir, cfg, ["eval.csv", "manifest.json"])
+    with tr.atomic_files() as files:
+        with files.open(os.path.join(out_dir, "eval.csv")) as fh:
+            fh.write(table)
+        _write_manifest(files, out_dir, cfg, ["eval.csv", "manifest.json"])
     print(table, end="")
     return EXIT_OK
 
@@ -427,23 +429,23 @@ def cmd_diagnose(cfg):
                        {t: [x.copy() for x in g]}))
     out_dir = cfg["out.dir"]
     os.makedirs(out_dir, exist_ok=True)
-    report_path = os.path.join(out_dir, "diagnose.jsonl")
     n = 0
-    with tr.atomic_open(report_path) as fh:
-        for t in sorted(captured):
-            if n >= cfg["diagnose.probe_steps"]:
-                break
-            true_g, _ = dg.true_policy_grad(
-                res.rec, res.phi, stream, tcfg, t,
-                max_len=cfg["diagnose.max_len"], max_items=cfg["diagnose.max_items"])
-            rep = dg.direction_stats(captured[t], true_g)
-            record = json.loads(rep.to_json())
-            record["step"] = t
-            fh.write(json.dumps(record) + "\n")
-            print(f"step {t}: preserved {rep.preserved:.2f} negated {rep.negated:.2f} "
-                  f"zeroed {rep.zeroed:.2f} cosine {rep.cosine:.3f}")
-            n += 1
-    _write_manifest(out_dir, cfg, ["diagnose.jsonl", "manifest.json"])
+    with tr.atomic_files() as files:
+        with files.open(os.path.join(out_dir, "diagnose.jsonl")) as fh:
+            for t in sorted(captured):
+                if n >= cfg["diagnose.probe_steps"]:
+                    break
+                true_g, _ = dg.true_policy_grad(
+                    res.rec, res.phi, stream, tcfg, t,
+                    max_len=cfg["diagnose.max_len"], max_items=cfg["diagnose.max_items"])
+                rep = dg.direction_stats(captured[t], true_g)
+                record = json.loads(rep.to_json())
+                record["step"] = t
+                fh.write(json.dumps(record) + "\n")
+                print(f"step {t}: preserved {rep.preserved:.2f} negated {rep.negated:.2f} "
+                      f"zeroed {rep.zeroed:.2f} cosine {rep.cosine:.3f}")
+                n += 1
+        _write_manifest(files, out_dir, cfg, ["diagnose.jsonl", "manifest.json"])
     return EXIT_OK
 
 
@@ -453,10 +455,11 @@ def cmd_dump_trace(cfg):
     tcfg = train_config(cfg)
     data, anchors = load_data(cfg)
     trace_path = os.path.join(out_dir, "sketch_trace.jsonl")
-    with tr.atomic_open(trace_path) as trace:
-        tr.train(tcfg, data, oracle_anchors=anchors, trace_file=trace,
-                 validate_each_epoch=False)
-    _write_manifest(out_dir, cfg, ["sketch_trace.jsonl", "manifest.json"])
+    with tr.atomic_files() as files:
+        with files.open(trace_path) as trace:
+            tr.train(tcfg, data, oracle_anchors=anchors, trace_file=trace,
+                     validate_each_epoch=False)
+        _write_manifest(files, out_dir, cfg, ["sketch_trace.jsonl", "manifest.json"])
     print(f"wrote {trace_path}")
     return EXIT_OK
 

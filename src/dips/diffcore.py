@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import weakref
 
 import numpy as np
 
@@ -56,7 +57,8 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "_parents", "_vjp", "op_name", "ctx", "_stamp")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjp", "op_name", "ctx", "_stamp",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad=False, _parents=(), _vjp=None, op_name=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -123,6 +125,22 @@ def _node(data, parents, vjp, name):
     if _grad_enabled and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=parents, _vjp=vjp, op_name=name)
     return Tensor(data)
+
+
+def _self_vjp(out, vjp):
+    """Give ``out`` the VJP ``vjp(g, need, out)`` of an op whose backward
+    reads its own output.
+
+    The backward records ``out`` itself, so the second derivative stays on
+    the graph.  The closure holds ``out`` by weak reference: a strong one
+    would make a reference cycle, and the graph, M-wide arrays included,
+    would wait for the cyclic garbage collector instead of being freed when
+    its last reference goes.  ``grad`` calls the VJP through ``out``, so the
+    reference is alive whenever the VJP runs.
+    """
+    ref = weakref.ref(out)
+    out._vjp = lambda g, need: vjp(g, need, ref())
+    return out
 
 
 def _check_broadcast(name, a, b):
@@ -254,9 +272,7 @@ def sigmoid(a):
     a = as_tensor(a)
     s_data = 1.0 / (1.0 + np.exp(-np.clip(a.data, -500.0, 500.0)))
     out = _node(s_data, (a,), None, "sigmoid")
-    # use `out` itself in the backward expression so d2/dx2 stays on the graph
-    out._vjp = lambda g, need: (mul(g, mul(out, sub(1.0, out))),)
-    return out
+    return _self_vjp(out, lambda g, need, s: (mul(g, mul(s, sub(1.0, s))),))
 
 
 def log(a):
@@ -267,8 +283,7 @@ def log(a):
 def exp(a):
     a = as_tensor(a)
     out = _node(np.exp(a.data), (a,), None, "exp")
-    out._vjp = lambda g, need: (mul(g, out),)
-    return out
+    return _self_vjp(out, lambda g, need, e: (mul(g, e),))
 
 
 def softmax(a, axis=-1):
@@ -279,13 +294,11 @@ def softmax(a, axis=-1):
     s_data = e / np.sum(e, axis=axis, keepdims=True)
     out = _node(s_data, (a,), None, "softmax")
 
-    def vjp(g, need):
-        gs = mul(g, out)
-        inner = tsum(gs, axis=axis, keepdims=True)
-        return (mul(out, sub(g, inner)),)
+    def vjp(g, need, s):
+        inner = tsum(mul(g, s), axis=axis, keepdims=True)
+        return (mul(s, sub(g, inner)),)
 
-    out._vjp = vjp
-    return out
+    return _self_vjp(out, vjp)
 
 
 def tsum(a, axis=None, keepdims=False):

@@ -7,9 +7,13 @@ loss, and backpropagates through the unrolled inner steps to update the
 global model.  The users of a mini-batch are independent inner problems
 that share one initialisation, so each time step builds one graph for
 all users still streaming: their user embeddings are stacked (B, d) and
-their losses summed.  The sketching policy is updated per user with a
-two-term gradient: a straight-through term for the current selection plus
-a replay term over a queue of stored intermediate sketch indicators.
+their losses summed.  The sketching policy is updated with a two-term
+gradient: a straight-through term for the current selection plus a replay
+term over each user's queue of stored intermediate sketch indicators.  It
+too is one graph per time step, over the users at a sketch boundary, and
+it draws from the generator in a fixed order: the current stack's dropout
+masks and head draws, then the replay stack's (users in stack order, each
+queue oldest first), then each user's commit in batch order.
 """
 
 from __future__ import annotations
@@ -117,11 +121,15 @@ class SGDMomentum:
         self.velocity = [np.zeros(p.shape) for p in params]
 
     def step(self, grads):
+        # g + wd * p, v = momentum * v + g, p -= lr * v, through one scratch
+        # array: the same operations in the same order, bit for bit
         for p, v, g in zip(self.params, self.velocity, grads):
-            g = np.asarray(g) + self.weight_decay * p.data
+            s = np.multiply(p.data, self.weight_decay, out=np.empty_like(p.data))
+            s += g
             v *= self.momentum
-            v += g
-            p.data -= self.lr * v
+            v += s
+            np.multiply(v, self.lr, out=s)
+            p.data -= s
 
 
 class Adam:
@@ -136,16 +144,30 @@ class Adam:
         self.t = 0
 
     def step(self, grads):
+        # the textbook update, g = grad + wd * p, m and v moving averages,
+        # p -= lr * mhat / (sqrt(vhat) + eps), computed through two scratch
+        # arrays per parameter: the same operations in the same order, bit
+        # for bit, without a temporary per operation
         self.t += 1
+        c1, c2 = 1 - self.b1 ** self.t, 1 - self.b2 ** self.t
         for p, m, v, g in zip(self.params, self.m, self.v, grads):
-            g = np.asarray(g) + self.weight_decay * p.data
+            s1, s2 = np.empty_like(p.data), np.empty_like(p.data)
+            np.multiply(p.data, self.weight_decay, out=s1)
+            s1 += g                                    # s1 = g
+            np.multiply(s1, 1 - self.b1, out=s2)
             m *= self.b1
-            m += (1 - self.b1) * g
+            m += s2
+            np.multiply(s1, 1 - self.b2, out=s2)
+            s2 *= s1
             v *= self.b2
-            v += (1 - self.b2) * g * g
-            mhat = m / (1 - self.b1 ** self.t)
-            vhat = v / (1 - self.b2 ** self.t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            v += s2
+            np.divide(m, c1, out=s1)                   # s1 = mhat
+            s1 *= self.lr
+            np.divide(v, c2, out=s2)                   # s2 = vhat
+            np.sqrt(s2, out=s2)
+            s2 += self.eps
+            s1 /= s2
+            p.data -= s1
 
 
 def inner_adapt(rec: RecParams, z, y, mask, alpha, n_steps, record=True) -> LocalParams:
@@ -223,16 +245,29 @@ def policy_gradient(phi: PolicyParams, rec: RecParams, y, mask, zhat_t, past_zha
                     next_item, next_rating, cfg, rng=None):
     """Two-term approximate policy gradient; returns (grads, v, loss).
 
+    One user passes ``y``, ``mask`` and ``zhat_t`` of shape (M,), its queue
+    ``past_zhats`` as a list of stored indicator rows, and a scalar next
+    item and rating.  A stack of B users passes them as (B, M), one queue
+    per user in ``past_zhats``, and (B,) next items and ratings; one graph
+    holds every user, so the gradients and the loss are summed over the
+    users and ``v`` has the shape of ``zhat_t`` (row b is user b's v).
+
     First term: straight-through gradient of the next-interaction loss
     through the current selection from ``zhat_t``.  Second term: with the
     sketch-weight gradient v held fixed, gradient of v . sum_j z_j where
     each past z_j is recomputed from its stored indicator with the current
-    policy, all stored indicators in one stack.  Cross-step Jacobians are
+    policy; every user's queue, oldest first, forms one stack, and each of
+    its rows reads its owner's ``y`` and v.  Cross-step Jacobians are
     treated as identity.  Both selections go through
-    :func:`select_with_policy`, so ``cfg`` decides mode and dropout.
+    :func:`select_with_policy`, so ``cfg`` decides mode and dropout, and
+    ``rng`` is drawn for the current stack first, then for the replay.
     """
+    queues = past_zhats if np.ndim(zhat_t) == 2 else [past_zhats]
+    n_users = len(np.atleast_2d(zhat_t))
+    if len(queues) != n_users:
+        raise ValueError(f"policy_gradient: {len(queues)} queues for {n_users} users")
     z_t = select_with_policy(phi, zhat_t, y, cfg, rng)
-    z_probe = dc.zeros(rec.n_items, requires_grad=True)
+    z_probe = dc.zeros(z_t.shape, requires_grad=True)
     z_used = z_t + z_probe
     theta_star = inner_adapt(rec, z_used, y, mask, cfg.inner_lr, cfg.inner_steps)
     loss = rm.next_item_loss(theta_star, next_item, next_rating)
@@ -240,9 +275,12 @@ def policy_gradient(phi: PolicyParams, rec: RecParams, y, mask, zhat_t, past_zha
     v = grads1[-1].data
     total = [g.data.copy() for g in grads1[:-1]]
 
-    if past_zhats:
-        z_past = select_with_policy(phi, np.stack(past_zhats), y, cfg, rng)
-        grads2 = dc.grad(dc.tsum(dc.mul(z_past, Tensor(v))), phi.params())
+    past = [z for queue in queues for z in queue]
+    if past:
+        owner = np.repeat(np.arange(n_users), [len(q) for q in queues])
+        z_past = select_with_policy(phi, np.stack(past), np.atleast_2d(y)[owner], cfg, rng)
+        grads2 = dc.grad(dc.tsum(dc.mul(z_past, Tensor(np.atleast_2d(v)[owner]))),
+                         phi.params())
         for acc, g in zip(total, grads2):
             acc += g.data
     return total, v, loss.item()
@@ -329,7 +367,10 @@ def train(cfg: TrainConfig, data, oracle_anchors=None, trace_file=None,
     """Run the full bilevel training loop over mini-batches of users.
 
     ``init_rec`` / ``init_phi`` warm-start from existing parameters
-    (copied, the originals are left untouched).
+    (copied, the originals are left untouched).  ``policy_grad_hook(users,
+    t, grads, v)`` is called once per time step at which some users reach a
+    sketch boundary: their ids in stack order, their summed policy
+    gradient and their (B', M) sketch-weight gradients ``v``.
     """
     from . import metrics as met  # late import to avoid a cycle
 
@@ -376,23 +417,24 @@ def train(cfg: TrainConfig, data, oracle_anchors=None, trace_file=None,
                     masks[active], nxt, nxt_rating, cfg)
                 n_theta = len(active)
 
-                policy_acc = None
-                n_policy = 0
-                for i, n_item, n_rating in zip(active, nxt, nxt_rating):
-                    st = states[i]
-                    inter, boundary = st.observe(t, cfg)
-                    if learned and boundary:
-                        zhat = inter.zhat
-                        pg, v, _ = policy_gradient(
-                            phi, rec, st.y, st.mask, zhat, st.queue.entries(),
-                            int(n_item), float(n_rating), cfg, rng=rng)
-                        policy_acc = pg if policy_acc is None else [
-                            a + g for a, g in zip(policy_acc, pg)]
-                        n_policy += 1
-                        if policy_grad_hook is not None:
-                            policy_grad_hook(st.stream.user, t, pg, v)
-                        st.queue.push(zhat)
+                inters = [states[i].observe(t, cfg) for i in active]
+                # one policy-gradient graph for the users at a sketch
+                # boundary; it draws from rng before any commit of this step
+                at = [k for k, (_, boundary) in enumerate(inters) if learned and boundary]
+                if at:
+                    rows = [active[k] for k in at]
+                    zhats = np.stack([inters[k][0].zhat for k in at])
+                    policy_acc, v, _ = policy_gradient(
+                        phi, rec, ys[rows], masks[rows], zhats,
+                        [states[i].queue.entries() for i in rows], nxt[at], nxt_rating[at],
+                        cfg, rng=rng)
+                    if policy_grad_hook is not None:
+                        policy_grad_hook([batch[i].user for i in rows], t, policy_acc, v)
+                    for i, zhat in zip(rows, zhats):
+                        states[i].queue.push(zhat)
 
+                for i, (inter, _) in zip(active, inters):
+                    st = states[i]
                     outcome = st.commit(inter, rec, phi, cfg, rng, oracle_anchors)
                     if outcome is not None and trace_file is not None:
                         _trace(trace_file, st, t, absorbed=outcome == "absorbed")
@@ -400,8 +442,8 @@ def train(cfg: TrainConfig, data, oracle_anchors=None, trace_file=None,
                 opt_user.step([theta_acc[0] / n_theta])
                 opt_item.step([g / n_theta for g in theta_acc[1:]])
                 _check_finite("rec", rec, epoch, t, batch)
-                if learned and n_policy:
-                    opt_policy.step([g / n_policy for g in policy_acc])
+                if at:
+                    opt_policy.step([g / len(at) for g in policy_acc])
                     _check_finite("phi", phi, epoch, t, batch)
 
         if validate_each_epoch and data.valid:
@@ -438,32 +480,60 @@ def _trace(fh, state, t, absorbed):
     }) + "\n")
 
 
-@contextlib.contextmanager
-def atomic_open(path, mode="w"):
-    """Write ``path`` through a temporary file in the same directory.
+class _AtomicFiles:
+    """The files of one :func:`atomic_files` block; see there."""
 
-    On a clean exit the file is flushed, fsynced and moved onto ``path``;
-    on an exception it is removed, so ``path`` keeps its previous content.
+    def __init__(self):
+        self.pending = []    # (temporary file, target), in write order
+
+    @contextlib.contextmanager
+    def open(self, path, mode="w"):
+        """Write ``path`` through a temporary file in the same directory;
+        flushed and fsynced on a clean exit, removed on an exception."""
+        head, tail = os.path.split(os.fspath(path))
+        tmp = os.path.join(head, f".{os.getpid()}.{tail}")
+        try:
+            with open(tmp, mode) as fh:
+                yield fh
+                fh.flush()
+                os.fsync(fh.fileno())
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+            raise
+        self.pending.append((tmp, path))
+
+
+@contextlib.contextmanager
+def atomic_files():
+    """Write several files as one group.
+
+    ``files.open(path, mode)`` of the yielded group writes ``path`` through
+    a temporary file.  Only after the block exits cleanly, every temporary
+    file is moved onto its target, in the order they were written; on an
+    exception every temporary file is removed, so all targets keep their
+    previous content.
     """
-    head, tail = os.path.split(os.fspath(path))
-    tmp = os.path.join(head, f".{os.getpid()}.{tail}")
+    files = _AtomicFiles()
     try:
-        with open(tmp, mode) as fh:
-            yield fh
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        yield files
+        while files.pending:
+            os.replace(*files.pending[0])
+            files.pending.pop(0)
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
+        for tmp, _ in files.pending:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
         raise
 
 
-def save_checkpoint(path, rec: RecParams, phi: PolicyParams, cfg: TrainConfig):
+def save_checkpoint(path, rec: RecParams, phi: PolicyParams, cfg: TrainConfig, files=None):
     """Write the parameters and config to ``path`` atomically.
 
     A failed write leaves the previous checkpoint intact.  Like
-    ``np.savez``, a name without the ``.npz`` suffix gets one.
+    ``np.savez``, a name without the ``.npz`` suffix gets one.  ``files``
+    is an open :func:`atomic_files` group to write into; by default the
+    checkpoint is a group of its own.
     """
     arrays = {"version": np.array([1])}
     for name, arr in rec.state_arrays().items():
@@ -474,8 +544,11 @@ def save_checkpoint(path, rec: RecParams, phi: PolicyParams, cfg: TrainConfig):
     path = os.fspath(path)
     if not path.endswith(".npz"):
         path += ".npz"
-    with atomic_open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    with contextlib.ExitStack() as stack:
+        if files is None:
+            files = stack.enter_context(atomic_files())
+        with files.open(path, "wb") as fh:
+            np.savez(fh, **arrays)
 
 
 def load_checkpoint(path):

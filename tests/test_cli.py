@@ -127,10 +127,12 @@ def test_failed_run_keeps_the_previous_sketch_trace(tmp_path, command):
 
 
 def test_failed_manifest_write_keeps_the_previous_manifest(tmp_path, monkeypatch):
+    # every artefact of the first run survives a second run whose manifest
+    # write fails, so the manifest still names the files next to it
     out = tmp_path / "run"
     assert cli.main(["train"] + tiny_overrides(out)) == cli.EXIT_OK
-    before = (out / "manifest.json").read_bytes()
     files = sorted(p.name for p in out.iterdir())
+    before = {name: (out / name).read_bytes() for name in files}
 
     def dump_then_fail(obj, fh, **kwargs):
         fh.write('{"config": {')
@@ -139,8 +141,10 @@ def test_failed_manifest_write_keeps_the_previous_manifest(tmp_path, monkeypatch
     monkeypatch.setattr(cli.json, "dump", dump_then_fail)
     with pytest.raises(OSError, match="no space left"):
         cli.main(["train"] + tiny_overrides(out, "train.seed=1"))
-    assert (out / "manifest.json").read_bytes() == before
+    assert files == ["checkpoint.npz", "manifest.json", "metrics.jsonl", "sketch_trace.jsonl"]
     assert sorted(p.name for p in out.iterdir()) == files
+    for name in files:
+        assert (out / name).read_bytes() == before[name], name
 
 
 # -------------------------------------------------------------------- eval

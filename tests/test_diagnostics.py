@@ -91,7 +91,7 @@ def test_frozen_policy_queue_estimate_equals_replay():
     captured = {}
     res = tr.train(cfg, data, validate_each_epoch=False,
                    policy_grad_hook=lambda u, t, g, v: captured.update(
-                       {t: ([x.copy() for x in g], v.copy())}))
+                       {t: ([x.copy() for x in g], v[0].copy())}))
     assert captured
     for t in sorted(captured):
         true_g, true_v = dg.true_policy_grad(res.rec, res.phi, stream, cfg, t)

@@ -346,3 +346,27 @@ def test_walk_does_not_enter_nodes_older_than_every_requested_tensor():
     (ga,) = grad(loss, [a])
     np.testing.assert_array_equal(ga.data, 2.0 * a.data * u.data * u.data)
     assert entered
+
+
+@pytest.mark.parametrize("op", [dc.sigmoid, dc.exp, dc.softmax])
+def test_graphs_through_self_referencing_ops_are_freed_without_the_cycle_collector(op):
+    # the VJPs of sigmoid, exp and softmax read their own output; the graph
+    # (forward, first and second derivative) must still hold no cycle
+    import gc
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        x = Tensor(np.linspace(-1.0, 1.0, 5), requires_grad=True)
+        y = op(x)
+        (g,) = grad(dc.tsum(y * y), [x], create_graph=True)
+        (h,) = grad(dc.tsum(g), [x])
+        assert np.all(np.isfinite(h.data))
+        del x, y, g, h
+        gc.collect()
+        leaked = [o for o in gc.garbage if isinstance(o, Tensor)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert leaked == []

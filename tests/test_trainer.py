@@ -103,6 +103,44 @@ def test_weight_decay_shrinks_parameters():
     assert p.data[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
 
+def test_optimizer_steps_equal_the_textbook_formulas_bit_for_bit():
+    rng = np.random.default_rng(11)
+    shapes = [(7, 3), (3,), ()]
+    init = [rng.normal(size=s) for s in shapes]
+    grads = [[rng.normal(size=s) for s in shapes] for _ in range(3)]
+    lr, wd, b1, b2, eps, mom = 0.01, 0.3, 0.9, 0.999, 1e-8, 0.9
+
+    params = [Tensor(a.copy(), requires_grad=True) for a in init]
+    adam = tr.Adam(params, lr, betas=(b1, b2), eps=eps, weight_decay=wd)
+    ref = [a.copy() for a in init]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    for t, gs in enumerate(grads, start=1):
+        adam.step(gs)
+        for i, g in enumerate(gs):
+            g = np.asarray(g) + wd * ref[i]
+            m[i] = b1 * m[i] + (1 - b1) * g
+            v[i] = b2 * v[i] + (1 - b2) * g * g
+            mhat = m[i] / (1 - b1 ** t)
+            vhat = v[i] / (1 - b2 ** t)
+            ref[i] = ref[i] - lr * mhat / (np.sqrt(vhat) + eps)
+        for p, r in zip(params, ref):
+            np.testing.assert_array_equal(p.data, r)
+
+    params = [Tensor(a.copy(), requires_grad=True) for a in init]
+    sgd = tr.SGDMomentum(params, lr, momentum=mom, weight_decay=wd)
+    ref = [a.copy() for a in init]
+    vel = [np.zeros(s) for s in shapes]
+    for gs in grads:
+        sgd.step(gs)
+        for i, g in enumerate(gs):
+            g = np.asarray(g) + wd * ref[i]
+            vel[i] = mom * vel[i] + g
+            ref[i] = ref[i] - lr * vel[i]
+        for p, r in zip(params, ref):
+            np.testing.assert_array_equal(p.data, r)
+
+
 # ------------------------------------------------------------- inner adapt
 
 def test_inner_adapt_identity_cases():
@@ -500,6 +538,150 @@ def test_policy_gradient_batch_mode_runs():
                                         [zhat.copy(), zhat.copy()], nxt, r, cfg)
     assert all(np.all(np.isfinite(g)) for g in grads)
     assert np.all(np.isfinite(v))
+
+
+def stacked_pg_problem(B, tau=1, seed=0, M=12, K=2):
+    """B users of one policy: rows of y, mask and zhat (K + tau stored
+    items each), queues of lengths 2, 0, 3, 1, 2 (one empty for B > 1),
+    next items and ratings."""
+    rng = np.random.default_rng(seed)
+    rec = rm.RecParams(n_items=M, dim=3, hidden=4, setting="explicit", rng=rng)
+    rec.b1.data[:] = 0.2
+    phi = pol.PolicyParams(M, hidden=8, rng=rng)
+    y, mask, zhat = np.zeros((3, B, M))
+    queues, nxt, r = [], [], []
+    for b in range(B):
+        items = rng.choice(M, size=K + tau + 2 + b % 2, replace=False)
+        mask[b, items] = 1.0
+        y[b, items] = rng.uniform(1, 5, size=items.size)
+        zhat[b, items[:K + tau]] = 1.0
+        queue = []
+        for _ in range((2, 0, 3, 1, 2)[b]):
+            zj = np.zeros(M)
+            zj[rng.permutation(items[:-1])[:K + tau]] = 1.0
+            queue.append(zj)
+        queues.append(queue)
+        nxt.append(int(items[-1]))
+        r.append(float(y[b, items[-1]]))
+    cfg = small_cfg(sketch_size=K, tau=tau, mode="online" if tau == 1 else "batch")
+    return rec, phi, y, mask, zhat, queues, np.array(nxt), np.array(r), cfg
+
+
+@pytest.mark.parametrize("tau", [1, 2])
+@pytest.mark.parametrize("B", [1, 3, 5])
+def test_policy_gradient_stack_equals_sum_of_row_calls(B, tau):
+    rec, phi, y, mask, zhat, queues, nxt, r, cfg = stacked_pg_problem(B, tau)
+    grads, v, loss = tr.policy_gradient(phi, rec, y, mask, zhat, queues, nxt, r, cfg)
+    assert v.shape == (B, rec.n_items)
+    ref_grads = [np.zeros(p.shape) for p in phi.params()]
+    ref_loss = 0.0
+    for b in range(B):
+        g_b, v_b, l_b = tr.policy_gradient(phi, rec, y[b], mask[b], zhat[b], queues[b],
+                                           int(nxt[b]), float(r[b]), cfg)
+        assert v_b.shape == (rec.n_items,)
+        assert_close_rel(v[b], v_b)
+        ref_loss += l_b
+        for acc, g in zip(ref_grads, g_b):
+            acc += g
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    for g, g_ref in zip(grads, ref_grads):
+        assert np.any(g_ref != 0)
+        assert_close_rel(g, g_ref)
+
+
+def test_stacked_policy_gradient_draws_the_current_stack_then_the_replay():
+    # B = 2, stochastic heads with dropout: the rng serves the current
+    # stack first, then every queue row in one stack, users in stack order
+    rec, phi, y, mask, zhat, queues, nxt, r, cfg = stacked_pg_problem(2, seed=3)
+    cfg = replace(cfg, stochastic_train=True, policy_dropout=True)
+    rng = np.random.default_rng(7)
+    grads, v, loss = tr.policy_gradient(phi, rec, y, mask, zhat, queues, nxt, r, cfg, rng=rng)
+
+    ref_rng = np.random.default_rng(7)
+    z_t = tr.select_with_policy(phi, zhat, y, cfg, ref_rng)
+    z_probe = dc.zeros(z_t.shape, requires_grad=True)
+    theta = tr.inner_adapt(rec, z_t + z_probe, y, mask, cfg.inner_lr, cfg.inner_steps)
+    ref_loss = rm.next_item_loss(theta, nxt, r)
+    first = dc.grad(ref_loss, phi.params() + [z_probe])
+    owner = [0, 0]                       # the second user's queue is empty
+    z_past = tr.select_with_policy(phi, np.stack(queues[0]), y[owner], cfg, ref_rng)
+    replay = dc.grad(dc.tsum(dc.mul(z_past, Tensor(first[-1].data[owner]))), phi.params())
+
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    np.testing.assert_array_equal(v, first[-1].data)
+    assert loss == ref_loss.item()
+    for g, a, b in zip(grads, first, replay):
+        np.testing.assert_allclose(g, a.data + b.data, rtol=1e-12, atol=1e-15)
+
+
+def test_train_stacks_exactly_the_users_at_a_boundary(monkeypatch):
+    rng = np.random.default_rng(5)
+    M, K = 30, 3
+    streams = []
+    for user, length in enumerate((6, 9, 12)):
+        items = rng.choice(M, size=length, replace=False)
+        streams.append(ds.UserStream(user, items, rng.uniform(1, 5, size=length)))
+    calls = []
+    original = tr.policy_gradient
+
+    def spy(phi, rec, y, mask, zhat_t, past_zhats, next_item, next_rating, cfg, rng=None):
+        calls.append((np.array(mask), np.array(zhat_t), [[q.copy() for q in queue]
+                      for queue in past_zhats], np.array(next_item)))
+        return original(phi, rec, y, mask, zhat_t, past_zhats, next_item, next_rating,
+                        cfg, rng=rng)
+
+    hooked = []
+    monkeypatch.setattr(tr, "policy_gradient", spy)
+    cfg = small_cfg(batch_size=3, sketch_size=K, stochastic_train=True)
+    tr.train(cfg, ds.DatasetSplits(streams, [], [], M), validate_each_epoch=False,
+             policy_grad_hook=lambda users, t, g, v: hooked.append((users, t, v.shape)))
+
+    # tau = 1: every step past warm-up is a boundary of every active user
+    assert [t for _, t, _ in hooked] == list(range(K + 1, 12))
+    seen = {s.user: [] for s in streams}      # each user's earlier zhats
+    for (mask, zhat, queues, nxt), (users, t, v_shape) in zip(calls, hooked):
+        at = [s for s in streams if t < len(s.items)]
+        assert sorted(users) == [s.user for s in at]
+        assert zhat.shape == mask.shape == v_shape == (len(at), M)
+        assert len(queues) == len(at)
+        for b, user in enumerate(users):
+            s = streams[user]
+            np.testing.assert_array_equal(mask[b], np.isin(np.arange(M), s.items))
+            assert nxt[b] == s.items[t]
+            assert zhat[b].sum() == K + 1 and set(np.flatnonzero(zhat[b])) <= set(s.items[:t])
+            assert zhat[b, s.items[t - 1]] == 1.0
+            assert len(queues[b]) == len(seen[user])
+            for q, earlier in zip(queues[b], seen[user]):
+                np.testing.assert_array_equal(q, earlier)
+            seen[user].append(zhat[b])
+
+
+PG_BAD_ROW_ERRORS = {
+    "empty_intermediate_sketch": (ValueError, "no finite score"),
+    "empty_stored_indicator": (ValueError, "no finite score"),
+    "next_item_out_of_range": (IndexError, "item 12 out of range"),
+}
+
+
+@pytest.mark.parametrize("bad_row", [0, 2])
+@pytest.mark.parametrize("fault", sorted(PG_BAD_ROW_ERRORS))
+def test_stacked_policy_gradient_rejects_one_bad_row(bad_row, fault):
+    rec, phi, y, mask, zhat, queues, nxt, r, cfg = stacked_pg_problem(3)
+    if fault == "empty_intermediate_sketch":
+        zhat[bad_row] = 0.0
+    elif fault == "empty_stored_indicator":
+        queues[bad_row].append(np.zeros(rec.n_items))
+    else:
+        nxt[bad_row] = rec.n_items
+    error, match = PG_BAD_ROW_ERRORS[fault]
+    with pytest.raises(error, match=match):
+        tr.policy_gradient(phi, rec, y, mask, zhat, queues, nxt, r, cfg)
+
+
+def test_stacked_policy_gradient_needs_one_queue_per_user():
+    rec, phi, y, mask, zhat, queues, nxt, r, cfg = stacked_pg_problem(3)
+    with pytest.raises(ValueError, match="2 queues for 3 users"):
+        tr.policy_gradient(phi, rec, y, mask, zhat, queues[:2], nxt, r, cfg)
 
 
 # ------------------------------------------------------------------- train
