@@ -239,15 +239,6 @@ def cmd_eval(cfg, checkpoint):
     sketch_sizes = _int_list(cfg["eval.sketch_sizes"], ckpt_cfg.sketch_size)
     taus = _int_list(cfg["eval.taus"], ckpt_cfg.tau)
     seeds = _int_list(cfg["eval.seeds"], 0)
-    # the tau=1 head removes the highest score, the top-K head keeps the
-    # highest scores, so a trained policy reads inverted across tau=1
-    learned = [p for p in policies if p in tr.LEARNED_POLICIES]
-    crossing = [t for t in taus if (t == 1) != (ckpt_cfg.tau == 1)]
-    if learned and crossing and ckpt_cfg.policy in tr.LEARNED_POLICIES:
-        raise ConfigError(
-            f"checkpoint was trained at tau={ckpt_cfg.tau}, so policy "
-            f"{learned[0]!r} cannot be evaluated at eval.taus entry {crossing[0]}: "
-            f"the tau=1 and tau>1 heads read the scores with opposite signs")
 
     rows = {}
     for policy in policies:
@@ -305,16 +296,16 @@ def _check_mlp_grads():
 def _meta_setup():
     rng = np.random.default_rng(1)
     rec = rm.RecParams(n_items=5, dim=3, hidden=4, setting="explicit", rng=rng)
-    items = rng.choice(5, size=3, replace=False)
+    items = rng.choice(5, size=4, replace=False)
     mask = np.zeros(5)
     y = np.zeros(5)
     mask[items] = 1
-    y[items] = rng.uniform(1, 5, size=3)
-    z = np.zeros(5)
-    z[items[:2]] = 1.0
+    y[items] = rng.uniform(1, 5, size=4)
+    zhat = np.zeros(5)
+    zhat[items[:3]] = 1.0
     cfg = tr.TrainConfig(sketch_size=2, inner_steps=2, inner_lr=0.2,
-                         dim=3, hidden=4, policy_hidden=8)
-    return rec, z, y, mask, int(items[2]), float(y[items[2]]), cfg
+                         dim=3, hidden=4, policy_hidden=8, stochastic_train=False)
+    return rec, zhat, y, mask, int(items[3]), float(y[items[3]]), cfg
 
 
 def _check_meta_gradient():
@@ -344,8 +335,14 @@ def _check_meta_gradient():
 
 
 def _check_grad_wrt_sketch():
-    rec, z, y, mask, nxt, r, cfg = _meta_setup()
-    v = tr.grad_wrt_sketch(rec, z, y, mask, nxt, r, cfg)
+    # the v that policy_gradient returns, against finite differences of the
+    # loss over the sketch z that the policy selects from zhat
+    rec, zhat, y, mask, nxt, r, cfg = _meta_setup()
+    phi = pol.PolicyParams(rec.n_items, hidden=cfg.policy_hidden,
+                           rng=np.random.default_rng(4))
+    _, v, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [], nxt, r, cfg)
+    with dc.no_grad():
+        z = tr.select_with_policy(phi, zhat, y, cfg).data
 
     def loss_with(zv):
         theta = tr.inner_adapt(rec, zv, y, mask, cfg.inner_lr, cfg.inner_steps,

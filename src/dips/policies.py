@@ -4,7 +4,9 @@ Random keeps a uniform reservoir, Hardest keeps the highest-loss items,
 Influence keeps the items whose upweighting most reduces the sketch
 loss, and the learned policy scores items with a small network and
 selects through a softmax-removal (online) or Top-K projection (batch)
-head with a straight-through backward pass.
+head with a straight-through backward pass.  Both heads read a score as
+keep: the online head removes by softmax(-scores), the Top-K head keeps
+the highest scores, so a policy trained at one tau selects alike at any.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ def log_indicator(zhat):
 
 
 def policy_scores(zhat, y, phi: PolicyParams, training=False, rng=None):
-    """Per-item keep/remove scores f(zhat * y) + log(zhat).
+    """Per-item keep scores f(zhat * y) + log(zhat).
 
     ``zhat`` may be a single indicator vector or a matrix of stacked
     indicator rows (one forward pass scores the whole stack).  Dropout is
@@ -156,17 +158,22 @@ def policy_scores(zhat, y, phi: PolicyParams, training=False, rng=None):
 
 
 def online_remove(scores, mode="deterministic", rng=None):
-    """Pick one item per row to drop from softmax(scores); returns (w, removed).
+    """Pick one item per row to drop from softmax(-scores); returns (w, removed).
 
+    A score means keep, as in the Top-K head: the lowest finite score is the
+    likeliest to go, and a masked (-inf) item has removal probability 0.
     ``scores`` is one score vector (M,) or a stack (R, M) whose rows are
     solved one by one, in row order.  ``removed`` is the dropped item of a
     vector, or an array of R items for a stack.  ``w`` is one-hot per row,
     with straight-through backward onto the softmax probabilities.
     """
     scores = dc.as_tensor(scores)
-    if not np.isfinite(np.atleast_2d(scores.data)).any(axis=1).all():
+    finite = np.isfinite(scores.data)
+    if not np.atleast_2d(finite).any(axis=1).all():
         raise ValueError("online_remove: no finite score (empty intermediate sketch)")
-    probs = dc.softmax(scores)
+    neg = dc.custom_op(np.where(finite, -scores.data, -np.inf), (scores,),
+                       lambda g, need: (dc.neg(g),), "neg_finite")
+    probs = dc.softmax(neg)
     rows = np.atleast_2d(probs.data)
     if mode == "deterministic":
         removed = np.argmax(rows, axis=1)

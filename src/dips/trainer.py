@@ -59,7 +59,6 @@ class TrainConfig:
     hidden: int = 64
     policy_hidden: int = 128
     policy_dropout_rate: float = 0.10
-    policy_dropout: bool = True
     stochastic_train: bool = True
     momentum: float = 0.9
     weight_decay: float = 2e-4
@@ -207,15 +206,6 @@ def theta_gradients(rec: RecParams, z, y, mask, next_item, next_rating, cfg):
     return [g.data for g in grads], loss.item()
 
 
-def grad_wrt_sketch(rec: RecParams, z, y, mask, next_item, next_rating, cfg):
-    """v_j = d(next-interaction loss)/dz_j, defined for every interacted item."""
-    zt = Tensor(np.asarray(z, dtype=np.float64), requires_grad=True)
-    theta_star = inner_adapt(rec, zt, y, mask, cfg.inner_lr, cfg.inner_steps)
-    loss = rm.next_item_loss(theta_star, next_item, next_rating)
-    (v,) = dc.grad(loss, [zt])
-    return v.data
-
-
 def select_with_policy(phi: PolicyParams, zhat, y, cfg, rng=None):
     """Score ``zhat`` with the policy network and apply the selection head.
 
@@ -224,14 +214,14 @@ def select_with_policy(phi: PolicyParams, zhat, y, cfg, rng=None):
     tensor ``z``, shaped like ``zhat``, with straight-through backward onto
     the policy scores; the kept items of a row are ``flatnonzero(z > 0.5)``.
     ``cfg.tau`` picks the head: softmax removal for tau = 1, the Top-K
-    projection otherwise.  With ``cfg.stochastic_train`` the head samples
-    from ``rng`` and, if ``cfg.policy_dropout``, dropout is on, its masks
-    drawn from ``rng`` for the whole stack before the head's draws; without
-    it the selection is deterministic and dropout off.
+    projection otherwise.  Both read a score as keep, so in deterministic
+    mode they keep the same K of K + 1 items.  With ``cfg.stochastic_train``
+    the head samples from ``rng`` and dropout (at ``phi.dropout_rate``) is
+    on, its masks drawn from ``rng`` for the whole stack before the head's
+    draws; without it the selection is deterministic and dropout off.
     """
     stochastic = cfg.stochastic_train
-    dropout = stochastic and cfg.policy_dropout
-    scores = pol.policy_scores(zhat, y, phi, training=dropout, rng=rng)
+    scores = pol.policy_scores(zhat, y, phi, training=stochastic, rng=rng)
     mode = "stochastic" if stochastic else "deterministic"
     if cfg.tau == 1:
         w, _ = pol.online_remove(scores, mode, rng=rng)
@@ -556,11 +546,17 @@ def load_checkpoint(path):
         if int(data["version"][0]) != 1:
             raise ValueError(f"unsupported checkpoint version {data['version'][0]}")
         meta = json.loads(bytes(data["meta"]).decode())
+        # A meta holding ``policy_dropout`` predates the keep convention: its
+        # tau = 1 policy scores removal, which a negated last layer maps onto.
+        older = meta.pop("policy_dropout", None) is not None
         cfg = TrainConfig(**meta)
         rec = RecParams(n_items=data["rec_item_emb"].shape[0], dim=cfg.dim,
                         hidden=cfg.hidden, setting=cfg.setting)
         rec.load_arrays({n: data[f"rec_{n}"] for n in rec.param_names()})
         phi = PolicyParams(rec.n_items, hidden=cfg.policy_hidden,
                            dropout_rate=cfg.policy_dropout_rate)
-        phi.load_arrays({n: data[f"phi_{n}"] for n in phi.param_names()})
+        arrays = {n: data[f"phi_{n}"] for n in phi.param_names()}
+        if older and cfg.tau == 1:
+            arrays["w3"], arrays["b3"] = -arrays["w3"], -arrays["b3"]
+        phi.load_arrays(arrays)
     return rec, phi, cfg

@@ -6,6 +6,7 @@ import pytest
 
 from dips import cli
 from dips import policies as pol
+from dips import trainer as tr
 
 
 TINY = [
@@ -183,20 +184,16 @@ def test_eval_mismatched_catalog_rejected(trained, tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
-def test_eval_learned_policy_across_tau_boundary_rejected(trained, tmp_path, capsys):
-    # the fixture's checkpoint holds a dips policy trained at tau=1
-    ckpt = str(trained / "checkpoint.npz")
-    code = cli.main(["eval", "--checkpoint", ckpt]
-                    + tiny_overrides(tmp_path / "e", "eval.policies=dips", "eval.taus=1,2"))
-    assert code == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "tau=1" in err and "eval.taus entry 2" in err
-    assert not (tmp_path / "e" / "eval.csv").exists()
-    # baselines do not read the policy scores, so any tau is fine
-    code = cli.main(["eval", "--checkpoint", ckpt]
-                    + tiny_overrides(tmp_path / "b", "eval.policies=random,hardest",
-                                     "eval.taus=2"))
+def test_eval_learned_policy_at_any_tau(trained, tmp_path):
+    # the fixture's checkpoint holds a dips policy trained at tau=1; both
+    # heads read a score as keep, so it evaluates at tau=1 and tau=2 alike
+    out = tmp_path / "e"
+    code = cli.main(["eval", "--checkpoint", str(trained / "checkpoint.npz")]
+                    + tiny_overrides(out, "eval.policies=dips,random", "eval.taus=1,2"))
     assert code == cli.EXIT_OK
+    rows = (out / "eval.csv").read_text().strip().split("\n")[1:]
+    assert [r.split(",")[:3] for r in rows] == [
+        ["dips", "2", "1"], ["dips", "2", "2"], ["random", "2", "1"], ["random", "2", "2"]]
 
 
 def test_eval_defaults_to_checkpoint_sketch_size_and_tau(tmp_path):
@@ -245,6 +242,19 @@ def test_gradcheck_detects_injected_sign_flip(monkeypatch):
     failures = cli.run_gradchecks(out=buf)
     assert "topk_grad" in failures
     assert "FAIL topk_grad" in buf.getvalue()
+
+
+def test_gradcheck_checks_the_v_that_policy_gradient_returns(monkeypatch):
+    orig = tr.policy_gradient
+
+    def negated_v(*args, **kwargs):
+        grads, v, loss = orig(*args, **kwargs)
+        return grads, -v, loss
+
+    monkeypatch.setattr(tr, "policy_gradient", negated_v)
+    buf = io.StringIO()
+    assert cli.run_gradchecks(out=buf) == ["grad_wrt_sketch"]
+    assert "FAIL grad_wrt_sketch" in buf.getvalue()
 
 
 def test_gradcheck_exit_codes(monkeypatch):

@@ -304,9 +304,12 @@ def test_online_remove_forced_choice():
         np.testing.assert_array_equal(w.data, [0, 1, 0])
 
 
-def test_online_remove_argmax():
-    w, removed = pol.online_remove(Tensor(np.array([5.0, 1.0, 1.0])), "deterministic")
-    assert removed == 0
+def test_online_remove_drops_the_lowest_score():
+    # a score means keep: the deterministic head removes the argmin
+    w, removed = pol.online_remove(Tensor(np.array([5.0, 1.0, 3.0, -np.inf])),
+                                   "deterministic")
+    assert removed == 1
+    np.testing.assert_array_equal(w.data, [0, 1, 0, 0])
 
 
 def test_online_remove_all_masked_rejected():
@@ -315,8 +318,9 @@ def test_online_remove_all_masked_rejected():
 
 
 def test_online_remove_stochastic_frequencies():
+    # removal frequencies follow softmax(-scores); the masked item never goes
     scores = np.array([1.0, 0.0, -1.0, -np.inf])
-    p = np.exp(scores[:3] - 1.0)
+    p = np.exp(-scores[:3] - 1.0)
     p = np.concatenate([p / p.sum(), [0.0]])
     rng = np.random.default_rng(4)
     counts = np.zeros(4)
@@ -509,6 +513,24 @@ def test_topk_project_and_batch_keep_stack_equal_row_calls(mode):
         np.testing.assert_array_equal(kept[r], kept_r)
         np.testing.assert_array_equal(g.data[r], g_r.data)
     assert rng_stack.random() == rng_rows.random()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_online_and_topk_heads_keep_the_same_items(seed):
+    # finite scores on K+1 of M entries: deterministic removal of one item
+    # and the top-k head keep the same K, for one row and for a stack
+    rng = np.random.default_rng(seed)
+    M = int(rng.integers(3, 40))
+    K = int(rng.integers(1, M))
+    f = score_stack(seed, R=int(rng.integers(1, 6)), M=M, n_live=K + 1)
+    f[np.isfinite(f)] *= rng.uniform(0.1, 5.0)
+    for scores in [f[0], f]:
+        w, _ = pol.online_remove(Tensor(scores), "deterministic")
+        _, kept = pol.batch_keep(pol.topk_project(Tensor(scores), K), K, "deterministic")
+        for row, w_row, kept_row in zip(np.atleast_2d(scores), np.atleast_2d(w.data),
+                                        np.atleast_2d(kept)):
+            np.testing.assert_array_equal(np.flatnonzero(np.isfinite(row) & (w_row == 0)),
+                                          kept_row)
 
 
 def test_stacked_heads_reject_one_all_masked_row():

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -345,10 +346,21 @@ def test_stacked_theta_gradients_reject_one_bad_row(setting, bad_row, fault):
 
 # --------------------------------------------------------- grad wrt sketch
 
+def sketch_v(rec, zhat, y, mask, nxt, r, cfg, phi=None):
+    """The v that policy_gradient returns (empty queue, deterministic head)
+    and the sketch z the policy selects from zhat."""
+    phi = phi or pol.PolicyParams(rec.n_items, hidden=cfg.policy_hidden,
+                                  rng=np.random.default_rng(1))
+    _, v, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [], nxt, r, cfg)
+    with dc.no_grad():
+        z = tr.select_with_policy(phi, zhat, y, cfg).data
+    return v, z
+
+
 def test_grad_wrt_sketch_finite_differences():
-    rec, z, y, mask, nxt, r = small_problem(seed=9)
+    rec, zhat, y, mask, nxt, r = small_problem(seed=9)
     cfg = small_cfg(inner_steps=2, inner_lr=0.2)
-    v = tr.grad_wrt_sketch(rec, z, y, mask, nxt, r, cfg)
+    v, z = sketch_v(rec, zhat, y, mask, nxt, r, cfg)
     assert v.shape == (rec.n_items,)
 
     def loss_with(zv):
@@ -366,22 +378,25 @@ def test_grad_wrt_sketch_finite_differences():
 
 
 def test_grad_wrt_sketch_defined_on_zero_weight_items():
-    rec, z, y, mask, nxt, r = small_problem(seed=10)
-    j = next(int(i) for i in np.flatnonzero(mask) if z[i] == 0.0)
-    v = tr.grad_wrt_sketch(rec, z, y, mask, nxt, r, small_cfg())
-    assert np.isfinite(v[j])
+    # the item the policy removed and the next item both have z = 0
+    rec, zhat, y, mask, nxt, r = small_problem(seed=10)
+    v, z = sketch_v(rec, zhat, y, mask, nxt, r, small_cfg())
+    off = [int(i) for i in np.flatnonzero(mask) if z[i] == 0.0]
+    assert len(off) == 2 and np.all(np.isfinite(v[off]))
 
 
 def test_grad_wrt_sketch_duplicate_items_equal_entries():
-    rec, z, y, mask, nxt, r = small_problem(seed=11)
-    ints = np.flatnonzero(mask)
-    a, b = int(ints[0]), int(ints[1])
+    rec, zhat, y, mask, nxt, r = small_problem(seed=11)
+    a, b, c = (int(i) for i in np.flatnonzero(zhat))
     rec.item_emb.data[b] = rec.item_emb.data[a]
     y2 = y.copy()
     y2[b] = y2[a]
-    z2 = z.copy()
-    z2[a] = z2[b] = 1.0
-    v = tr.grad_wrt_sketch(rec, z2, y2, mask, nxt, r, small_cfg())
+    cfg = small_cfg()
+    phi = pol.PolicyParams(rec.n_items, hidden=cfg.policy_hidden,
+                           rng=np.random.default_rng(1))
+    phi.b3.data[c] = -50.0                 # the lowest score: c is removed
+    v, z = sketch_v(rec, zhat, y2, mask, nxt, r, cfg, phi)
+    assert z[a] == z[b] == 1.0 and z[c] == 0.0
     assert v[a] == pytest.approx(v[b], rel=1e-10)
 
 
@@ -394,12 +409,13 @@ def test_grad_wrt_sketch_one_step_closed_form():
     for e in entries:
         mask[e.item] = 1
         y[e.item] = e.rating
-    z = mask.copy()
-    z[entries[-1].item] = 0.0
+    zhat = mask.copy()
+    zhat[entries[-1].item] = 0.0
     nxt, r_next = entries[-1].item, entries[-1].rating
     alpha = 0.05
-    cfg = small_cfg(inner_steps=1, inner_lr=alpha)
-    v = tr.grad_wrt_sketch(rec, z, y, mask, nxt, r_next, cfg)
+    cfg = small_cfg(sketch_size=len(entries) - 2, inner_steps=1, inner_lr=alpha)
+    v, z = sketch_v(rec, zhat, y, mask, nxt, r_next, cfg)
+    assert z.sum() == cfg.sketch_size
 
     u0 = rec.user_emb.data
     items = [e.item for e in entries]
@@ -414,10 +430,10 @@ def test_grad_wrt_sketch_one_step_closed_form():
 
 # ---------------------------------------------------------- policy gradient
 
-def pg_setup(seed=0, M=8, K=2, tau=1):
+def pg_setup(seed=0, M=8, K=2, tau=1, dropout_rate=0.10):
     rng = np.random.default_rng(seed)
     rec = rm.RecParams(n_items=M, dim=3, hidden=4, setting="explicit", rng=rng)
-    phi = pol.PolicyParams(M, hidden=8, rng=rng)
+    phi = pol.PolicyParams(M, hidden=8, dropout_rate=dropout_rate, rng=rng)
     items = rng.choice(M, size=K + 3, replace=False)
     mask = np.zeros(M)
     y = np.zeros(M)
@@ -457,31 +473,35 @@ def test_policy_gradient_masked_outputs_get_zero_gradient():
 
 
 def test_policy_gradient_finite_differences_first_term():
-    # FD through selection is valid while the argmax choice is stable
+    # FD through selection is valid while the removed item is stable
     rec, phi, y, mask, zhat, nxt, r, cfg = pg_setup(seed=3)
     grads, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [], nxt, r, cfg)
 
-    def loss_at():
-        with dc.no_grad():
-            pass
-        scores = pol.policy_scores(zhat, y, phi)
-        w, _ = pol.online_remove(scores, "deterministic")
-        z = Tensor(zhat) - w
-        theta = tr.inner_adapt(rec, z, y, mask, cfg.inner_lr, cfg.inner_steps,
-                               record=True)
-        return rm.next_item_loss(theta, nxt, r).item()
+    # the oracle's removal probabilities: softmax(-scores) over the items in
+    # the sketch, zero elsewhere
+    live = np.flatnonzero(zhat > 0)
 
-    # ST treats the hard selection as identity on the probabilities, so FD
-    # through the *soft* path is the right oracle: compare against grad of
-    # the relaxed loss where w = softmax probabilities
-    def relaxed_loss():
+    def loss_through(removal):
         scores = pol.policy_scores(zhat, y, phi)
-        probs = dc.softmax(scores)
-        z = Tensor(zhat) - probs
+        probs = dc.scatter_add(dc.softmax(dc.neg(dc.gather(scores, live))), live, zhat.shape)
+        z = Tensor(zhat) - removal(probs)
         theta = tr.inner_adapt(rec, z, y, mask, cfg.inner_lr, cfg.inner_steps)
         return rm.next_item_loss(theta, nxt, r)
 
-    relaxed_grads = dc.grad(relaxed_loss(), phi.params())
+    def hard(probs):
+        # forward: drop the likeliest item; backward: identity onto probs
+        onehot = np.zeros(zhat.shape)
+        onehot[np.argmax(probs.data)] = 1.0
+        return dc.straight_through(probs, onehot)
+
+    st_grads = dc.grad(loss_through(hard), phi.params())
+    for g, g_ref in zip(grads, st_grads):
+        np.testing.assert_allclose(g, g_ref.data, rtol=1e-10, atol=1e-14)
+
+    # ST treats the hard selection as identity on the probabilities, so FD
+    # through the *soft* path is the right oracle: compare against grad of
+    # the relaxed loss where w = the removal probabilities
+    relaxed_grads = dc.grad(loss_through(lambda probs: probs), phi.params())
     # ST gradient differs from the relaxed one only through the forward
     # value (hard vs soft z); with identical backward structure the masked
     # coordinates must agree exactly
@@ -490,13 +510,12 @@ def test_policy_gradient_finite_differences_first_term():
 
     h = 1e-6
     flat = phi.b3.data
-    on = np.flatnonzero(zhat > 0)[:3]
-    for i in on:
+    for i in live[:3]:
         orig = flat[i]
         flat[i] = orig + h
-        lp = relaxed_loss().item()
+        lp = loss_through(lambda probs: probs).item()
         flat[i] = orig - h
-        lm = relaxed_loss().item()
+        lm = loss_through(lambda probs: probs).item()
         flat[i] = orig
         fd = (lp - lm) / (2 * h)
         rg = relaxed_grads[-1].data[i]
@@ -506,8 +525,8 @@ def test_policy_gradient_finite_differences_first_term():
 @pytest.mark.parametrize("stochastic", [False, True])
 @pytest.mark.parametrize("tau", [1, 2])
 def test_policy_gradient_replay_is_the_sum_of_per_row_selections(tau, stochastic):
-    rec, phi, y, mask, zhat, nxt, r, cfg = pg_setup(seed=5, tau=tau)
-    cfg = replace(cfg, stochastic_train=stochastic, policy_dropout=False)
+    rec, phi, y, mask, zhat, nxt, r, cfg = pg_setup(seed=5, tau=tau, dropout_rate=0.0)
+    cfg = replace(cfg, stochastic_train=stochastic)
     perm = np.random.default_rng(6).permutation
     interacted = np.flatnonzero(mask)
     past = []
@@ -593,7 +612,8 @@ def test_stacked_policy_gradient_draws_the_current_stack_then_the_replay():
     # B = 2, stochastic heads with dropout: the rng serves the current
     # stack first, then every queue row in one stack, users in stack order
     rec, phi, y, mask, zhat, queues, nxt, r, cfg = stacked_pg_problem(2, seed=3)
-    cfg = replace(cfg, stochastic_train=True, policy_dropout=True)
+    cfg = replace(cfg, stochastic_train=True)
+    assert phi.dropout_rate > 0
     rng = np.random.default_rng(7)
     grads, v, loss = tr.policy_gradient(phi, rec, y, mask, zhat, queues, nxt, r, cfg, rng=rng)
 
@@ -801,6 +821,40 @@ def test_checkpoint_roundtrip(tmp_path):
         np.testing.assert_array_equal(getattr(rec2, n).data, getattr(res.rec, n).data)
     for n in res.phi.param_names():
         np.testing.assert_array_equal(getattr(phi2, n).data, getattr(res.phi, n).data)
+
+
+@pytest.mark.parametrize("tau, mode", [(1, "online"), (2, "batch")])
+def test_checkpoint_holding_the_removed_policy_dropout_flag_loads(tmp_path, tau, mode):
+    # checkpoints written before TrainConfig.policy_dropout was removed
+    # still hold it in their meta, and their tau=1 online head dropped the
+    # highest score: after the load it must drop the same items
+    cfg = small_cfg(tau=tau, mode=mode)
+    rng = np.random.default_rng(5)
+    rec = rm.RecParams(n_items=6, dim=cfg.dim, hidden=cfg.hidden, rng=rng)
+    phi = pol.PolicyParams(6, hidden=cfg.policy_hidden, rng=rng)
+    phi.b3 = Tensor(rng.normal(size=6), requires_grad=True)
+    path = tmp_path / "checkpoint.npz"
+    tr.save_checkpoint(path, rec, phi, cfg)
+    with np.load(path) as data:
+        arrays = dict(data)
+    meta = dict(json.loads(bytes(arrays["meta"]).decode()), policy_dropout=True)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+    rec2, phi2, cfg2 = tr.load_checkpoint(path)
+    assert cfg2 == cfg
+    for name in ["w1", "b1", "w2", "b2"]:
+        np.testing.assert_array_equal(getattr(phi2, name).data, getattr(phi, name).data)
+    zhat = np.zeros((20, 6))
+    for row in zhat:
+        row[rng.choice(6, size=3, replace=False)] = 1.0
+    y = rng.normal(size=zhat.shape) * zhat
+    before = pol.policy_scores(zhat, y, phi).data
+    after = pol.policy_scores(zhat, y, phi2).data
+    if tau == 1:
+        _, removed = pol.online_remove(after)
+        np.testing.assert_array_equal(removed, np.argmax(before, axis=1))
+    else:
+        np.testing.assert_array_equal(after, before)
 
 
 def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
