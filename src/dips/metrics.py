@@ -1,6 +1,14 @@
 """Evaluation metrics and the per-step protocol: at every time step the
 frozen policy maintains the sketch, the user embedding is adapted on it,
 and the model predicts the next interaction.
+
+The protocol runs time-major, as training does: at each step the users
+still streaming, up to ``batch_size`` at a time, form one stack, adapted
+in one graph and scored in one prediction, and the learned policy selects
+for the users at a sketch boundary in one deterministic call.  A single user passes its row (M,),
+the one-row case of the same functions.  Each user draws from its own
+generator, seeded by (seed, user id), so a user's records do not depend
+on which users are evaluated with it, or in which order.
 """
 
 from __future__ import annotations
@@ -83,39 +91,86 @@ def evaluate(rec, phi, streams, cfg, k=20, exclude_history=False, seed=None,
     mode; parameters are never mutated.  Explicit runs score squared
     rating error, implicit runs score the pessimistic rank of the next
     item among all M (optionally masking already-consumed items).
+
+    Streams with fewer than 2 interactions are skipped.  The others are
+    taken ``cfg.batch_size`` at a time, the stack width of training; at
+    each step t the users of a stack with t < len(items) are adapted on
+    their sketches in one ``inner_adapt`` and predicted in one call, then
+    every sketch advances through the trainer's ``observe``/``commit``,
+    which reuses the adapted row (``hardest``/``influence``) and the
+    stacked selection (``dips``/``dips1``).  User ``s`` draws from
+    ``default_rng((seed, s.user))``, ``seed`` defaulting to ``cfg.seed``.
+    Records come out in stream order, then step order.
     """
     from . import trainer as tr
 
     eval_cfg = replace(cfg, stochastic_train=False)
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    seed = cfg.seed if seed is None else seed
+    learned = cfg.policy in tr.LEARNED_POLICIES
+    users = [s for s in streams if len(s.items) >= 2]
     records = []
-    for s in streams:
-        if len(s.items) < 2:
-            continue
-        st = tr._UserState(s, rec.n_items, eval_cfg)
-        for t in range(1, len(s.items)):
-            theta = tr.inner_adapt(rec, st.sketch.z, st.y, st.mask,
+    for start in range(0, len(users), cfg.batch_size):
+        batch = users[start:start + cfg.batch_size]
+        states = [tr._UserState(s, rec.n_items, eval_cfg) for s in batch]
+        rngs = [np.random.default_rng((seed, int(s.user))) for s in batch]
+        out = [[] for _ in batch]
+        for t in range(1, max(len(s.items) for s in batch)):
+            active = [i for i, s in enumerate(batch) if t < len(s.items)]
+            theta = tr.inner_adapt(rec, _stack([states[i].sketch.z for i in active]),
+                                   _stack([states[i].y for i in active]),
+                                   _stack([states[i].mask for i in active]),
                                    cfg.inner_lr, cfg.inner_steps, record=False)
-            nxt = int(s.items[t])
+            nxt = np.array([batch[i].items[t] for i in active], dtype=np.int64)
             with dc.no_grad():
                 if cfg.setting == rm.EXPLICIT:
-                    pred = rm.predict_explicit_many(theta, [nxt]).data[0]
-                    err = (pred - float(s.ratings[t])) ** 2
-                    records.append(EvalRecord(s.user, t, "sq_error", err))
+                    preds = rm.predict_explicit_many(theta, nxt, np.arange(len(active))).data
                 else:
-                    scores = rm.predict_implicit(theta).data.copy()
+                    scores = np.atleast_2d(rm.predict_implicit(theta).data)
+            for b, i in enumerate(active):
+                s = batch[i]
+                if cfg.setting == rm.EXPLICIT:
+                    err = (preds[b] - float(s.ratings[t])) ** 2
+                    out[i].append(EvalRecord(s.user, t, "sq_error", err))
+                else:
+                    row = scores[b]
                     if exclude_history:
                         past = s.items[:t]
-                        scores[past[past != nxt]] = -np.inf
-                    records.append(EvalRecord(s.user, t, "rank",
-                                              float(rank_of(nxt, scores))))
-            # advance the sketch exactly as the trainer would
-            inter, _ = st.observe(t, eval_cfg)
-            st.commit(inter, rec, phi, eval_cfg, rng, anchors)
+                        row = row.copy()
+                        row[past[past != nxt[b]]] = -np.inf
+                    out[i].append(EvalRecord(s.user, t, "rank",
+                                             float(rank_of(nxt[b], row))))
+
+            # advance the sketches exactly as the trainer would
+            inters = [states[i].observe(t, eval_cfg) for i in active]
+            z = [None] * len(active)
+            at = [b for b, (_, boundary) in enumerate(inters) if learned and boundary]
+            if at:
+                with dc.no_grad():
+                    sel = tr.select_with_policy(
+                        phi, _stack([inters[b][0].zhat for b in at]),
+                        _stack([states[active[b]].y for b in at]), eval_cfg)
+                for b, row in zip(at, np.atleast_2d(sel.data)):
+                    z[b] = row
+            for b, (i, (inter, _)) in enumerate(zip(active, inters)):
+                states[i].commit(inter, rec, phi, eval_cfg, rngs[i], anchors,
+                                 theta=_user_row(theta, b), z=z[b])
+        records += [r for recs in out for r in recs]
     aggregates = aggregate_records(records, cfg.setting, k)
     if return_records:
         return EvalResult(records=records, aggregates=aggregates)
     return aggregates
+
+
+def _stack(rows):
+    """The rows as one stack (B, M), or the one row (M,) when B = 1."""
+    return rows[0] if len(rows) == 1 else np.stack(rows)
+
+
+def _user_row(theta, b):
+    """Row ``b`` of an adapted stack, or the one adapted user itself."""
+    if theta.user.ndim == 1:
+        return theta
+    return rm.LocalParams(user=dc.Tensor(theta.user.data[b]), base=theta.base)
 
 
 def summary_table(rows):

@@ -304,14 +304,20 @@ class _UserState:
         inter = IntermediateSketch(self.sketch, tuple(self.pending))
         return inter, t > cfg.sketch_size and len(self.pending) == cfg.tau
 
-    def commit(self, inter, rec, phi, cfg, rng, anchors=None):
+    def commit(self, inter, rec, phi, cfg, rng, anchors=None, theta=None, z=None):
         """Absorb while the intermediate sketch fits, else apply the policy
-        once tau items are pending; returns "absorbed", "updated" or None."""
+        once tau items are pending; returns "absorbed", "updated" or None.
+
+        A caller that already holds this user's embedding adapted on the
+        current sketch passes it as ``theta`` (``hardest``/``influence``),
+        or the indicator the learned policy selects from ``inter.zhat`` as
+        ``z``; by default the update computes them itself.
+        """
         if len(inter) <= cfg.sketch_size:
             self.sketch = Sketch(cfg.sketch_size, inter.base.n_items, inter.all_entries())
             outcome = "absorbed"
         elif len(self.pending) == cfg.tau:
-            self.sketch = _update_sketch(self, inter, rec, phi, cfg, rng, anchors)
+            self.sketch = _update_sketch(self, inter, rec, phi, cfg, rng, anchors, theta, z)
             outcome = "updated"
         else:
             return None
@@ -319,16 +325,19 @@ class _UserState:
         return outcome
 
 
-def _update_sketch(state: _UserState, inter, rec, phi, cfg, rng, oracle_anchors=None):
-    """The sketch the configured policy keeps from ``inter``."""
+def _update_sketch(state: _UserState, inter, rec, phi, cfg, rng, oracle_anchors=None,
+                   theta=None, z=None):
+    """The sketch the configured policy keeps from ``inter``; ``theta`` and
+    ``z`` are as in :meth:`_UserState.commit`."""
     if cfg.policy == "random":
         sk = inter.base
         for e in inter.incoming:
             sk = pol.reservoir_update(sk, e.item, e.rating, e.step, rng)
         return sk
     if cfg.policy in ("hardest", "influence"):
-        theta = inner_adapt(rec, inter.base.z, state.y, state.mask,
-                            cfg.inner_lr, cfg.inner_steps, record=False)
+        if theta is None:
+            theta = inner_adapt(rec, inter.base.z, state.y, state.mask,
+                                cfg.inner_lr, cfg.inner_steps, record=False)
         if cfg.policy == "hardest":
             return pol.hardest_update(inter, theta)
         return pol.influence_update(inter, theta, damping=cfg.influence_damping)
@@ -339,9 +348,10 @@ def _update_sketch(state: _UserState, inter, rec, phi, cfg, rng, oracle_anchors=
         rest = sorted((e for e in entries if e.item not in anchors), key=lambda e: -e.step)
         return inter.keep([e.item for e in (preferred + rest)[: cfg.sketch_size]])
     # dips / dips1
-    with dc.no_grad():
-        z = select_with_policy(phi, inter.zhat, state.y, cfg, rng)
-    return inter.keep(np.flatnonzero(z.data > 0.5))
+    if z is None:
+        with dc.no_grad():
+            z = select_with_policy(phi, inter.zhat, state.y, cfg, rng).data
+    return inter.keep(np.flatnonzero(z > 0.5))
 
 
 @dataclass

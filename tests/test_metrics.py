@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dips import datasets as ds
+from dips import diffcore as dc
 from dips import metrics as met
 from dips import policies as pol
 from dips import recmodel as rm
@@ -84,16 +87,16 @@ def test_recall_monotone_and_mrr_bounded(ranks, k):
 
 # ---------------------------------------------------------------- evaluate
 
-def eval_setup(setting="explicit", seed=0, n_users=8):
+def eval_setup(setting="explicit", seed=0, n_users=8, dim=3, hidden=4):
     cfg = tr.TrainConfig(sketch_size=2, tau=1, queue_size=5, inner_steps=1,
                          inner_lr=0.2, batch_size=4, seed=seed, setting=setting,
-                         policy="dips", dim=3, hidden=4, policy_hidden=8,
+                         policy="dips", dim=dim, hidden=hidden, policy_hidden=8,
                          stochastic_train=False)
     sd = ds.synth_stream(
         ds.SynthConfig(n_users=n_users, n_items=30, length=8, n_anchors=2,
                        n_groups=2, setting=setting), seed=seed)
     rng = np.random.default_rng(seed)
-    rec = rm.RecParams(30, dim=3, hidden=4, setting=setting, rng=rng)
+    rec = rm.RecParams(30, dim=dim, hidden=hidden, setting=setting, rng=rng)
     phi = pol.PolicyParams(30, hidden=8, rng=rng)
     return rec, phi, sd.splits.test, cfg
 
@@ -126,11 +129,102 @@ def test_evaluate_aggregates_match_records():
     assert res_i.aggregates == met.aggregate_records(res_i.records, "implicit")
 
 
+EVAL_POLICIES = ("dips", "random", "hardest", "influence", "oracle")
+
+
+def stack_setup(setting, seed=0, policy="dips"):
+    """eval_setup's users cut to unequal lengths, so the stack of users
+    still streaming shrinks, plus one user too short to evaluate; the
+    oracle anchors every user's first item.  The recommender is wide
+    enough that every policy's sketches move the implicit ranks."""
+    rec, phi, streams, cfg = eval_setup(setting, seed=seed, n_users=40, dim=4, hidden=16)
+    streams = [ds.UserStream(s.user, s.items[:n], s.ratings[:n])
+               for s, n in zip(streams, (8, 3, 6, 1, 5, 7, 4, 8))]
+    anchors = {s.user: {int(s.items[0])} for s in streams}
+    return rec, phi, streams, replace(cfg, policy=policy), anchors
+
+
+def by_key(records):
+    return {(r.user, r.step, r.metric): r.value for r in records}
+
+
+@pytest.mark.parametrize("batch_size", [3, 64])
+@pytest.mark.parametrize("policy", EVAL_POLICIES)
+@pytest.mark.parametrize("setting", ["explicit", "implicit"])
+def test_stacked_evaluate_equals_one_user_at_a_time(setting, policy, batch_size):
+    rec, phi, streams, cfg, anchors = stack_setup(setting, seed=5, policy=policy)
+    cfg = replace(cfg, batch_size=batch_size)
+    kw = dict(return_records=True, anchors=anchors, exclude_history=setting == "implicit")
+    stacked = met.evaluate(rec, phi, streams, cfg, **kw).records
+    alone = [r for s in streams if len(s.items) >= 2
+             for r in met.evaluate(rec, phi, [s], cfg, **kw).records]
+    assert [(r.user, r.step, r.metric) for r in stacked] == \
+        [(r.user, r.step, r.metric) for r in alone]
+    np.testing.assert_allclose([r.value for r in stacked], [r.value for r in alone],
+                               rtol=1e-12, atol=1e-12)
+
+
 def test_evaluate_order_invariant():
-    rec, phi, streams, cfg = eval_setup(seed=3)
-    a = met.evaluate(rec, phi, streams, cfg)
-    b = met.evaluate(rec, phi, list(reversed(streams)), cfg)
-    assert a["rmse"] == pytest.approx(b["rmse"], rel=1e-12)
+    for setting in ("explicit", "implicit"):
+        for policy in EVAL_POLICIES:
+            rec, phi, streams, cfg, anchors = stack_setup(setting, seed=3, policy=policy)
+            a = met.evaluate(rec, phi, streams, cfg, return_records=True, anchors=anchors)
+            b = met.evaluate(rec, phi, list(reversed(streams)), cfg, return_records=True,
+                             anchors=anchors)
+            ka, kb = by_key(a.records), by_key(b.records)
+            assert len(ka) == len(a.records) and ka.keys() == kb.keys()
+            for key, value in ka.items():
+                assert kb[key] == pytest.approx(value, rel=1e-12, abs=1e-12), (policy, key)
+            for name, value in a.aggregates.items():
+                assert b.aggregates[name] == pytest.approx(value, rel=1e-12), (policy, name)
+
+
+def per_user_reference(rec, phi, stream, cfg, exclude_history, anchors):
+    """The protocol for one user, step by step, as a plain per-user loop."""
+    eval_cfg = replace(cfg, stochastic_train=False)
+    st = tr._UserState(stream, rec.n_items, eval_cfg)
+    records = []
+    for t in range(1, len(stream.items)):
+        theta = tr.inner_adapt(rec, st.sketch.z, st.y, st.mask,
+                               cfg.inner_lr, cfg.inner_steps, record=False)
+        nxt = int(stream.items[t])
+        with dc.no_grad():
+            if cfg.setting == rm.EXPLICIT:
+                pred = rm.predict_explicit_many(theta, [nxt]).data[0]
+                err = (pred - float(stream.ratings[t])) ** 2
+                records.append(met.EvalRecord(stream.user, t, "sq_error", err))
+            else:
+                scores = rm.predict_implicit(theta).data.copy()
+                if exclude_history:
+                    past = stream.items[:t]
+                    scores[past[past != nxt]] = -np.inf
+                records.append(met.EvalRecord(stream.user, t, "rank",
+                                              float(met.rank_of(nxt, scores))))
+        inter, _ = st.observe(t, eval_cfg)
+        st.commit(inter, rec, phi, eval_cfg, None, anchors)
+    return records
+
+
+@pytest.mark.parametrize("exclude_history", [False, True])
+@pytest.mark.parametrize("policy", ["dips", "dips1", "hardest", "influence", "oracle"])
+@pytest.mark.parametrize("setting", ["explicit", "implicit"])
+def test_one_user_evaluates_bit_for_bit_as_a_per_user_loop(setting, policy, exclude_history):
+    rec, phi, streams, cfg, anchors = stack_setup(setting, seed=6, policy=policy)
+    for s in streams[:3]:
+        if len(s.items) < 2:
+            continue
+        got = met.evaluate(rec, phi, [s], cfg, exclude_history=exclude_history,
+                           return_records=True, anchors=anchors).records
+        assert got == per_user_reference(rec, phi, s, cfg, exclude_history, anchors)
+
+
+def test_each_user_draws_from_its_own_generator():
+    rec, phi, streams, cfg, _ = stack_setup("implicit", seed=7, policy="random")
+    res = met.evaluate(rec, phi, streams, cfg, seed=11, return_records=True)
+    again = met.evaluate(rec, phi, streams[4:5], cfg, seed=11, return_records=True)
+    assert again.records == [r for r in res.records if r.user == streams[4].user]
+    with pytest.raises(ValueError):
+        met.evaluate(rec, phi, streams, cfg, seed=-1)
 
 
 def test_untrained_implicit_recall_near_chance():

@@ -733,6 +733,43 @@ def test_stepper_follows_the_transition_rules(tau, expected):
     assert got == expected
 
 
+@pytest.mark.parametrize("setting", ["explicit", "implicit"])
+@pytest.mark.parametrize("policy", ["hardest", "influence"])
+def test_commit_given_the_adapted_row_keeps_the_same_items(monkeypatch, setting, policy):
+    # evaluation hands commit the row of its stacked adaptation; the update
+    # keeps what re-running inner_adapt on the same sketch keeps, without
+    # that second call
+    streams = synth(seed=5, n_users=20, setting=setting).splits.train[:4]
+    streams = [ds.UserStream(s.user, s.items[:n], s.ratings[:n])
+               for s, n in zip(streams, (8, 5, 7, 6))]
+    cfg = small_cfg(setting=setting, policy=policy)
+    rec = rm.RecParams(24, dim=3, hidden=4, setting=setting, rng=np.random.default_rng(1))
+    shared = [tr._UserState(s, 24, cfg) for s in streams]
+    own = [tr._UserState(s, 24, cfg) for s in streams]
+    calls = []
+    adapt = tr.inner_adapt
+    monkeypatch.setattr(tr, "inner_adapt", lambda *a, **kw: calls.append(1) or adapt(*a, **kw))
+    updates = 0
+    for t in range(1, 8):
+        active = [i for i, s in enumerate(streams) if t < len(s.items)]
+        theta = adapt(rec, np.stack([shared[i].sketch.z for i in active]),
+                      np.stack([shared[i].y for i in active]),
+                      np.stack([shared[i].mask for i in active]),
+                      cfg.inner_lr, cfg.inner_steps, record=False)
+        for b, i in enumerate(active):
+            row = rm.LocalParams(user=Tensor(theta.user.data[b]), base=rec)
+            inter, _ = shared[i].observe(t, cfg)
+            outcome = shared[i].commit(inter, rec, None, cfg, None, theta=row)
+            assert not calls
+            inter, _ = own[i].observe(t, cfg)
+            own[i].commit(inter, rec, None, cfg, None)
+            assert len(calls) == (outcome == "updated")
+            calls.clear()
+            assert shared[i].sketch.items().tolist() == own[i].sketch.items().tolist()
+            updates += outcome == "updated"
+    assert updates == sum(len(s.items) - 1 - cfg.sketch_size for s in streams)
+
+
 def synth(seed=0, n_users=10, length=8, setting="explicit"):
     return ds.synth_stream(
         ds.SynthConfig(n_users=n_users, n_items=24, length=length, n_anchors=2,
