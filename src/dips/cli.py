@@ -381,11 +381,51 @@ def _check_topk_grad():
     return worst, 1e-3
 
 
+def _check_influence_derivatives():
+    # the closed-form derivatives influence reads: each entry's gradient
+    # against central differences of its next_item_loss, and the Hessian
+    # against central differences of the summed gradient, at a point where
+    # no relu pre-activation changes sign within the step
+    h = 1e-5
+    worst = 0.0
+    for setting in (rm.EXPLICIT, rm.IMPLICIT):
+        rng = np.random.default_rng(5)
+        rec = rm.RecParams(n_items=8, dim=3, hidden=6, setting=setting, rng=rng)
+        u0 = rng.normal(size=3)
+        items = rng.choice(8, size=5, replace=False)
+        ratings = rng.uniform(1, 5, size=5)
+        w1 = rec.w1.data
+        x = u0 if setting == rm.IMPLICIT else np.concatenate(
+            [np.tile(u0, (5, 1)), rec.item_emb.data[items]], axis=1)
+        if np.min(np.abs(x @ w1 + rec.b1.data)) <= h * np.abs(w1[:3]).sum(axis=0).max():
+            return np.inf, 1e-5
+
+        def derivatives(u):
+            return rm.user_derivatives(rm.LocalParams(user=Tensor(u), base=rec), items, ratings)
+
+        def losses(u):
+            theta = rm.LocalParams(user=Tensor(u), base=rec)
+            return np.array([rm.next_item_loss(theta, j, r).item()
+                             for j, r in zip(items, ratings)])
+
+        grads, hess = derivatives(u0)
+        for i in range(3):
+            step = h * np.eye(3)[i]
+            fd_grads = (losses(u0 + step) - losses(u0 - step)) / (2 * h)
+            fd_hess = (derivatives(u0 + step)[0].sum(axis=0)
+                       - derivatives(u0 - step)[0].sum(axis=0)) / (2 * h)
+            for fd, an in ((fd_grads, grads[:, i]), (fd_hess, hess[:, i])):
+                err = np.abs(fd - an) / np.maximum(np.maximum(np.abs(fd), np.abs(an)), 1e-6)
+                worst = max(worst, float(err.max()))
+    return worst, 1e-5
+
+
 GRADCHECKS = [
     ("diffcore_mlp_grads", _check_mlp_grads),
     ("meta_gradient_unrolled", _check_meta_gradient),
     ("grad_wrt_sketch", _check_grad_wrt_sketch),
     ("topk_grad", _check_topk_grad),
+    ("influence_derivatives", _check_influence_derivatives),
 ]
 
 

@@ -349,29 +349,15 @@ def influence_scores(inter: IntermediateSketch, theta_star: rm.LocalParams,
     """Influence of upweighting each entry on the mean loss over the
     intermediate sketch: I(j) = -grad_target . H^-1 . grad_j.
 
-    One graph holds n + d copies of the user vector (n entries, dimension
-    d).  Copy j carries entry j alone, so row j of G = dL/dU is grad_j.
-    Copy n + i carries every entry, so row n + i of d(sum_i G[n+i, i])/dU
-    is row i of the Hessian of the summed loss (Pearlmutter 1994): two
-    backward passes instead of n + d.
+    The per-entry gradients grad_j and the Hessian H of the summed loss
+    come in closed form from :func:`recmodel.user_derivatives`, with no
+    graph; grad_target is their mean, and H is symmetrised and damped.
     """
     entries = inter.all_entries()
-    rec = theta_star.base
-    n, d, M = len(entries), rec.dim, rec.n_items
     items = np.array([e.item for e in entries], dtype=np.int64)
-    z = np.zeros((n + d, M))
-    z[np.arange(n), items] = 1.0
-    z[n:, items] = 1.0
-    y = np.zeros((n + d, M))
-    y[:, items] = [e.rating for e in entries]
-    u = Tensor(np.tile(theta_star.user.data, (n + d, 1)), requires_grad=True)
-    loss = rm.sketch_loss(z, y, z, rm.LocalParams(user=u, base=rec))
-    (g,) = dc.grad(loss, [u], create_graph=True)
-    trace = dc.tsum(dc.mul(dc.slice_axis(g, n, n + d), Tensor(np.eye(d))))
-    (h,) = dc.grad(trace, [u])
-    hess = h.data[n:]
-    hess = 0.5 * (hess + hess.T) + damping * np.eye(d)
-    grads = g.data[:n]
+    ratings = np.array([e.rating for e in entries], dtype=np.float64)
+    grads, hess = rm.user_derivatives(theta_star, items, ratings)
+    hess = 0.5 * (hess + hess.T) + damping * np.eye(len(hess))
     g_target = np.mean(grads, axis=0)
     try:
         x = np.linalg.solve(hess, g_target)

@@ -161,6 +161,51 @@ def next_item_loss(theta: LocalParams, item, rating) -> Tensor:
     return dc.tsum(logsumexp(scores) - _entries(scores, rows, items))
 
 
+def user_derivatives(theta: LocalParams, items, ratings):
+    """Per-entry loss gradients w.r.t. one user embedding, and the Hessian
+    of their sum, in closed form and without a graph.
+
+    Entry j is ``(items[j], ratings[j])`` with the loss of
+    :func:`next_item_loss`.  Returns ``grads`` (n, d), row j the gradient
+    of entry j's loss, and ``hess`` (d, d).  The model is piecewise linear
+    in u and relu's VJP multiplies by a constant mask, so the Hessian that
+    autodiff's double backward yields is exactly the Gauss-Newton form:
+
+    * explicit: grad_j = 2 (p_j - r_j) dp_j and H = 2 sum_j dp_j dp_j^T,
+      with dp_j = W1[:d] (m_j * w2) and m_j the relu mask of entry j;
+    * implicit: grad_j = J (E^T p - e_j) and
+      H = n J (E^T diag(p) E - E^T p p^T E) J^T, with J = (W1 * m) W2
+      the Jacobian of the tower output and p the softmax of the scores.
+    """
+    rec = theta.base
+    u = theta.user.data
+    if u.ndim != 1:
+        raise ValueError(f"user_derivatives: one user embedding (d,), got {u.shape}")
+    items = np.asarray(items, dtype=np.int64)
+    _check_items(rec, items)
+    d, w1, b1, w2 = rec.dim, rec.w1.data, rec.b1.data, rec.w2.data
+    if rec.setting == EXPLICIT:
+        x = np.concatenate([np.broadcast_to(u, (items.size, d)), rec.item_emb.data[items]],
+                           axis=1)
+        a = x @ w1 + b1
+        m = a > 0
+        preds = ((a * m) @ w2 + rec.b2.data)[:, 0]
+        dp = (m * w2[:, 0]) @ w1[:d].T
+        grads = 2.0 * (preds - np.asarray(ratings, dtype=np.float64))[:, None] * dp
+        return grads, 2.0 * dp.T @ dp
+    emb = rec.item_emb.data
+    a = u @ w1 + b1
+    m = a > 0
+    scores = ((a * m) @ w2 + rec.b2.data) @ emb.T
+    p = np.exp(scores - scores.max())
+    p /= p.sum()
+    jac = (w1 * m) @ w2
+    mean_emb = p @ emb
+    grads = (mean_emb - emb[items]) @ jac.T
+    cov = (emb.T * p) @ emb - np.outer(mean_emb, mean_emb)
+    return grads, items.size * jac @ cov @ jac.T
+
+
 def sketch_loss(z, y, mask, theta: LocalParams) -> Tensor:
     """Weighted per-item loss sum over interacted items, summed over users.
 
@@ -168,7 +213,8 @@ def sketch_loss(z, y, mask, theta: LocalParams) -> Tensor:
     with one row per row of ``theta.user``; it may be an array or a tensor.
     ``y`` is the rating vector (or stack) and ``mask`` the binary
     interaction mask.  Weights must vanish outside the mask; entries of
-    ``y`` outside the mask are never read.
+    ``y`` outside the mask are never read.  In the explicit setting a
+    constant ``z`` (not a graph tensor) predicts only the items it weights.
     """
     rec = theta.base
     mask = np.asarray(mask)
@@ -183,7 +229,11 @@ def sketch_loss(z, y, mask, theta: LocalParams) -> Tensor:
     if np.any((z_data != 0) & (mask == 0)):
         raise ValueError("sketch_loss: positive weight on a non-interacted item")
     z = dc.as_tensor(z)
-    rows, items = np.nonzero(mask.reshape(-1, rec.n_items))
+    # explicit predictions cost one forward per entry, so a constant z
+    # predicts only its support; a graph z keeps every interacted item,
+    # where its own gradient (the loss of the entry) is wanted
+    support = z_data if rec.setting == EXPLICIT and not z.requires_grad else mask
+    rows, items = np.nonzero(support.reshape(-1, rec.n_items))
     zw = _entries(z, rows, items)
     if rec.setting == EXPLICIT:
         preds = predict_explicit_many(theta, items, rows)

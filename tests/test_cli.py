@@ -6,6 +6,7 @@ import pytest
 
 from dips import cli
 from dips import policies as pol
+from dips import recmodel as rm
 from dips import trainer as tr
 
 
@@ -255,6 +256,19 @@ def test_gradcheck_checks_the_v_that_policy_gradient_returns(monkeypatch):
     buf = io.StringIO()
     assert cli.run_gradchecks(out=buf) == ["grad_wrt_sketch"]
     assert "FAIL grad_wrt_sketch" in buf.getvalue()
+
+
+def test_gradcheck_checks_the_closed_form_influence_hessian(monkeypatch):
+    orig = rm.user_derivatives
+
+    def negated_hessian(*args, **kwargs):
+        grads, hess = orig(*args, **kwargs)
+        return grads, -hess
+
+    monkeypatch.setattr(rm, "user_derivatives", negated_hessian)
+    buf = io.StringIO()
+    assert cli.run_gradchecks(out=buf) == ["influence_derivatives"]
+    assert "FAIL influence_derivatives" in buf.getvalue()
 
 
 def test_gradcheck_exit_codes(monkeypatch):

@@ -101,13 +101,6 @@ def eval_setup(setting="explicit", seed=0, n_users=8, dim=3, hidden=4):
     return rec, phi, sd.splits.test, cfg
 
 
-def test_evaluate_deterministic():
-    rec, phi, streams, cfg = eval_setup()
-    a = met.evaluate(rec, phi, streams, cfg)
-    b = met.evaluate(rec, phi, streams, cfg)
-    assert a == b
-
-
 def test_evaluate_does_not_mutate_parameters():
     rec, phi, streams, cfg = eval_setup(seed=1)
     before = {**{f"r{n}": a.copy() for n, a in rec.state_arrays().items()},
@@ -117,16 +110,6 @@ def test_evaluate_does_not_mutate_parameters():
              **{f"p{n}": a for n, a in phi.state_arrays().items()}}
     for k in before:
         np.testing.assert_array_equal(before[k], after[k])
-
-
-def test_evaluate_aggregates_match_records():
-    rec, phi, streams, cfg = eval_setup(seed=2)
-    res = met.evaluate(rec, phi, streams, cfg, return_records=True)
-    assert res.aggregates == met.aggregate_records(res.records, cfg.setting)
-
-    rec_i, phi_i, streams_i, cfg_i = eval_setup(setting="implicit", seed=2)
-    res_i = met.evaluate(rec_i, phi_i, streams_i, cfg_i, return_records=True)
-    assert res_i.aggregates == met.aggregate_records(res_i.records, "implicit")
 
 
 EVAL_POLICIES = ("dips", "random", "hardest", "influence", "oracle")
@@ -142,6 +125,36 @@ def stack_setup(setting, seed=0, policy="dips"):
                for s, n in zip(streams, (8, 3, 6, 1, 5, 7, 4, 8))]
     anchors = {s.user: {int(s.items[0])} for s in streams}
     return rec, phi, streams, replace(cfg, policy=policy), anchors
+
+
+def assert_sketch_decides(rec, phi, streams, cfg, **kw):
+    """The learned and the random policy give different rank records, so a
+    test on these users sees an output that the sketch decides."""
+    ranks = [[r.value for r in met.evaluate(rec, phi, streams, replace(cfg, policy=p),
+                                            return_records=True, **kw).records]
+             for p in ("dips", "random")]
+    assert ranks[0] != ranks[1]
+
+
+def test_evaluate_deterministic():
+    for setting in ("explicit", "implicit"):
+        rec, phi, streams, cfg, _ = stack_setup(setting)
+        a = met.evaluate(rec, phi, streams, cfg, return_records=True)
+        b = met.evaluate(rec, phi, streams, cfg, return_records=True)
+        assert a == b
+        assert len({r.user for r in a.records}) > 1
+        if setting == "implicit":
+            assert_sketch_decides(rec, phi, streams, cfg)
+
+
+def test_evaluate_aggregates_match_records():
+    for setting in ("explicit", "implicit"):
+        rec, phi, streams, cfg, _ = stack_setup(setting, seed=2)
+        res = met.evaluate(rec, phi, streams, cfg, return_records=True)
+        assert res.aggregates == met.aggregate_records(res.records, setting)
+        assert len({r.user for r in res.records}) > 1
+        if setting == "implicit":
+            assert_sketch_decides(rec, phi, streams, cfg)
 
 
 def by_key(records):
@@ -249,10 +262,12 @@ def test_untrained_implicit_recall_near_chance():
 
 
 def test_exclude_history_improves_rank():
-    rec, phi, streams, cfg = eval_setup(setting="implicit", seed=4)
+    rec, phi, streams, cfg, _ = stack_setup("implicit", seed=4)
     base = met.evaluate(rec, phi, streams, cfg, return_records=True)
     masked = met.evaluate(rec, phi, streams, cfg, exclude_history=True,
                           return_records=True)
+    assert_sketch_decides(rec, phi, streams, cfg, exclude_history=True)
+    assert len(base.records) == len(masked.records)
     for a, b in zip(base.records, masked.records):
         assert b.value <= a.value  # removing competitors can only help
 

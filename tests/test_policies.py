@@ -147,6 +147,20 @@ def test_influence_scores_match_a_d_pass_hessian_reference(setting):
     assert np.max(np.abs(scores - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("setting", ["explicit", "implicit"])
+def test_influence_builds_no_graph(setting, monkeypatch):
+    def no_grad_allowed(*args, **kwargs):
+        raise AssertionError("influence called dc.grad")
+
+    monkeypatch.setattr(dc, "grad", no_grad_allowed)
+    rec = tiny_model(setting, seed=5)
+    inter = IntermediateSketch(make_sketch([1, 4], K=2, M=8, ratings=[2.0, 4.0]),
+                               (SketchEntry(6, 3.0, 3),))
+    theta = rm.LocalParams(user=rec.user_emb, base=rec)
+    assert np.all(np.isfinite(pol.influence_scores(inter, theta)))
+    assert len(pol.influence_update(inter, theta)) == 2
+
+
 def test_influence_equal_gradients_equal_scores():
     rec = tiny_model(seed=4)
     rec.item_emb.data[5] = rec.item_emb.data[2]

@@ -210,3 +210,91 @@ def test_checkpoint_roundtrip(tmp_path):
     bad["w1"] = np.zeros((2, 2))
     with pytest.raises(ValueError, match="mismatch"):
         rec2.load_arrays(bad)
+
+
+# ------------------------------------------------- closed-form derivatives
+
+def _autodiff_derivatives(rec, u0, items, ratings):
+    """Per-entry gradients from one backward pass each, and the Hessian of
+    their sum from one more pass per row (the d-pass reference)."""
+    u = Tensor(u0.copy(), requires_grad=True)
+    theta = rm.LocalParams(user=u, base=rec)
+    grads = [grad(rm.next_item_loss(theta, int(j), float(r)), [u], create_graph=True)[0]
+             for j, r in zip(items, ratings)]
+    total = grads[0]
+    for g in grads[1:]:
+        total = total + g
+    hess = np.array([grad(dc.gather(total, i), [u])[0].data for i in range(rec.dim)])
+    return np.array([g.data for g in grads]), hess
+
+
+@pytest.mark.parametrize("n_entries", [1, 5])
+@pytest.mark.parametrize("n_items", [10, 500])
+@pytest.mark.parametrize("setting", ["explicit", "implicit"])
+def test_user_derivatives_match_autodiff(setting, n_items, n_entries):
+    rng = np.random.default_rng(n_items + n_entries)
+    rec = rm.RecParams(n_items=n_items, dim=4, hidden=6, setting=setting, rng=rng)
+    rec.b1.data[:] = 0.2
+    rec.b1.data[2] = -50.0                      # hidden unit 2 is dead
+    u0 = 0.5 * rng.normal(size=4)
+    items = rng.choice(n_items, size=n_entries, replace=False)
+    ratings = rng.uniform(1, 5, size=n_entries)
+    x = np.concatenate([np.tile(u0, (n_entries, 1)), rec.item_emb.data[items]], axis=1) \
+        if setting == "explicit" else u0
+    pre = x @ rec.w1.data + rec.b1.data
+    assert np.all(pre[..., 2] < 0) and np.any(pre > 0)
+
+    grads, hess = rm.user_derivatives(rm.LocalParams(user=Tensor(u0), base=rec),
+                                      items, ratings)
+    ref_grads, ref_hess = _autodiff_derivatives(rec, u0, items, ratings)
+    assert grads.shape == (n_entries, 4) and hess.shape == (4, 4)
+    assert np.max(np.abs(grads - ref_grads)) <= 1e-12 * np.max(np.abs(ref_grads))
+    assert np.max(np.abs(hess - ref_hess)) <= 1e-12 * np.max(np.abs(ref_hess))
+
+
+def test_user_derivatives_take_one_user():
+    rec = tiny_model()
+    theta = rm.LocalParams(user=Tensor(np.zeros((2, rec.dim))), base=rec)
+    with pytest.raises(ValueError, match="one user embedding"):
+        rm.user_derivatives(theta, [1], [1.0])
+    with pytest.raises(IndexError, match="out of range"):
+        rm.user_derivatives(rm.LocalParams(user=rec.user_emb, base=rec), [5], [1.0])
+
+
+@pytest.mark.parametrize("setting", ["explicit", "implicit"])
+def test_constant_weights_give_the_full_mask_loss_and_gradient(setting, monkeypatch):
+    # a constant z predicts only its support in the explicit setting; a graph
+    # z keeps the full mask, which makes it the reference
+    rec = tiny_model(setting=setting, n_items=12, seed=29)
+    rng = np.random.default_rng(6)
+    mask = np.zeros((3, 12))
+    for row in mask:
+        row[rng.choice(12, size=6, replace=False)] = 1.0
+    y = mask * rng.uniform(1, 5, size=mask.shape)
+    z = np.zeros((3, 12))
+    z[0, np.flatnonzero(mask[0])[:3]] = 1.0     # row 1 weights nothing (t = 1)
+    z[2] = mask[2] * rng.uniform(0.5, 1.5, size=12)
+    u0 = 0.3 * rng.normal(size=(3, rec.dim))
+    predicted = []
+    orig = rm.predict_explicit_many
+
+    def counting(th, items, rows=None):
+        predicted.append(len(items))
+        return orig(th, items, rows)
+
+    monkeypatch.setattr(rm, "predict_explicit_many", counting)
+
+    for zc, uc, mc, yc in [(z, u0, mask, y), (z[1], u0[1], mask[1], y[1]),
+                           (z[0], u0[0], mask[0], y[0])]:
+        out = []
+        for weights in (zc, Tensor(zc, requires_grad=True)):
+            u = Tensor(uc.copy(), requires_grad=True)
+            loss = rm.sketch_loss(weights, yc, mc, rm.LocalParams(user=u, base=rec))
+            out.append((loss.item(), grad(loss, [u])[0].data))
+        (l_const, g_const), (l_graph, g_graph) = out
+        assert abs(l_const - l_graph) <= 1e-12 * max(abs(l_graph), 1.0)
+        assert np.max(np.abs(g_const - g_graph)) <= 1e-12 * max(np.max(np.abs(g_graph)), 1.0)
+    if setting == "explicit":
+        assert predicted == [9, 18, 0, 6, 3, 6]
+    else:
+        assert predicted == []
