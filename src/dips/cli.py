@@ -7,7 +7,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
+import time
 
 import numpy as np
 
@@ -181,10 +183,17 @@ def load_data(cfg):
     return ds.DatasetSplits(train, valid, test, catalog.n_items), None
 
 
-def _write_manifest(files, out_dir, cfg, artifacts):
+def _write_manifest(files, out_dir, cfg, artifacts, started):
     """Write ``manifest.json`` into the open ``trainer.atomic_files`` group;
-    written last, it is also the last file the group moves into place."""
-    manifest = {"config": cfg, "artifacts": sorted(artifacts)}
+    written last, it is also the last file the group moves into place.
+
+    Besides the config and the artefacts it records the Python and numpy
+    versions and ``wall_s``, the seconds since ``started`` (the command's
+    ``time.perf_counter()`` at its start).  No other artefact holds either.
+    """
+    manifest = {"config": cfg, "artifacts": sorted(artifacts),
+                "versions": {"python": platform.python_version(), "numpy": np.__version__},
+                "wall_s": time.perf_counter() - started}
     path = os.path.join(out_dir, "manifest.json")
     with files.open(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -192,6 +201,7 @@ def _write_manifest(files, out_dir, cfg, artifacts):
 
 
 def cmd_train(cfg):
+    started = time.perf_counter()
     out_dir = cfg["out.dir"]
     os.makedirs(out_dir, exist_ok=True)
     tcfg = train_config(cfg)
@@ -206,7 +216,7 @@ def cmd_train(cfg):
             for record in result.metric_log:
                 fh.write(json.dumps(record) + "\n")
         _write_manifest(files, out_dir, cfg, ["checkpoint.npz", "metrics.jsonl",
-                                              "sketch_trace.jsonl", "manifest.json"])
+                                              "sketch_trace.jsonl", "manifest.json"], started)
     print(f"wrote {ckpt}")
     return EXIT_OK
 
@@ -218,6 +228,7 @@ def _int_list(raw, fallback):
 
 
 def cmd_eval(cfg, checkpoint):
+    started = time.perf_counter()
     if not os.path.exists(checkpoint):
         raise ConfigError(f"checkpoint not found: {checkpoint}")
     rec, phi, ckpt_cfg = tr.load_checkpoint(checkpoint)
@@ -259,7 +270,7 @@ def cmd_eval(cfg, checkpoint):
     with tr.atomic_files() as files:
         with files.open(os.path.join(out_dir, "eval.csv")) as fh:
             fh.write(table)
-        _write_manifest(files, out_dir, cfg, ["eval.csv", "manifest.json"])
+        _write_manifest(files, out_dir, cfg, ["eval.csv", "manifest.json"], started)
     print(table, end="")
     return EXIT_OK
 
@@ -336,13 +347,11 @@ def _check_meta_gradient():
 
 def _check_grad_wrt_sketch():
     # the v that policy_gradient returns, against finite differences of the
-    # loss over the sketch z that the policy selects from zhat
+    # loss over the sketch z it selected from zhat
     rec, zhat, y, mask, nxt, r, cfg = _meta_setup()
     phi = pol.PolicyParams(rec.n_items, hidden=cfg.policy_hidden,
                            rng=np.random.default_rng(4))
-    _, v, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [], nxt, r, cfg)
-    with dc.no_grad():
-        z = tr.select_with_policy(phi, zhat, y, cfg).data
+    _, v, z, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [], nxt, r, cfg)
 
     def loss_with(zv):
         theta = tr.inner_adapt(rec, zv, y, mask, cfg.inner_lr, cfg.inner_steps,
@@ -452,6 +461,7 @@ def cmd_gradcheck():
 
 
 def cmd_diagnose(cfg):
+    started = time.perf_counter()
     data, _ = load_data(cfg)
     if cfg["synth.length"] > cfg["diagnose.max_len"]:
         raise ConfigError(
@@ -482,11 +492,12 @@ def cmd_diagnose(cfg):
                 print(f"step {t}: preserved {rep.preserved:.2f} negated {rep.negated:.2f} "
                       f"zeroed {rep.zeroed:.2f} cosine {rep.cosine:.3f}")
                 n += 1
-        _write_manifest(files, out_dir, cfg, ["diagnose.jsonl", "manifest.json"])
+        _write_manifest(files, out_dir, cfg, ["diagnose.jsonl", "manifest.json"], started)
     return EXIT_OK
 
 
 def cmd_dump_trace(cfg):
+    started = time.perf_counter()
     out_dir = cfg["out.dir"]
     os.makedirs(out_dir, exist_ok=True)
     tcfg = train_config(cfg)
@@ -496,7 +507,7 @@ def cmd_dump_trace(cfg):
         with files.open(trace_path) as trace:
             tr.train(tcfg, data, oracle_anchors=anchors, trace_file=trace,
                      validate_each_epoch=False)
-        _write_manifest(files, out_dir, cfg, ["sketch_trace.jsonl", "manifest.json"])
+        _write_manifest(files, out_dir, cfg, ["sketch_trace.jsonl", "manifest.json"], started)
     print(f"wrote {trace_path}")
     return EXIT_OK
 

@@ -44,7 +44,7 @@ def true_policy_grad(rec, phi, stream, cfg, probe_t, max_len=50, max_items=100):
         if t == probe_t:
             if not boundary:
                 raise ValueError(f"probe step {probe_t} is not a sketch-update boundary")
-            grads, v, _ = tr.policy_gradient(
+            grads, v, _, _ = tr.policy_gradient(
                 phi, rec, st.y, st.mask, inter.zhat, past, int(stream.items[t]),
                 float(stream.ratings[t]), replay_cfg, rng=rng)
             return grads, v

@@ -162,31 +162,53 @@ def online_remove(scores, mode="deterministic", rng=None):
 
     A score means keep, as in the Top-K head: the lowest finite score is the
     likeliest to go, and a masked (-inf) item has removal probability 0.
-    ``scores`` is one score vector (M,) or a stack (R, M) whose rows are
-    solved one by one, in row order.  ``removed`` is the dropped item of a
-    vector, or an array of R items for a stack.  ``w`` is one-hot per row,
-    with straight-through backward onto the softmax probabilities.
+    ``scores`` is one score vector (M,) or a stack (R, M); a NaN score is
+    an error naming its row.  ``removed`` is the dropped item of a vector,
+    or an array of R items for a stack.  ``w`` is one-hot per row, with
+    straight-through backward onto the softmax probabilities.  Stochastic
+    mode draws ``rng.random(R)``, one uniform per row in row order, and
+    removes what ``rng.choice(M, p=row)`` would with that uniform.
     """
     scores = dc.as_tensor(scores)
     finite = np.isfinite(scores.data)
     if not np.atleast_2d(finite).any(axis=1).all():
         raise ValueError("online_remove: no finite score (empty intermediate sketch)")
-    neg = dc.custom_op(np.where(finite, -scores.data, -np.inf), (scores,),
+    # only -inf is masked: a NaN score stays NaN, so the check below names it
+    neg = dc.custom_op(np.where(scores.data == -np.inf, -np.inf, -scores.data), (scores,),
                        lambda g, need: (dc.neg(g),), "neg_finite")
     probs = dc.softmax(neg)
     rows = np.atleast_2d(probs.data)
+    _check_probabilities(rows, "online_remove")
     if mode == "deterministic":
         removed = np.argmax(rows, axis=1)
     elif mode == "stochastic":
         if rng is None:
             raise ValueError("online_remove: stochastic mode needs an rng")
-        removed = np.array([rng.choice(rows.shape[1], p=p) for p in rows], dtype=np.int64)
+        removed = _inverse_cdf(rows, rng.random(len(rows)))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     hard = np.zeros(rows.shape)
     hard[np.arange(len(rows)), removed] = 1.0
     w = dc.straight_through(probs, hard.reshape(scores.shape))
     return w, (int(removed[0]) if scores.ndim == 1 else removed)
+
+
+def _check_probabilities(rows, head):
+    """Reject a row with a NaN, infinite or negative entry, as
+    ``rng.choice`` would; the error names the head and the row."""
+    bad = ~np.all(np.isfinite(rows) & (rows >= 0), axis=1)
+    if bad.any():
+        raise ValueError(f"{head}: NaN, infinite or negative probability in row "
+                         f"{int(np.flatnonzero(bad)[0])}")
+
+
+def _inverse_cdf(p, u):
+    """The index ``rng.choice(len(p_r), p=p_r)`` draws for each row p_r of
+    ``p`` (n,) or (R, n) given its uniform u_r: the same cumulative sum,
+    normalisation and right-sided search, row by row."""
+    cdf = np.cumsum(p, axis=-1)
+    cdf /= cdf[..., -1:]
+    return np.sum(cdf <= u[..., None], axis=-1)
 
 
 def _bisect_shift(f, k, tol=1e-9, max_iter=200):
@@ -221,13 +243,15 @@ def topk_project(scores, k):
 
     ``scores`` is one score vector (M,) or a stack (R, M); each row gets
     its own shift nu, solved in row order.  Masked (-inf) scores map to
-    exactly zero.  Gradients follow the implicit-function rule of
-    :func:`topk_grad`, applied per row.
+    exactly zero; a NaN score is an error naming its row.  Gradients follow
+    the implicit-function rule of :func:`topk_grad`, applied per row.
     """
     scores = dc.as_tensor(scores)
     f = scores.data
     u = np.zeros_like(f)
-    for f_row, u_row in zip(np.atleast_2d(f), np.atleast_2d(u)):
+    for r, (f_row, u_row) in enumerate(zip(np.atleast_2d(f), np.atleast_2d(u))):
+        if np.isnan(f_row).any():
+            raise ValueError(f"topk_project: NaN score in row {r}")
         finite = np.isfinite(f_row)
         n_finite = int(finite.sum())
         if n_finite < 1:
@@ -267,38 +291,42 @@ def batch_keep(u, k, mode="deterministic", rng=None):
     (w, kept).
 
     ``u`` is one relaxed indicator (M,) or a stack (R, M) whose rows are
-    solved one by one, in row order.  ``kept`` holds the sorted kept items
-    of a vector, or one such row per row of a stack.  ``w`` is binary, with
-    straight-through backward onto u.  Stochastic mode samples sequentially
-    without replacement with probabilities proportional to u.
+    solved one by one, in row order; a NaN, infinite or negative entry is
+    an error naming its row.  ``kept`` holds the sorted kept items of a
+    vector, or one such row per row of a stack.  ``w`` is binary, with
+    straight-through backward onto u.  Stochastic mode samples
+    sequentially without replacement with probabilities proportional to u:
+    it draws ``rng.random((R, k))``, row-major, and pick j of a row takes
+    what ``rng.choice`` would with uniform j of that row.
     """
     u = dc.as_tensor(u)
-    hard = np.zeros_like(u.data)
+    rows = np.atleast_2d(u.data)
+    _check_probabilities(rows, "batch_keep")
+    if mode == "stochastic":
+        if rng is None:
+            raise ValueError("batch_keep: stochastic mode needs an rng")
+        draws = rng.random((len(rows), k))
+    elif mode != "deterministic":
+        raise ValueError(f"unknown mode {mode!r}")
+    hard = np.zeros_like(rows)
     kept_rows = []
-    for uv, hard_row in zip(np.atleast_2d(u.data), np.atleast_2d(hard)):
+    for r, (uv, hard_row) in enumerate(zip(rows, hard)):
         candidates = np.flatnonzero(uv > 0)
         if candidates.size < k:
             raise ValueError(f"batch_keep: only {candidates.size} candidates for k={k}")
         if mode == "deterministic":
-            order = np.argsort(-uv, kind="stable")
-            kept = np.sort(order[:k])
-        elif mode == "stochastic":
-            if rng is None:
-                raise ValueError("batch_keep: stochastic mode needs an rng")
-            pool = list(candidates)
-            weights = uv[candidates].astype(np.float64).copy()
-            kept = []
-            for _ in range(k):
-                p = weights / weights.sum()
-                pick = int(rng.choice(len(pool), p=p))
-                kept.append(pool.pop(pick))
-                weights = np.delete(weights, pick)
-            kept = np.sort(np.array(kept, dtype=np.int64))
+            kept = np.sort(np.argsort(-uv, kind="stable")[:k])
         else:
-            raise ValueError(f"unknown mode {mode!r}")
+            pool, weights = candidates, uv[candidates]
+            kept = np.empty(k, dtype=np.int64)
+            for j in range(k):
+                pick = _inverse_cdf(weights / weights.sum(), draws[r, j])
+                kept[j] = pool[pick]
+                pool, weights = np.delete(pool, pick), np.delete(weights, pick)
+            kept.sort()
         hard_row[kept] = 1.0
         kept_rows.append(kept)
-    w = dc.straight_through(u, hard)
+    w = dc.straight_through(u, hard.reshape(u.shape))
     return w, (kept_rows[0] if u.ndim == 1 else np.stack(kept_rows))
 
 

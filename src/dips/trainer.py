@@ -11,9 +11,11 @@ their losses summed.  The sketching policy is updated with a two-term
 gradient: a straight-through term for the current selection plus a replay
 term over each user's queue of stored intermediate sketch indicators.  It
 too is one graph per time step, over the users at a sketch boundary, and
-it draws from the generator in a fixed order: the current stack's dropout
-masks and head draws, then the replay stack's (users in stack order, each
-queue oldest first), then each user's commit in batch order.
+each of those users commits the selection its gradient was taken at.  Per
+time step, the policy phase draws from the generator in a fixed order: the
+current stack's dropout masks, then one uniform per head pick (row by row),
+then the replay stack's masks and picks (users in stack order, each queue
+oldest first).  The commits of a learned policy draw nothing.
 """
 
 from __future__ import annotations
@@ -216,9 +218,11 @@ def select_with_policy(phi: PolicyParams, zhat, y, cfg, rng=None):
     ``cfg.tau`` picks the head: softmax removal for tau = 1, the Top-K
     projection otherwise.  Both read a score as keep, so in deterministic
     mode they keep the same K of K + 1 items.  With ``cfg.stochastic_train``
-    the head samples from ``rng`` and dropout (at ``phi.dropout_rate``) is
-    on, its masks drawn from ``rng`` for the whole stack before the head's
-    draws; without it the selection is deterministic and dropout off.
+    dropout (at ``phi.dropout_rate``) is on and the head samples: ``rng``
+    gives the dropout masks of the whole stack, then one uniform per head
+    pick, R for the online head and R x K (row-major) for the Top-K head.
+    Without it the selection is deterministic, dropout off and ``rng``
+    untouched.
     """
     stochastic = cfg.stochastic_train
     scores = pol.policy_scores(zhat, y, phi, training=stochastic, rng=rng)
@@ -233,22 +237,23 @@ def select_with_policy(phi: PolicyParams, zhat, y, cfg, rng=None):
 
 def policy_gradient(phi: PolicyParams, rec: RecParams, y, mask, zhat_t, past_zhats,
                     next_item, next_rating, cfg, rng=None):
-    """Two-term approximate policy gradient; returns (grads, v, loss).
+    """Two-term approximate policy gradient; returns (grads, v, z, loss).
 
     One user passes ``y``, ``mask`` and ``zhat_t`` of shape (M,), its queue
     ``past_zhats`` as a list of stored indicator rows, and a scalar next
     item and rating.  A stack of B users passes them as (B, M), one queue
-    per user in ``past_zhats``, and (B,) next items and ratings; one graph
-    holds every user, so the gradients and the loss are summed over the
-    users and ``v`` has the shape of ``zhat_t`` (row b is user b's v).
+    per user in ``past_zhats``, and (B,) next items and ratings; the
+    gradients and the loss are summed over the users, and ``v`` and the
+    selection ``z`` have the shape of ``zhat_t`` (row b is user b's).
 
-    First term: straight-through gradient of the next-interaction loss
-    through the current selection from ``zhat_t``.  Second term: with the
-    sketch-weight gradient v held fixed, gradient of v . sum_j z_j where
-    each past z_j is recomputed from its stored indicator with the current
-    policy; every user's queue, oldest first, forms one stack, and each of
-    its rows reads its owner's ``y`` and v.  Cross-step Jacobians are
-    treated as identity.  Both selections go through
+    v is the gradient of the next-interaction loss w.r.t. the sketch
+    weights, taken through the inner loop with the selection ``z`` from
+    ``zhat_t`` held constant.  The policy gradient is then one backward of
+    v . z (the straight-through term) plus v . sum_j z_j, where each past
+    z_j is recomputed from its stored indicator with the current policy
+    (the replay term): every user's queue, oldest first, forms one stack,
+    and each of its rows reads its owner's ``y`` and v.  Cross-step
+    Jacobians are treated as identity.  Both selections go through
     :func:`select_with_policy`, so ``cfg`` decides mode and dropout, and
     ``rng`` is drawn for the current stack first, then for the replay.
     """
@@ -257,23 +262,19 @@ def policy_gradient(phi: PolicyParams, rec: RecParams, y, mask, zhat_t, past_zha
     if len(queues) != n_users:
         raise ValueError(f"policy_gradient: {len(queues)} queues for {n_users} users")
     z_t = select_with_policy(phi, zhat_t, y, cfg, rng)
-    z_probe = dc.zeros(z_t.shape, requires_grad=True)
-    z_used = z_t + z_probe
-    theta_star = inner_adapt(rec, z_used, y, mask, cfg.inner_lr, cfg.inner_steps)
+    z_probe = Tensor(z_t.data, requires_grad=True)
+    theta_star = inner_adapt(rec, z_probe, y, mask, cfg.inner_lr, cfg.inner_steps)
     loss = rm.next_item_loss(theta_star, next_item, next_rating)
-    grads1 = dc.grad(loss, phi.params() + [z_probe])
-    v = grads1[-1].data
-    total = [g.data.copy() for g in grads1[:-1]]
+    (v,) = dc.grad(loss, [z_probe])
+    objective = dc.tsum(dc.mul(z_t, v))
 
     past = [z for queue in queues for z in queue]
     if past:
         owner = np.repeat(np.arange(n_users), [len(q) for q in queues])
         z_past = select_with_policy(phi, np.stack(past), np.atleast_2d(y)[owner], cfg, rng)
-        grads2 = dc.grad(dc.tsum(dc.mul(z_past, Tensor(np.atleast_2d(v)[owner]))),
-                         phi.params())
-        for acc, g in zip(total, grads2):
-            acc += g.data
-    return total, v, loss.item()
+        objective = objective + dc.tsum(dc.mul(z_past, Tensor(np.atleast_2d(v.data)[owner])))
+    grads = dc.grad(objective, phi.params())
+    return [g.data for g in grads], v.data, z_t.data, loss.item()
 
 
 class _UserState:
@@ -310,8 +311,11 @@ class _UserState:
 
         A caller that already holds this user's embedding adapted on the
         current sketch passes it as ``theta`` (``hardest``/``influence``),
-        or the indicator the learned policy selects from ``inter.zhat`` as
-        ``z``; by default the update computes them itself.
+        or the indicator the learned policy selected from ``inter.zhat`` as
+        ``z``: training passes the row of its policy gradient's selection,
+        evaluation the row of its stacked selection.  By default the update
+        computes them itself, and a learned policy then selects (and, with
+        ``cfg.stochastic_train``, draws from ``rng``) here.
         """
         if len(inter) <= cfg.sketch_size:
             self.sketch = Sketch(cfg.sketch_size, inter.base.n_items, inter.all_entries())
@@ -419,12 +423,14 @@ def train(cfg: TrainConfig, data, oracle_anchors=None, trace_file=None,
 
                 inters = [states[i].observe(t, cfg) for i in active]
                 # one policy-gradient graph for the users at a sketch
-                # boundary; it draws from rng before any commit of this step
+                # boundary; each of them commits the selection it returns,
+                # so the commits of a learned policy draw nothing from rng
                 at = [k for k, (_, boundary) in enumerate(inters) if learned and boundary]
+                z = [None] * len(active)
                 if at:
                     rows = [active[k] for k in at]
                     zhats = np.stack([inters[k][0].zhat for k in at])
-                    policy_acc, v, _ = policy_gradient(
+                    policy_acc, v, z_at, _ = policy_gradient(
                         phi, rec, ys[rows], masks[rows], zhats,
                         [states[i].queue.entries() for i in rows], nxt[at], nxt_rating[at],
                         cfg, rng=rng)
@@ -432,10 +438,12 @@ def train(cfg: TrainConfig, data, oracle_anchors=None, trace_file=None,
                         policy_grad_hook([batch[i].user for i in rows], t, policy_acc, v)
                     for i, zhat in zip(rows, zhats):
                         states[i].queue.push(zhat)
+                    for k, row in zip(at, z_at):
+                        z[k] = row
 
-                for i, (inter, _) in zip(active, inters):
+                for k, (i, (inter, _)) in enumerate(zip(active, inters)):
                     st = states[i]
-                    outcome = st.commit(inter, rec, phi, cfg, rng, oracle_anchors)
+                    outcome = st.commit(inter, rec, phi, cfg, rng, oracle_anchors, z=z[k])
                     if outcome is not None and trace_file is not None:
                         _trace(trace_file, st, t, absorbed=outcome == "absorbed")
 

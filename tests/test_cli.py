@@ -1,5 +1,7 @@
 import io
 import json
+import platform
+import zipfile
 
 import numpy as np
 import pytest
@@ -75,12 +77,37 @@ def test_train_smoke_writes_declared_artifacts(tmp_path):
 
 
 def test_train_deterministic_logs(tmp_path):
+    # apart from out.dir, the manifest's wall_s is the one field that differs
+    # between two runs: metrics, trace and every checkpoint array are the
+    # same bytes
     out1, out2 = tmp_path / "a", tmp_path / "b"
     cli.main(["train"] + tiny_overrides(out1))
     cli.main(["train"] + tiny_overrides(out2))
-    assert (out1 / "metrics.jsonl").read_text() == (out2 / "metrics.jsonl").read_text()
-    assert (out1 / "sketch_trace.jsonl").read_text() == \
-           (out2 / "sketch_trace.jsonl").read_text()
+    assert (out1 / "metrics.jsonl").read_bytes() == (out2 / "metrics.jsonl").read_bytes()
+    assert (out1 / "sketch_trace.jsonl").read_bytes() == \
+           (out2 / "sketch_trace.jsonl").read_bytes()
+    # the zip container stamps its members with the time of writing
+    with zipfile.ZipFile(out1 / "checkpoint.npz") as z1, \
+            zipfile.ZipFile(out2 / "checkpoint.npz") as z2:
+        assert z1.namelist() == z2.namelist()
+        for name in z1.namelist():
+            assert z1.read(name) == z2.read(name), name
+    m1, m2 = (json.loads((out / "manifest.json").read_text()) for out in (out1, out2))
+    assert m1.pop("wall_s") > 0 and m2.pop("wall_s") > 0
+    assert m1["config"].pop("out.dir") != m2["config"].pop("out.dir")
+    assert m1 == m2
+
+
+def test_manifest_records_versions_and_wall_time(trained, tmp_path):
+    commands = {"train": ["train"], "dump-trace": ["dump-trace"], "diagnose": ["diagnose"],
+                "eval": ["eval", "--checkpoint", str(trained / "checkpoint.npz")]}
+    for name, argv in commands.items():
+        out = tmp_path / name
+        assert cli.main(argv + tiny_overrides(out)) == cli.EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["versions"] == {"python": platform.python_version(),
+                                        "numpy": np.__version__}, name
+        assert 0 < manifest["wall_s"] < 600, name
 
 
 def test_train_missing_dataset_path(tmp_path):
@@ -249,8 +276,8 @@ def test_gradcheck_checks_the_v_that_policy_gradient_returns(monkeypatch):
     orig = tr.policy_gradient
 
     def negated_v(*args, **kwargs):
-        grads, v, loss = orig(*args, **kwargs)
-        return grads, -v, loss
+        grads, v, z, loss = orig(*args, **kwargs)
+        return grads, -v, z, loss
 
     monkeypatch.setattr(tr, "policy_gradient", negated_v)
     buf = io.StringIO()

@@ -118,7 +118,7 @@ def test_first_boundary_replay_equals_first_term_only():
         st.sketch = tr.Sketch(cfg.sketch_size, M, tuple(st.sketch.entries) + (e,))
     zhat = st.sketch.z
     zhat[int(stream.items[probe - 1])] += 1.0
-    first_only, _, _ = tr.policy_gradient(
+    first_only, _, _, _ = tr.policy_gradient(
         res.phi, res.rec, st.y, st.mask, zhat, [], int(stream.items[probe]),
         float(stream.ratings[probe]), cfg)
     for a, b in zip(first_only, true_g):

@@ -611,3 +611,82 @@ def test_keep_rejects_unknown_items():
     inter = IntermediateSketch(s, (SketchEntry(4, 1.0, 3),))
     with pytest.raises(ValueError):
         inter.keep([0, 3])
+
+
+# ------------------------------------------------------- vectorised draws
+
+def choice_loop_remove(scores, rng):
+    """online_remove's earlier stochastic draw, kept as the reference: one
+    ``rng.choice`` per row over softmax(-scores)."""
+    neg = np.where(np.isfinite(scores), -scores, -np.inf)
+    probs = np.atleast_2d(dc.softmax(Tensor(neg)).data)
+    return np.array([rng.choice(probs.shape[1], p=p) for p in probs])
+
+
+def choice_loop_keep(u, k, rng):
+    """batch_keep's earlier stochastic draw, kept as the reference:
+    sequential sampling without replacement, one ``rng.choice`` per pick."""
+    kept_rows = []
+    for uv in np.atleast_2d(u):
+        pool = list(np.flatnonzero(uv > 0))
+        weights = uv[pool].copy()
+        kept = []
+        for _ in range(k):
+            pick = int(rng.choice(len(pool), p=weights / weights.sum()))
+            kept.append(pool.pop(pick))
+            weights = np.delete(weights, pick)
+        kept_rows.append(np.sort(kept))
+    return np.array(kept_rows)
+
+
+def random_score_stack(rng):
+    """R random score rows, -inf outside each row's live items; about one
+    row in five has a single live item, and about one case in three is a
+    single (M,) row."""
+    M, R = int(rng.integers(1, 30)), int(rng.integers(1, 7))
+    n_live = rng.integers(1, M + 1, size=R)
+    n_live[rng.random(R) < 0.2] = 1
+    f = np.full((R, M), -np.inf)
+    for row, n in zip(f, n_live):
+        row[rng.choice(M, size=n, replace=False)] = rng.normal(size=n) * rng.uniform(0.1, 5.0)
+    return (f[0], n_live[:1]) if rng.random() < 0.3 else (f, n_live)
+
+
+def test_vectorised_draws_equal_one_rng_choice_per_row():
+    # both heads draw their uniforms in one call and look up the inverse
+    # CDF; that picks the same items and leaves the generator in the same
+    # state as one rng.choice per row (online) or per pick (top-K)
+    rng = np.random.default_rng(21)
+    for case in range(400):
+        f, n_live = random_score_stack(rng)
+        got, ref = np.random.default_rng(case), np.random.default_rng(case)
+        _, removed = pol.online_remove(Tensor(f), "stochastic", rng=got)
+        np.testing.assert_array_equal(np.atleast_1d(removed), choice_loop_remove(f, ref))
+        assert got.bit_generator.state == ref.bit_generator.state
+
+        u = np.where(np.isfinite(f), 1.0 / (1.0 + np.exp(-f)), 0.0)
+        k = int(rng.integers(1, n_live.min() + 1))
+        _, kept = pol.batch_keep(Tensor(u), k, "stochastic", rng=got)
+        np.testing.assert_array_equal(np.atleast_2d(kept), choice_loop_keep(u, k, ref))
+        assert got.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+def test_heads_reject_a_nan_score_row_by_name(mode):
+    # rng.choice rejected NaN probabilities; the inverse-CDF lookup would
+    # return an index, so the heads check each row themselves
+    f = score_stack(17)
+    f[2, np.flatnonzero(np.isfinite(f[2]))[0]] = np.nan
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="online_remove: NaN, .* probability in row 2"):
+        pol.online_remove(Tensor(f), mode, rng=rng)
+    with pytest.raises(ValueError, match="online_remove: NaN, .* probability in row 0"):
+        pol.online_remove(Tensor(f[2]), mode, rng=rng)
+    with pytest.raises(ValueError, match="topk_project: NaN score in row 2"):
+        pol.topk_project(Tensor(f), 2)
+    u = pol.topk_project(Tensor(score_stack(17)), 2).data
+    for bad in (np.nan, -0.5):
+        u_bad = u.copy()
+        u_bad[1, np.flatnonzero(u[1])[0]] = bad
+        with pytest.raises(ValueError, match="batch_keep: NaN, .* probability in row 1"):
+            pol.batch_keep(Tensor(u_bad), 2, mode, rng=rng)

@@ -1,3 +1,4 @@
+import io
 import json
 from dataclasses import replace
 
@@ -348,12 +349,10 @@ def test_stacked_theta_gradients_reject_one_bad_row(setting, bad_row, fault):
 
 def sketch_v(rec, zhat, y, mask, nxt, r, cfg, phi=None):
     """The v that policy_gradient returns (empty queue, deterministic head)
-    and the sketch z the policy selects from zhat."""
+    and the sketch z it selected from zhat."""
     phi = phi or pol.PolicyParams(rec.n_items, hidden=cfg.policy_hidden,
                                   rng=np.random.default_rng(1))
-    _, v, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [], nxt, r, cfg)
-    with dc.no_grad():
-        z = tr.select_with_policy(phi, zhat, y, cfg).data
+    _, v, z, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [], nxt, r, cfg)
     return v, z
 
 
@@ -448,8 +447,8 @@ def pg_setup(seed=0, M=8, K=2, tau=1, dropout_rate=0.10):
 
 def test_policy_gradient_empty_queue_equals_first_term_only():
     rec, phi, y, mask, zhat, nxt, r, cfg = pg_setup()
-    g_empty, v1, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [], nxt, r, cfg)
-    g_again, v2, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [], nxt, r, cfg)
+    g_empty, v1, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [], nxt, r, cfg)
+    g_again, v2, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [], nxt, r, cfg)
     for a, b in zip(g_empty, g_again):  # deterministic
         np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(v1, v2)
@@ -457,16 +456,16 @@ def test_policy_gradient_empty_queue_equals_first_term_only():
 
 def test_policy_gradient_queue_adds_replay_term():
     rec, phi, y, mask, zhat, nxt, r, cfg = pg_setup(seed=1)
-    g0, v, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [], nxt, r, cfg)
-    g1, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [zhat.copy()], nxt, r, cfg)
+    g0, v, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [], nxt, r, cfg)
+    g1, _, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [zhat.copy()], nxt, r, cfg)
     diff = sum(np.abs(a - b).sum() for a, b in zip(g0, g1))
     assert diff > 0  # the stored entry contributes
 
 
 def test_policy_gradient_masked_outputs_get_zero_gradient():
     rec, phi, y, mask, zhat, nxt, r, cfg = pg_setup(seed=2)
-    grads, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat,
-                                     [zhat.copy()], nxt, r, cfg)
+    grads, _, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat,
+                                        [zhat.copy()], nxt, r, cfg)
     b3_grad = grads[-1]
     off = np.flatnonzero(zhat == 0)
     np.testing.assert_allclose(b3_grad[off], 0.0, atol=1e-15)
@@ -475,7 +474,7 @@ def test_policy_gradient_masked_outputs_get_zero_gradient():
 def test_policy_gradient_finite_differences_first_term():
     # FD through selection is valid while the removed item is stable
     rec, phi, y, mask, zhat, nxt, r, cfg = pg_setup(seed=3)
-    grads, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [], nxt, r, cfg)
+    grads, _, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [], nxt, r, cfg)
 
     # the oracle's removal probabilities: softmax(-scores) over the items in
     # the sketch, zero elsewhere
@@ -534,14 +533,14 @@ def test_policy_gradient_replay_is_the_sum_of_per_row_selections(tau, stochastic
         z = np.zeros(rec.n_items)
         z[perm(interacted)[:cfg.sketch_size + tau]] = 1.0
         past.append(z)
-    grads, v, _ = tr.policy_gradient(phi, rec, y, mask, zhat, past, nxt, r, cfg,
-                                     rng=np.random.default_rng(7))
+    grads, v, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat, past, nxt, r, cfg,
+                                        rng=np.random.default_rng(7))
 
     # reference: the first term alone, then v . z_j for one stored row at a
     # time, drawing from the rng in the same order
     rng = np.random.default_rng(7)
-    expected, v_ref, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [], nxt, r, cfg,
-                                            rng=rng)
+    expected, v_ref, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [], nxt, r, cfg,
+                                               rng=rng)
     np.testing.assert_array_equal(v, v_ref)
     for zj in past:
         z = tr.select_with_policy(phi, zj, y, cfg, rng)
@@ -553,18 +552,18 @@ def test_policy_gradient_replay_is_the_sum_of_per_row_selections(tau, stochastic
 
 def test_policy_gradient_batch_mode_runs():
     rec, phi, y, mask, zhat, nxt, r, cfg = pg_setup(seed=4, tau=2)
-    grads, v, loss = tr.policy_gradient(phi, rec, y, mask, zhat,
-                                        [zhat.copy(), zhat.copy()], nxt, r, cfg)
+    grads, v, _, loss = tr.policy_gradient(phi, rec, y, mask, zhat,
+                                           [zhat.copy(), zhat.copy()], nxt, r, cfg)
     assert all(np.all(np.isfinite(g)) for g in grads)
     assert np.all(np.isfinite(v))
 
 
-def stacked_pg_problem(B, tau=1, seed=0, M=12, K=2):
+def stacked_pg_problem(B, tau=1, seed=0, M=12, K=2, setting="explicit"):
     """B users of one policy: rows of y, mask and zhat (K + tau stored
     items each), queues of lengths 2, 0, 3, 1, 2 (one empty for B > 1),
     next items and ratings."""
     rng = np.random.default_rng(seed)
-    rec = rm.RecParams(n_items=M, dim=3, hidden=4, setting="explicit", rng=rng)
+    rec = rm.RecParams(n_items=M, dim=3, hidden=4, setting=setting, rng=rng)
     rec.b1.data[:] = 0.2
     phi = pol.PolicyParams(M, hidden=8, rng=rng)
     y, mask, zhat = np.zeros((3, B, M))
@@ -572,7 +571,7 @@ def stacked_pg_problem(B, tau=1, seed=0, M=12, K=2):
     for b in range(B):
         items = rng.choice(M, size=K + tau + 2 + b % 2, replace=False)
         mask[b, items] = 1.0
-        y[b, items] = rng.uniform(1, 5, size=items.size)
+        y[b, items] = rng.uniform(1, 5, size=items.size) if setting == "explicit" else 1.0
         zhat[b, items[:K + tau]] = 1.0
         queue = []
         for _ in range((2, 0, 3, 1, 2)[b]):
@@ -582,21 +581,76 @@ def stacked_pg_problem(B, tau=1, seed=0, M=12, K=2):
         queues.append(queue)
         nxt.append(int(items[-1]))
         r.append(float(y[b, items[-1]]))
-    cfg = small_cfg(sketch_size=K, tau=tau, mode="online" if tau == 1 else "batch")
+    cfg = small_cfg(sketch_size=K, tau=tau, mode="online" if tau == 1 else "batch",
+                    setting=setting)
     return rec, phi, y, mask, zhat, queues, np.array(nxt), np.array(r), cfg
+
+
+def two_backward_policy_gradient(phi, rec, y, mask, zhat_t, past_zhats, next_item,
+                                 next_rating, cfg, rng=None):
+    """The policy gradient in its earlier, unfactored form, kept as the
+    reference: v and the straight-through term from one backward of the
+    loss through the inner loop and the policy network, then a second
+    backward through the policy network for the replay term."""
+    queues = past_zhats if np.ndim(zhat_t) == 2 else [past_zhats]
+    n_users = len(np.atleast_2d(zhat_t))
+    z_t = tr.select_with_policy(phi, zhat_t, y, cfg, rng)
+    z_probe = dc.zeros(z_t.shape, requires_grad=True)
+    theta_star = tr.inner_adapt(rec, z_t + z_probe, y, mask, cfg.inner_lr, cfg.inner_steps)
+    loss = rm.next_item_loss(theta_star, next_item, next_rating)
+    grads1 = dc.grad(loss, phi.params() + [z_probe])
+    v = grads1[-1].data
+    total = [g.data.copy() for g in grads1[:-1]]
+    past = [z for queue in queues for z in queue]
+    if past:
+        owner = np.repeat(np.arange(n_users), [len(q) for q in queues])
+        z_past = tr.select_with_policy(phi, np.stack(past), np.atleast_2d(y)[owner], cfg, rng)
+        grads2 = dc.grad(dc.tsum(dc.mul(z_past, Tensor(np.atleast_2d(v)[owner]))),
+                         phi.params())
+        for acc, g in zip(total, grads2):
+            acc += g.data
+    return total, v, z_t.data, loss.item()
+
+
+@pytest.mark.parametrize("stochastic", [False, True])
+@pytest.mark.parametrize("tau", [1, 2])
+@pytest.mark.parametrize("B", [1, 4])
+@pytest.mark.parametrize("setting", ["explicit", "implicit"])
+def test_factored_policy_gradient_equals_the_two_backward_form(setting, B, tau, stochastic):
+    # one backward through the policy network gives the same gradients,
+    # v, selection, loss and generator state as the two-backward form,
+    # bit for bit; B = 1 passes one user's rows and queue
+    rec, phi, y, mask, zhat, queues, nxt, r, cfg = stacked_pg_problem(
+        B, tau, seed=8, setting=setting)
+    cfg = replace(cfg, stochastic_train=stochastic)
+    args = (y, mask, zhat, queues, nxt, r)
+    if B == 1:
+        args = (y[0], mask[0], zhat[0], queues[0], int(nxt[0]), float(r[0]))
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    grads, v, z, loss = tr.policy_gradient(phi, rec, *args, cfg, rng=rng)
+    ref_grads, ref_v, ref_z, ref_loss = two_backward_policy_gradient(
+        phi, rec, *args, cfg, rng=ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert loss == ref_loss
+    np.testing.assert_array_equal(v, ref_v)
+    np.testing.assert_array_equal(z, ref_z)
+    assert z.shape == v.shape == np.shape(args[2])
+    for g, g_ref in zip(grads, ref_grads):
+        assert np.any(g_ref != 0)
+        np.testing.assert_array_equal(g, g_ref)
 
 
 @pytest.mark.parametrize("tau", [1, 2])
 @pytest.mark.parametrize("B", [1, 3, 5])
 def test_policy_gradient_stack_equals_sum_of_row_calls(B, tau):
     rec, phi, y, mask, zhat, queues, nxt, r, cfg = stacked_pg_problem(B, tau)
-    grads, v, loss = tr.policy_gradient(phi, rec, y, mask, zhat, queues, nxt, r, cfg)
+    grads, v, _, loss = tr.policy_gradient(phi, rec, y, mask, zhat, queues, nxt, r, cfg)
     assert v.shape == (B, rec.n_items)
     ref_grads = [np.zeros(p.shape) for p in phi.params()]
     ref_loss = 0.0
     for b in range(B):
-        g_b, v_b, l_b = tr.policy_gradient(phi, rec, y[b], mask[b], zhat[b], queues[b],
-                                           int(nxt[b]), float(r[b]), cfg)
+        g_b, v_b, _, l_b = tr.policy_gradient(phi, rec, y[b], mask[b], zhat[b], queues[b],
+                                              int(nxt[b]), float(r[b]), cfg)
         assert v_b.shape == (rec.n_items,)
         assert_close_rel(v[b], v_b)
         ref_loss += l_b
@@ -610,25 +664,29 @@ def test_policy_gradient_stack_equals_sum_of_row_calls(B, tau):
 
 def test_stacked_policy_gradient_draws_the_current_stack_then_the_replay():
     # B = 2, stochastic heads with dropout: the rng serves the current
-    # stack first, then every queue row in one stack, users in stack order
+    # stack first, then every queue row in one stack, users in stack order;
+    # the gradient is one backward of v . z_t plus the replay term
     rec, phi, y, mask, zhat, queues, nxt, r, cfg = stacked_pg_problem(2, seed=3)
     cfg = replace(cfg, stochastic_train=True)
     assert phi.dropout_rate > 0
     rng = np.random.default_rng(7)
-    grads, v, loss = tr.policy_gradient(phi, rec, y, mask, zhat, queues, nxt, r, cfg, rng=rng)
+    grads, v, z, loss = tr.policy_gradient(phi, rec, y, mask, zhat, queues, nxt, r, cfg,
+                                           rng=rng)
 
     ref_rng = np.random.default_rng(7)
     z_t = tr.select_with_policy(phi, zhat, y, cfg, ref_rng)
-    z_probe = dc.zeros(z_t.shape, requires_grad=True)
-    theta = tr.inner_adapt(rec, z_t + z_probe, y, mask, cfg.inner_lr, cfg.inner_steps)
+    z_probe = Tensor(z_t.data, requires_grad=True)
+    theta = tr.inner_adapt(rec, z_probe, y, mask, cfg.inner_lr, cfg.inner_steps)
     ref_loss = rm.next_item_loss(theta, nxt, r)
-    first = dc.grad(ref_loss, phi.params() + [z_probe])
+    (ref_v,) = dc.grad(ref_loss, [z_probe])
     owner = [0, 0]                       # the second user's queue is empty
     z_past = tr.select_with_policy(phi, np.stack(queues[0]), y[owner], cfg, ref_rng)
-    replay = dc.grad(dc.tsum(dc.mul(z_past, Tensor(first[-1].data[owner]))), phi.params())
+    first = dc.grad(dc.tsum(dc.mul(z_t, ref_v)), phi.params())
+    replay = dc.grad(dc.tsum(dc.mul(z_past, Tensor(ref_v.data[owner]))), phi.params())
 
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    np.testing.assert_array_equal(v, first[-1].data)
+    np.testing.assert_array_equal(v, ref_v.data)
+    np.testing.assert_array_equal(z, z_t.data)
     assert loss == ref_loss.item()
     for g, a, b in zip(grads, first, replay):
         np.testing.assert_allclose(g, a.data + b.data, rtol=1e-12, atol=1e-15)
@@ -788,6 +846,74 @@ def test_train_determinism():
     r2 = tr.train(cfg, data)
     assert r1.metric_log == r2.metric_log
     for a, b in zip(final_state(r1), final_state(r2)):
+        np.testing.assert_array_equal(a, b)
+
+
+def traced_train(cfg, data, **kwargs):
+    """The training result and its sketch trace, one dict per line."""
+    trace = io.StringIO()
+    res = tr.train(cfg, data, trace_file=trace, **kwargs)
+    return res, [json.loads(line) for line in trace.getvalue().splitlines()]
+
+
+@pytest.mark.parametrize("tau", [1, 2])
+def test_train_commits_the_selection_of_the_policy_gradient(monkeypatch, tau):
+    # stochastic training: each boundary user's new sketch is the items
+    # policy_gradient selected for that user at that step, and commit never
+    # selects again (that would be a second, independent draw)
+    data = synth(seed=7, length=10).splits
+    cfg = small_cfg(tau=tau, mode="online" if tau == 1 else "batch", stochastic_train=True)
+    selections, hooked, in_commit, selected_in_commit = [], [], [False], []
+    policy_gradient, commit, select = tr.policy_gradient, tr._UserState.commit, \
+        tr.select_with_policy
+
+    def pg_spy(*args, **kwargs):
+        out = policy_gradient(*args, **kwargs)
+        selections.append(out[2].copy())
+        return out
+
+    def commit_spy(self, *args, **kwargs):
+        in_commit[0] = True
+        try:
+            return commit(self, *args, **kwargs)
+        finally:
+            in_commit[0] = False
+
+    def select_spy(*args, **kwargs):
+        selected_in_commit.append(in_commit[0])
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "policy_gradient", pg_spy)
+    monkeypatch.setattr(tr._UserState, "commit", commit_spy)
+    monkeypatch.setattr(tr, "select_with_policy", select_spy)
+    _, trace = traced_train(cfg, data, validate_each_epoch=False,
+                            policy_grad_hook=lambda users, t, g, v: hooked.append((users, t)))
+
+    expected = {}
+    for (users, t), z in zip(hooked, selections, strict=True):
+        for user, row in zip(users, z, strict=True):
+            expected[user, t] = np.flatnonzero(row > 0.5).tolist()
+    updated = {(rec["user"], rec["step"]): rec["kept"] for rec in trace if not rec["absorbed"]}
+    assert len(updated) > 10 and updated == expected
+    assert selected_in_commit and not any(selected_in_commit)
+
+
+@pytest.mark.parametrize("tau", [1, 2])
+@pytest.mark.parametrize("setting", ["explicit", "implicit"])
+def test_deterministic_training_is_unchanged_by_commit_reuse(monkeypatch, setting, tau):
+    # deterministic heads: the selection commit would make for itself is
+    # the one policy_gradient took, so reusing it changes no bit
+    data = synth(seed=8, setting=setting).splits
+    cfg = small_cfg(setting=setting, tau=tau, mode="online" if tau == 1 else "batch")
+    reused, reused_trace = traced_train(cfg, data)
+    commit = tr._UserState.commit
+    monkeypatch.setattr(tr._UserState, "commit",
+                        lambda self, *args, z=None, **kwargs: commit(self, *args, **kwargs))
+    own, own_trace = traced_train(cfg, data)
+    assert any(not rec["absorbed"] for rec in own_trace)
+    assert reused_trace == own_trace
+    assert reused.metric_log == own.metric_log
+    for a, b in zip(final_state(reused), final_state(own)):
         np.testing.assert_array_equal(a, b)
 
 
