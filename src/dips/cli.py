@@ -320,6 +320,9 @@ def _meta_setup():
 
 
 def _check_meta_gradient():
+    # the recorded graph of theta_gradients against finite differences of
+    # the graph-free inner loop, so it also cross-checks the closed-form
+    # sketch gradient against the graph
     rec, z, y, mask, nxt, r, cfg = _meta_setup()
     grads, _ = tr.theta_gradients(rec, z, y, mask, nxt, r, cfg)
 
@@ -347,7 +350,9 @@ def _check_meta_gradient():
 
 def _check_grad_wrt_sketch():
     # the v that policy_gradient returns, against finite differences of the
-    # loss over the sketch z it selected from zhat
+    # loss over the sketch z it selected from zhat; the differences run
+    # through the graph-free inner loop, so v (a backward through the
+    # recorded inner loop) also cross-checks the closed-form sketch gradient
     rec, zhat, y, mask, nxt, r, cfg = _meta_setup()
     phi = pol.PolicyParams(rec.n_items, hidden=cfg.policy_hidden,
                            rng=np.random.default_rng(4))
@@ -388,6 +393,43 @@ def _check_topk_grad():
             fd = float(v @ (up - um)) / (2 * h)
             worst = max(worst, abs(fd - g.data[i]) / max(abs(fd), abs(g.data[i]), 1e-6))
     return worst, 1e-3
+
+
+def _check_sketch_gradient():
+    # the closed-form gradient every graph-free inner step takes, against
+    # central differences of sketch_loss, for a stack whose middle row
+    # weights nothing and for one user, at a point where no relu
+    # pre-activation changes sign within the step
+    h = 1e-5
+    worst = 0.0
+    for setting in (rm.EXPLICIT, rm.IMPLICIT):
+        rng = np.random.default_rng(6)
+        rec = rm.RecParams(n_items=8, dim=3, hidden=6, setting=setting, rng=rng)
+        mask = np.zeros((3, 8))
+        for row in mask:
+            row[rng.choice(8, size=4, replace=False)] = 1.0
+        y = mask * rng.uniform(1, 5, size=mask.shape) if setting == rm.EXPLICIT else mask
+        z = mask * rng.uniform(0.5, 1.5, size=mask.shape)
+        z[1] = 0.0
+        u0 = rng.normal(size=(3, 3))
+        rows, items = np.nonzero(mask)
+        w1 = rec.w1.data
+        x = u0 if setting == rm.IMPLICIT else np.concatenate(
+            [u0[rows], rec.item_emb.data[items]], axis=1)
+        if np.min(np.abs(x @ w1 + rec.b1.data)) <= h * np.abs(w1[:3]).sum(axis=0).max():
+            return np.inf, 1e-5
+        for zc, yc, mc, uc in ((z, y, mask, u0), (z[0], y[0], mask[0], u0[0])):
+            grad = rm.sketch_gradient(rec, uc, zc, yc, mc)
+
+            def loss(u):
+                return rm.sketch_loss(zc, yc, mc, rm.LocalParams(user=Tensor(u), base=rec)).item()
+
+            for i in np.ndindex(uc.shape):
+                step = np.zeros(uc.shape)
+                step[i] = h
+                fd = (loss(uc + step) - loss(uc - step)) / (2 * h)
+                worst = max(worst, abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-6))
+    return worst, 1e-5
 
 
 def _check_influence_derivatives():
@@ -431,6 +473,7 @@ def _check_influence_derivatives():
 
 GRADCHECKS = [
     ("diffcore_mlp_grads", _check_mlp_grads),
+    ("sketch_gradient", _check_sketch_gradient),
     ("meta_gradient_unrolled", _check_meta_gradient),
     ("grad_wrt_sketch", _check_grad_wrt_sketch),
     ("topk_grad", _check_topk_grad),

@@ -4,11 +4,13 @@ and the model predicts the next interaction.
 
 The protocol runs time-major, as training does: at each step the users
 still streaming, up to ``batch_size`` at a time, form one stack, adapted
-in one graph and scored in one prediction, and the learned policy selects
-for the users at a sketch boundary in one deterministic call.  A single user passes its row (M,),
-the one-row case of the same functions.  Each user draws from its own
-generator, seeded by (seed, user id), so a user's records do not depend
-on which users are evaluated with it, or in which order.
+and scored on the graph-free kernel of :mod:`recmodel` (no autodiff
+graph, no ``diffcore.grad``), and the learned policy selects for the
+users at a sketch boundary in one deterministic call.  A single user
+passes its row (M,), the one-row case of the same functions.  Each user
+draws from its own generator, seeded by (seed, user id), so a user's
+records do not depend on which users are evaluated with it, or in which
+order.
 """
 
 from __future__ import annotations
@@ -95,10 +97,11 @@ def evaluate(rec, phi, streams, cfg, k=20, exclude_history=False, seed=None,
     Streams with fewer than 2 interactions are skipped.  The others are
     taken ``cfg.batch_size`` at a time, the stack width of training; at
     each step t the users of a stack with t < len(items) are adapted on
-    their sketches in one ``inner_adapt`` and predicted in one call, then
-    every sketch advances through the trainer's ``observe``/``commit``,
-    which reuses the adapted row (``hardest``/``influence``) and the
-    stacked selection (``dips``/``dips1``).  User ``s`` draws from
+    their sketches in one graph-free ``inner_adapt`` and predicted in one
+    ``recmodel.user_forward``, then every sketch advances through the
+    trainer's ``observe``/``commit``, which reuses the adapted row
+    (``hardest``/``influence``) and the stacked selection
+    (``dips``/``dips1``).  User ``s`` draws from
     ``default_rng((seed, s.user))``, ``seed`` defaulting to ``cfg.seed``.
     Records come out in stream order, then step order.
     """
@@ -121,18 +124,15 @@ def evaluate(rec, phi, streams, cfg, k=20, exclude_history=False, seed=None,
                                    _stack([states[i].mask for i in active]),
                                    cfg.inner_lr, cfg.inner_steps, record=False)
             nxt = np.array([batch[i].items[t] for i in active], dtype=np.int64)
-            with dc.no_grad():
-                if cfg.setting == rm.EXPLICIT:
-                    preds = rm.predict_explicit_many(theta, nxt, np.arange(len(active))).data
-                else:
-                    scores = np.atleast_2d(rm.predict_implicit(theta).data)
+            # explicit: one prediction per user; implicit: (M,) or (B, M) scores
+            preds, _ = rm.user_forward(rec, theta.user.data, nxt, np.arange(len(active)))
             for b, i in enumerate(active):
                 s = batch[i]
                 if cfg.setting == rm.EXPLICIT:
                     err = (preds[b] - float(s.ratings[t])) ** 2
                     out[i].append(EvalRecord(s.user, t, "sq_error", err))
                 else:
-                    row = scores[b]
+                    row = np.atleast_2d(preds)[b]
                     if exclude_history:
                         past = s.items[:t]
                         row = row.copy()

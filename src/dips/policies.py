@@ -290,14 +290,15 @@ def batch_keep(u, k, mode="deterministic", rng=None):
     """Choose K items per row to keep from the relaxed indicator u; returns
     (w, kept).
 
-    ``u`` is one relaxed indicator (M,) or a stack (R, M) whose rows are
-    solved one by one, in row order; a NaN, infinite or negative entry is
-    an error naming its row.  ``kept`` holds the sorted kept items of a
-    vector, or one such row per row of a stack.  ``w`` is binary, with
-    straight-through backward onto u.  Stochastic mode samples
-    sequentially without replacement with probabilities proportional to u:
-    it draws ``rng.random((R, k))``, row-major, and pick j of a row takes
-    what ``rng.choice`` would with uniform j of that row.
+    ``u`` is one relaxed indicator (M,) or a stack (R, M); a NaN, infinite
+    or negative entry is an error naming its row.  ``kept`` holds the
+    sorted kept items of a vector, or one such row per row of a stack.
+    ``w`` is binary, with straight-through backward onto u.  Stochastic
+    mode samples sequentially without replacement with probabilities
+    proportional to u: it draws ``rng.random((R, k))``, row-major, and pick
+    j of a row takes what ``rng.choice`` would with uniform j of that row.
+    Rows with the same number of candidates take each pick together, every
+    row from its own compacted pool, so its sums are those of the row alone.
     """
     u = dc.as_tensor(u)
     rows = np.atleast_2d(u.data)
@@ -308,26 +309,33 @@ def batch_keep(u, k, mode="deterministic", rng=None):
         draws = rng.random((len(rows), k))
     elif mode != "deterministic":
         raise ValueError(f"unknown mode {mode!r}")
-    hard = np.zeros_like(rows)
-    kept_rows = []
-    for r, (uv, hard_row) in enumerate(zip(rows, hard)):
-        candidates = np.flatnonzero(uv > 0)
-        if candidates.size < k:
-            raise ValueError(f"batch_keep: only {candidates.size} candidates for k={k}")
-        if mode == "deterministic":
-            kept = np.sort(np.argsort(-uv, kind="stable")[:k])
-        else:
-            pool, weights = candidates, uv[candidates]
-            kept = np.empty(k, dtype=np.int64)
+    candidates = rows > 0
+    counts = candidates.sum(axis=1)
+    if np.any(counts < k):
+        n = int(counts[np.flatnonzero(counts < k)[0]])
+        raise ValueError(f"batch_keep: only {n} candidates for k={k}")
+    if mode == "deterministic":
+        kept = np.sort(np.argsort(-rows, axis=1, kind="stable")[:, :k], axis=1)
+    else:
+        kept = np.empty((len(rows), k), dtype=np.int64)
+        for c in np.unique(counts):
+            group = np.flatnonzero(counts == c)
+            at = np.arange(group.size)
+            pool = np.nonzero(candidates[group])[1].reshape(group.size, c)
+            weights = rows[group[:, None], pool]
             for j in range(k):
-                pick = _inverse_cdf(weights / weights.sum(), draws[r, j])
-                kept[j] = pool[pick]
-                pool, weights = np.delete(pool, pick), np.delete(weights, pick)
-            kept.sort()
-        hard_row[kept] = 1.0
-        kept_rows.append(kept)
+                pick = _inverse_cdf(weights / weights.sum(axis=1, keepdims=True),
+                                    draws[group, j])
+                kept[group, j] = pool[at, pick]
+                rest = np.ones(pool.shape, dtype=bool)
+                rest[at, pick] = False
+                pool = pool[rest].reshape(group.size, -1)
+                weights = weights[rest].reshape(group.size, -1)
+        kept.sort(axis=1)
+    hard = np.zeros_like(rows)
+    np.put_along_axis(hard, kept, 1.0, axis=1)
     w = dc.straight_through(u, hard.reshape(u.shape))
-    return w, (kept_rows[0] if u.ndim == 1 else np.stack(kept_rows))
+    return w, (kept[0] if u.ndim == 1 else kept)
 
 
 def reservoir_update(sketch: Sketch, item, rating, step, rng) -> Sketch:
@@ -347,17 +355,17 @@ def reservoir_update(sketch: Sketch, item, rating, step, rng) -> Sketch:
 
 
 def entry_losses(entries, theta: rm.LocalParams):
-    """Current-model pointwise loss for each entry, without recording a graph."""
-    with dc.no_grad():
-        if theta.base.setting == rm.EXPLICIT:
-            items = np.array([e.item for e in entries], dtype=np.int64)
-            preds = rm.predict_explicit_many(theta, items).data
-            targets = np.array([e.rating for e in entries])
-            return (preds - targets) ** 2
-        scores = rm.predict_implicit(theta).data
-        m = scores.max()
-        lse = float(np.log(np.sum(np.exp(scores - m))) + m)
-        return np.array([lse - scores[e.item] for e in entries])
+    """Current-model pointwise loss for each entry, from the graph-free
+    forward :func:`recmodel.user_forward`."""
+    rec, u = theta.base, theta.user.data
+    items = np.array([e.item for e in entries], dtype=np.int64)
+    preds, _ = rm.user_forward(rec, u, items)
+    if rec.setting == rm.EXPLICIT:
+        targets = np.array([e.rating for e in entries])
+        return (preds - targets) ** 2
+    m = preds.max()
+    lse = float(np.log(np.sum(np.exp(preds - m))) + m)
+    return np.array([lse - preds[e.item] for e in entries])
 
 
 def hardest_update(inter: IntermediateSketch, theta: rm.LocalParams) -> Sketch:

@@ -12,6 +12,14 @@ items of every user, each with a segment index naming its user row;
 implicit scores form a (B, M) matrix.  Losses are summed over the stack,
 so one backward pass yields every user's gradient; a single embedding is
 the one-row case of the same code.
+
+The recommender is piecewise linear in the user embedding, so everything a
+path without a recorded graph needs w.r.t. u has a closed form: a numpy
+kernel (:func:`user_forward`, :func:`sketch_gradient`,
+:func:`user_derivatives`) gives the predictions, the sketch-loss gradient
+and the per-entry derivatives without a graph.  The graph functions serve
+the recorded paths, which differentiate w.r.t. the item side or the sketch
+weights.
 """
 
 from __future__ import annotations
@@ -161,6 +169,80 @@ def next_item_loss(theta: LocalParams, item, rating) -> Tensor:
     return dc.tsum(logsumexp(scores) - _entries(scores, rows, items))
 
 
+def user_forward(rec: RecParams, u, items=None, rows=None):
+    """The recommender's forward at plain user embeddings, without a graph.
+
+    ``u`` is one embedding (d,) or a stack (B, d).  Returns ``(out, m)``:
+
+    * explicit: ``out`` (N,) predicts ``items[n]`` for ``u``, or for row
+      ``rows[n]`` of a stack (the segment index of
+      :func:`predict_explicit_many`), and ``m`` (N, H) holds the relu
+      masks of the entries;
+    * implicit: ``out`` holds the scores of all M items, (M,) or (B, M),
+      and ``m`` (H,) or (B, H) the relu masks of the user tower.
+
+    The operations are those of the graph functions, in the same order.
+    """
+    w1, b1, w2, b2 = rec.w1.data, rec.b1.data, rec.w2.data, rec.b2.data
+    if rec.setting == EXPLICIT:
+        items = np.asarray(items, dtype=np.int64)
+        _check_items(rec, items)
+        users = u[rows] if u.ndim == 2 else np.broadcast_to(u, (items.size, rec.dim))
+        a = np.concatenate([users, rec.item_emb.data[items]], axis=1) @ w1 + b1
+        m = a > 0
+        return ((a * m) @ w2 + b2)[:, 0], m
+    a = u @ w1 + b1
+    m = a > 0
+    return ((a * m) @ w2 + b2) @ rec.item_emb.data.T, m
+
+
+def _pull_back(rec: RecParams, g, m):
+    """Gradient w.r.t. u from the gradient ``g`` w.r.t. an output of
+    :func:`user_forward` with relu masks ``m``.
+
+    Explicit: ``g`` (N,) w.r.t. the predictions gives (N, d), one row per
+    entry.  Implicit: ``g`` (..., d) w.r.t. the user tower's output gives
+    (..., d).  The model is piecewise linear in u, so this is exact.
+    """
+    w1, w2 = rec.w1.data, rec.w2.data
+    if rec.setting == EXPLICIT:
+        return (((g[:, None] @ w2.T) * m) @ w1.T)[:, :rec.dim]
+    return ((g @ w2.T) * m) @ w1.T
+
+
+def sketch_gradient(rec: RecParams, u, z, y, mask):
+    """Gradient of :func:`sketch_loss` w.r.t. the user embedding ``u``, in
+    closed form and without a graph.
+
+    ``u`` is one embedding (d,) or a stack (B, d), ``z``, ``y`` and
+    ``mask`` as in :func:`sketch_loss`, which makes the same checks with
+    the same errors; the result has the shape of ``u``.  Explicit: entry
+    (b, j) of the support of ``z`` adds 2 z_bj (p_bj - y_bj) dp_bj to row
+    b.  Implicit: row b is J_b^T E^T (sum(z_b) softmax(s_b) - z_b), with
+    J_b the Jacobian of the user tower and s_b the scores.
+    """
+    z = np.asarray(z.data if isinstance(z, Tensor) else z, dtype=np.float64)
+    mask = np.asarray(mask)
+    _check_sketch(z, mask, (rec.n_items,) if u.ndim == 1 else (u.shape[0], rec.n_items))
+    if rec.setting == EXPLICIT:
+        rows, items = np.nonzero(z.reshape(-1, rec.n_items))
+        preds, m = user_forward(rec, u, items, rows)
+        y = np.asarray(y, dtype=np.float64).reshape(-1, rec.n_items)[rows, items]
+        zw = z.reshape(-1, rec.n_items)[rows, items]
+        g = _pull_back(rec, 2.0 * (zw * (preds - y)), m)
+        # the graph's own reductions (broadcast_to sums the entries, gather
+        # scatters them), so the result is bit-identical to a backward
+        if u.ndim == 1:
+            return np.sum(g, axis=0)
+        out = np.zeros(u.shape)
+        np.add.at(out, rows, g)
+        return out
+    scores, m = user_forward(rec, u)
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    g = (np.sum(z, axis=-1) / np.sum(e, axis=-1))[..., None] * e - z
+    return _pull_back(rec, g @ rec.item_emb.data, m)
+
+
 def user_derivatives(theta: LocalParams, items, ratings):
     """Per-entry loss gradients w.r.t. one user embedding, and the Hessian
     of their sum, in closed form and without a graph.
@@ -172,7 +254,7 @@ def user_derivatives(theta: LocalParams, items, ratings):
     autodiff's double backward yields is exactly the Gauss-Newton form:
 
     * explicit: grad_j = 2 (p_j - r_j) dp_j and H = 2 sum_j dp_j dp_j^T,
-      with dp_j = W1[:d] (m_j * w2) and m_j the relu mask of entry j;
+      with dp_j the gradient of prediction j;
     * implicit: grad_j = J (E^T p - e_j) and
       H = n J (E^T diag(p) E - E^T p p^T E) J^T, with J = (W1 * m) W2
       the Jacobian of the tower output and p the softmax of the scores.
@@ -183,27 +265,31 @@ def user_derivatives(theta: LocalParams, items, ratings):
         raise ValueError(f"user_derivatives: one user embedding (d,), got {u.shape}")
     items = np.asarray(items, dtype=np.int64)
     _check_items(rec, items)
-    d, w1, b1, w2 = rec.dim, rec.w1.data, rec.b1.data, rec.w2.data
+    preds, m = user_forward(rec, u, items)
     if rec.setting == EXPLICIT:
-        x = np.concatenate([np.broadcast_to(u, (items.size, d)), rec.item_emb.data[items]],
-                           axis=1)
-        a = x @ w1 + b1
-        m = a > 0
-        preds = ((a * m) @ w2 + rec.b2.data)[:, 0]
-        dp = (m * w2[:, 0]) @ w1[:d].T
+        dp = _pull_back(rec, np.ones(items.size), m)
         grads = 2.0 * (preds - np.asarray(ratings, dtype=np.float64))[:, None] * dp
         return grads, 2.0 * dp.T @ dp
     emb = rec.item_emb.data
-    a = u @ w1 + b1
-    m = a > 0
-    scores = ((a * m) @ w2 + rec.b2.data) @ emb.T
-    p = np.exp(scores - scores.max())
+    p = np.exp(preds - preds.max())
     p /= p.sum()
-    jac = (w1 * m) @ w2
     mean_emb = p @ emb
-    grads = (mean_emb - emb[items]) @ jac.T
+    grads = _pull_back(rec, mean_emb - emb[items], m)
+    jac = (rec.w1.data * m) @ rec.w2.data
     cov = (emb.T * p) @ emb - np.outer(mean_emb, mean_emb)
     return grads, items.size * jac @ cov @ jac.T
+
+
+def _check_sketch(z, mask, expected):
+    """The checks of :func:`sketch_loss` on the weights and the mask."""
+    if z.shape != expected:
+        raise ValueError(f"sketch_loss: z has shape {z.shape}, expected {expected}")
+    if mask.shape != expected:
+        raise ValueError(f"sketch_loss: mask has shape {mask.shape}, expected {expected}")
+    if np.any(z < -1e-12):
+        raise ValueError("sketch_loss: negative sketch weights")
+    if np.any((z != 0) & (mask == 0)):
+        raise ValueError("sketch_loss: positive weight on a non-interacted item")
 
 
 def sketch_loss(z, y, mask, theta: LocalParams) -> Tensor:
@@ -219,15 +305,7 @@ def sketch_loss(z, y, mask, theta: LocalParams) -> Tensor:
     rec = theta.base
     mask = np.asarray(mask)
     z_data = z.data if isinstance(z, Tensor) else np.asarray(z, dtype=np.float64)
-    expected = _weight_shape(theta)
-    if z_data.shape != expected:
-        raise ValueError(f"sketch_loss: z has shape {z_data.shape}, expected {expected}")
-    if mask.shape != expected:
-        raise ValueError(f"sketch_loss: mask has shape {mask.shape}, expected {expected}")
-    if np.any(z_data < -1e-12):
-        raise ValueError("sketch_loss: negative sketch weights")
-    if np.any((z_data != 0) & (mask == 0)):
-        raise ValueError("sketch_loss: positive weight on a non-interacted item")
+    _check_sketch(z_data, mask, _weight_shape(theta))
     z = dc.as_tensor(z)
     # explicit predictions cost one forward per entry, so a constant z
     # predicts only its support; a graph z keeps every interacted item,

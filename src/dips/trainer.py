@@ -15,7 +15,10 @@ each of those users commits the selection its gradient was taken at.  Per
 time step, the policy phase draws from the generator in a fixed order: the
 current stack's dropout masks, then one uniform per head pick (row by row),
 then the replay stack's masks and picks (users in stack order, each queue
-oldest first).  The commits of a learned policy draw nothing.
+oldest first).  The commits of a learned policy draw nothing.  An
+adaptation that is not differentiated (evaluation, and the ``hardest`` and
+``influence`` commits) records no graph: ``inner_adapt(record=False)``
+steps along the closed-form :func:`recmodel.sketch_gradient`.
 """
 
 from __future__ import annotations
@@ -177,7 +180,10 @@ def inner_adapt(rec: RecParams, z, y, mask, alpha, n_steps, record=True) -> Loca
     ``z``, ``y`` and ``mask`` are one user's rows (M,) or a stack (B, M);
     a stack adapts B copies of the user embedding at once, each on its own
     row.  With ``record`` the gradient steps stay on the graph so the outer
-    loss can be meta-differentiated; item-side parameters are never touched.
+    loss can be meta-differentiated.  Without it no graph is built: every
+    step takes the closed-form :func:`recmodel.sketch_gradient`, which
+    checks ``z`` and ``mask`` as :func:`recmodel.sketch_loss` does.
+    Item-side parameters are never touched.
     """
     u = rec.user_emb
     shape = np.shape(z.data if isinstance(z, Tensor) else z)
@@ -186,12 +192,15 @@ def inner_adapt(rec: RecParams, z, y, mask, alpha, n_steps, record=True) -> Loca
     if n_steps == 0 or alpha == 0.0:
         return LocalParams(user=u, base=rec)
     if not record:
-        u = Tensor(u.data, requires_grad=True)
+        u = u.data
+        for _ in range(n_steps):
+            u = u - alpha * rm.sketch_gradient(rec, u, z, y, mask)
+        return LocalParams(user=Tensor(u), base=rec)
     for _ in range(n_steps):
         loss = rm.sketch_loss(z, y, mask, LocalParams(user=u, base=rec))
-        (g,) = dc.grad(loss, [u], create_graph=record, allow_unused=True)
-        u = u - alpha * g if record else Tensor(u.data - alpha * g.data, requires_grad=True)
-    return LocalParams(user=u if record else Tensor(u.data), base=rec)
+        (g,) = dc.grad(loss, [u], create_graph=True, allow_unused=True)
+        u = u - alpha * g
+    return LocalParams(user=u, base=rec)
 
 
 def theta_gradients(rec: RecParams, z, y, mask, next_item, next_rating, cfg):

@@ -298,6 +298,26 @@ def test_gradcheck_checks_the_closed_form_influence_hessian(monkeypatch):
     assert "FAIL influence_derivatives" in buf.getvalue()
 
 
+def test_gradcheck_checks_the_graph_free_sketch_gradient(monkeypatch):
+    orig = rm.sketch_gradient
+
+    def negated_on_a_stack(rec, u, *args):
+        g = orig(rec, u, *args)
+        return -g if np.ndim(u) == 2 else g
+
+    # only the sketch_gradient check adapts a stack
+    monkeypatch.setattr(rm, "sketch_gradient", negated_on_a_stack)
+    buf = io.StringIO()
+    assert cli.run_gradchecks(out=buf) == ["sketch_gradient"]
+    assert "FAIL sketch_gradient" in buf.getvalue()
+
+    # the two checks that finite-difference through the graph-free inner
+    # loop cross-check the kernel against the recorded graph
+    monkeypatch.setattr(rm, "sketch_gradient", lambda *a: -orig(*a))
+    assert cli.run_gradchecks(out=io.StringIO()) == [
+        "sketch_gradient", "meta_gradient_unrolled", "grad_wrt_sketch"]
+
+
 def test_gradcheck_exit_codes(monkeypatch):
     assert cli.main(["gradcheck"]) == cli.EXIT_OK
     orig = pol.topk_grad

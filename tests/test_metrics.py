@@ -177,6 +177,18 @@ def test_stacked_evaluate_equals_one_user_at_a_time(setting, policy, batch_size)
                                rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("policy", EVAL_POLICIES)
+@pytest.mark.parametrize("setting", ["explicit", "implicit"])
+def test_evaluate_builds_no_gradient(setting, policy, monkeypatch):
+    # adaptation, predictions and every policy's commit are graph-free
+    rec, phi, streams, cfg, anchors = stack_setup(setting, seed=3, policy=policy)
+    calls = []
+    orig = dc.grad
+    monkeypatch.setattr(dc, "grad", lambda *a, **kw: calls.append(1) or orig(*a, **kw))
+    res = met.evaluate(rec, phi, streams, cfg, return_records=True, anchors=anchors)
+    assert len(res.records) > 0 and calls == []
+
+
 def test_evaluate_order_invariant():
     for setting in ("explicit", "implicit"):
         for policy in EVAL_POLICIES:

@@ -62,6 +62,19 @@ def tiny_model(setting="explicit", n_items=8, seed=0):
                         rng=np.random.default_rng(seed))
 
 
+@pytest.mark.parametrize("setting", ["explicit", "implicit"])
+def test_entry_losses_equal_the_graph_losses(setting):
+    rec = tiny_model(setting, n_items=40, seed=8)
+    rng = np.random.default_rng(8)
+    items = rng.choice(40, size=6, replace=False)
+    entries = [SketchEntry(int(j), float(r), s)
+               for s, (j, r) in enumerate(zip(items, rng.uniform(1, 5, size=6)))]
+    theta = rm.LocalParams(user=Tensor(rng.normal(size=3)), base=rec)
+    want = np.array([rm.next_item_loss(theta, e.item, e.rating).item() for e in entries])
+    got = pol.entry_losses(entries, theta)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_hardest_under_capacity_keeps_all():
     rec = tiny_model()
     inter = IntermediateSketch(make_sketch([0], K=3, M=8), (SketchEntry(1, 2.0, 2),))

@@ -298,3 +298,55 @@ def test_constant_weights_give_the_full_mask_loss_and_gradient(setting, monkeypa
         assert predicted == [9, 18, 0, 6, 3, 6]
     else:
         assert predicted == []
+
+
+def kernel_problem(setting, n_items, seed):
+    """A stack of three users whose middle row weights nothing, with
+    non-integer weights on part of each mask, at a point whose relu
+    pre-activations stay clear of 0."""
+    rng = np.random.default_rng(seed)
+    rec = rm.RecParams(n_items=n_items, dim=4, hidden=6, setting=setting, rng=rng)
+    rec.b1.data[:] = 0.3
+    rec.b1.data[2] = -50.0                      # hidden unit 2 is dead
+    mask = np.zeros((3, n_items))
+    for row in mask:
+        row[rng.choice(n_items, size=min(7, n_items), replace=False)] = 1.0
+    y = mask * rng.uniform(1, 5, size=mask.shape) if setting == "explicit" else mask
+    z = mask * rng.uniform(0.5, 1.5, size=mask.shape) * (rng.random(mask.shape) < 0.7)
+    z[1] = 0.0
+    u0 = 0.5 * rng.normal(size=(3, 4))
+    rows, items = np.nonzero(mask)
+    x = u0 if setting == "implicit" else np.concatenate(
+        [u0[rows], rec.item_emb.data[items]], axis=1)
+    pre = x @ rec.w1.data + rec.b1.data
+    assert np.min(np.abs(pre)) > 1e-4 and np.all(pre[:, 2] < 0) and np.any(pre > 0)
+    return rec, z, y, mask, u0
+
+
+@pytest.mark.parametrize("n_items", [10, 500, 3706])
+@pytest.mark.parametrize("setting", ["explicit", "implicit"])
+def test_graph_free_kernel_matches_autodiff(setting, n_items):
+    # the closed-form forward and sketch gradient against the graph ops
+    # and a backward of sketch_loss, for the stack and for one user
+    rec, z, y, mask, u0 = kernel_problem(setting, n_items, seed=n_items)
+    items = np.array([3, 0, 7, 3])
+    rows = np.array([0, 2, 1, 1])
+    for uc, zc, yc, mc in ((u0, z, y, mask), (u0[0], z[0], y[0], mask[0])):
+        u = Tensor(uc.copy(), requires_grad=True)
+        theta = rm.LocalParams(user=u, base=rec)
+        if setting == "explicit":
+            out, m = rm.user_forward(rec, uc, items, rows if uc.ndim == 2 else None)
+            ref = rm.predict_explicit_many(theta, items, rows).data
+            assert m.shape == (4, rec.hidden)
+        else:
+            out, m = rm.user_forward(rec, uc)
+            ref = rm.predict_implicit(theta).data
+            assert m.shape == uc.shape[:-1] + (rec.hidden,)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+        got = rm.sketch_gradient(rec, uc, zc, yc, mc)
+        (want,) = grad(rm.sketch_loss(zc, yc, mc, theta), [u])
+        assert got.shape == uc.shape
+        assert np.max(np.abs(got - want.data)) <= 1e-12 * np.max(np.abs(want.data))
+        if uc.ndim == 2:
+            np.testing.assert_array_equal(got[1], 0.0)

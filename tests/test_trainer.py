@@ -1044,3 +1044,23 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
     tr.save_checkpoint(tmp_path / "bare", rec, phi, cfg)   # np.savez naming
     rec2, _, _ = tr.load_checkpoint(tmp_path / "bare.npz")
     np.testing.assert_array_equal(rec2.user_emb.data, rec.user_emb.data)
+
+
+@pytest.mark.parametrize("setting", ["explicit", "implicit"])
+def test_graph_free_inner_adapt_raises_what_sketch_loss_raises(setting):
+    rec = rm.RecParams(n_items=6, dim=3, hidden=4, setting=setting,
+                       rng=np.random.default_rng(7))
+    mask = np.zeros((2, 6))
+    mask[:, [1, 4]] = 1.0
+    z = mask.copy()
+    bad = [(z[:, :5], mask, "z has shape"),
+           (z, mask[0], "mask has shape"),
+           (z - 1.5 * mask, mask, "negative sketch weights"),
+           (z + np.eye(2, 6), mask, "non-interacted item")]
+    for zb, mb, message in bad:
+        theta = rm.LocalParams(user=dc.broadcast_to(rec.user_emb, (2, 3)), base=rec)
+        with pytest.raises(ValueError, match=message) as want:
+            rm.sketch_loss(zb, mask, mb, theta)
+        with pytest.raises(ValueError, match=message) as got:
+            tr.inner_adapt(rec, zb, mask, mb, 0.2, 2, record=False)
+        assert str(got.value) == str(want.value)
