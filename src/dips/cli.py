@@ -305,18 +305,20 @@ def _check_mlp_grads():
 
 
 def _meta_setup():
+    """One user as a one-row stack: sketch, ratings and mask (1, 5), and
+    its next item and rating (1,)."""
     rng = np.random.default_rng(1)
     rec = rm.RecParams(n_items=5, dim=3, hidden=4, setting="explicit", rng=rng)
     items = rng.choice(5, size=4, replace=False)
-    mask = np.zeros(5)
-    y = np.zeros(5)
-    mask[items] = 1
-    y[items] = rng.uniform(1, 5, size=4)
-    zhat = np.zeros(5)
-    zhat[items[:3]] = 1.0
+    mask = np.zeros((1, 5))
+    y = np.zeros((1, 5))
+    mask[0, items] = 1
+    y[0, items] = rng.uniform(1, 5, size=4)
+    zhat = np.zeros((1, 5))
+    zhat[0, items[:3]] = 1.0
     cfg = tr.TrainConfig(sketch_size=2, inner_steps=2, inner_lr=0.2,
                          dim=3, hidden=4, policy_hidden=8, stochastic_train=False)
-    return rec, zhat, y, mask, int(items[3]), float(y[items[3]]), cfg
+    return rec, zhat, y, mask, items[3:], y[0, items[3:]], cfg
 
 
 def _check_meta_gradient():
@@ -327,9 +329,8 @@ def _check_meta_gradient():
     grads, _ = tr.theta_gradients(rec, z, y, mask, nxt, r, cfg)
 
     def loss_value():
-        theta = tr.inner_adapt(rec, z, y, mask, cfg.inner_lr, cfg.inner_steps,
-                               record=False)
-        return rm.next_item_loss(theta, nxt, r).item()
+        u = tr.inner_adapt(rec, z, y, mask, cfg.inner_lr, cfg.inner_steps, record=False)
+        return rm.next_item_loss(rec, Tensor(u), nxt, r).item()
 
     worst = 0.0
     h = 1e-5
@@ -356,15 +357,14 @@ def _check_grad_wrt_sketch():
     rec, zhat, y, mask, nxt, r, cfg = _meta_setup()
     phi = pol.PolicyParams(rec.n_items, hidden=cfg.policy_hidden,
                            rng=np.random.default_rng(4))
-    _, v, z, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [], nxt, r, cfg)
+    _, v, z, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [[]], nxt, r, cfg)
 
     def loss_with(zv):
-        theta = tr.inner_adapt(rec, zv, y, mask, cfg.inner_lr, cfg.inner_steps,
-                               record=False)
-        return rm.next_item_loss(theta, nxt, r).item()
+        u = tr.inner_adapt(rec, zv, y, mask, cfg.inner_lr, cfg.inner_steps, record=False)
+        return rm.next_item_loss(rec, Tensor(u), nxt, r).item()
 
     worst = 0.0
-    for j in np.flatnonzero(mask):
+    for j in zip(*np.nonzero(mask)):
         zp, zm = z.copy(), z.copy()
         zp[j] += 1e-4
         zm[j] = max(zm[j] - 1e-4, 0.0)
@@ -398,7 +398,7 @@ def _check_topk_grad():
 def _check_sketch_gradient():
     # the closed-form gradient every graph-free inner step takes, against
     # central differences of sketch_loss, for a stack whose middle row
-    # weights nothing and for one user, at a point where no relu
+    # weights nothing and for its first row alone, at a point where no relu
     # pre-activation changes sign within the step
     h = 1e-5
     worst = 0.0
@@ -418,11 +418,11 @@ def _check_sketch_gradient():
             [u0[rows], rec.item_emb.data[items]], axis=1)
         if np.min(np.abs(x @ w1 + rec.b1.data)) <= h * np.abs(w1[:3]).sum(axis=0).max():
             return np.inf, 1e-5
-        for zc, yc, mc, uc in ((z, y, mask, u0), (z[0], y[0], mask[0], u0[0])):
+        for zc, yc, mc, uc in ((z, y, mask, u0), (z[:1], y[:1], mask[:1], u0[:1])):
             grad = rm.sketch_gradient(rec, uc, zc, yc, mc)
 
             def loss(u):
-                return rm.sketch_loss(zc, yc, mc, rm.LocalParams(user=Tensor(u), base=rec)).item()
+                return rm.sketch_loss(rec, Tensor(u), zc, yc, mc).item()
 
             for i in np.ndindex(uc.shape):
                 step = np.zeros(uc.shape)
@@ -452,11 +452,10 @@ def _check_influence_derivatives():
             return np.inf, 1e-5
 
         def derivatives(u):
-            return rm.user_derivatives(rm.LocalParams(user=Tensor(u), base=rec), items, ratings)
+            return rm.user_derivatives(rec, u, items, ratings)
 
         def losses(u):
-            theta = rm.LocalParams(user=Tensor(u), base=rec)
-            return np.array([rm.next_item_loss(theta, j, r).item()
+            return np.array([rm.next_item_loss(rec, Tensor(u[None]), [j], [r]).item()
                              for j, r in zip(items, ratings)])
 
         grads, hess = derivatives(u0)
@@ -505,13 +504,15 @@ def cmd_gradcheck():
 
 def cmd_diagnose(cfg):
     started = time.perf_counter()
+    tcfg = train_config(cfg)
     data, _ = load_data(cfg)
-    if cfg["synth.length"] > cfg["diagnose.max_len"]:
-        raise ConfigError(
-            f"diagnose: stream length {cfg['synth.length']} exceeds limit "
-            f"{cfg['diagnose.max_len']}")
-    tcfg = train_config(cfg, queue_size=cfg["train.queue_size"])
     stream = data.train[0]
+    # true_policy_grad rejects these instances too, but only after training
+    for what, size, key in (("stream length", len(stream.items), "diagnose.max_len"),
+                            ("catalog size", data.n_items, "diagnose.max_items")):
+        if size > cfg[key]:
+            raise ConfigError(f"diagnose: {what} {size} exceeds the replay limit "
+                              f"{key}={cfg[key]}")
     captured = {}
     res = tr.train(tcfg, ds.DatasetSplits([stream], [], [], data.n_items),
                    validate_each_epoch=False,

@@ -26,7 +26,9 @@ def true_policy_grad(rec, phi, stream, cfg, probe_t, max_len=50, max_items=100):
     collecting every post-warm-up intermediate indicator, then applies the
     shared two-term estimator with all of them (warm-up steps absorb their
     items unchanged, so their selection Jacobian is zero and they drop out
-    exactly).  Rejects instances beyond the configured replay limits.
+    exactly).  The estimator runs on the one-row stack of this user; ``v``
+    comes back as its row (M,).  Rejects instances beyond the configured
+    replay limits.
     """
     if len(stream.items) > max_len:
         raise ValueError(f"stream length {len(stream.items)} exceeds replay limit {max_len}")
@@ -45,9 +47,9 @@ def true_policy_grad(rec, phi, stream, cfg, probe_t, max_len=50, max_items=100):
             if not boundary:
                 raise ValueError(f"probe step {probe_t} is not a sketch-update boundary")
             grads, v, _, _ = tr.policy_gradient(
-                phi, rec, st.y, st.mask, inter.zhat, past, int(stream.items[t]),
-                float(stream.ratings[t]), replay_cfg, rng=rng)
-            return grads, v
+                phi, rec, st.y[None], st.mask[None], inter.zhat[None], [past],
+                stream.items[t:t + 1], stream.ratings[t:t + 1], replay_cfg, rng=rng)
+            return grads, v[0]
         if boundary and cfg.policy == "dips":
             past.append(inter.zhat)
         st.commit(inter, rec, phi, replay_cfg, rng)

@@ -6,11 +6,10 @@ The protocol runs time-major, as training does: at each step the users
 still streaming, up to ``batch_size`` at a time, form one stack, adapted
 and scored on the graph-free kernel of :mod:`recmodel` (no autodiff
 graph, no ``diffcore.grad``), and the learned policy selects for the
-users at a sketch boundary in one deterministic call.  A single user
-passes its row (M,), the one-row case of the same functions.  Each user
-draws from its own generator, seeded by (seed, user id), so a user's
-records do not depend on which users are evaluated with it, or in which
-order.
+users at a sketch boundary in one deterministic call; a single user
+still streaming is the stack B = 1.  Each user draws from its own
+generator, seeded by (seed, user id), so a user's records do not depend
+on which users are evaluated with it, or in which order.
 """
 
 from __future__ import annotations
@@ -34,14 +33,17 @@ def rmse(pairs):
 
 def rank_of(target, scores):
     """1-based rank of the target among all scores; ties rank pessimistically
-    (the target is placed after every equal score)."""
+    (the target is placed after every equal score).  A NaN score is an
+    error: it compares false with everything, so it would rank first."""
     scores = np.asarray(scores, dtype=np.float64)
     target = int(target)
     if not 0 <= target < scores.shape[0]:
         raise IndexError(f"target {target} out of range [0, {scores.shape[0]})")
-    s = scores[target]
-    others = np.delete(scores, target)
-    return int(np.sum(others >= s)) + 1
+    nan = np.isnan(scores)
+    if nan.any():
+        raise ValueError(f"rank_of: NaN score at item {int(np.argmax(nan))}")
+    # the target counts itself, so the count is the rank
+    return int(np.count_nonzero(scores >= scores[target]))
 
 
 def recall_at_k(ranks, k=20):
@@ -119,20 +121,20 @@ def evaluate(rec, phi, streams, cfg, k=20, exclude_history=False, seed=None,
         out = [[] for _ in batch]
         for t in range(1, max(len(s.items) for s in batch)):
             active = [i for i, s in enumerate(batch) if t < len(s.items)]
-            theta = tr.inner_adapt(rec, _stack([states[i].sketch.z for i in active]),
-                                   _stack([states[i].y for i in active]),
-                                   _stack([states[i].mask for i in active]),
-                                   cfg.inner_lr, cfg.inner_steps, record=False)
+            u = tr.inner_adapt(rec, np.stack([states[i].sketch.z for i in active]),
+                               np.stack([states[i].y for i in active]),
+                               np.stack([states[i].mask for i in active]),
+                               cfg.inner_lr, cfg.inner_steps, record=False)
             nxt = np.array([batch[i].items[t] for i in active], dtype=np.int64)
-            # explicit: one prediction per user; implicit: (M,) or (B, M) scores
-            preds, _ = rm.user_forward(rec, theta.user.data, nxt, np.arange(len(active)))
+            # explicit: one prediction per user; implicit: (B, M) scores
+            preds, _ = rm.user_forward(rec, u, nxt, np.arange(len(active)))
             for b, i in enumerate(active):
                 s = batch[i]
                 if cfg.setting == rm.EXPLICIT:
                     err = (preds[b] - float(s.ratings[t])) ** 2
                     out[i].append(EvalRecord(s.user, t, "sq_error", err))
                 else:
-                    row = np.atleast_2d(preds)[b]
+                    row = preds[b]
                     if exclude_history:
                         past = s.items[:t]
                         row = row.copy()
@@ -147,30 +149,17 @@ def evaluate(rec, phi, streams, cfg, k=20, exclude_history=False, seed=None,
             if at:
                 with dc.no_grad():
                     sel = tr.select_with_policy(
-                        phi, _stack([inters[b][0].zhat for b in at]),
-                        _stack([states[active[b]].y for b in at]), eval_cfg)
-                for b, row in zip(at, np.atleast_2d(sel.data)):
+                        phi, np.stack([inters[b][0].zhat for b in at]),
+                        np.stack([states[active[b]].y for b in at]), eval_cfg)
+                for b, row in zip(at, sel.data):
                     z[b] = row
             for b, (i, (inter, _)) in enumerate(zip(active, inters)):
-                states[i].commit(inter, rec, phi, eval_cfg, rngs[i], anchors,
-                                 theta=_user_row(theta, b), z=z[b])
+                states[i].commit(inter, rec, phi, eval_cfg, rngs[i], anchors, u=u[b], z=z[b])
         records += [r for recs in out for r in recs]
     aggregates = aggregate_records(records, cfg.setting, k)
     if return_records:
         return EvalResult(records=records, aggregates=aggregates)
     return aggregates
-
-
-def _stack(rows):
-    """The rows as one stack (B, M), or the one row (M,) when B = 1."""
-    return rows[0] if len(rows) == 1 else np.stack(rows)
-
-
-def _user_row(theta, b):
-    """Row ``b`` of an adapted stack, or the one adapted user itself."""
-    if theta.user.ndim == 1:
-        return theta
-    return rm.LocalParams(user=dc.Tensor(theta.user.data[b]), base=theta.base)
 
 
 def summary_table(rows):

@@ -354,36 +354,37 @@ def reservoir_update(sketch: Sketch, item, rating, step, rng) -> Sketch:
     return sketch
 
 
-def entry_losses(entries, theta: rm.LocalParams):
-    """Current-model pointwise loss for each entry, from the graph-free
-    forward :func:`recmodel.user_forward`."""
-    rec, u = theta.base, theta.user.data
+def entry_losses(rec: rm.RecParams, u, entries):
+    """Pointwise loss of each entry for one user embedding ``u`` (d,), from
+    the graph-free forward :func:`recmodel.user_forward`."""
     items = np.array([e.item for e in entries], dtype=np.int64)
-    preds, _ = rm.user_forward(rec, u, items)
+    preds, _ = rm.user_forward(rec, u[None], items, np.zeros(items.size, dtype=np.int64))
     if rec.setting == rm.EXPLICIT:
         targets = np.array([e.rating for e in entries])
         return (preds - targets) ** 2
+    preds = preds[0]
     m = preds.max()
     lse = float(np.log(np.sum(np.exp(preds - m))) + m)
     return np.array([lse - preds[e.item] for e in entries])
 
 
-def hardest_update(inter: IntermediateSketch, theta: rm.LocalParams) -> Sketch:
-    """Keep the K entries with the largest current loss; ties keep the most recent."""
+def hardest_update(rec: rm.RecParams, u, inter: IntermediateSketch) -> Sketch:
+    """Keep the K entries with the largest loss at the adapted user embedding
+    ``u`` (d,); ties keep the most recent."""
     entries = inter.all_entries()
     cap = inter.base.capacity
     if len(entries) <= cap:
         return Sketch(cap, inter.base.n_items, entries)
-    losses = entry_losses(entries, theta)
+    losses = entry_losses(rec, u, entries)
     order = sorted(range(len(entries)), key=lambda i: (-losses[i], -entries[i].step))
     kept = [entries[i].item for i in order[:cap]]
     return inter.keep(kept)
 
 
-def influence_scores(inter: IntermediateSketch, theta_star: rm.LocalParams,
-                     damping=1e-3):
+def influence_scores(rec: rm.RecParams, u, inter: IntermediateSketch, damping=1e-3):
     """Influence of upweighting each entry on the mean loss over the
-    intermediate sketch: I(j) = -grad_target . H^-1 . grad_j.
+    intermediate sketch: I(j) = -grad_target . H^-1 . grad_j, at the
+    adapted user embedding ``u`` (d,).
 
     The per-entry gradients grad_j and the Hessian H of the summed loss
     come in closed form from :func:`recmodel.user_derivatives`, with no
@@ -392,7 +393,7 @@ def influence_scores(inter: IntermediateSketch, theta_star: rm.LocalParams,
     entries = inter.all_entries()
     items = np.array([e.item for e in entries], dtype=np.int64)
     ratings = np.array([e.rating for e in entries], dtype=np.float64)
-    grads, hess = rm.user_derivatives(theta_star, items, ratings)
+    grads, hess = rm.user_derivatives(rec, u, items, ratings)
     hess = 0.5 * (hess + hess.T) + damping * np.eye(len(hess))
     g_target = np.mean(grads, axis=0)
     try:
@@ -404,14 +405,14 @@ def influence_scores(inter: IntermediateSketch, theta_star: rm.LocalParams,
     return -(grads @ x)
 
 
-def influence_update(inter: IntermediateSketch, theta_star: rm.LocalParams,
+def influence_update(rec: rm.RecParams, u, inter: IntermediateSketch,
                      damping=1e-3) -> Sketch:
     """Keep the K entries whose upweighting most reduces the sketch loss."""
     entries = inter.all_entries()
     cap = inter.base.capacity
     if len(entries) <= cap:
         return Sketch(cap, inter.base.n_items, entries)
-    scores = influence_scores(inter, theta_star, damping=damping)
+    scores = influence_scores(rec, u, inter, damping=damping)
     order = sorted(range(len(entries)), key=lambda i: (scores[i], -entries[i].step))
     kept = [entries[i].item for i in order[:cap]]
     return inter.keep(kept)

@@ -6,25 +6,23 @@ the concatenated user/item embeddings; implicit next-item scores come
 from dotting a user tower output with every item embedding so one pass
 yields all scores.
 
-The forward and the losses take one user embedding (d,) or a stack (B, d)
-of independent users in one graph.  Explicit predictions concatenate the
-items of every user, each with a segment index naming its user row;
-implicit scores form a (B, M) matrix.  Losses are summed over the stack,
-so one backward pass yields every user's gradient; a single embedding is
-the one-row case of the same code.
+Every user-side function takes ``(rec, u, ...)``: the recommender and a
+stack ``u`` (B, d) of independent user embeddings, one user being the
+stack B = 1.  Explicit predictions concatenate the items of every user,
+each with a segment index naming its user row; implicit scores form a
+(B, M) matrix.  Losses are summed over the stack, so one backward pass
+yields every user's gradient.
 
 The recommender is piecewise linear in the user embedding, so everything a
 path without a recorded graph needs w.r.t. u has a closed form: a numpy
 kernel (:func:`user_forward`, :func:`sketch_gradient`,
 :func:`user_derivatives`) gives the predictions, the sketch-loss gradient
-and the per-entry derivatives without a graph.  The graph functions serve
-the recorded paths, which differentiate w.r.t. the item side or the sketch
-weights.
+and the per-entry derivatives without a graph.  The graph functions, on a
+Tensor ``u``, serve the recorded paths, which differentiate w.r.t. the
+item side or the sketch weights.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,101 +83,73 @@ class RecParams:
             setattr(self, name, Tensor(new, requires_grad=True))
 
 
-@dataclass
-class LocalParams:
-    """Adapted user embedding (d,), or a stack (B, d), and the frozen item side."""
-
-    user: Tensor
-    base: RecParams
-
-
 def _check_items(rec, items):
-    items = np.atleast_1d(items)
     if items.size and (items.min() < 0 or items.max() >= rec.n_items):
         bad = items[(items < 0) | (items >= rec.n_items)][0]
         raise IndexError(f"item {bad} out of range [0, {rec.n_items})")
 
 
-def _weight_shape(theta):
-    """Shape of a weight row (M,) for one user embedding, (B, M) for a stack."""
-    rec = theta.base
-    return (rec.n_items,) if theta.user.ndim == 1 else (theta.user.shape[0], rec.n_items)
-
-
 def _entries(a: Tensor, rows, cols) -> Tensor:
-    """``a[rows, cols]`` of a matrix, or ``a[cols]`` of a vector, as one gather."""
-    if a.ndim == 1:
-        return dc.gather(a, cols)
+    """``a[rows, cols]`` of a matrix as one gather."""
     return dc.gather(dc.reshape(a, (a.data.size,)), rows * a.shape[1] + cols)
 
 
-def predict_explicit_many(theta: LocalParams, items, rows=None) -> Tensor:
-    """Predicted ratings g(items[n]; user rows[n]), shape (N,), in one pass.
-
-    ``theta.user`` is one embedding (d,), repeated for every item, or a
-    stack (B, d) whose row ``rows[n]`` goes with ``items[n]`` (the segment
-    index).
-    """
-    rec = theta.base
+def predict_explicit_many(rec: RecParams, u: Tensor, items, rows) -> Tensor:
+    """Predicted ratings g(items[n]; u[rows[n]]), shape (N,), in one pass:
+    row ``rows[n]`` of the stack ``u`` (B, d) goes with ``items[n]`` (the
+    segment index)."""
     items = np.asarray(items, dtype=np.int64)
     _check_items(rec, items)
-    if theta.user.ndim == 2:
-        users = dc.gather(theta.user, rows)
-    else:
-        users = dc.broadcast_to(theta.user, (items.size, rec.dim))
-    x = dc.concat([users, dc.gather(rec.item_emb, items)], axis=1)
+    x = dc.concat([dc.gather(u, rows), dc.gather(rec.item_emb, items)], axis=1)
     h = dc.relu(dc.matmul(x, rec.w1) + rec.b1)
     return dc.tsum(dc.matmul(h, rec.w2) + rec.b2, axis=1)
 
 
-def predict_implicit(theta: LocalParams) -> Tensor:
-    """Unnormalized scores over all items, (M,) for one user embedding and
-    (B, M) for a stack; softmax is applied by the loss."""
-    rec = theta.base
-    h = dc.relu(dc.matmul(theta.user, rec.w1) + rec.b1)
+def predict_implicit(rec: RecParams, u: Tensor) -> Tensor:
+    """Unnormalized scores (B, M) over all items for the stack ``u`` (B, d);
+    softmax is applied by the loss."""
+    h = dc.relu(dc.matmul(u, rec.w1) + rec.b1)
     t = dc.matmul(h, rec.w2) + rec.b2
     return dc.matmul(t, dc.transpose(rec.item_emb))
 
 
 def logsumexp(scores: Tensor) -> Tensor:
-    """Log-sum-exp over the last axis: a scalar for (M,), (B,) for (B, M)."""
+    """Log-sum-exp over the last axis: (B,) for (B, M)."""
     # shift by a detached max; subtracting a constant keeps gradients exact
     m = np.max(scores.data, axis=-1)
     return dc.log(dc.tsum(dc.exp(scores - m[..., None]), axis=-1)) + m
 
 
-def next_item_loss(theta: LocalParams, item, rating) -> Tensor:
+def next_item_loss(rec: RecParams, u: Tensor, items, ratings) -> Tensor:
     """Outer-objective loss on the next interaction, summed over users.
 
-    ``item`` and ``rating`` are scalars for one user embedding, or (B,)
-    arrays for a stack: squared rating error in the explicit setting,
-    cross-entropy over all M item scores in the implicit one.
+    ``items`` and ``ratings`` are (B,), one per row of ``u`` (B, d):
+    squared rating error in the explicit setting, cross-entropy over all M
+    item scores in the implicit one.
     """
-    rec = theta.base
-    if np.shape(item) != _weight_shape(theta)[:-1]:
-        raise ValueError(f"next_item_loss: next items of shape {np.shape(item)} "
-                         f"for user rows of shape {theta.user.shape}")
-    _check_items(rec, item)
-    items = np.atleast_1d(np.asarray(item, dtype=np.int64))
+    items = np.asarray(items, dtype=np.int64)
+    if items.shape != u.shape[:1]:
+        raise ValueError(f"next_item_loss: next items of shape {items.shape} "
+                         f"for user rows of shape {u.shape}")
+    _check_items(rec, items)
     rows = np.arange(items.size)
     if rec.setting == EXPLICIT:
-        d = predict_explicit_many(theta, items, rows) - Tensor(np.atleast_1d(rating))
+        d = predict_explicit_many(rec, u, items, rows) - Tensor(ratings)
         return dc.tsum(d * d)
-    scores = predict_implicit(theta)
+    scores = predict_implicit(rec, u)
     return dc.tsum(logsumexp(scores) - _entries(scores, rows, items))
 
 
 def user_forward(rec: RecParams, u, items=None, rows=None):
     """The recommender's forward at plain user embeddings, without a graph.
 
-    ``u`` is one embedding (d,) or a stack (B, d).  Returns ``(out, m)``:
+    ``u`` is a stack (B, d).  Returns ``(out, m)``:
 
-    * explicit: ``out`` (N,) predicts ``items[n]`` for ``u``, or for row
-      ``rows[n]`` of a stack (the segment index of
-      :func:`predict_explicit_many`), and ``m`` (N, H) holds the relu
-      masks of the entries;
-    * implicit: ``out`` holds the scores of all M items, (M,) or (B, M),
-      and ``m`` (H,) or (B, H) the relu masks of the user tower.
+    * explicit: ``out`` (N,) predicts ``items[n]`` for row ``rows[n]`` of
+      ``u`` (the segment index of :func:`predict_explicit_many`), and ``m``
+      (N, H) holds the relu masks of the entries;
+    * implicit: ``out`` (B, M) holds the scores of all M items and ``m``
+      (B, H) the relu masks of the user tower.
 
     The operations are those of the graph functions, in the same order.
     """
@@ -187,8 +157,7 @@ def user_forward(rec: RecParams, u, items=None, rows=None):
     if rec.setting == EXPLICIT:
         items = np.asarray(items, dtype=np.int64)
         _check_items(rec, items)
-        users = u[rows] if u.ndim == 2 else np.broadcast_to(u, (items.size, rec.dim))
-        a = np.concatenate([users, rec.item_emb.data[items]], axis=1) @ w1 + b1
+        a = np.concatenate([u[rows], rec.item_emb.data[items]], axis=1) @ w1 + b1
         m = a > 0
         return ((a * m) @ w2 + b2)[:, 0], m
     a = u @ w1 + b1
@@ -214,26 +183,23 @@ def sketch_gradient(rec: RecParams, u, z, y, mask):
     """Gradient of :func:`sketch_loss` w.r.t. the user embedding ``u``, in
     closed form and without a graph.
 
-    ``u`` is one embedding (d,) or a stack (B, d), ``z``, ``y`` and
-    ``mask`` as in :func:`sketch_loss`, which makes the same checks with
-    the same errors; the result has the shape of ``u``.  Explicit: entry
-    (b, j) of the support of ``z`` adds 2 z_bj (p_bj - y_bj) dp_bj to row
-    b.  Implicit: row b is J_b^T E^T (sum(z_b) softmax(s_b) - z_b), with
-    J_b the Jacobian of the user tower and s_b the scores.
+    ``u`` is a stack (B, d), ``z``, ``y`` and ``mask`` as in
+    :func:`sketch_loss`, which makes the same checks with the same errors;
+    the result is (B, d).  Explicit: entry (b, j) of the support of ``z``
+    adds 2 z_bj (p_bj - y_bj) dp_bj to row b.  Implicit: row b is
+    J_b^T E^T (sum(z_b) softmax(s_b) - z_b), with J_b the Jacobian of the
+    user tower and s_b the scores.
     """
     z = np.asarray(z.data if isinstance(z, Tensor) else z, dtype=np.float64)
     mask = np.asarray(mask)
-    _check_sketch(z, mask, (rec.n_items,) if u.ndim == 1 else (u.shape[0], rec.n_items))
+    _check_sketch(z, mask, (u.shape[0], rec.n_items))
     if rec.setting == EXPLICIT:
-        rows, items = np.nonzero(z.reshape(-1, rec.n_items))
+        rows, items = np.nonzero(z)
         preds, m = user_forward(rec, u, items, rows)
-        y = np.asarray(y, dtype=np.float64).reshape(-1, rec.n_items)[rows, items]
-        zw = z.reshape(-1, rec.n_items)[rows, items]
-        g = _pull_back(rec, 2.0 * (zw * (preds - y)), m)
-        # the graph's own reductions (broadcast_to sums the entries, gather
-        # scatters them), so the result is bit-identical to a backward
-        if u.ndim == 1:
-            return np.sum(g, axis=0)
+        y = np.asarray(y, dtype=np.float64)[rows, items]
+        g = _pull_back(rec, 2.0 * (z[rows, items] * (preds - y)), m)
+        # the graph's own reduction (gather scatters the entries), so the
+        # result is bit-identical to a backward
         out = np.zeros(u.shape)
         np.add.at(out, rows, g)
         return out
@@ -243,9 +209,9 @@ def sketch_gradient(rec: RecParams, u, z, y, mask):
     return _pull_back(rec, g @ rec.item_emb.data, m)
 
 
-def user_derivatives(theta: LocalParams, items, ratings):
-    """Per-entry loss gradients w.r.t. one user embedding, and the Hessian
-    of their sum, in closed form and without a graph.
+def user_derivatives(rec: RecParams, u, items, ratings):
+    """Per-entry loss gradients w.r.t. one user embedding ``u`` (d,), and
+    the Hessian of their sum, in closed form and without a graph.
 
     Entry j is ``(items[j], ratings[j])`` with the loss of
     :func:`next_item_loss`.  Returns ``grads`` (n, d), row j the gradient
@@ -259,18 +225,17 @@ def user_derivatives(theta: LocalParams, items, ratings):
       H = n J (E^T diag(p) E - E^T p p^T E) J^T, with J = (W1 * m) W2
       the Jacobian of the tower output and p the softmax of the scores.
     """
-    rec = theta.base
-    u = theta.user.data
-    if u.ndim != 1:
-        raise ValueError(f"user_derivatives: one user embedding (d,), got {u.shape}")
+    if np.ndim(u) != 1:
+        raise ValueError(f"user_derivatives: one user embedding (d,), got {np.shape(u)}")
     items = np.asarray(items, dtype=np.int64)
     _check_items(rec, items)
-    preds, m = user_forward(rec, u, items)
+    preds, m = user_forward(rec, u[None], items, np.zeros(items.size, dtype=np.int64))
     if rec.setting == EXPLICIT:
         dp = _pull_back(rec, np.ones(items.size), m)
         grads = 2.0 * (preds - np.asarray(ratings, dtype=np.float64))[:, None] * dp
         return grads, 2.0 * dp.T @ dp
     emb = rec.item_emb.data
+    preds, m = preds[0], m[0]
     p = np.exp(preds - preds.max())
     p /= p.sum()
     mean_emb = p @ emb
@@ -292,34 +257,29 @@ def _check_sketch(z, mask, expected):
         raise ValueError("sketch_loss: positive weight on a non-interacted item")
 
 
-def sketch_loss(z, y, mask, theta: LocalParams) -> Tensor:
+def sketch_loss(rec: RecParams, u: Tensor, z, y, mask) -> Tensor:
     """Weighted per-item loss sum over interacted items, summed over users.
 
-    ``z`` is a weight vector (M,) for one user embedding, or a stack (B, M)
-    with one row per row of ``theta.user``; it may be an array or a tensor.
-    ``y`` is the rating vector (or stack) and ``mask`` the binary
-    interaction mask.  Weights must vanish outside the mask; entries of
+    ``z`` (B, M) holds one weight row per row of ``u`` (B, d); it may be an
+    array or a tensor.  ``y`` holds the rating rows and ``mask`` the binary
+    interaction rows.  Weights must vanish outside the mask; entries of
     ``y`` outside the mask are never read.  In the explicit setting a
     constant ``z`` (not a graph tensor) predicts only the items it weights.
     """
-    rec = theta.base
     mask = np.asarray(mask)
     z_data = z.data if isinstance(z, Tensor) else np.asarray(z, dtype=np.float64)
-    _check_sketch(z_data, mask, _weight_shape(theta))
+    _check_sketch(z_data, mask, (u.shape[0], rec.n_items))
     z = dc.as_tensor(z)
     # explicit predictions cost one forward per entry, so a constant z
     # predicts only its support; a graph z keeps every interacted item,
     # where its own gradient (the loss of the entry) is wanted
     support = z_data if rec.setting == EXPLICIT and not z.requires_grad else mask
-    rows, items = np.nonzero(support.reshape(-1, rec.n_items))
+    rows, items = np.nonzero(support)
     zw = _entries(z, rows, items)
     if rec.setting == EXPLICIT:
-        preds = predict_explicit_many(theta, items, rows)
-        y = np.asarray(y, dtype=np.float64).reshape(-1, rec.n_items)
-        d = preds - Tensor(y[rows, items])
+        preds = predict_explicit_many(rec, u, items, rows)
+        d = preds - Tensor(np.asarray(y, dtype=np.float64)[rows, items])
         return dc.tsum(zw * d * d)
-    scores = predict_implicit(theta)
-    lse = logsumexp(scores)
-    if lse.ndim:
-        lse = dc.gather(lse, rows)
+    scores = predict_implicit(rec, u)
+    lse = dc.gather(logsumexp(scores), rows)
     return dc.tsum(zw * (lse - _entries(scores, rows, items)))

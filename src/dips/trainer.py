@@ -7,18 +7,21 @@ loss, and backpropagates through the unrolled inner steps to update the
 global model.  The users of a mini-batch are independent inner problems
 that share one initialisation, so each time step builds one graph for
 all users still streaming: their user embeddings are stacked (B, d) and
-their losses summed.  The sketching policy is updated with a two-term
-gradient: a straight-through term for the current selection plus a replay
-term over each user's queue of stored intermediate sketch indicators.  It
-too is one graph per time step, over the users at a sketch boundary, and
-each of those users commits the selection its gradient was taken at.  Per
+their losses summed.  Every user-side function takes such stacks, rows
+(B, M) and embeddings (B, d); one user is the stack B = 1.  The sketching
+policy is updated with a two-term gradient: a straight-through term for
+the current selection plus a replay term over each user's queue of stored
+intermediate sketch indicators.  It too is one graph per time step, over
+the users at a sketch boundary, and each of those users commits the
+selection its gradient was taken at.  Per
 time step, the policy phase draws from the generator in a fixed order: the
 current stack's dropout masks, then one uniform per head pick (row by row),
 then the replay stack's masks and picks (users in stack order, each queue
 oldest first).  The commits of a learned policy draw nothing.  An
 adaptation that is not differentiated (evaluation, and the ``hardest`` and
 ``influence`` commits) records no graph: ``inner_adapt(record=False)``
-steps along the closed-form :func:`recmodel.sketch_gradient`.
+steps along the closed-form :func:`recmodel.sketch_gradient` and returns
+the adapted stack as an ndarray.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from . import diffcore as dc
 from . import policies as pol
 from . import recmodel as rm
 from .diffcore import Tensor
-from .recmodel import LocalParams, RecParams
+from .recmodel import RecParams
 from .policies import IntermediateSketch, PolicyParams, Sketch, SketchEntry
 
 POLICIES = ("random", "hardest", "influence", "dips", "dips1", "oracle")
@@ -89,10 +92,6 @@ class TrainConfig:
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.queue_size < 0:
             raise ValueError("queue_size must be >= 0")
-
-    @property
-    def loss_kind(self):
-        return "mse" if self.setting == rm.EXPLICIT else "cce"
 
 
 class SketchQueue:
@@ -174,45 +173,43 @@ class Adam:
             p.data -= s1
 
 
-def inner_adapt(rec: RecParams, z, y, mask, alpha, n_steps, record=True) -> LocalParams:
-    """Adapt the user embedding on the weighted sketch loss.
+def inner_adapt(rec: RecParams, z, y, mask, alpha, n_steps, record=True):
+    """Adapt B copies of the user embedding on the weighted sketch loss,
+    copy b on row b of ``z``, ``y`` and ``mask`` (B, M).
 
-    ``z``, ``y`` and ``mask`` are one user's rows (M,) or a stack (B, M);
-    a stack adapts B copies of the user embedding at once, each on its own
-    row.  With ``record`` the gradient steps stay on the graph so the outer
-    loss can be meta-differentiated.  Without it no graph is built: every
-    step takes the closed-form :func:`recmodel.sketch_gradient`, which
-    checks ``z`` and ``mask`` as :func:`recmodel.sketch_loss` does.
-    Item-side parameters are never touched.
+    Returns the adapted stack (B, d).  With ``record`` it is a Tensor whose
+    gradient steps stay on the graph, so the outer loss can be
+    meta-differentiated.  Without it, it is an ndarray and no graph is
+    built: every step takes the closed-form
+    :func:`recmodel.sketch_gradient`, which checks ``z`` and ``mask`` as
+    :func:`recmodel.sketch_loss` does.  Item-side parameters are never
+    touched.
     """
-    u = rec.user_emb
-    shape = np.shape(z.data if isinstance(z, Tensor) else z)
-    if len(shape) == 2:
-        u = dc.broadcast_to(u, (shape[0], rec.dim))
+    n_users = len(z.data if isinstance(z, Tensor) else z)
+    u = dc.broadcast_to(rec.user_emb, (n_users, rec.dim))
     if n_steps == 0 or alpha == 0.0:
-        return LocalParams(user=u, base=rec)
+        return u if record else u.data
     if not record:
         u = u.data
         for _ in range(n_steps):
             u = u - alpha * rm.sketch_gradient(rec, u, z, y, mask)
-        return LocalParams(user=Tensor(u), base=rec)
+        return u
     for _ in range(n_steps):
-        loss = rm.sketch_loss(z, y, mask, LocalParams(user=u, base=rec))
+        loss = rm.sketch_loss(rec, u, z, y, mask)
         (g,) = dc.grad(loss, [u], create_graph=True, allow_unused=True)
         u = u - alpha * g
-    return LocalParams(user=u, base=rec)
+    return u
 
 
 def theta_gradients(rec: RecParams, z, y, mask, next_item, next_rating, cfg):
     """Meta-gradient of the next-interaction loss w.r.t. the global parameters.
 
-    One user's ``z``, ``y``, ``mask`` (M,) with a scalar next item and
-    rating, or a stack (B, M) with (B,) next items and ratings: one graph
-    for all B users.  Returns the gradients and the loss, both summed over
-    the users.
+    ``z``, ``y`` and ``mask`` are (B, M), the next items and ratings (B,):
+    one graph for all B users.  Returns the gradients and the loss, both
+    summed over the users.
     """
-    theta_star = inner_adapt(rec, z, y, mask, cfg.inner_lr, cfg.inner_steps)
-    loss = rm.next_item_loss(theta_star, next_item, next_rating)
+    u = inner_adapt(rec, z, y, mask, cfg.inner_lr, cfg.inner_steps)
+    loss = rm.next_item_loss(rec, u, next_item, next_rating)
     grads = dc.grad(loss, rec.all_params())
     return [g.data for g in grads], loss.item()
 
@@ -248,12 +245,10 @@ def policy_gradient(phi: PolicyParams, rec: RecParams, y, mask, zhat_t, past_zha
                     next_item, next_rating, cfg, rng=None):
     """Two-term approximate policy gradient; returns (grads, v, z, loss).
 
-    One user passes ``y``, ``mask`` and ``zhat_t`` of shape (M,), its queue
-    ``past_zhats`` as a list of stored indicator rows, and a scalar next
-    item and rating.  A stack of B users passes them as (B, M), one queue
-    per user in ``past_zhats``, and (B,) next items and ratings; the
-    gradients and the loss are summed over the users, and ``v`` and the
-    selection ``z`` have the shape of ``zhat_t`` (row b is user b's).
+    B users pass ``y``, ``mask`` and ``zhat_t`` as (B, M), their queues
+    ``past_zhats`` as a list of B lists of stored indicator rows, and (B,)
+    next items and ratings.  The gradients and the loss are summed over
+    the users; ``v`` and the selection ``z`` are (B, M), row b user b's.
 
     v is the gradient of the next-interaction loss w.r.t. the sketch
     weights, taken through the inner loop with the selection ``z`` from
@@ -266,22 +261,21 @@ def policy_gradient(phi: PolicyParams, rec: RecParams, y, mask, zhat_t, past_zha
     :func:`select_with_policy`, so ``cfg`` decides mode and dropout, and
     ``rng`` is drawn for the current stack first, then for the replay.
     """
-    queues = past_zhats if np.ndim(zhat_t) == 2 else [past_zhats]
-    n_users = len(np.atleast_2d(zhat_t))
-    if len(queues) != n_users:
-        raise ValueError(f"policy_gradient: {len(queues)} queues for {n_users} users")
+    n_users = len(zhat_t)
+    if len(past_zhats) != n_users:
+        raise ValueError(f"policy_gradient: {len(past_zhats)} queues for {n_users} users")
     z_t = select_with_policy(phi, zhat_t, y, cfg, rng)
     z_probe = Tensor(z_t.data, requires_grad=True)
-    theta_star = inner_adapt(rec, z_probe, y, mask, cfg.inner_lr, cfg.inner_steps)
-    loss = rm.next_item_loss(theta_star, next_item, next_rating)
+    u = inner_adapt(rec, z_probe, y, mask, cfg.inner_lr, cfg.inner_steps)
+    loss = rm.next_item_loss(rec, u, next_item, next_rating)
     (v,) = dc.grad(loss, [z_probe])
     objective = dc.tsum(dc.mul(z_t, v))
 
-    past = [z for queue in queues for z in queue]
+    past = [z for queue in past_zhats for z in queue]
     if past:
-        owner = np.repeat(np.arange(n_users), [len(q) for q in queues])
-        z_past = select_with_policy(phi, np.stack(past), np.atleast_2d(y)[owner], cfg, rng)
-        objective = objective + dc.tsum(dc.mul(z_past, Tensor(np.atleast_2d(v.data)[owner])))
+        owner = np.repeat(np.arange(n_users), [len(q) for q in past_zhats])
+        z_past = select_with_policy(phi, np.stack(past), y[owner], cfg, rng)
+        objective = objective + dc.tsum(dc.mul(z_past, Tensor(v.data[owner])))
     grads = dc.grad(objective, phi.params())
     return [g.data for g in grads], v.data, z_t.data, loss.item()
 
@@ -314,12 +308,12 @@ class _UserState:
         inter = IntermediateSketch(self.sketch, tuple(self.pending))
         return inter, t > cfg.sketch_size and len(self.pending) == cfg.tau
 
-    def commit(self, inter, rec, phi, cfg, rng, anchors=None, theta=None, z=None):
+    def commit(self, inter, rec, phi, cfg, rng, anchors=None, u=None, z=None):
         """Absorb while the intermediate sketch fits, else apply the policy
         once tau items are pending; returns "absorbed", "updated" or None.
 
         A caller that already holds this user's embedding adapted on the
-        current sketch passes it as ``theta`` (``hardest``/``influence``),
+        current sketch passes it as ``u`` (d,) (``hardest``/``influence``),
         or the indicator the learned policy selected from ``inter.zhat`` as
         ``z``: training passes the row of its policy gradient's selection,
         evaluation the row of its stacked selection.  By default the update
@@ -330,7 +324,7 @@ class _UserState:
             self.sketch = Sketch(cfg.sketch_size, inter.base.n_items, inter.all_entries())
             outcome = "absorbed"
         elif len(self.pending) == cfg.tau:
-            self.sketch = _update_sketch(self, inter, rec, phi, cfg, rng, anchors, theta, z)
+            self.sketch = _update_sketch(self, inter, rec, phi, cfg, rng, anchors, u, z)
             outcome = "updated"
         else:
             return None
@@ -339,8 +333,8 @@ class _UserState:
 
 
 def _update_sketch(state: _UserState, inter, rec, phi, cfg, rng, oracle_anchors=None,
-                   theta=None, z=None):
-    """The sketch the configured policy keeps from ``inter``; ``theta`` and
+                   u=None, z=None):
+    """The sketch the configured policy keeps from ``inter``; ``u`` and
     ``z`` are as in :meth:`_UserState.commit`."""
     if cfg.policy == "random":
         sk = inter.base
@@ -348,12 +342,12 @@ def _update_sketch(state: _UserState, inter, rec, phi, cfg, rng, oracle_anchors=
             sk = pol.reservoir_update(sk, e.item, e.rating, e.step, rng)
         return sk
     if cfg.policy in ("hardest", "influence"):
-        if theta is None:
-            theta = inner_adapt(rec, inter.base.z, state.y, state.mask,
-                                cfg.inner_lr, cfg.inner_steps, record=False)
+        if u is None:
+            u = inner_adapt(rec, inter.base.z[None], state.y[None], state.mask[None],
+                            cfg.inner_lr, cfg.inner_steps, record=False)[0]
         if cfg.policy == "hardest":
-            return pol.hardest_update(inter, theta)
-        return pol.influence_update(inter, theta, damping=cfg.influence_damping)
+            return pol.hardest_update(rec, u, inter)
+        return pol.influence_update(rec, u, inter, damping=cfg.influence_damping)
     if cfg.policy == "oracle":
         anchors = oracle_anchors.get(state.stream.user, set()) if oracle_anchors else set()
         entries = inter.all_entries()

@@ -303,9 +303,9 @@ def test_gradcheck_checks_the_graph_free_sketch_gradient(monkeypatch):
 
     def negated_on_a_stack(rec, u, *args):
         g = orig(rec, u, *args)
-        return -g if np.ndim(u) == 2 else g
+        return -g if len(u) > 1 else g
 
-    # only the sketch_gradient check adapts a stack
+    # only the sketch_gradient check adapts a stack of more than one user
     monkeypatch.setattr(rm, "sketch_gradient", negated_on_a_stack)
     buf = io.StringIO()
     assert cli.run_gradchecks(out=buf) == ["sketch_gradient"]
@@ -348,6 +348,42 @@ def test_diagnose_respects_instance_limits(tmp_path):
     code = cli.main(["diagnose"] + tiny_overrides(
         out, "synth.length=20", "diagnose.max_len=10"))
     assert code == cli.EXIT_CONFIG
+
+
+def no_training(*args, **kwargs):
+    raise AssertionError("diagnose trained before checking the replay limits")
+
+
+@pytest.mark.parametrize("extra, message", [
+    (("synth.length=20", "diagnose.max_len=10"),
+     "stream length 20 exceeds the replay limit diagnose.max_len=10"),
+    (("synth.n_items=150",), "catalog size 150 exceeds the replay limit diagnose.max_items=100"),
+])
+def test_diagnose_checks_the_replay_limits_before_training(tmp_path, monkeypatch, capsys,
+                                                           extra, message):
+    out = tmp_path / "diag"
+    monkeypatch.setattr(tr, "train", no_training)
+    code = cli.main(["diagnose"] + tiny_overrides(out, *extra))
+    assert code == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (out / "diagnose.jsonl").exists() and not (out / "manifest.json").exists()
+
+
+def test_diagnose_checks_the_replayed_stream_of_a_file_backed_dataset(tmp_path, monkeypatch):
+    # every user of the file streams 12 items; synth.length plays no part
+    rows = ["user,item,rating,timestamp"] + [
+        f"{u},{i},{1 + (u + i) % 5}.0,{i}" for u in range(5) for i in range(12)]
+    path = tmp_path / "ratings.csv"
+    path.write_text("\n".join(rows) + "\n")
+    data = ["data.kind=csv", f"data.path={path}", "data.min_ratings=1"]
+    out = tmp_path / "diag"
+    assert cli.main(["diagnose"] + tiny_overrides(out, *data, "synth.length=60")) == cli.EXIT_OK
+    assert (out / "diagnose.jsonl").exists()
+    monkeypatch.setattr(tr, "train", no_training)
+    out = tmp_path / "diag-limited"
+    code = cli.main(["diagnose"] + tiny_overrides(out, *data, "diagnose.max_len=11"))
+    assert code == cli.EXIT_CONFIG
+    assert not out.exists() or not any(out.iterdir())
 
 
 # --------------------------------------------------------------- dump-trace

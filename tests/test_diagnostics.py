@@ -119,8 +119,8 @@ def test_first_boundary_replay_equals_first_term_only():
     zhat = st.sketch.z
     zhat[int(stream.items[probe - 1])] += 1.0
     first_only, _, _, _ = tr.policy_gradient(
-        res.phi, res.rec, st.y, st.mask, zhat, [], int(stream.items[probe]),
-        float(stream.ratings[probe]), cfg)
+        res.phi, res.rec, st.y[None], st.mask[None], zhat[None], [[]],
+        stream.items[probe:probe + 1], stream.ratings[probe:probe + 1], cfg)
     for a, b in zip(first_only, true_g):
         np.testing.assert_allclose(a, b, atol=1e-12)
 

@@ -48,6 +48,15 @@ def test_rank_of_out_of_range():
         met.rank_of(5, np.zeros(5))
 
 
+def test_rank_of_rejects_a_nan_score():
+    # a NaN compares false with every score, so a NaN target would rank
+    # first and a NaN competitor would never outrank the target
+    with pytest.raises(ValueError, match="NaN score at item 1"):
+        met.rank_of(1, [0.5, np.nan, 2.0, 0.1])
+    with pytest.raises(ValueError, match="NaN score at item 2"):
+        met.rank_of(0, [0.5, 0.4, np.nan])
+
+
 def test_recall_and_mrr_analytic():
     assert met.recall_at_k([1, 1, 1]) == 1.0
     assert met.recall_at_k([21], k=20) == 0.0
@@ -62,9 +71,10 @@ def test_recall_and_mrr_analytic():
 # -------------------------------------------------------------- properties
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(-100, 100), min_size=2, max_size=40),
+@given(st.lists(st.floats(-100, 100) | st.just(-np.inf), min_size=2, max_size=40),
        st.integers(0, 39))
 def test_rank_of_counting_oracle(scores, target):
+    # -inf is a masked item (exclude_history)
     target = target % len(scores)
     scores = np.asarray(scores)
     got = met.rank_of(target, scores)
@@ -210,16 +220,16 @@ def per_user_reference(rec, phi, stream, cfg, exclude_history, anchors):
     st = tr._UserState(stream, rec.n_items, eval_cfg)
     records = []
     for t in range(1, len(stream.items)):
-        theta = tr.inner_adapt(rec, st.sketch.z, st.y, st.mask,
-                               cfg.inner_lr, cfg.inner_steps, record=False)
+        u = dc.Tensor(tr.inner_adapt(rec, st.sketch.z[None], st.y[None], st.mask[None],
+                                     cfg.inner_lr, cfg.inner_steps, record=False))
         nxt = int(stream.items[t])
         with dc.no_grad():
             if cfg.setting == rm.EXPLICIT:
-                pred = rm.predict_explicit_many(theta, [nxt]).data[0]
+                pred = rm.predict_explicit_many(rec, u, [nxt], [0]).data[0]
                 err = (pred - float(stream.ratings[t])) ** 2
                 records.append(met.EvalRecord(stream.user, t, "sq_error", err))
             else:
-                scores = rm.predict_implicit(theta).data.copy()
+                scores = rm.predict_implicit(rec, u).data[0].copy()
                 if exclude_history:
                     past = stream.items[:t]
                     scores[past[past != nxt]] = -np.inf

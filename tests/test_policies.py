@@ -62,6 +62,11 @@ def tiny_model(setting="explicit", n_items=8, seed=0):
                         rng=np.random.default_rng(seed))
 
 
+def entry_loss(rec, u, e):
+    """The graph loss of one entry at ``u`` (d,), a Tensor or an array."""
+    return rm.next_item_loss(rec, dc.reshape(u, (1, rec.dim)), [e.item], [e.rating])
+
+
 @pytest.mark.parametrize("setting", ["explicit", "implicit"])
 def test_entry_losses_equal_the_graph_losses(setting):
     rec = tiny_model(setting, n_items=40, seed=8)
@@ -69,16 +74,16 @@ def test_entry_losses_equal_the_graph_losses(setting):
     items = rng.choice(40, size=6, replace=False)
     entries = [SketchEntry(int(j), float(r), s)
                for s, (j, r) in enumerate(zip(items, rng.uniform(1, 5, size=6)))]
-    theta = rm.LocalParams(user=Tensor(rng.normal(size=3)), base=rec)
-    want = np.array([rm.next_item_loss(theta, e.item, e.rating).item() for e in entries])
-    got = pol.entry_losses(entries, theta)
+    u = rng.normal(size=3)
+    want = np.array([entry_loss(rec, u, e).item() for e in entries])
+    got = pol.entry_losses(rec, u, entries)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_hardest_under_capacity_keeps_all():
     rec = tiny_model()
     inter = IntermediateSketch(make_sketch([0], K=3, M=8), (SketchEntry(1, 2.0, 2),))
-    out = pol.hardest_update(inter, rm.LocalParams(user=rec.user_emb, base=rec))
+    out = pol.hardest_update(rec, rec.user_emb.data, inter)
     assert sorted(out.items().tolist()) == [0, 1]
 
 
@@ -92,7 +97,7 @@ def test_hardest_keeps_largest_losses():
         make_sketch([3, 4], K=2, M=8, ratings=ratings[:2], steps=[1, 2]),
         (SketchEntry(5, ratings[2], 3),),
     )
-    out = pol.hardest_update(inter, rm.LocalParams(user=rec.user_emb, base=rec))
+    out = pol.hardest_update(rec, rec.user_emb.data, inter)
     assert sorted(out.items().tolist()) == [3, 5]
 
 
@@ -104,7 +109,7 @@ def test_hardest_ties_keep_most_recent():
         make_sketch([0, 1], K=2, M=8, ratings=[1.0, 1.0], steps=[1, 2]),
         (SketchEntry(2, 1.0, 3),),
     )
-    out = pol.hardest_update(inter, rm.LocalParams(user=rec.user_emb, base=rec))
+    out = pol.hardest_update(rec, rec.user_emb.data, inter)
     assert sorted(out.items().tolist()) == [1, 2]
 
 
@@ -114,12 +119,10 @@ def test_influence_single_entry_analytic():
     # with one entry, target = its own loss, so I = -g . (H + lam I)^-1 . g
     rec = tiny_model(seed=3)
     inter = IntermediateSketch(make_sketch([2], K=1, M=8, ratings=[4.0]), ())
-    theta = rm.LocalParams(user=rec.user_emb, base=rec)
-    scores = pol.influence_scores(inter, theta, damping=1e-3)
+    scores = pol.influence_scores(rec, rec.user_emb.data, inter, damping=1e-3)
 
     u = Tensor(rec.user_emb.data.copy(), requires_grad=True)
-    th = rm.LocalParams(user=u, base=rec)
-    loss = rm.next_item_loss(th, 2, 4.0)
+    loss = entry_loss(rec, u, inter.all_entries()[0])
     (g,) = grad(loss, [u], create_graph=True)
     d = rec.dim
     H = np.zeros((d, d))
@@ -142,14 +145,11 @@ def test_influence_scores_match_a_d_pass_hessian_reference(setting):
     inter = IntermediateSketch(Sketch(4, 10, tuple(entries[:4])), (entries[4],))
     u0 = 0.5 * rng.normal(size=4)
     damping = 1e-3
-    scores = pol.influence_scores(inter, rm.LocalParams(user=Tensor(u0), base=rec),
-                                  damping=damping)
+    scores = pol.influence_scores(rec, u0, inter, damping=damping)
 
     # one backward pass per entry, one more per Hessian row
     u = Tensor(u0.copy(), requires_grad=True)
-    theta = rm.LocalParams(user=u, base=rec)
-    grads = [grad(rm.next_item_loss(theta, e.item, e.rating), [u], create_graph=True)[0]
-             for e in entries]
+    grads = [grad(entry_loss(rec, u, e), [u], create_graph=True)[0] for e in entries]
     total = grads[0]
     for g in grads[1:]:
         total = total + g
@@ -169,9 +169,9 @@ def test_influence_builds_no_graph(setting, monkeypatch):
     rec = tiny_model(setting, seed=5)
     inter = IntermediateSketch(make_sketch([1, 4], K=2, M=8, ratings=[2.0, 4.0]),
                                (SketchEntry(6, 3.0, 3),))
-    theta = rm.LocalParams(user=rec.user_emb, base=rec)
-    assert np.all(np.isfinite(pol.influence_scores(inter, theta)))
-    assert len(pol.influence_update(inter, theta)) == 2
+    u = rec.user_emb.data
+    assert np.all(np.isfinite(pol.influence_scores(rec, u, inter)))
+    assert len(pol.influence_update(rec, u, inter)) == 2
 
 
 def test_influence_equal_gradients_equal_scores():
@@ -180,8 +180,7 @@ def test_influence_equal_gradients_equal_scores():
     inter = IntermediateSketch(
         make_sketch([2, 5], K=2, M=8, ratings=[3.0, 3.0]), (SketchEntry(1, 1.0, 3),)
     )
-    theta = rm.LocalParams(user=rec.user_emb, base=rec)
-    scores = pol.influence_scores(inter, theta)
+    scores = pol.influence_scores(rec, rec.user_emb.data, inter)
     assert scores[0] == pytest.approx(scores[1], rel=1e-10)
 
 
@@ -236,8 +235,7 @@ def test_influence_matches_affine_closed_form():
     u = np.array([0.25, 0.1])
     _check_affine_margins(rec, u, [e.item for e in entries])
     damping = 1e-8
-    scores = pol.influence_scores(
-        inter, rm.LocalParams(user=Tensor(u), base=rec), damping=damping)
+    scores = pol.influence_scores(rec, u, inter, damping=damping)
 
     resid = A @ u + C - ratings
     grads = 2.0 * resid[:, None] * A          # per-entry d(resid^2)/du
@@ -255,8 +253,7 @@ def test_influence_vanishes_at_refit_optimum():
     inter = IntermediateSketch(Sketch(5, rec.n_items, tuple(entries[:4])), (entries[4],))
     u_star, *_ = np.linalg.lstsq(A, ratings - C, rcond=None)
     _check_affine_margins(rec, u_star, [e.item for e in entries])
-    scores = pol.influence_scores(
-        inter, rm.LocalParams(user=Tensor(u_star), base=rec), damping=1e-8)
+    scores = pol.influence_scores(rec, u_star, inter, damping=1e-8)
     resid = A @ u_star + C - ratings
     assert np.max(np.abs(resid)) > 0.05       # losses themselves are not zero
     np.testing.assert_allclose(scores, 0.0, atol=1e-10)

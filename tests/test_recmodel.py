@@ -13,54 +13,62 @@ def tiny_model(setting="explicit", n_items=5, dim=3, hidden=4, seed=0):
                         rng=np.random.default_rng(seed))
 
 
+def one_user(rec, u=None):
+    """The one-row stack (1, d) of ``u`` (d,), by default the global user
+    embedding; a graph reshape, so gradients flow back to ``u``."""
+    return dc.reshape(rec.user_emb if u is None else u, (1, rec.dim))
+
+
+def rows_of(n):
+    return np.zeros(n, dtype=np.int64)
+
+
 def test_predict_explicit_zero_params_is_bias():
     rec = tiny_model()
     for name in rec.param_names():
         setattr(rec, name, Tensor(np.zeros(getattr(rec, name).shape), requires_grad=True))
     rec.b2 = Tensor(np.array([0.37]), requires_grad=True)
-    pred = rm.predict_explicit_many(rm.LocalParams(user=rec.user_emb, base=rec), [2])
+    pred = rm.predict_explicit_many(rec, one_user(rec), [2], rows_of(1))
     assert pred.data[0] == pytest.approx(0.37)
 
 
 def test_predict_explicit_identical_embeddings_identical_predictions():
     rec = tiny_model()
     rec.item_emb.data[3] = rec.item_emb.data[1]
-    theta = rm.LocalParams(user=rec.user_emb, base=rec)
-    pred = rm.predict_explicit_many(theta, [1, 3]).data
+    pred = rm.predict_explicit_many(rec, one_user(rec), [1, 3], rows_of(2)).data
     assert pred[0] == pytest.approx(pred[1])
 
 
 def test_predict_explicit_out_of_range():
     rec = tiny_model()
     with pytest.raises(IndexError):
-        rm.predict_explicit_many(rm.LocalParams(user=rec.user_emb, base=rec), [5])
+        rm.predict_explicit_many(rec, one_user(rec), [5], rows_of(1))
 
 
 def test_predict_explicit_matches_straightline_oracle():
     rec = tiny_model(seed=42)
-    theta = rm.LocalParams(user=rec.user_emb, base=rec)
     item = 4
     x = np.concatenate([rec.user_emb.data, rec.item_emb.data[item]])
     expected = float((np.maximum(x @ rec.w1.data + rec.b1.data, 0) @ rec.w2.data + rec.b2.data)[0])
-    many = rm.predict_explicit_many(theta, [4, 1])
+    many = rm.predict_explicit_many(rec, one_user(rec), [4, 1], rows_of(2))
     assert many.data[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_predict_implicit_symmetry_and_oracle():
     rec = tiny_model(setting="implicit", seed=7)
     rec.item_emb.data[2] = rec.item_emb.data[0]
-    theta = rm.LocalParams(user=rec.user_emb, base=rec)
-    scores = rm.predict_implicit(theta)
-    assert scores.data[0] == pytest.approx(scores.data[2])
+    scores = rm.predict_implicit(rec, one_user(rec))
+    assert scores.shape == (1, rec.n_items)
+    assert scores.data[0, 0] == pytest.approx(scores.data[0, 2])
 
     h = np.maximum(rec.user_emb.data @ rec.w1.data + rec.b1.data, 0)
     t = h @ rec.w2.data + rec.b2.data
-    np.testing.assert_allclose(scores.data, rec.item_emb.data @ t, atol=1e-12)
+    np.testing.assert_allclose(scores.data[0], rec.item_emb.data @ t, atol=1e-12)
 
 
 def test_softmax_shift_invariance_of_scores():
     rec = tiny_model(setting="implicit", seed=3)
-    scores = rm.predict_implicit(rm.LocalParams(user=rec.user_emb, base=rec))
+    scores = rm.predict_implicit(rec, one_user(rec))
     p1 = dc.softmax(scores).data
     p2 = dc.softmax(scores + 5.0).data
     np.testing.assert_allclose(p1, p2, atol=1e-12)
@@ -71,32 +79,31 @@ def test_next_item_losses_analytic():
     for name in rec.param_names():
         setattr(rec, name, Tensor(np.zeros(getattr(rec, name).shape), requires_grad=True))
     rec.b2 = Tensor(np.array([2.0]), requires_grad=True)
-    theta = rm.LocalParams(user=rec.user_emb, base=rec)
-    assert rm.next_item_loss(theta, 1, 2.0).item() == 0.0
-    assert rm.next_item_loss(theta, 1, 5.0).item() == pytest.approx(9.0)
+    assert rm.next_item_loss(rec, one_user(rec), [1], [2.0]).item() == 0.0
+    assert rm.next_item_loss(rec, one_user(rec), [1], [5.0]).item() == pytest.approx(9.0)
     # all-zero item embeddings score every item alike: cross-entropy log M
     rec = tiny_model(setting="implicit", n_items=4)
     rec.item_emb.data[:] = 0.0
-    theta = rm.LocalParams(user=rec.user_emb, base=rec)
-    assert rm.next_item_loss(theta, 1, 1.0).item() == pytest.approx(np.log(4))
+    assert rm.next_item_loss(rec, one_user(rec), [1], [1.0]).item() == pytest.approx(np.log(4))
     with pytest.raises(IndexError, match="item 9 out of range"):
-        rm.next_item_loss(theta, 9, 1.0)
+        rm.next_item_loss(rec, one_user(rec), [9], [1.0])
 
 
 def _mask_y(rec, rng, n_interacted=4):
+    """One user's interaction mask and ratings as one-row stacks (1, M),
+    and the interacted items."""
     items = rng.choice(rec.n_items, size=n_interacted, replace=False)
-    mask = np.zeros(rec.n_items)
-    mask[items] = 1
-    y = np.zeros(rec.n_items)
-    y[items] = rng.normal(size=n_interacted) + 3.0
+    mask = np.zeros((1, rec.n_items))
+    mask[0, items] = 1
+    y = np.zeros((1, rec.n_items))
+    y[0, items] = rng.normal(size=n_interacted) + 3.0
     return mask, y, items
 
 
 def test_sketch_loss_zero_weights():
     rec = tiny_model()
     mask, y, _ = _mask_y(rec, np.random.default_rng(0))
-    loss = rm.sketch_loss(np.zeros(rec.n_items), y, mask,
-                          rm.LocalParams(user=rec.user_emb, base=rec))
+    loss = rm.sketch_loss(rec, one_user(rec), np.zeros((1, rec.n_items)), y, mask)
     assert loss.item() == 0.0
 
 
@@ -104,35 +111,38 @@ def test_sketch_loss_one_hot_reduces_to_pointwise():
     rec = tiny_model(seed=5)
     mask, y, items = _mask_y(rec, np.random.default_rng(1))
     j = items[0]
-    z = np.zeros(rec.n_items)
-    z[j] = 1.0
-    theta = rm.LocalParams(user=rec.user_emb, base=rec)
-    loss = rm.sketch_loss(z, y, mask, theta)
+    z = np.zeros((1, rec.n_items))
+    z[0, j] = 1.0
+    loss = rm.sketch_loss(rec, one_user(rec), z, y, mask)
     x = np.concatenate([rec.user_emb.data, rec.item_emb.data[j]])
     pred = (np.maximum(x @ rec.w1.data + rec.b1.data, 0) @ rec.w2.data + rec.b2.data)[0]
-    assert loss.item() == pytest.approx((pred - y[j]) ** 2, abs=1e-12)
+    assert loss.item() == pytest.approx((pred - y[0, j]) ** 2, abs=1e-12)
 
 
 def test_sketch_loss_rejects_weight_outside_mask():
     rec = tiny_model()
     mask, y, items = _mask_y(rec, np.random.default_rng(2))
-    z = np.zeros(rec.n_items)
-    off = next(j for j in range(rec.n_items) if mask[j] == 0)
-    z[off] = 0.5
+    z = np.zeros((1, rec.n_items))
+    off = next(j for j in range(rec.n_items) if mask[0, j] == 0)
+    z[0, off] = 0.5
     with pytest.raises(ValueError, match="non-interacted"):
-        rm.sketch_loss(z, y, mask, rm.LocalParams(user=rec.user_emb, base=rec))
+        rm.sketch_loss(rec, one_user(rec), z, y, mask)
 
 
 def test_stacked_losses_reject_rows_that_do_not_match_the_users():
     rec = tiny_model()
-    theta = rm.LocalParams(user=Tensor(np.zeros((2, rec.dim))), base=rec)
+    u = Tensor(np.zeros((2, rec.dim)))
     z = np.zeros((2, rec.n_items))
     with pytest.raises(ValueError, match="z has shape"):
-        rm.sketch_loss(np.zeros((3, rec.n_items)), z, z, theta)
+        rm.sketch_loss(rec, u, np.zeros((3, rec.n_items)), z, z)
+    with pytest.raises(ValueError, match="z has shape"):
+        rm.sketch_loss(rec, u, np.zeros(rec.n_items), z, z)
     with pytest.raises(ValueError, match="mask has shape"):
-        rm.sketch_loss(z, z, np.zeros(rec.n_items), theta)
+        rm.sketch_loss(rec, u, z, z, np.zeros(rec.n_items))
     with pytest.raises(ValueError, match="next items of shape"):
-        rm.next_item_loss(theta, np.array([1, 2, 3]), np.ones(3))
+        rm.next_item_loss(rec, u, np.array([1, 2, 3]), np.ones(3))
+    with pytest.raises(ValueError, match="next items of shape"):
+        rm.next_item_loss(rec, u, 1, 1.0)
 
 
 @pytest.mark.parametrize("setting", ["explicit", "implicit"])
@@ -142,39 +152,38 @@ def test_sketch_loss_grad_wrt_z_is_pointwise_loss(setting):
     mask, y, items = _mask_y(rec, rng)
     if setting == "implicit":
         y = mask.copy()
-    z0 = np.zeros(rec.n_items)
-    z0[items] = rng.uniform(0.5, 1.5, size=items.size)
-    theta = rm.LocalParams(user=rec.user_emb, base=rec)
+    z0 = np.zeros((1, rec.n_items))
+    z0[0, items] = rng.uniform(0.5, 1.5, size=items.size)
+    u = one_user(rec)
 
     z = Tensor(z0, requires_grad=True)
-    (gz,) = grad(rm.sketch_loss(z, y, mask, theta), [z])
+    (gz,) = grad(rm.sketch_loss(rec, u, z, y, mask), [z])
 
     # dloss/dz_j equals the pointwise loss on item j (linearity in z)
     for j in items:
-        lj = rm.next_item_loss(theta, j, y[j]).item()
-        assert gz.data[j] == pytest.approx(lj, rel=1e-10)
+        lj = rm.next_item_loss(rec, u, [j], [y[0, j]]).item()
+        assert gz.data[0, j] == pytest.approx(lj, rel=1e-10)
 
     # finite differences agree
     def f(zv):
-        return rm.sketch_loss(zv, y, mask, theta).item()
+        return rm.sketch_loss(rec, u, zv, y, mask).item()
 
     for j in items[:2]:
         zp, zm = z0.copy(), z0.copy()
-        zp[j] += 1e-4
-        zm[j] -= 1e-4
+        zp[0, j] += 1e-4
+        zm[0, j] -= 1e-4
         fd = (f(zp) - f(zm)) / 2e-4
-        assert gz.data[j] == pytest.approx(fd, rel=1e-5)
+        assert gz.data[0, j] == pytest.approx(fd, rel=1e-5)
 
 
 def test_sketch_loss_linear_in_z():
     rec = tiny_model(seed=13)
     rng = np.random.default_rng(4)
     mask, y, items = _mask_y(rec, rng)
-    z = np.zeros(rec.n_items)
-    z[items] = rng.uniform(0.1, 1.0, size=items.size)
-    theta = rm.LocalParams(user=rec.user_emb, base=rec)
-    l1 = rm.sketch_loss(z, y, mask, theta).item()
-    l2 = rm.sketch_loss(2 * z, y, mask, theta).item()
+    z = np.zeros((1, rec.n_items))
+    z[0, items] = rng.uniform(0.1, 1.0, size=items.size)
+    l1 = rm.sketch_loss(rec, one_user(rec), z, y, mask).item()
+    l2 = rm.sketch_loss(rec, one_user(rec), 2 * z, y, mask).item()
     assert l2 == pytest.approx(2 * l1, rel=1e-12)
 
 
@@ -182,20 +191,18 @@ def test_sketch_loss_grad_wrt_user_is_weighted_sum():
     rec = tiny_model(seed=17)
     rng = np.random.default_rng(5)
     mask, y, items = _mask_y(rec, rng)
-    z = np.zeros(rec.n_items)
-    z[items] = rng.uniform(0.1, 1.0, size=items.size)
+    z = np.zeros((1, rec.n_items))
+    z[0, items] = rng.uniform(0.1, 1.0, size=items.size)
 
-    u = Tensor(rec.user_emb.data.copy(), requires_grad=True)
-    theta = rm.LocalParams(user=u, base=rec)
-    (g,) = grad(rm.sketch_loss(z, y, mask, theta), [u])
+    u = Tensor(rec.user_emb.data[None].copy(), requires_grad=True)
+    (g,) = grad(rm.sketch_loss(rec, u, z, y, mask), [u])
 
-    total = np.zeros(rec.dim)
+    total = np.zeros((1, rec.dim))
     for j in items:
-        uj = Tensor(rec.user_emb.data.copy(), requires_grad=True)
-        tj = rm.LocalParams(user=uj, base=rec)
-        lj = rm.next_item_loss(tj, j, y[j])
+        uj = Tensor(rec.user_emb.data[None].copy(), requires_grad=True)
+        lj = rm.next_item_loss(rec, uj, [j], [y[0, j]])
         (gj,) = grad(lj, [uj])
-        total += z[j] * gj.data
+        total += z[0, j] * gj.data
     np.testing.assert_allclose(g.data, total, atol=1e-10)
 
 
@@ -218,8 +225,8 @@ def _autodiff_derivatives(rec, u0, items, ratings):
     """Per-entry gradients from one backward pass each, and the Hessian of
     their sum from one more pass per row (the d-pass reference)."""
     u = Tensor(u0.copy(), requires_grad=True)
-    theta = rm.LocalParams(user=u, base=rec)
-    grads = [grad(rm.next_item_loss(theta, int(j), float(r)), [u], create_graph=True)[0]
+    grads = [grad(rm.next_item_loss(rec, one_user(rec, u), [j], [r]), [u],
+                  create_graph=True)[0]
              for j, r in zip(items, ratings)]
     total = grads[0]
     for g in grads[1:]:
@@ -244,8 +251,7 @@ def test_user_derivatives_match_autodiff(setting, n_items, n_entries):
     pre = x @ rec.w1.data + rec.b1.data
     assert np.all(pre[..., 2] < 0) and np.any(pre > 0)
 
-    grads, hess = rm.user_derivatives(rm.LocalParams(user=Tensor(u0), base=rec),
-                                      items, ratings)
+    grads, hess = rm.user_derivatives(rec, u0, items, ratings)
     ref_grads, ref_hess = _autodiff_derivatives(rec, u0, items, ratings)
     assert grads.shape == (n_entries, 4) and hess.shape == (4, 4)
     assert np.max(np.abs(grads - ref_grads)) <= 1e-12 * np.max(np.abs(ref_grads))
@@ -254,11 +260,10 @@ def test_user_derivatives_match_autodiff(setting, n_items, n_entries):
 
 def test_user_derivatives_take_one_user():
     rec = tiny_model()
-    theta = rm.LocalParams(user=Tensor(np.zeros((2, rec.dim))), base=rec)
     with pytest.raises(ValueError, match="one user embedding"):
-        rm.user_derivatives(theta, [1], [1.0])
+        rm.user_derivatives(rec, np.zeros((2, rec.dim)), [1], [1.0])
     with pytest.raises(IndexError, match="out of range"):
-        rm.user_derivatives(rm.LocalParams(user=rec.user_emb, base=rec), [5], [1.0])
+        rm.user_derivatives(rec, rec.user_emb.data, [5], [1.0])
 
 
 @pytest.mark.parametrize("setting", ["explicit", "implicit"])
@@ -278,18 +283,18 @@ def test_constant_weights_give_the_full_mask_loss_and_gradient(setting, monkeypa
     predicted = []
     orig = rm.predict_explicit_many
 
-    def counting(th, items, rows=None):
+    def counting(rec, u, items, rows):
         predicted.append(len(items))
-        return orig(th, items, rows)
+        return orig(rec, u, items, rows)
 
     monkeypatch.setattr(rm, "predict_explicit_many", counting)
 
-    for zc, uc, mc, yc in [(z, u0, mask, y), (z[1], u0[1], mask[1], y[1]),
-                           (z[0], u0[0], mask[0], y[0])]:
+    for rows in (slice(None), slice(1, 2), slice(0, 1)):
+        zc, uc, mc, yc = z[rows], u0[rows], mask[rows], y[rows]
         out = []
         for weights in (zc, Tensor(zc, requires_grad=True)):
             u = Tensor(uc.copy(), requires_grad=True)
-            loss = rm.sketch_loss(weights, yc, mc, rm.LocalParams(user=u, base=rec))
+            loss = rm.sketch_loss(rec, u, weights, yc, mc)
             out.append((loss.item(), grad(loss, [u])[0].data))
         (l_const, g_const), (l_graph, g_graph) = out
         assert abs(l_const - l_graph) <= 1e-12 * max(abs(l_graph), 1.0)
@@ -327,26 +332,24 @@ def kernel_problem(setting, n_items, seed):
 @pytest.mark.parametrize("setting", ["explicit", "implicit"])
 def test_graph_free_kernel_matches_autodiff(setting, n_items):
     # the closed-form forward and sketch gradient against the graph ops
-    # and a backward of sketch_loss, for the stack and for one user
+    # and a backward of sketch_loss, for the stack and for its first row
     rec, z, y, mask, u0 = kernel_problem(setting, n_items, seed=n_items)
     items = np.array([3, 0, 7, 3])
-    rows = np.array([0, 2, 1, 1])
-    for uc, zc, yc, mc in ((u0, z, y, mask), (u0[0], z[0], y[0], mask[0])):
+    for uc, zc, yc, mc, rows in ((u0, z, y, mask, np.array([0, 2, 1, 1])),
+                                 (u0[:1], z[:1], y[:1], mask[:1], np.zeros(4, dtype=int))):
         u = Tensor(uc.copy(), requires_grad=True)
-        theta = rm.LocalParams(user=u, base=rec)
         if setting == "explicit":
-            out, m = rm.user_forward(rec, uc, items, rows if uc.ndim == 2 else None)
-            ref = rm.predict_explicit_many(theta, items, rows).data
+            out, m = rm.user_forward(rec, uc, items, rows)
+            ref = rm.predict_explicit_many(rec, u, items, rows).data
             assert m.shape == (4, rec.hidden)
         else:
             out, m = rm.user_forward(rec, uc)
-            ref = rm.predict_implicit(theta).data
-            assert m.shape == uc.shape[:-1] + (rec.hidden,)
+            ref = rm.predict_implicit(rec, u).data
+            assert m.shape == (len(uc), rec.hidden)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
         got = rm.sketch_gradient(rec, uc, zc, yc, mc)
-        (want,) = grad(rm.sketch_loss(zc, yc, mc, theta), [u])
+        (want,) = grad(rm.sketch_loss(rec, u, zc, yc, mc), [u])
         assert got.shape == uc.shape
         assert np.max(np.abs(got - want.data)) <= 1e-12 * np.max(np.abs(want.data))
-        if uc.ndim == 2:
-            np.testing.assert_array_equal(got[1], 0.0)
+    np.testing.assert_array_equal(rm.sketch_gradient(rec, u0, z, y, mask)[1], 0.0)

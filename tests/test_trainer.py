@@ -25,16 +25,18 @@ def small_cfg(**kw):
 
 
 def small_problem(seed=0, M=5, d=3, n_entries=3):
+    """One user as a one-row stack: sketch, ratings and mask (1, M), and
+    its next item and rating (1,)."""
     rng = np.random.default_rng(seed)
     rec = rm.RecParams(n_items=M, dim=d, hidden=4, setting="explicit", rng=rng)
     items = rng.choice(M, size=n_entries + 1, replace=False)
-    mask = np.zeros(M)
-    y = np.zeros(M)
-    mask[items] = 1
-    y[items] = rng.uniform(1, 5, size=items.size)
-    z = np.zeros(M)
-    z[items[:-1]] = 1.0
-    return rec, z, y, mask, int(items[-1]), float(y[items[-1]])
+    mask = np.zeros((1, M))
+    y = np.zeros((1, M))
+    mask[0, items] = 1
+    y[0, items] = rng.uniform(1, 5, size=items.size)
+    z = np.zeros((1, M))
+    z[0, items[:-1]] = 1.0
+    return rec, z, y, mask, items[-1:], y[0, items[-1:]]
 
 
 # ------------------------------------------------------------------ config
@@ -147,11 +149,15 @@ def test_optimizer_steps_equal_the_textbook_formulas_bit_for_bit():
 
 def test_inner_adapt_identity_cases():
     rec, z, y, mask, _, _ = small_problem()
-    u0 = rec.user_emb.data.copy()
-    for theta in (tr.inner_adapt(rec, z, y, mask, 0.2, 0),
-                  tr.inner_adapt(rec, z, y, mask, 0.0, 5),
-                  tr.inner_adapt(rec, np.zeros(rec.n_items), y, mask, 0.2, 5)):
-        np.testing.assert_array_equal(theta.user.data, u0)
+    u0 = rec.user_emb.data[None].copy()
+    for u in (tr.inner_adapt(rec, z, y, mask, 0.2, 0),
+              tr.inner_adapt(rec, z, y, mask, 0.0, 5),
+              tr.inner_adapt(rec, np.zeros((1, rec.n_items)), y, mask, 0.2, 5)):
+        np.testing.assert_array_equal(u.data, u0)
+    for u in (tr.inner_adapt(rec, z, y, mask, 0.2, 0, record=False),
+              tr.inner_adapt(rec, np.zeros((1, rec.n_items)), y, mask, 0.2, 5, record=False)):
+        assert isinstance(u, np.ndarray)
+        np.testing.assert_array_equal(u, u0)
 
 
 def test_inner_adapt_monotone_decrease_convex_toy():
@@ -159,11 +165,10 @@ def test_inner_adapt_monotone_decrease_convex_toy():
     rec, z, y, mask, _, _ = small_problem(seed=2)
     rec.b1.data[:] = 5.0
     rec.w1.data *= 0.1
-    theta0 = rm.LocalParams(user=rec.user_emb, base=rec)
-    prev = rm.sketch_loss(z, y, mask, theta0).item()
+    prev = rm.sketch_loss(rec, Tensor(rec.user_emb.data[None]), z, y, mask).item()
     for n in range(1, 11):
-        theta = tr.inner_adapt(rec, z, y, mask, 0.2, n, record=False)
-        cur = rm.sketch_loss(z, y, mask, theta).item()
+        u = tr.inner_adapt(rec, z, y, mask, 0.2, n, record=False)
+        cur = rm.sketch_loss(rec, Tensor(u), z, y, mask).item()
         assert cur <= prev + 1e-12
         prev = cur
 
@@ -180,7 +185,7 @@ def test_record_false_matches_recorded_values():
     rec, z, y, mask, _, _ = small_problem(seed=4)
     a = tr.inner_adapt(rec, z, y, mask, 0.1, 3, record=True)
     b = tr.inner_adapt(rec, z, y, mask, 0.1, 3, record=False)
-    np.testing.assert_allclose(a.user.data, b.user.data, atol=1e-14)
+    np.testing.assert_allclose(a.data, b, atol=1e-14)
 
 
 # ------------------------------------------------------------- outer steps
@@ -189,7 +194,7 @@ def test_zero_inner_steps_meta_grad_is_plain_grad():
     rec, z, y, mask, nxt, r = small_problem(seed=5)
     cfg = small_cfg(inner_steps=0)
     grads, _ = tr.theta_gradients(rec, z, y, mask, nxt, r, cfg)
-    loss = rm.next_item_loss(rm.LocalParams(user=rec.user_emb, base=rec), nxt, r)
+    loss = rm.next_item_loss(rec, dc.broadcast_to(rec.user_emb, (1, rec.dim)), nxt, r)
     plain = dc.grad(loss, rec.all_params())
     for g, p in zip(grads, plain):
         np.testing.assert_allclose(g, p.data, atol=1e-12)
@@ -210,7 +215,7 @@ def test_outer_step_zero_rate_keeps_params():
 def test_outer_step_rejects_bad_item():
     rec, z, y, mask, _, r = small_problem(seed=7)
     with pytest.raises(IndexError):
-        tr.theta_gradients(rec, z, y, mask, rec.n_items, r, small_cfg())
+        tr.theta_gradients(rec, z, y, mask, [rec.n_items], r, small_cfg())
 
 
 def test_meta_gradient_matches_finite_differences():
@@ -220,9 +225,8 @@ def test_meta_gradient_matches_finite_differences():
     grads, _ = tr.theta_gradients(rec, z, y, mask, nxt, r, cfg)
 
     def loss_at():
-        theta = tr.inner_adapt(rec, z, y, mask, cfg.inner_lr, cfg.inner_steps,
-                               record=False)
-        return rm.next_item_loss(theta, nxt, r).item()
+        u = tr.inner_adapt(rec, z, y, mask, cfg.inner_lr, cfg.inner_steps, record=False)
+        return rm.next_item_loss(rec, Tensor(u), nxt, r).item()
 
     h = 1e-5
     rng = np.random.default_rng(0)
@@ -278,7 +282,8 @@ def test_theta_gradients_stack_equals_sum_of_row_calls(setting, B):
     ref_grads = [np.zeros(p.shape) for p in rec.all_params()]
     ref_loss = 0.0
     for b in range(B):
-        g_b, l_b = tr.theta_gradients(rec, z[b], y[b], mask[b], int(nxt[b]), float(r[b]), cfg)
+        one = slice(b, b + 1)
+        g_b, l_b = tr.theta_gradients(rec, z[one], y[one], mask[one], nxt[one], r[one], cfg)
         ref_loss += l_b
         for acc, g in zip(ref_grads, g_b):
             acc += g
@@ -348,12 +353,13 @@ def test_stacked_theta_gradients_reject_one_bad_row(setting, bad_row, fault):
 # --------------------------------------------------------- grad wrt sketch
 
 def sketch_v(rec, zhat, y, mask, nxt, r, cfg, phi=None):
-    """The v that policy_gradient returns (empty queue, deterministic head)
-    and the sketch z it selected from zhat."""
+    """The v that policy_gradient returns for one user (empty queue,
+    deterministic head) and the sketch z it selected from zhat, as rows
+    (M,)."""
     phi = phi or pol.PolicyParams(rec.n_items, hidden=cfg.policy_hidden,
                                   rng=np.random.default_rng(1))
-    _, v, z, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [], nxt, r, cfg)
-    return v, z
+    _, v, z, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [[]], nxt, r, cfg)
+    return v[0], z[0]
 
 
 def test_grad_wrt_sketch_finite_differences():
@@ -363,9 +369,9 @@ def test_grad_wrt_sketch_finite_differences():
     assert v.shape == (rec.n_items,)
 
     def loss_with(zv):
-        theta = tr.inner_adapt(rec, zv, y, mask, cfg.inner_lr, cfg.inner_steps,
-                               record=False)
-        return rm.next_item_loss(theta, nxt, r).item()
+        u = tr.inner_adapt(rec, zv[None], y, mask, cfg.inner_lr, cfg.inner_steps,
+                           record=False)
+        return rm.next_item_loss(rec, Tensor(u), nxt, r).item()
 
     for j in np.flatnonzero(mask):
         zp, zm = z.copy(), z.copy()
@@ -389,7 +395,7 @@ def test_grad_wrt_sketch_duplicate_items_equal_entries():
     a, b, c = (int(i) for i in np.flatnonzero(zhat))
     rec.item_emb.data[b] = rec.item_emb.data[a]
     y2 = y.copy()
-    y2[b] = y2[a]
+    y2[0, b] = y2[0, a]
     cfg = small_cfg()
     phi = pol.PolicyParams(rec.n_items, hidden=cfg.policy_hidden,
                            rng=np.random.default_rng(1))
@@ -413,7 +419,7 @@ def test_grad_wrt_sketch_one_step_closed_form():
     nxt, r_next = entries[-1].item, entries[-1].rating
     alpha = 0.05
     cfg = small_cfg(sketch_size=len(entries) - 2, inner_steps=1, inner_lr=alpha)
-    v, z = sketch_v(rec, zhat, y, mask, nxt, r_next, cfg)
+    v, z = sketch_v(rec, zhat[None], y[None], mask[None], [nxt], [r_next], cfg)
     assert z.sum() == cfg.sketch_size
 
     u0 = rec.user_emb.data
@@ -430,25 +436,27 @@ def test_grad_wrt_sketch_one_step_closed_form():
 # ---------------------------------------------------------- policy gradient
 
 def pg_setup(seed=0, M=8, K=2, tau=1, dropout_rate=0.10):
+    """One user as a one-row stack: ratings, mask and intermediate
+    indicator (1, M), next item and rating (1,)."""
     rng = np.random.default_rng(seed)
     rec = rm.RecParams(n_items=M, dim=3, hidden=4, setting="explicit", rng=rng)
     phi = pol.PolicyParams(M, hidden=8, dropout_rate=dropout_rate, rng=rng)
     items = rng.choice(M, size=K + 3, replace=False)
-    mask = np.zeros(M)
-    y = np.zeros(M)
-    mask[items] = 1
-    y[items] = rng.uniform(1, 5, size=items.size)
-    zhat = np.zeros(M)
-    zhat[items[:K + tau]] = 1.0
+    mask = np.zeros((1, M))
+    y = np.zeros((1, M))
+    mask[0, items] = 1
+    y[0, items] = rng.uniform(1, 5, size=items.size)
+    zhat = np.zeros((1, M))
+    zhat[0, items[:K + tau]] = 1.0
     cfg = small_cfg(sketch_size=K, tau=tau,
                     mode="online" if tau == 1 else "batch")
-    return rec, phi, y, mask, zhat, int(items[-1]), float(y[items[-1]]), cfg
+    return rec, phi, y, mask, zhat, items[-1:], y[0, items[-1:]], cfg
 
 
 def test_policy_gradient_empty_queue_equals_first_term_only():
     rec, phi, y, mask, zhat, nxt, r, cfg = pg_setup()
-    g_empty, v1, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [], nxt, r, cfg)
-    g_again, v2, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [], nxt, r, cfg)
+    g_empty, v1, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [[]], nxt, r, cfg)
+    g_again, v2, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [[]], nxt, r, cfg)
     for a, b in zip(g_empty, g_again):  # deterministic
         np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(v1, v2)
@@ -456,8 +464,8 @@ def test_policy_gradient_empty_queue_equals_first_term_only():
 
 def test_policy_gradient_queue_adds_replay_term():
     rec, phi, y, mask, zhat, nxt, r, cfg = pg_setup(seed=1)
-    g0, v, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [], nxt, r, cfg)
-    g1, _, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [zhat.copy()], nxt, r, cfg)
+    g0, v, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [[]], nxt, r, cfg)
+    g1, _, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [[zhat[0].copy()]], nxt, r, cfg)
     diff = sum(np.abs(a - b).sum() for a, b in zip(g0, g1))
     assert diff > 0  # the stored entry contributes
 
@@ -465,7 +473,7 @@ def test_policy_gradient_queue_adds_replay_term():
 def test_policy_gradient_masked_outputs_get_zero_gradient():
     rec, phi, y, mask, zhat, nxt, r, cfg = pg_setup(seed=2)
     grads, _, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat,
-                                        [zhat.copy()], nxt, r, cfg)
+                                        [[zhat[0].copy()]], nxt, r, cfg)
     b3_grad = grads[-1]
     off = np.flatnonzero(zhat == 0)
     np.testing.assert_allclose(b3_grad[off], 0.0, atol=1e-15)
@@ -474,18 +482,19 @@ def test_policy_gradient_masked_outputs_get_zero_gradient():
 def test_policy_gradient_finite_differences_first_term():
     # FD through selection is valid while the removed item is stable
     rec, phi, y, mask, zhat, nxt, r, cfg = pg_setup(seed=3)
-    grads, _, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [], nxt, r, cfg)
+    grads, _, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [[]], nxt, r, cfg)
 
     # the oracle's removal probabilities: softmax(-scores) over the items in
     # the sketch, zero elsewhere
-    live = np.flatnonzero(zhat > 0)
+    zhat, live = zhat[0], np.flatnonzero(zhat[0] > 0)
 
     def loss_through(removal):
-        scores = pol.policy_scores(zhat, y, phi)
+        scores = pol.policy_scores(zhat, y[0], phi)
         probs = dc.scatter_add(dc.softmax(dc.neg(dc.gather(scores, live))), live, zhat.shape)
         z = Tensor(zhat) - removal(probs)
-        theta = tr.inner_adapt(rec, z, y, mask, cfg.inner_lr, cfg.inner_steps)
-        return rm.next_item_loss(theta, nxt, r)
+        u = tr.inner_adapt(rec, dc.reshape(z, (1, rec.n_items)), y, mask, cfg.inner_lr,
+                           cfg.inner_steps)
+        return rm.next_item_loss(rec, u, nxt, r)
 
     def hard(probs):
         # forward: drop the likeliest item; backward: identity onto probs
@@ -533,17 +542,17 @@ def test_policy_gradient_replay_is_the_sum_of_per_row_selections(tau, stochastic
         z = np.zeros(rec.n_items)
         z[perm(interacted)[:cfg.sketch_size + tau]] = 1.0
         past.append(z)
-    grads, v, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat, past, nxt, r, cfg,
+    grads, v, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [past], nxt, r, cfg,
                                         rng=np.random.default_rng(7))
 
     # reference: the first term alone, then v . z_j for one stored row at a
     # time, drawing from the rng in the same order
     rng = np.random.default_rng(7)
-    expected, v_ref, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [], nxt, r, cfg,
+    expected, v_ref, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [[]], nxt, r, cfg,
                                                rng=rng)
     np.testing.assert_array_equal(v, v_ref)
     for zj in past:
-        z = tr.select_with_policy(phi, zj, y, cfg, rng)
+        z = tr.select_with_policy(phi, zj[None], y, cfg, rng)
         for acc, g in zip(expected, dc.grad(dc.tsum(dc.mul(z, Tensor(v))), phi.params())):
             acc += g.data
     for a, b in zip(grads, expected):
@@ -553,7 +562,7 @@ def test_policy_gradient_replay_is_the_sum_of_per_row_selections(tau, stochastic
 def test_policy_gradient_batch_mode_runs():
     rec, phi, y, mask, zhat, nxt, r, cfg = pg_setup(seed=4, tau=2)
     grads, v, _, loss = tr.policy_gradient(phi, rec, y, mask, zhat,
-                                           [zhat.copy(), zhat.copy()], nxt, r, cfg)
+                                           [[zhat[0].copy(), zhat[0].copy()]], nxt, r, cfg)
     assert all(np.all(np.isfinite(g)) for g in grads)
     assert np.all(np.isfinite(v))
 
@@ -592,21 +601,18 @@ def two_backward_policy_gradient(phi, rec, y, mask, zhat_t, past_zhats, next_ite
     reference: v and the straight-through term from one backward of the
     loss through the inner loop and the policy network, then a second
     backward through the policy network for the replay term."""
-    queues = past_zhats if np.ndim(zhat_t) == 2 else [past_zhats]
-    n_users = len(np.atleast_2d(zhat_t))
     z_t = tr.select_with_policy(phi, zhat_t, y, cfg, rng)
     z_probe = dc.zeros(z_t.shape, requires_grad=True)
-    theta_star = tr.inner_adapt(rec, z_t + z_probe, y, mask, cfg.inner_lr, cfg.inner_steps)
-    loss = rm.next_item_loss(theta_star, next_item, next_rating)
+    u = tr.inner_adapt(rec, z_t + z_probe, y, mask, cfg.inner_lr, cfg.inner_steps)
+    loss = rm.next_item_loss(rec, u, next_item, next_rating)
     grads1 = dc.grad(loss, phi.params() + [z_probe])
     v = grads1[-1].data
     total = [g.data.copy() for g in grads1[:-1]]
-    past = [z for queue in queues for z in queue]
+    past = [z for queue in past_zhats for z in queue]
     if past:
-        owner = np.repeat(np.arange(n_users), [len(q) for q in queues])
-        z_past = tr.select_with_policy(phi, np.stack(past), np.atleast_2d(y)[owner], cfg, rng)
-        grads2 = dc.grad(dc.tsum(dc.mul(z_past, Tensor(np.atleast_2d(v)[owner]))),
-                         phi.params())
+        owner = np.repeat(np.arange(len(past_zhats)), [len(q) for q in past_zhats])
+        z_past = tr.select_with_policy(phi, np.stack(past), y[owner], cfg, rng)
+        grads2 = dc.grad(dc.tsum(dc.mul(z_past, Tensor(v[owner]))), phi.params())
         for acc, g in zip(total, grads2):
             acc += g.data
     return total, v, z_t.data, loss.item()
@@ -619,13 +625,11 @@ def two_backward_policy_gradient(phi, rec, y, mask, zhat_t, past_zhats, next_ite
 def test_factored_policy_gradient_equals_the_two_backward_form(setting, B, tau, stochastic):
     # one backward through the policy network gives the same gradients,
     # v, selection, loss and generator state as the two-backward form,
-    # bit for bit; B = 1 passes one user's rows and queue
+    # bit for bit, for one user (B = 1) and for a stack
     rec, phi, y, mask, zhat, queues, nxt, r, cfg = stacked_pg_problem(
         B, tau, seed=8, setting=setting)
     cfg = replace(cfg, stochastic_train=stochastic)
     args = (y, mask, zhat, queues, nxt, r)
-    if B == 1:
-        args = (y[0], mask[0], zhat[0], queues[0], int(nxt[0]), float(r[0]))
     rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
     grads, v, z, loss = tr.policy_gradient(phi, rec, *args, cfg, rng=rng)
     ref_grads, ref_v, ref_z, ref_loss = two_backward_policy_gradient(
@@ -634,7 +638,7 @@ def test_factored_policy_gradient_equals_the_two_backward_form(setting, B, tau, 
     assert loss == ref_loss
     np.testing.assert_array_equal(v, ref_v)
     np.testing.assert_array_equal(z, ref_z)
-    assert z.shape == v.shape == np.shape(args[2])
+    assert z.shape == v.shape == zhat.shape
     for g, g_ref in zip(grads, ref_grads):
         assert np.any(g_ref != 0)
         np.testing.assert_array_equal(g, g_ref)
@@ -649,10 +653,11 @@ def test_policy_gradient_stack_equals_sum_of_row_calls(B, tau):
     ref_grads = [np.zeros(p.shape) for p in phi.params()]
     ref_loss = 0.0
     for b in range(B):
-        g_b, v_b, _, l_b = tr.policy_gradient(phi, rec, y[b], mask[b], zhat[b], queues[b],
-                                              int(nxt[b]), float(r[b]), cfg)
-        assert v_b.shape == (rec.n_items,)
-        assert_close_rel(v[b], v_b)
+        one = slice(b, b + 1)
+        g_b, v_b, _, l_b = tr.policy_gradient(phi, rec, y[one], mask[one], zhat[one],
+                                              queues[one], nxt[one], r[one], cfg)
+        assert v_b.shape == (1, rec.n_items)
+        assert_close_rel(v[one], v_b)
         ref_loss += l_b
         for acc, g in zip(ref_grads, g_b):
             acc += g
@@ -676,8 +681,8 @@ def test_stacked_policy_gradient_draws_the_current_stack_then_the_replay():
     ref_rng = np.random.default_rng(7)
     z_t = tr.select_with_policy(phi, zhat, y, cfg, ref_rng)
     z_probe = Tensor(z_t.data, requires_grad=True)
-    theta = tr.inner_adapt(rec, z_probe, y, mask, cfg.inner_lr, cfg.inner_steps)
-    ref_loss = rm.next_item_loss(theta, nxt, r)
+    u = tr.inner_adapt(rec, z_probe, y, mask, cfg.inner_lr, cfg.inner_steps)
+    ref_loss = rm.next_item_loss(rec, u, nxt, r)
     (ref_v,) = dc.grad(ref_loss, [z_probe])
     owner = [0, 0]                       # the second user's queue is empty
     z_past = tr.select_with_policy(phi, np.stack(queues[0]), y[owner], cfg, ref_rng)
@@ -810,14 +815,13 @@ def test_commit_given_the_adapted_row_keeps_the_same_items(monkeypatch, setting,
     updates = 0
     for t in range(1, 8):
         active = [i for i, s in enumerate(streams) if t < len(s.items)]
-        theta = adapt(rec, np.stack([shared[i].sketch.z for i in active]),
-                      np.stack([shared[i].y for i in active]),
-                      np.stack([shared[i].mask for i in active]),
-                      cfg.inner_lr, cfg.inner_steps, record=False)
+        u = adapt(rec, np.stack([shared[i].sketch.z for i in active]),
+                  np.stack([shared[i].y for i in active]),
+                  np.stack([shared[i].mask for i in active]),
+                  cfg.inner_lr, cfg.inner_steps, record=False)
         for b, i in enumerate(active):
-            row = rm.LocalParams(user=Tensor(theta.user.data[b]), base=rec)
             inter, _ = shared[i].observe(t, cfg)
-            outcome = shared[i].commit(inter, rec, None, cfg, None, theta=row)
+            outcome = shared[i].commit(inter, rec, None, cfg, None, u=u[b])
             assert not calls
             inter, _ = own[i].observe(t, cfg)
             own[i].commit(inter, rec, None, cfg, None)
@@ -1058,9 +1062,8 @@ def test_graph_free_inner_adapt_raises_what_sketch_loss_raises(setting):
            (z - 1.5 * mask, mask, "negative sketch weights"),
            (z + np.eye(2, 6), mask, "non-interacted item")]
     for zb, mb, message in bad:
-        theta = rm.LocalParams(user=dc.broadcast_to(rec.user_emb, (2, 3)), base=rec)
         with pytest.raises(ValueError, match=message) as want:
-            rm.sketch_loss(zb, mask, mb, theta)
+            rm.sketch_loss(rec, dc.broadcast_to(rec.user_emb, (2, 3)), zb, mask, mb)
         with pytest.raises(ValueError, match=message) as got:
             tr.inner_adapt(rec, zb, mask, mb, 0.2, 2, record=False)
         assert str(got.value) == str(want.value)
