@@ -304,72 +304,101 @@ def _check_mlp_grads():
     return worst, 1e-4
 
 
-def _meta_setup():
-    """One user as a one-row stack: sketch, ratings and mask (1, 5), and
-    its next item and rating (1,)."""
+def _meta_setup(setting):
+    """A stack of three users: intermediate indicators, ratings and mask
+    (3, 8), next items and ratings (3,), and the config.
+
+    Each user has four interacted items, the last one next.  Users 0 and 2
+    hold three items in their indicators, user 1 only one, so the online
+    head removes it and user 1's selection weights nothing.
+    """
     rng = np.random.default_rng(1)
-    rec = rm.RecParams(n_items=5, dim=3, hidden=4, setting="explicit", rng=rng)
-    items = rng.choice(5, size=4, replace=False)
-    mask = np.zeros((1, 5))
-    y = np.zeros((1, 5))
-    mask[0, items] = 1
-    y[0, items] = rng.uniform(1, 5, size=4)
-    zhat = np.zeros((1, 5))
-    zhat[0, items[:3]] = 1.0
-    cfg = tr.TrainConfig(sketch_size=2, inner_steps=2, inner_lr=0.2,
-                         dim=3, hidden=4, policy_hidden=8, stochastic_train=False)
-    return rec, zhat, y, mask, items[3:], y[0, items[3:]], cfg
+    rec = rm.RecParams(n_items=8, dim=3, hidden=6, setting=setting, rng=rng)
+    rec.b1.data[:] = 0.2
+    zhat, y, mask = np.zeros((3, 3, 8))
+    nxt = []
+    for b in range(3):
+        items = rng.choice(8, size=4, replace=False)
+        mask[b, items] = 1
+        y[b, items] = rng.uniform(1, 5, size=4) if setting == rm.EXPLICIT else 1.0
+        zhat[b, items[:1 if b == 1 else 3]] = 1.0
+        nxt.append(items[3])
+    nxt = np.array(nxt)
+    cfg = tr.TrainConfig(sketch_size=2, inner_steps=2, inner_lr=0.2, setting=setting,
+                         dim=3, hidden=6, policy_hidden=8, stochastic_train=False)
+    return rec, zhat, y, mask, nxt, y[np.arange(3), nxt], cfg
+
+
+def _kink_margin(rec, z, y, mask, cfg):
+    """The least |relu pre-activation| over the inner steps and the adapted
+    stack, at every interacted item; finite differences need it clear of 0."""
+    w1, b1 = rec.w1.data, rec.b1.data
+    rows, items = np.nonzero(mask)
+    margin = np.inf
+    for k in range(cfg.inner_steps + 1):
+        u = tr.inner_adapt(rec, z, y, mask, cfg.inner_lr, k)
+        x = u if rec.setting == rm.IMPLICIT else np.concatenate(
+            [u[rows], rec.item_emb.data[items]], axis=1)
+        margin = min(margin, np.min(np.abs(x @ w1 + b1)))
+    return margin
 
 
 def _check_meta_gradient():
-    # the recorded graph of theta_gradients against finite differences of
-    # the graph-free inner loop, so it also cross-checks the closed-form
-    # sketch gradient against the graph
-    rec, z, y, mask, nxt, r, cfg = _meta_setup()
-    grads, _ = tr.theta_gradients(rec, z, y, mask, nxt, r, cfg)
-
-    def loss_value():
-        u = tr.inner_adapt(rec, z, y, mask, cfg.inner_lr, cfg.inner_steps, record=False)
-        return rm.next_item_loss(rec, Tensor(u), nxt, r).item()
-
+    # the reverse pass of theta_gradients against finite differences of
+    # the inner loop, in both settings, for a stack whose middle row
+    # weights nothing
     worst = 0.0
     h = 1e-5
-    rng = np.random.default_rng(2)
-    for p, g in zip(rec.all_params(), grads):
-        flat, gflat = p.data.reshape(-1), np.asarray(g).reshape(-1)
-        for i in rng.choice(flat.size, size=min(3, flat.size), replace=False):
-            orig = flat[i]
-            flat[i] = orig + h
-            lp = loss_value()
-            flat[i] = orig - h
-            lm = loss_value()
-            flat[i] = orig
-            fd = (lp - lm) / (2 * h)
-            worst = max(worst, abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-6))
+    for setting in (rm.EXPLICIT, rm.IMPLICIT):
+        rec, zhat, y, mask, nxt, r, cfg = _meta_setup(setting)
+        z = zhat * np.random.default_rng(3).uniform(0.5, 1.5, size=zhat.shape)
+        z[1] = 0.0
+        if _kink_margin(rec, z, y, mask, cfg) <= 1e-3:
+            return np.inf, 1e-3
+        grads, _ = tr.theta_gradients(rec, z, y, mask, nxt, r, cfg)
+
+        def loss_value():
+            u = tr.inner_adapt(rec, z, y, mask, cfg.inner_lr, cfg.inner_steps)
+            return rm.next_item_loss(rec, Tensor(u), nxt, r).item()
+
+        rng = np.random.default_rng(2)
+        for p, g in zip(rec.all_params(), grads):
+            flat, gflat = p.data.reshape(-1), np.asarray(g).reshape(-1)
+            for i in rng.choice(flat.size, size=min(3, flat.size), replace=False):
+                orig = flat[i]
+                flat[i] = orig + h
+                lp = loss_value()
+                flat[i] = orig - h
+                lm = loss_value()
+                flat[i] = orig
+                fd = (lp - lm) / (2 * h)
+                worst = max(worst, abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-6))
     return worst, 1e-3
 
 
 def _check_grad_wrt_sketch():
     # the v that policy_gradient returns, against finite differences of the
-    # loss over the sketch z it selected from zhat; the differences run
-    # through the graph-free inner loop, so v (a backward through the
-    # recorded inner loop) also cross-checks the closed-form sketch gradient
-    rec, zhat, y, mask, nxt, r, cfg = _meta_setup()
-    phi = pol.PolicyParams(rec.n_items, hidden=cfg.policy_hidden,
-                           rng=np.random.default_rng(4))
-    _, v, z, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [[]], nxt, r, cfg)
-
-    def loss_with(zv):
-        u = tr.inner_adapt(rec, zv, y, mask, cfg.inner_lr, cfg.inner_steps, record=False)
-        return rm.next_item_loss(rec, Tensor(u), nxt, r).item()
-
+    # loss over the sketch z it selected, at every interacted item of a
+    # stack whose middle row's selection weights nothing, in both settings
     worst = 0.0
-    for j in zip(*np.nonzero(mask)):
-        zp, zm = z.copy(), z.copy()
-        zp[j] += 1e-4
-        zm[j] = max(zm[j] - 1e-4, 0.0)
-        fd = (loss_with(zp) - loss_with(zm)) / (zp[j] - zm[j])
-        worst = max(worst, abs(fd - v[j]) / max(abs(fd), abs(v[j]), 1e-6))
+    for setting in (rm.EXPLICIT, rm.IMPLICIT):
+        rec, zhat, y, mask, nxt, r, cfg = _meta_setup(setting)
+        phi = pol.PolicyParams(rec.n_items, hidden=cfg.policy_hidden,
+                               rng=np.random.default_rng(4))
+        _, v, z, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [[], [], []], nxt, r, cfg)
+        if np.any(z[1]) or _kink_margin(rec, z, y, mask, cfg) <= 1e-3:
+            return np.inf, 1e-3
+
+        def loss_with(zv):
+            u = tr.inner_adapt(rec, zv, y, mask, cfg.inner_lr, cfg.inner_steps)
+            return rm.next_item_loss(rec, Tensor(u), nxt, r).item()
+
+        for j in zip(*np.nonzero(mask)):
+            zp, zm = z.copy(), z.copy()
+            zp[j] += 1e-4
+            zm[j] = max(zm[j] - 1e-4, 0.0)
+            fd = (loss_with(zp) - loss_with(zm)) / (zp[j] - zm[j])
+            worst = max(worst, abs(fd - v[j]) / max(abs(fd), abs(v[j]), 1e-6))
     return worst, 1e-3
 
 

@@ -117,14 +117,14 @@ def evaluate(rec, phi, streams, cfg, k=20, exclude_history=False, seed=None,
     for start in range(0, len(users), cfg.batch_size):
         batch = users[start:start + cfg.batch_size]
         states = [tr._UserState(s, rec.n_items, eval_cfg) for s in batch]
+        ys = np.stack([st.y for st in states])
+        masks = np.stack([st.mask for st in states])
         rngs = [np.random.default_rng((seed, int(s.user))) for s in batch]
         out = [[] for _ in batch]
         for t in range(1, max(len(s.items) for s in batch)):
             active = [i for i, s in enumerate(batch) if t < len(s.items)]
             u = tr.inner_adapt(rec, np.stack([states[i].sketch.z for i in active]),
-                               np.stack([states[i].y for i in active]),
-                               np.stack([states[i].mask for i in active]),
-                               cfg.inner_lr, cfg.inner_steps, record=False)
+                               ys[active], masks[active], cfg.inner_lr, cfg.inner_steps)
             nxt = np.array([batch[i].items[t] for i in active], dtype=np.int64)
             # explicit: one prediction per user; implicit: (B, M) scores
             preds, _ = rm.user_forward(rec, u, nxt, np.arange(len(active)))
@@ -150,7 +150,7 @@ def evaluate(rec, phi, streams, cfg, k=20, exclude_history=False, seed=None,
                 with dc.no_grad():
                     sel = tr.select_with_policy(
                         phi, np.stack([inters[b][0].zhat for b in at]),
-                        np.stack([states[active[b]].y for b in at]), eval_cfg)
+                        ys[[active[b] for b in at]], eval_cfg)
                 for b, row in zip(at, sel.data):
                     z[b] = row
             for b, (i, (inter, _)) in enumerate(zip(active, inters)):

@@ -13,13 +13,17 @@ each with a segment index naming its user row; implicit scores form a
 (B, M) matrix.  Losses are summed over the stack, so one backward pass
 yields every user's gradient.
 
-The recommender is piecewise linear in the user embedding, so everything a
-path without a recorded graph needs w.r.t. u has a closed form: a numpy
-kernel (:func:`user_forward`, :func:`sketch_gradient`,
-:func:`user_derivatives`) gives the predictions, the sketch-loss gradient
-and the per-entry derivatives without a graph.  The graph functions, on a
-Tensor ``u``, serve the recorded paths, which differentiate w.r.t. the
-item side or the sketch weights.
+The recommender is piecewise linear in the user embedding, so every
+derivative the training and evaluation paths need w.r.t. u has a closed
+form, and those paths build no graph.  One numpy kernel gives the
+predictions (:func:`user_forward`), the sketch-loss gradient
+(:func:`sketch_gradient`), the inner loop (:func:`unroll`), the reverse
+pass through it (:func:`unrolled_backward`: meta-gradients w.r.t. the
+global parameters and gradients w.r.t. the sketch weights) and the
+per-entry derivatives (:func:`user_derivatives`).  The graph functions
+(:func:`sketch_loss`, :func:`next_item_loss`, ``predict_*``), on a Tensor
+``u``, stay as the references that ``dips gradcheck`` and the tests check
+the kernel against.
 """
 
 from __future__ import annotations
@@ -179,34 +183,251 @@ def _pull_back(rec: RecParams, g, m):
     return ((g @ w2.T) * m) @ w1.T
 
 
+class _Inner:
+    """What every step of one inner loop reads, checked and gathered once.
+
+    Makes the checks of :func:`sketch_loss` on ``z`` and ``mask`` for a
+    stack of ``n_users`` rows.  Explicit: the entries ``(rows, items)`` of
+    the support of ``z`` (of ``mask`` with ``every_entry``, where the
+    gradient w.r.t. each weight is wanted), with their weights ``z``,
+    ratings ``y`` and item embeddings ``emb``.  Implicit: the weight rows
+    ``z``, their sums ``zsum`` and the ``mask``.
+    """
+
+    def __init__(self, rec, z, y, mask, n_users, every_entry=False):
+        z = np.asarray(z, dtype=np.float64)
+        self.mask = np.asarray(mask)
+        _check_sketch(z, self.mask, (n_users, rec.n_items))
+        if rec.setting == EXPLICIT:
+            self.rows, self.items = np.nonzero(self.mask if every_entry else z)
+            self.z = z[self.rows, self.items]
+            self.y = np.asarray(y, dtype=np.float64)[self.rows, self.items]
+            self.emb = rec.item_emb.data[self.items]
+        else:
+            self.z = z
+            self.zsum = np.sum(z, axis=-1)
+
+
+def _step(rec, inner, u):
+    """Gradient of :func:`sketch_loss` w.r.t. the stack ``u`` (B, d), and the
+    forward values the reverse pass of :func:`unrolled_backward` reads.
+
+    Explicit: entry e = (b, j) adds r_e dp_e to row b, r_e = 2 z_e (p_e - y_e).
+    Implicit: row b is J_b^T E^T g_b, g_b = sum(z_b) softmax(s_b) - z_b, with
+    J_b the Jacobian of the user tower and s_b the scores.
+    """
+    w1, b1, w2, b2 = rec.w1.data, rec.b1.data, rec.w2.data, rec.b2.data
+    if rec.setting == EXPLICIT:
+        x = np.concatenate([u[inner.rows], inner.emb], axis=1)
+        a = x @ w1 + b1
+        m = a > 0
+        h = a * m
+        p = (h @ w2 + b2)[:, 0]
+        r = 2.0 * (inner.z * (p - inner.y))
+        back = (r[:, None] @ w2.T) * m
+        # the graph's own reduction (gather scatters the entries), so the
+        # result is bit-identical to a backward
+        g = np.zeros(u.shape)
+        np.add.at(g, inner.rows, (back @ w1.T)[:, :rec.dim])
+        return g, (x, m, h, p, r, back)
+    a = u @ w1 + b1
+    m = a > 0
+    h = a * m
+    t = h @ w2 + b2
+    s = t @ rec.item_emb.data.T
+    e = np.exp(s - np.max(s, axis=-1, keepdims=True))
+    se = np.sum(e, axis=-1)
+    g = (inner.zsum / se)[..., None] * e - inner.z
+    ge = g @ rec.item_emb.data
+    back = (ge @ w2.T) * m
+    return back @ w1.T, (u, m, h, t, e, se, g, ge, back)
+
+
 def sketch_gradient(rec: RecParams, u, z, y, mask):
     """Gradient of :func:`sketch_loss` w.r.t. the user embedding ``u``, in
     closed form and without a graph.
 
     ``u`` is a stack (B, d), ``z``, ``y`` and ``mask`` as in
     :func:`sketch_loss`, which makes the same checks with the same errors;
-    the result is (B, d).  Explicit: entry (b, j) of the support of ``z``
-    adds 2 z_bj (p_bj - y_bj) dp_bj to row b.  Implicit: row b is
-    J_b^T E^T (sum(z_b) softmax(s_b) - z_b), with J_b the Jacobian of the
-    user tower and s_b the scores.
+    the result is (B, d).  It is the step every inner step of
+    :func:`unroll` takes.
     """
-    z = np.asarray(z.data if isinstance(z, Tensor) else z, dtype=np.float64)
-    mask = np.asarray(mask)
-    _check_sketch(z, mask, (u.shape[0], rec.n_items))
-    if rec.setting == EXPLICIT:
-        rows, items = np.nonzero(z)
-        preds, m = user_forward(rec, u, items, rows)
-        y = np.asarray(y, dtype=np.float64)[rows, items]
-        g = _pull_back(rec, 2.0 * (z[rows, items] * (preds - y)), m)
-        # the graph's own reduction (gather scatters the entries), so the
-        # result is bit-identical to a backward
-        out = np.zeros(u.shape)
-        np.add.at(out, rows, g)
-        return out
-    scores, m = user_forward(rec, u)
-    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
-    g = (np.sum(z, axis=-1) / np.sum(e, axis=-1))[..., None] * e - z
-    return _pull_back(rec, g @ rec.item_emb.data, m)
+    return _step(rec, _Inner(rec, z, y, mask, u.shape[0]), u)[0]
+
+
+def unroll(rec: RecParams, z, y, mask, alpha, n_steps, keep=False, every_entry=False):
+    """The inner loop: ``n_steps`` gradient-descent steps of rate ``alpha``
+    on :func:`sketch_loss`, from the user embedding broadcast to one row per
+    row of ``z``, ``y`` and ``mask`` (B, M).
+
+    Returns ``(u, inner, steps)``: the adapted stack (B, d), the
+    :class:`_Inner` set-up (None without a step) and, with ``keep``, each
+    step's forward values, first step first.  The set-up, checks included,
+    runs once per call; with no step (``n_steps`` or ``alpha`` zero) it does
+    not run at all.
+    """
+    u = np.broadcast_to(rec.user_emb.data, (len(z), rec.dim)).copy()
+    if n_steps == 0 or alpha == 0.0:
+        return u, None, []
+    inner = _Inner(rec, z, y, mask, len(z), every_entry)
+    steps = []
+    for _ in range(n_steps):
+        g, fwd = _step(rec, inner, u)
+        if keep:
+            steps.append(fwd)
+        u = u - alpha * g
+    return u, inner, steps
+
+
+def _tangent(rec: RecParams, lam, m):
+    """The user tower's directional derivative along ``lam`` (n, d), rows of
+    user-side directions, at relu masks ``m`` (n, H).
+
+    Returns the first layer's masked tangent (n, H) and the output's: (n,)
+    predictions explicit, (n, d) tower outputs implicit.  The tower is
+    linear in u between relu kinks, so this is exact.
+    """
+    mc = (lam @ rec.w1.data[:rec.dim]) * m
+    out = mc @ rec.w2.data
+    return mc, out[:, 0] if rec.setting == EXPLICIT else out
+
+
+def unrolled_backward(rec: RecParams, z, y, mask, next_items, next_ratings, alpha, n_steps,
+                      theta=True, sketch=False):
+    """Reverse pass through :func:`unroll`: gradients of the next-item loss
+    at the adapted stack, in closed form and without a graph.
+
+    ``z``, ``y`` and ``mask`` (B, M) as in :func:`unroll`, ``next_items``
+    and ``next_ratings`` (B,) as in :func:`next_item_loss`; both functions'
+    checks run, with their errors.  Returns ``(grads, v, loss)``:
+
+    * ``grads``, with ``theta``: the gradients w.r.t. ``rec.all_params()``,
+      summed over the users, else None;
+    * ``v``, with ``sketch``: the (B, M) gradient w.r.t. the sketch weights,
+      non-zero only on ``mask``, else None;
+    * ``loss``: the next-item loss summed over the users.
+
+    The adjoint recursion (reverse-mode hypergradients) starts at
+    lambda_K = dL/du_K and, for k = K-1 ... 0 with lambda = lambda_{k+1},
+    adds -alpha d_theta[lambda . grad S(u_k)] into theta and
+    -alpha lambda_b . grad l_bj(u_k) into v_bj, and sets lambda_k =
+    lambda - alpha H(u_k) lambda; ``user_emb`` gets sum_b lambda_0,b.  The
+    model is piecewise linear in u, so each term is a closed form in the
+    tower's tangent along lambda (:func:`_tangent`).  The theta terms are
+    gathered over the steps and reduced once at the end.
+    """
+    u, inner, steps = unroll(rec, z, y, mask, alpha, n_steps, keep=True, every_entry=sketch)
+    items = np.asarray(next_items, dtype=np.int64)
+    if items.shape != u.shape[:1]:
+        raise ValueError(f"next_item_loss: next items of shape {items.shape} "
+                         f"for user rows of shape {u.shape}")
+    _check_items(rec, items)
+    backward = _explicit_backward if rec.setting == EXPLICIT else _implicit_backward
+    grads, v, loss = backward(rec, u, inner, steps, items, next_ratings, alpha, theta, sketch)
+    if sketch and v is None:
+        v = np.zeros((len(u), rec.n_items))
+    return grads, v, loss
+
+
+def _explicit_backward(rec, u, inner, steps, items, ratings, alpha, theta, sketch):
+    w1, b1, w2, b2 = rec.w1.data, rec.b1.data, rec.w2.data, rec.b2.data
+    w1u = w1[:rec.dim]
+    x = np.concatenate([u, rec.item_emb.data[items]], axis=1)
+    a = x @ w1 + b1
+    m = a > 0
+    h = a * m
+    err = (h @ w2 + b2)[:, 0] - np.asarray(ratings, dtype=np.float64)
+    loss = float(np.sum(err * err))
+    r = 2.0 * err
+    da = (r[:, None] @ w2.T) * m
+    lam = da @ w1u.T
+    # the terms through each prediction p (outer loss, then every step):
+    # input x, hidden h, upstream on p, upstream on a, item; then the
+    # direct terms of every step: lambda's rows, tangent, -alpha r, -alpha back
+    on_p, direct = [(x, h, r, da, items)], []
+    v = 0.0
+    for x, m, h, p, r, back in reversed(steps):
+        lam_e = lam[inner.rows]
+        mc, q = _tangent(rec, lam_e, m)
+        if sketch:
+            v = v + (p - inner.y) * q
+        r_q = (-2.0 * alpha) * (inner.z * q)
+        da = (r_q[:, None] @ w2.T) * m
+        if theta:
+            on_p.append((x, h, r_q, da, inner.items))
+            direct.append((lam_e, mc, -alpha * r, -alpha * back))
+        step = np.zeros(lam.shape)
+        np.add.at(step, inner.rows, da @ w1u.T)
+        lam = lam + step
+    if sketch and inner is not None:
+        v_rows = np.zeros((len(u), rec.n_items))
+        v_rows[inner.rows, inner.items] = (-2.0 * alpha) * v
+        v = v_rows
+    else:
+        v = None
+    if not theta:
+        return None, v, loss
+    x, h, r, da, items = (np.concatenate(c) for c in zip(*on_p))
+    g_w1 = x.T @ da
+    g_w2 = h.T @ r
+    if direct:
+        lam_e, mc, r_d, back = (np.concatenate(c) for c in zip(*direct))
+        g_w1[:rec.dim] += lam_e.T @ back
+        g_w2 += mc.T @ r_d
+    g_emb = np.zeros(rec.item_emb.shape)
+    np.add.at(g_emb, items, da @ w1[rec.dim:].T)
+    grads = [lam.sum(axis=0), g_emb, g_w1, da.sum(axis=0), g_w2[:, None],
+             np.sum(r, keepdims=True)]
+    return grads, v, loss
+
+
+def _implicit_backward(rec, u, inner, steps, items, ratings, alpha, theta, sketch):
+    w1, b1, w2, b2 = rec.w1.data, rec.b1.data, rec.w2.data, rec.b2.data
+    emb = rec.item_emb.data
+    rows = np.arange(len(items))
+    a = u @ w1 + b1
+    m = a > 0
+    h = a * m
+    t = h @ w2 + b2
+    s = t @ emb.T
+    top = np.max(s, axis=-1)
+    e = np.exp(s - top[:, None])
+    se = np.sum(e, axis=-1)
+    loss = float(np.sum(np.log(se) + top - s[rows, items]))
+    d_s = e / se[:, None]
+    d_s[rows, items] -= 1.0
+    d_t = d_s @ emb
+    da = (d_t @ w2.T) * m
+    lam = da @ w1.T
+    # the terms through the scores s = E t(u) (outer loss, then every
+    # step), then those through every step's tangent s' = E t'(lambda),
+    # whose upstream is -alpha g: upstreams on s, t and a with the values
+    # they multiply (t, h and u)
+    on_s, on_tangent = [(d_s, t, d_t, h, da, u)], []
+    v = 0.0
+    for u_k, m, h, t, e, se, g, ge, back in reversed(steps):
+        mc, t_dot = _tangent(rec, lam, m)
+        s_dot = t_dot @ emb.T
+        p = e / se[:, None]
+        ps = np.sum(p * s_dot, axis=-1, keepdims=True)
+        if sketch:
+            v = v + (s_dot - ps)
+        d_s = (-alpha * inner.zsum)[:, None] * (p * (s_dot - ps))
+        d_t = d_s @ emb
+        da = (d_t @ w2.T) * m
+        if theta:
+            on_s.append((d_s, t, d_t, h, da, u_k))
+            on_tangent.append((-alpha * g, t_dot, -alpha * ge, mc, -alpha * back, lam))
+        lam = lam + da @ w1.T
+    v = np.where(inner.mask != 0, alpha * v, 0.0) if sketch and inner is not None else None
+    if not theta:
+        return None, v, loss
+    d_s, t, d_t, h, da, u = (np.concatenate(c) for c in zip(*(on_s + on_tangent)))
+    # the biases act on the score path only: its rows come first
+    n = len(on_s) * len(rows)
+    grads = [lam.sum(axis=0), d_s.T @ t, u.T @ da, da[:n].sum(axis=0), h.T @ d_t,
+             d_t[:n].sum(axis=0)]
+    return grads, v, loss
 
 
 def user_derivatives(rec: RecParams, u, items, ratings):

@@ -1,27 +1,30 @@
 """Bilevel training loop: per-step user adaptation on the sketch, outer
 recommender updates, and the queue-based approximate policy gradient.
 
-Every time step runs a fixed number of recorded gradient-descent steps on
-the user embedding (the inner problem), evaluates the next-interaction
-loss, and backpropagates through the unrolled inner steps to update the
-global model.  The users of a mini-batch are independent inner problems
-that share one initialisation, so each time step builds one graph for
-all users still streaming: their user embeddings are stacked (B, d) and
-their losses summed.  Every user-side function takes such stacks, rows
-(B, M) and embeddings (B, d); one user is the stack B = 1.  The sketching
-policy is updated with a two-term gradient: a straight-through term for
-the current selection plus a replay term over each user's queue of stored
-intermediate sketch indicators.  It too is one graph per time step, over
-the users at a sketch boundary, and each of those users commits the
-selection its gradient was taken at.  Per
-time step, the policy phase draws from the generator in a fixed order: the
-current stack's dropout masks, then one uniform per head pick (row by row),
-then the replay stack's masks and picks (users in stack order, each queue
-oldest first).  The commits of a learned policy draw nothing.  An
-adaptation that is not differentiated (evaluation, and the ``hardest`` and
-``influence`` commits) records no graph: ``inner_adapt(record=False)``
-steps along the closed-form :func:`recmodel.sketch_gradient` and returns
-the adapted stack as an ndarray.
+Every time step runs a fixed number of gradient-descent steps on the user
+embedding (the inner problem), evaluates the next-interaction loss, and
+differentiates it through the unrolled inner steps to update the global
+model.  The users of a mini-batch are independent inner problems that
+share one initialisation, so each time step adapts all users still
+streaming at once: their user embeddings are stacked (B, d) and their
+losses summed.  Every user-side function takes such stacks, rows (B, M)
+and embeddings (B, d); one user is the stack B = 1.  The inner loop and
+the reverse pass through it are the closed-form kernel of
+:mod:`recmodel` (:func:`recmodel.unroll`,
+:func:`recmodel.unrolled_backward`), which records no graph: the
+meta-gradient of :func:`theta_gradients` and the sketch-weight gradient v
+of :func:`policy_gradient` come from one adjoint recursion each, and
+:func:`inner_adapt` returns the adapted stack as an ndarray.  The only
+graph is the policy network's: the sketching policy is updated with a
+two-term gradient, a straight-through term for the current selection plus
+a replay term over each user's queue of stored intermediate sketch
+indicators, in one first-order backward per time step over the users at a
+sketch boundary, and each of those users commits the selection its
+gradient was taken at.  Per time step, the policy phase draws from the
+generator in a fixed order: the current stack's dropout masks, then one
+uniform per head pick (row by row), then the replay stack's masks and picks
+(users in stack order, each queue oldest first).  The commits of a learned
+policy draw nothing.
 """
 
 from __future__ import annotations
@@ -115,6 +118,37 @@ class SketchQueue:
         return len(self._entries)
 
 
+# entries per scratch row of the optimizers: a parameter is updated in
+# blocks of whole rows this large, so its temporaries stay in cache and no
+# step allocates
+_BLOCK = 1 << 15
+
+
+def _block_plan(params, n):
+    """The blocks an optimizer updates its parameters in, made once: per
+    parameter, a list of ``(index, scratch)``, ``index`` a block of whole
+    rows (the whole parameter when it fits in one) and ``scratch`` views of
+    ``n`` scratch rows shaped like that block.  The scratch rows are one
+    buffer, as long as a block or the longest parameter row."""
+    longest = max(p.data[0].size if p.data.ndim else 1 for p in params)
+    buf = np.empty((n, max(_BLOCK, longest)))
+    plan = []
+    for p in params:
+        shape = p.data.shape
+        if not shape:
+            plan.append([(..., [row[:1].reshape(()) for row in buf])])
+            continue
+        row = int(np.prod(shape[1:]))
+        step = max(1, buf.shape[1] // max(row, 1))
+        blocks = []
+        for i in range(0, shape[0], step):
+            index = slice(i, min(i + step, shape[0]))
+            block = (index.stop - i,) + shape[1:]
+            blocks.append((index, [r[:block[0] * row].reshape(block) for r in buf]))
+        plan.append(blocks)
+    return plan
+
+
 class SGDMomentum:
     def __init__(self, params, lr, momentum=0.9, weight_decay=0.0):
         self.params = params
@@ -122,17 +156,21 @@ class SGDMomentum:
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.velocity = [np.zeros(p.shape) for p in params]
+        self.plan = _block_plan(params, 1)
 
     def step(self, grads):
-        # g + wd * p, v = momentum * v + g, p -= lr * v, through one scratch
-        # array: the same operations in the same order, bit for bit
-        for p, v, g in zip(self.params, self.velocity, grads):
-            s = np.multiply(p.data, self.weight_decay, out=np.empty_like(p.data))
-            s += g
-            v *= self.momentum
-            v += s
-            np.multiply(v, self.lr, out=s)
-            p.data -= s
+        # g + wd * p, v = momentum * v + g, p -= lr * v, block by block
+        # through one scratch row: the same operations in the same order,
+        # bit for bit
+        for p, v, g, blocks in zip(self.params, self.velocity, grads, self.plan):
+            for index, (s,) in blocks:
+                p_b, v_b = p.data[index], v[index]
+                np.multiply(p_b, self.weight_decay, out=s)
+                s += np.asarray(g)[index]
+                v_b *= self.momentum
+                v_b += s
+                np.multiply(v_b, self.lr, out=s)
+                p_b -= s
 
 
 class Adam:
@@ -145,73 +183,60 @@ class Adam:
         self.m = [np.zeros(p.shape) for p in params]
         self.v = [np.zeros(p.shape) for p in params]
         self.t = 0
+        self.plan = _block_plan(params, 2)
 
     def step(self, grads):
         # the textbook update, g = grad + wd * p, m and v moving averages,
-        # p -= lr * mhat / (sqrt(vhat) + eps), computed through two scratch
-        # arrays per parameter: the same operations in the same order, bit
-        # for bit, without a temporary per operation
+        # p -= lr * mhat / (sqrt(vhat) + eps), block by block through two
+        # scratch rows: the same operations in the same order, bit for bit,
+        # without a temporary per operation
         self.t += 1
         c1, c2 = 1 - self.b1 ** self.t, 1 - self.b2 ** self.t
-        for p, m, v, g in zip(self.params, self.m, self.v, grads):
-            s1, s2 = np.empty_like(p.data), np.empty_like(p.data)
-            np.multiply(p.data, self.weight_decay, out=s1)
-            s1 += g                                    # s1 = g
-            np.multiply(s1, 1 - self.b1, out=s2)
-            m *= self.b1
-            m += s2
-            np.multiply(s1, 1 - self.b2, out=s2)
-            s2 *= s1
-            v *= self.b2
-            v += s2
-            np.divide(m, c1, out=s1)                   # s1 = mhat
-            s1 *= self.lr
-            np.divide(v, c2, out=s2)                   # s2 = vhat
-            np.sqrt(s2, out=s2)
-            s2 += self.eps
-            s1 /= s2
-            p.data -= s1
+        for p, m, v, g, blocks in zip(self.params, self.m, self.v, grads, self.plan):
+            for index, (s1, s2) in blocks:
+                p_b, m_b, v_b = p.data[index], m[index], v[index]
+                np.multiply(p_b, self.weight_decay, out=s1)
+                s1 += np.asarray(g)[index]                 # s1 = g
+                np.multiply(s1, 1 - self.b1, out=s2)
+                m_b *= self.b1
+                m_b += s2
+                np.multiply(s1, 1 - self.b2, out=s2)
+                s2 *= s1
+                v_b *= self.b2
+                v_b += s2
+                np.divide(m_b, c1, out=s1)                 # s1 = mhat
+                s1 *= self.lr
+                np.divide(v_b, c2, out=s2)                 # s2 = vhat
+                np.sqrt(s2, out=s2)
+                s2 += self.eps
+                s1 /= s2
+                p_b -= s1
 
 
-def inner_adapt(rec: RecParams, z, y, mask, alpha, n_steps, record=True):
+def inner_adapt(rec: RecParams, z, y, mask, alpha, n_steps):
     """Adapt B copies of the user embedding on the weighted sketch loss,
     copy b on row b of ``z``, ``y`` and ``mask`` (B, M).
 
-    Returns the adapted stack (B, d).  With ``record`` it is a Tensor whose
-    gradient steps stay on the graph, so the outer loss can be
-    meta-differentiated.  Without it, it is an ndarray and no graph is
-    built: every step takes the closed-form
-    :func:`recmodel.sketch_gradient`, which checks ``z`` and ``mask`` as
-    :func:`recmodel.sketch_loss` does.  Item-side parameters are never
-    touched.
+    Returns the adapted stack (B, d), an ndarray: every step takes the
+    closed-form :func:`recmodel.sketch_gradient` through
+    :func:`recmodel.unroll`, which checks ``z`` and ``mask`` once, as
+    :func:`recmodel.sketch_loss` does.  No graph is built and item-side
+    parameters are never touched.
     """
-    n_users = len(z.data if isinstance(z, Tensor) else z)
-    u = dc.broadcast_to(rec.user_emb, (n_users, rec.dim))
-    if n_steps == 0 or alpha == 0.0:
-        return u if record else u.data
-    if not record:
-        u = u.data
-        for _ in range(n_steps):
-            u = u - alpha * rm.sketch_gradient(rec, u, z, y, mask)
-        return u
-    for _ in range(n_steps):
-        loss = rm.sketch_loss(rec, u, z, y, mask)
-        (g,) = dc.grad(loss, [u], create_graph=True, allow_unused=True)
-        u = u - alpha * g
-    return u
+    return rm.unroll(rec, z, y, mask, alpha, n_steps)[0]
 
 
 def theta_gradients(rec: RecParams, z, y, mask, next_item, next_rating, cfg):
     """Meta-gradient of the next-interaction loss w.r.t. the global parameters.
 
     ``z``, ``y`` and ``mask`` are (B, M), the next items and ratings (B,):
-    one graph for all B users.  Returns the gradients and the loss, both
-    summed over the users.
+    one reverse pass through the unrolled inner loop of all B users
+    (:func:`recmodel.unrolled_backward`).  Returns the gradients and the
+    loss, both summed over the users.
     """
-    u = inner_adapt(rec, z, y, mask, cfg.inner_lr, cfg.inner_steps)
-    loss = rm.next_item_loss(rec, u, next_item, next_rating)
-    grads = dc.grad(loss, rec.all_params())
-    return [g.data for g in grads], loss.item()
+    grads, _, loss = rm.unrolled_backward(rec, z, y, mask, next_item, next_rating,
+                                          cfg.inner_lr, cfg.inner_steps)
+    return grads, loss
 
 
 def select_with_policy(phi: PolicyParams, zhat, y, cfg, rng=None):
@@ -265,19 +290,17 @@ def policy_gradient(phi: PolicyParams, rec: RecParams, y, mask, zhat_t, past_zha
     if len(past_zhats) != n_users:
         raise ValueError(f"policy_gradient: {len(past_zhats)} queues for {n_users} users")
     z_t = select_with_policy(phi, zhat_t, y, cfg, rng)
-    z_probe = Tensor(z_t.data, requires_grad=True)
-    u = inner_adapt(rec, z_probe, y, mask, cfg.inner_lr, cfg.inner_steps)
-    loss = rm.next_item_loss(rec, u, next_item, next_rating)
-    (v,) = dc.grad(loss, [z_probe])
-    objective = dc.tsum(dc.mul(z_t, v))
+    _, v, loss = rm.unrolled_backward(rec, z_t.data, y, mask, next_item, next_rating,
+                                      cfg.inner_lr, cfg.inner_steps, theta=False, sketch=True)
+    objective = dc.tsum(dc.mul(z_t, Tensor(v)))
 
     past = [z for queue in past_zhats for z in queue]
     if past:
         owner = np.repeat(np.arange(n_users), [len(q) for q in past_zhats])
         z_past = select_with_policy(phi, np.stack(past), y[owner], cfg, rng)
-        objective = objective + dc.tsum(dc.mul(z_past, Tensor(v.data[owner])))
+        objective = objective + dc.tsum(dc.mul(z_past, Tensor(v[owner])))
     grads = dc.grad(objective, phi.params())
-    return [g.data for g in grads], v.data, z_t.data, loss.item()
+    return [g.data for g in grads], v, z_t.data, loss
 
 
 class _UserState:
@@ -344,7 +367,7 @@ def _update_sketch(state: _UserState, inter, rec, phi, cfg, rng, oracle_anchors=
     if cfg.policy in ("hardest", "influence"):
         if u is None:
             u = inner_adapt(rec, inter.base.z[None], state.y[None], state.mask[None],
-                            cfg.inner_lr, cfg.inner_steps, record=False)[0]
+                            cfg.inner_lr, cfg.inner_steps)[0]
         if cfg.policy == "hardest":
             return pol.hardest_update(rec, u, inter)
         return pol.influence_update(rec, u, inter, damping=cfg.influence_damping)

@@ -305,17 +305,36 @@ def test_gradcheck_checks_the_graph_free_sketch_gradient(monkeypatch):
         g = orig(rec, u, *args)
         return -g if len(u) > 1 else g
 
-    # only the sketch_gradient check adapts a stack of more than one user
+    # only the sketch_gradient check calls it: the inner loop takes the
+    # step it wraps, once set up
     monkeypatch.setattr(rm, "sketch_gradient", negated_on_a_stack)
     buf = io.StringIO()
     assert cli.run_gradchecks(out=buf) == ["sketch_gradient"]
     assert "FAIL sketch_gradient" in buf.getvalue()
 
-    # the two checks that finite-difference through the graph-free inner
-    # loop cross-check the kernel against the recorded graph
-    monkeypatch.setattr(rm, "sketch_gradient", lambda *a: -orig(*a))
+    # a wrong step moves the inner loop that the two checks through it
+    # finite-difference, but not the reverse pass they check against it
+    monkeypatch.undo()
+    step = rm._step
+
+    def negated_step(*args):
+        g, forward = step(*args)
+        return -g, forward
+
+    monkeypatch.setattr(rm, "_step", negated_step)
     assert cli.run_gradchecks(out=io.StringIO()) == [
         "sketch_gradient", "meta_gradient_unrolled", "grad_wrt_sketch"]
+
+
+def test_gradcheck_checks_the_mixed_term_of_the_reverse_pass(monkeypatch):
+    # the reverse pass's second-order term, -alpha d[lambda . grad S], reads
+    # the tower's tangent along lambda; with its sign flipped, the theta
+    # gradients and v are wrong, and nothing else the checks read changes
+    tangent = rm._tangent
+    monkeypatch.setattr(rm, "_tangent", lambda *args: tuple(-t for t in tangent(*args)))
+    buf = io.StringIO()
+    assert cli.run_gradchecks(out=buf) == ["meta_gradient_unrolled", "grad_wrt_sketch"]
+    assert "FAIL meta_gradient_unrolled" in buf.getvalue()
 
 
 def test_gradcheck_exit_codes(monkeypatch):

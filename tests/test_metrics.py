@@ -221,7 +221,7 @@ def per_user_reference(rec, phi, stream, cfg, exclude_history, anchors):
     records = []
     for t in range(1, len(stream.items)):
         u = dc.Tensor(tr.inner_adapt(rec, st.sketch.z[None], st.y[None], st.mask[None],
-                                     cfg.inner_lr, cfg.inner_steps, record=False))
+                                     cfg.inner_lr, cfg.inner_steps))
         nxt = int(stream.items[t])
         with dc.no_grad():
             if cfg.setting == rm.EXPLICIT:

@@ -6,6 +6,7 @@ from dips import recmodel as rm
 from dips.diffcore import Tensor, grad
 
 from fdcheck import finite_difference, rel_error
+from unrolled_reference import recorded_backward
 
 
 def tiny_model(setting="explicit", n_items=5, dim=3, hidden=4, seed=0):
@@ -353,3 +354,61 @@ def test_graph_free_kernel_matches_autodiff(setting, n_items):
         assert got.shape == uc.shape
         assert np.max(np.abs(got - want.data)) <= 1e-12 * np.max(np.abs(want.data))
     np.testing.assert_array_equal(rm.sketch_gradient(rec, u0, z, y, mask)[1], 0.0)
+
+
+def max_rel_diff(a, ref):
+    """max |a - ref| over max |ref|; exact where ``ref`` is all zero."""
+    a, ref = np.asarray(a), np.asarray(ref)
+    assert a.shape == ref.shape
+    diff = np.max(np.abs(a - ref), initial=0.0)
+    return diff / np.max(np.abs(ref)) if np.any(ref) else diff
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 5])
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("n_items", [10, 500, 3706])
+@pytest.mark.parametrize("setting", ["explicit", "implicit"])
+def test_unrolled_backward_matches_the_recorded_double_backward(setting, n_items, B, n_steps):
+    # the closed-form reverse pass against one backward of the recorded
+    # inner loop: theta gradients, v and loss within 1e-12, for the first
+    # row alone and for the stack whose middle row weights nothing
+    rec, z, y, mask, _ = kernel_problem(setting, n_items, seed=n_items)
+    z, y, mask = z[:B], y[:B], mask[:B]
+    nxt = np.array([np.flatnonzero(row)[-1] for row in mask])
+    r = y[np.arange(B), nxt]
+    args = (rec, z, y, mask, nxt, r, 0.3, n_steps)
+    ref_grads, ref_v, ref_loss = recorded_backward(*args)
+    grads, v, loss = rm.unrolled_backward(*args, sketch=True)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert max_rel_diff(v, ref_v) <= 1e-12
+    assert not np.any(v[mask == 0])
+    assert (n_steps == 0) == (not np.any(v))
+    for g, g_ref in zip(grads, ref_grads, strict=True):
+        assert max_rel_diff(g, g_ref) <= 1e-12
+
+    # theta alone takes the explicit steps on the support of z only; v
+    # alone is the same v, bit for bit
+    theta_only, none, loss_t = rm.unrolled_backward(*args)
+    assert none is None and abs(loss_t - ref_loss) <= 1e-12 * abs(ref_loss)
+    for g, g_ref in zip(theta_only, ref_grads, strict=True):
+        assert max_rel_diff(g, g_ref) <= 1e-12
+    none, v_only, _ = rm.unrolled_backward(*args, theta=False, sketch=True)
+    assert none is None
+    np.testing.assert_array_equal(v_only, v)
+
+
+@pytest.mark.parametrize("setting", ["explicit", "implicit"])
+def test_unroll_checks_the_sketch_once_per_call(monkeypatch, setting):
+    # the checks and gathers of the sketch run once however many steps are
+    # taken, and not at all when no step is
+    rec, z, y, mask, _ = kernel_problem(setting, 10, seed=10)
+    checked = []
+    check = rm._check_sketch
+    monkeypatch.setattr(rm, "_check_sketch", lambda *a: checked.append(1) or check(*a))
+    for n_steps, alpha in ((5, 0.3), (0, 0.3), (5, 0.0)):
+        checked.clear()
+        u, _, steps = rm.unroll(rec, z, y, mask, alpha, n_steps, keep=True)
+        stepped = n_steps > 0 and alpha > 0
+        assert len(checked) == stepped and len(steps) == n_steps * stepped
+        if not stepped:
+            np.testing.assert_array_equal(u, np.tile(rec.user_emb.data, (3, 1)))
