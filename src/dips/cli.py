@@ -20,7 +20,6 @@ from . import policies as pol
 from . import recmodel as rm
 from . import trainer as tr
 from .diffcore import GraphError, ShapeError, Tensor
-from . import diffcore as dc
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -155,17 +154,18 @@ def load_data(cfg):
     """Returns (DatasetSplits, oracle_anchors-or-None)."""
     kind = cfg["data.kind"]
     if kind == "synth":
-        sd = ds.synth_stream(
-            ds.SynthConfig(n_users=cfg["synth.n_users"], n_items=cfg["synth.n_items"],
-                           length=cfg["synth.length"], n_anchors=cfg["synth.n_anchors"],
-                           n_groups=cfg["synth.n_groups"],
-                           anchor_weight=cfg["synth.anchor_weight"],
-                           noise=cfg["synth.noise"],
-                           user_bias_std=cfg["synth.user_bias_std"],
-                           junk_prob=cfg["synth.junk_prob"],
-                           filler_like_prob=cfg["synth.filler_like_prob"],
-                           clip=cfg["synth.clip"], setting=cfg["train.setting"]),
-            seed=cfg["synth.seed"], split=ds.SplitSpec(seed=cfg["data.split_seed"]))
+        try:
+            synth = ds.SynthConfig(
+                n_users=cfg["synth.n_users"], n_items=cfg["synth.n_items"],
+                length=cfg["synth.length"], n_anchors=cfg["synth.n_anchors"],
+                n_groups=cfg["synth.n_groups"], anchor_weight=cfg["synth.anchor_weight"],
+                noise=cfg["synth.noise"], user_bias_std=cfg["synth.user_bias_std"],
+                junk_prob=cfg["synth.junk_prob"], filler_like_prob=cfg["synth.filler_like_prob"],
+                clip=cfg["synth.clip"], setting=cfg["train.setting"])
+        except ValueError as e:
+            raise ConfigError(f"synth.{e}") from None
+        sd = ds.synth_stream(synth, seed=cfg["synth.seed"],
+                             split=ds.SplitSpec(seed=cfg["data.split_seed"]))
         return sd.splits, sd.anchors
     if kind not in ("movielens-dat", "csv"):
         raise ConfigError(f"data.kind must be synth, movielens-dat or csv, got {kind!r}")
@@ -277,31 +277,55 @@ def cmd_eval(cfg, checkpoint):
 
 # ------------------------------------------------------------- gradcheck
 
-def _check_mlp_grads():
-    rng = np.random.default_rng(0)
-    w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    b = Tensor(rng.normal(size=3), requires_grad=True)
-    x = rng.normal(size=4)
+def _fd_error(f, x, grad, points, h, floor, lower=None):
+    """The worst relative error of ``grad`` against central differences
+    (f(x + h e_i) - f(x - h e_i)) / 2h at each flat index i in ``points``.
 
-    def loss_value():
-        h = dc.sigmoid(dc.matmul(Tensor(x), w) + b)
-        return dc.tsum(h * h)
-
-    grads = dc.grad(loss_value(), [w, b])
+    ``x`` (contiguous) is moved in place and restored; ``f()`` reads it and
+    returns a number or an array.  ``grad`` holds one row per entry of
+    ``x``: its entries shaped like ``x``, or rows shaped like f's value.
+    With ``lower`` the minus step stops at that bound, and the difference
+    divides by the step taken.
+    """
+    flat = x.reshape(-1)
+    rows = np.reshape(grad, (x.size, -1))
     worst = 0.0
-    h = 1e-6
-    for p, g in zip((w, b), grads):
-        flat, gflat = p.data.reshape(-1), g.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            lp = loss_value().item()
-            flat[i] = orig - h
-            lm = loss_value().item()
-            flat[i] = orig
-            fd = (lp - lm) / (2 * h)
-            worst = max(worst, abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-8))
-    return worst, 1e-4
+    for i in points:
+        orig = flat[i]
+        flat[i] = orig + h
+        fp = f()
+        flat[i] = orig - h if lower is None else max(orig - h, lower)
+        fm = f()
+        step = 2 * h if lower is None else (orig + h) - flat[i]
+        flat[i] = orig
+        fd = (np.asarray(fp) - fm) / step
+        err = np.abs(fd - rows[i]) / np.maximum(np.maximum(np.abs(fd), np.abs(rows[i])), floor)
+        worst = max(worst, float(err.max()))
+    return worst
+
+
+def _check_policy_backward():
+    # the policy network's closed-form backward, dropout on, against
+    # central differences of sum(g * scores) over the finite scores of a
+    # stack, at every parameter entry; biases clear of zero keep a row
+    # whose units all drop out off the relu kinks
+    rng = np.random.default_rng(0)
+    phi = pol.PolicyParams(6, hidden=5, dropout_rate=0.3, rng=rng)
+    for b in (phi.b1, phi.b2):
+        b.data[:] = rng.uniform(0.1, 0.5, size=b.shape)
+    zhat = np.array([[1.0, 1, 0, 1, 0, 1], [0, 1, 1, 0, 1, 0], [1, 0, 1, 1, 1, 1]])
+    y = zhat * rng.uniform(1, 5, size=zhat.shape)
+    g = np.where(zhat > 0, rng.normal(size=zhat.shape), 0.0)
+
+    def scores():
+        return pol.policy_scores(zhat, y, phi, training=True, rng=np.random.default_rng(7))
+
+    def value():
+        return float(np.sum(g[zhat > 0] * scores().data[zhat > 0]))
+
+    grads = scores().grads(g)
+    return max(_fd_error(value, p.data, gp, range(p.data.size), 1e-6, 1e-8)
+               for p, gp in zip(phi.params(), grads)), 1e-4
 
 
 def _meta_setup(setting):
@@ -329,18 +353,20 @@ def _meta_setup(setting):
     return rec, zhat, y, mask, nxt, y[np.arange(3), nxt], cfg
 
 
+def _margin(rec, u, rows, items):
+    """The least |relu pre-activation| of the tower at the stack ``u``:
+    of each (row, item) pair (explicit) or each row (implicit)."""
+    x = u if rec.setting == rm.IMPLICIT else np.concatenate(
+        [u[rows], rec.item_emb.data[items]], axis=1)
+    return np.min(np.abs(x @ rec.w1.data + rec.b1.data))
+
+
 def _kink_margin(rec, z, y, mask, cfg):
-    """The least |relu pre-activation| over the inner steps and the adapted
-    stack, at every interacted item; finite differences need it clear of 0."""
-    w1, b1 = rec.w1.data, rec.b1.data
+    """The least margin over the inner steps, at every interacted item;
+    finite differences need it clear of 0."""
     rows, items = np.nonzero(mask)
-    margin = np.inf
-    for k in range(cfg.inner_steps + 1):
-        u = tr.inner_adapt(rec, z, y, mask, cfg.inner_lr, k)
-        x = u if rec.setting == rm.IMPLICIT else np.concatenate(
-            [u[rows], rec.item_emb.data[items]], axis=1)
-        margin = min(margin, np.min(np.abs(x @ w1 + b1)))
-    return margin
+    return min(_margin(rec, tr.inner_adapt(rec, z, y, mask, cfg.inner_lr, k), rows, items)
+               for k in range(cfg.inner_steps + 1))
 
 
 def _check_meta_gradient():
@@ -363,16 +389,8 @@ def _check_meta_gradient():
 
         rng = np.random.default_rng(2)
         for p, g in zip(rec.all_params(), grads):
-            flat, gflat = p.data.reshape(-1), np.asarray(g).reshape(-1)
-            for i in rng.choice(flat.size, size=min(3, flat.size), replace=False):
-                orig = flat[i]
-                flat[i] = orig + h
-                lp = loss_value()
-                flat[i] = orig - h
-                lm = loss_value()
-                flat[i] = orig
-                fd = (lp - lm) / (2 * h)
-                worst = max(worst, abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-6))
+            points = rng.choice(p.data.size, size=min(3, p.data.size), replace=False)
+            worst = max(worst, _fd_error(loss_value, p.data, g, points, h, 1e-6))
     return worst, 1e-3
 
 
@@ -389,16 +407,12 @@ def _check_grad_wrt_sketch():
         if np.any(z[1]) or _kink_margin(rec, z, y, mask, cfg) <= 1e-3:
             return np.inf, 1e-3
 
-        def loss_with(zv):
-            u = tr.inner_adapt(rec, zv, y, mask, cfg.inner_lr, cfg.inner_steps)
+        def loss_value():
+            u = tr.inner_adapt(rec, z, y, mask, cfg.inner_lr, cfg.inner_steps)
             return rm.next_item_loss(rec, Tensor(u), nxt, r).item()
 
-        for j in zip(*np.nonzero(mask)):
-            zp, zm = z.copy(), z.copy()
-            zp[j] += 1e-4
-            zm[j] = max(zm[j] - 1e-4, 0.0)
-            fd = (loss_with(zp) - loss_with(zm)) / (zp[j] - zm[j])
-            worst = max(worst, abs(fd - v[j]) / max(abs(fd), abs(v[j]), 1e-6))
+        worst = max(worst, _fd_error(loss_value, z, v, np.flatnonzero(mask), 1e-4, 1e-6,
+                                     lower=0.0))
     return worst, 1e-3
 
 
@@ -408,19 +422,11 @@ def _check_topk_grad():
     for _ in range(5):
         f = rng.normal(size=10)
         k = int(rng.integers(1, 9))
-        scores = Tensor(f, requires_grad=True)
-        u = pol.topk_project(scores, k)
+        u = pol.topk_project(f, k).data
         v = rng.normal(size=10)
-        (g,) = dc.grad(dc.tsum(u * Tensor(v)), [scores])
-        h = 1e-6
-        for i in range(10):
-            fp, fm = f.copy(), f.copy()
-            fp[i] += h
-            fm[i] -= h
-            up = pol.topk_project(Tensor(fp), k).data
-            um = pol.topk_project(Tensor(fm), k).data
-            fd = float(v @ (up - um)) / (2 * h)
-            worst = max(worst, abs(fd - g.data[i]) / max(abs(fd), abs(g.data[i]), 1e-6))
+        g = pol.topk_grad(f, u, v)
+        worst = max(worst, _fd_error(lambda: v @ pol.topk_project(f, k).data, f, g, range(10),
+                                     1e-6, 1e-6))
     return worst, 1e-3
 
 
@@ -441,23 +447,15 @@ def _check_sketch_gradient():
         z = mask * rng.uniform(0.5, 1.5, size=mask.shape)
         z[1] = 0.0
         u0 = rng.normal(size=(3, 3))
-        rows, items = np.nonzero(mask)
-        w1 = rec.w1.data
-        x = u0 if setting == rm.IMPLICIT else np.concatenate(
-            [u0[rows], rec.item_emb.data[items]], axis=1)
-        if np.min(np.abs(x @ w1 + rec.b1.data)) <= h * np.abs(w1[:3]).sum(axis=0).max():
+        if _margin(rec, u0, *np.nonzero(mask)) <= h * np.abs(rec.w1.data[:3]).sum(axis=0).max():
             return np.inf, 1e-5
         for zc, yc, mc, uc in ((z, y, mask, u0), (z[:1], y[:1], mask[:1], u0[:1])):
             grad = rm.sketch_gradient(rec, uc, zc, yc, mc)
 
-            def loss(u):
-                return rm.sketch_loss(rec, Tensor(u), zc, yc, mc).item()
+            def loss():
+                return rm.sketch_loss(rec, Tensor(uc), zc, yc, mc).item()
 
-            for i in np.ndindex(uc.shape):
-                step = np.zeros(uc.shape)
-                step[i] = h
-                fd = (loss(uc + step) - loss(uc - step)) / (2 * h)
-                worst = max(worst, abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-6))
+            worst = max(worst, _fd_error(loss, uc, grad, range(uc.size), h, 1e-6))
     return worst, 1e-5
 
 
@@ -474,33 +472,25 @@ def _check_influence_derivatives():
         u0 = rng.normal(size=3)
         items = rng.choice(8, size=5, replace=False)
         ratings = rng.uniform(1, 5, size=5)
-        w1 = rec.w1.data
-        x = u0 if setting == rm.IMPLICIT else np.concatenate(
-            [np.tile(u0, (5, 1)), rec.item_emb.data[items]], axis=1)
-        if np.min(np.abs(x @ w1 + rec.b1.data)) <= h * np.abs(w1[:3]).sum(axis=0).max():
+        if _margin(rec, u0[None], np.zeros(5, int), items) <= (
+                h * np.abs(rec.w1.data[:3]).sum(axis=0).max()):
             return np.inf, 1e-5
 
-        def derivatives(u):
-            return rm.user_derivatives(rec, u, items, ratings)
-
-        def losses(u):
-            return np.array([rm.next_item_loss(rec, Tensor(u[None]), [j], [r]).item()
+        def losses():
+            return np.array([rm.next_item_loss(rec, Tensor(u0[None]), [j], [r]).item()
                              for j, r in zip(items, ratings)])
 
-        grads, hess = derivatives(u0)
-        for i in range(3):
-            step = h * np.eye(3)[i]
-            fd_grads = (losses(u0 + step) - losses(u0 - step)) / (2 * h)
-            fd_hess = (derivatives(u0 + step)[0].sum(axis=0)
-                       - derivatives(u0 - step)[0].sum(axis=0)) / (2 * h)
-            for fd, an in ((fd_grads, grads[:, i]), (fd_hess, hess[:, i])):
-                err = np.abs(fd - an) / np.maximum(np.maximum(np.abs(fd), np.abs(an)), 1e-6)
-                worst = max(worst, float(err.max()))
+        def gradient_sum():
+            return rm.user_derivatives(rec, u0, items, ratings)[0].sum(axis=0)
+
+        grads, hess = rm.user_derivatives(rec, u0, items, ratings)
+        worst = max(worst, _fd_error(losses, u0, grads.T, range(3), h, 1e-6),
+                    _fd_error(gradient_sum, u0, hess.T, range(3), h, 1e-6))
     return worst, 1e-5
 
 
 GRADCHECKS = [
-    ("diffcore_mlp_grads", _check_mlp_grads),
+    ("policy_backward", _check_policy_backward),
     ("sketch_gradient", _check_sketch_gradient),
     ("meta_gradient_unrolled", _check_meta_gradient),
     ("grad_wrt_sketch", _check_grad_wrt_sketch),
@@ -569,27 +559,11 @@ def cmd_diagnose(cfg):
     return EXIT_OK
 
 
-def cmd_dump_trace(cfg):
-    started = time.perf_counter()
-    out_dir = cfg["out.dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    tcfg = train_config(cfg)
-    data, anchors = load_data(cfg)
-    trace_path = os.path.join(out_dir, "sketch_trace.jsonl")
-    with tr.atomic_files() as files:
-        with files.open(trace_path) as trace:
-            tr.train(tcfg, data, oracle_anchors=anchors, trace_file=trace,
-                     validate_each_epoch=False)
-        _write_manifest(files, out_dir, cfg, ["sketch_trace.jsonl", "manifest.json"], started)
-    print(f"wrote {trace_path}")
-    return EXIT_OK
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dips", description="Sketch-policy recommender experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("train", "eval", "diagnose", "dump-trace"):
+    for name in ("train", "eval", "diagnose"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key = value config file")
         p.add_argument("--set", dest="overrides", action="append", default=[],
@@ -612,8 +586,6 @@ def main(argv=None):
             return cmd_eval(cfg, args.checkpoint)
         if args.command == "diagnose":
             return cmd_diagnose(cfg)
-        if args.command == "dump-trace":
-            return cmd_dump_trace(cfg)
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

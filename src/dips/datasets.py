@@ -229,12 +229,29 @@ class SynthConfig:
     setting: str = "explicit"
 
     def __post_init__(self):
+        # each message begins with the field it names, so the CLI can
+        # report it as the synth.* key
         if self.n_groups < 2:
-            raise ValueError("need at least 2 taste groups")
-        if self.n_groups * self.n_anchors > self.n_items:
-            raise ValueError("not enough items for the anchor blocks")
-        if self.length > self.n_items:
-            raise ValueError("stream longer than the item catalog (items repeat)")
+            raise ValueError(f"n_groups must be at least 2 (taste groups), got {self.n_groups}")
+        if not 0 <= self.n_anchors <= self.length:
+            raise ValueError(f"n_anchors must lie in [0, length = {self.length}], "
+                             f"got {self.n_anchors}")
+        anchored = self.n_groups * self.n_anchors
+        if anchored > self.n_items:
+            raise ValueError(f"n_groups * n_anchors = {anchored} anchor items exceed "
+                             f"n_items = {self.n_items}")
+        for name in ("noise", "user_bias_std"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.setting == "implicit" and not 0 <= self.filler_like_prob <= 1:
+            raise ValueError(f"filler_like_prob must lie in [0, 1] in the implicit setting, "
+                             f"got {self.filler_like_prob}")
+        # a stream is its group's anchors, then fillers drawn without
+        # replacement from the items outside every anchor block
+        if self.length - self.n_anchors > self.n_items - anchored:
+            raise ValueError(f"length {self.length} is longer than n_anchors = {self.n_anchors} "
+                             f"plus the {self.n_items - anchored} items outside the anchor "
+                             f"blocks")
 
 
 @dataclass
@@ -287,9 +304,12 @@ def synth_stream(cfg: SynthConfig, seed=0, split=SplitSpec()) -> SynthData:
             # so a model that identifies the group can concentrate its
             # top-ranked slots on a small head of likely next items
             pop = 1.0 / (1.0 + np.arange(len(liked)))
+            # drawing no liked filler takes nothing from the generator,
+            # and an empty liked pool has no popularity to normalise
+            liked_fill = (rng.choice(liked, size=n_liked, replace=False, p=pop / pop.sum())
+                          if n_liked else liked[:0])
             fillers = np.concatenate([
-                rng.choice(liked, size=n_liked, replace=False, p=pop / pop.sum()),
-                rng.choice(disliked, size=n_fill - n_liked, replace=False)])
+                liked_fill, rng.choice(disliked, size=n_fill - n_liked, replace=False)])
             fillers = fillers[rng.permutation(n_fill)]
         else:
             fillers = rng.choice(pool, size=n_fill, replace=False)

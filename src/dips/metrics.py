@@ -4,12 +4,12 @@ and the model predicts the next interaction.
 
 The protocol runs time-major, as training does: at each step the users
 still streaming, up to ``batch_size`` at a time, form one stack, adapted
-and scored on the graph-free kernel of :mod:`recmodel` (no autodiff
-graph, no ``diffcore.grad``), and the learned policy selects for the
-users at a sketch boundary in one deterministic call; a single user
-still streaming is the stack B = 1.  Each user draws from its own
-generator, seeded by (seed, user id), so a user's records do not depend
-on which users are evaluated with it, or in which order.
+and scored on the graph-free kernel of :mod:`recmodel`, and the learned
+policy selects for the users at a sketch boundary in one deterministic
+call, a numpy forward that keeps no graph; a single user still streaming
+is the stack B = 1.  Each user draws from its own generator, seeded by
+(seed, user id), so a user's records do not depend on which users are
+evaluated with it, or in which order.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import diffcore as dc
 from . import recmodel as rm
 
 
@@ -147,10 +146,8 @@ def evaluate(rec, phi, streams, cfg, k=20, exclude_history=False, seed=None,
             z = [None] * len(active)
             at = [b for b, (_, boundary) in enumerate(inters) if learned and boundary]
             if at:
-                with dc.no_grad():
-                    sel = tr.select_with_policy(
-                        phi, np.stack([inters[b][0].zhat for b in at]),
-                        ys[[active[b] for b in at]], eval_cfg)
+                sel = tr.select_with_policy(phi, np.stack([inters[b][0].zhat for b in at]),
+                                            ys[[active[b] for b in at]], eval_cfg)
                 for b, row in zip(at, sel.data):
                     z[b] = row
             for b, (i, (inter, _)) in enumerate(zip(active, inters)):

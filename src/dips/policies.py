@@ -137,24 +137,78 @@ def log_indicator(zhat):
         return np.log(zhat)
 
 
+class Selection:
+    """An array ``data`` and its vector-Jacobian product ``grads(g)``.
+
+    ``grads`` takes a gradient w.r.t. ``data`` back through what made it:
+    :func:`policy_scores` to the gradients of phi's parameters, a head to
+    the ``grads`` of its input, so a head over the policy scores takes it
+    to phi.  A head given a plain array ends there: the array's ``grads``
+    is the identity.
+    """
+
+    __slots__ = ("data", "grads")
+
+    def __init__(self, data, grads=lambda g: g):
+        self.data = data
+        self.grads = grads
+
+
+def _selection(x):
+    return x if isinstance(x, Selection) else Selection(np.asarray(x, dtype=np.float64))
+
+
 def policy_scores(zhat, y, phi: PolicyParams, training=False, rng=None):
-    """Per-item keep scores f(zhat * y) + log(zhat).
+    """Per-item keep scores f(zhat * y) + log(zhat), a :class:`Selection`
+    whose ``grads`` is :func:`policy_backward`.
 
     ``zhat`` may be a single indicator vector or a matrix of stacked
     indicator rows (one forward pass scores the whole stack).  Dropout is
-    applied only in training mode.
+    applied only in training mode: ``rng`` draws the mask of the first
+    hidden layer, then of the second.  The forward keeps every layer's
+    input, relu mask and dropout scale for the backward.
     """
     zhat = np.asarray(zhat, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    x = Tensor(zhat * y)
-    h1 = dc.relu(dc.matmul(x, phi.w1) + phi.b1)
-    if training and phi.dropout_rate > 0:
-        h1 = dc.dropout(h1, phi.dropout_rate, rng=rng)
-    h2 = dc.relu(dc.matmul(h1, phi.w2) + phi.b2)
-    if training and phi.dropout_rate > 0:
-        h2 = dc.dropout(h2, phi.dropout_rate, rng=rng)
-    f = dc.matmul(h2, phi.w3) + phi.b3
-    return f + Tensor(log_indicator(zhat))
+    h = zhat * np.asarray(y, dtype=np.float64)
+    drop = training and phi.dropout_rate > 0
+    inputs, gates = [h], []
+    for w, b in ((phi.w1, phi.b1), (phi.w2, phi.b2)):
+        a = h @ w.data + b.data
+        relu = (a > 0).astype(np.float64)
+        h = a * relu
+        scale = None
+        if drop:
+            keep = rng.random(h.shape) >= phi.dropout_rate
+            scale = keep.astype(np.float64) / (1.0 - phi.dropout_rate)
+            h = h * scale
+        inputs.append(h)
+        gates.append((relu, scale))
+    scores = h @ phi.w3.data + phi.b3.data + log_indicator(zhat)
+    return Selection(scores, lambda g: policy_backward(phi, inputs, gates, g))
+
+
+def policy_backward(phi: PolicyParams, inputs, gates, g):
+    """Gradients of sum(g * scores) w.r.t. ``phi.params()``, in that order.
+
+    ``inputs`` are the three layers' inputs and ``gates`` the two hidden
+    layers' relu masks and dropout scales (None without dropout), as
+    :func:`policy_scores` kept them; ``g`` is shaped like the scores.  A
+    layer y = h @ w + b passes back g @ w.T, then the dropout scale and the
+    relu mask, and takes h.T @ g and the column sums of g.
+    """
+    g = np.atleast_2d(g)
+    weights = (phi.w1, phi.w2, phi.w3)
+    grads = [None] * 6
+    for k in (2, 1, 0):
+        grads[2 * k] = np.atleast_2d(inputs[k]).T @ g
+        grads[2 * k + 1] = np.sum(g, axis=0)
+        if k:
+            relu, scale = gates[k - 1]
+            g = g @ weights[k].data.T
+            if scale is not None:
+                g = g * scale
+            g = g * relu
+    return grads
 
 
 def online_remove(scores, mode="deterministic", rng=None):
@@ -162,22 +216,24 @@ def online_remove(scores, mode="deterministic", rng=None):
 
     A score means keep, as in the Top-K head: the lowest finite score is the
     likeliest to go, and a masked (-inf) item has removal probability 0.
-    ``scores`` is one score vector (M,) or a stack (R, M); a NaN score is
-    an error naming its row.  ``removed`` is the dropped item of a vector,
-    or an array of R items for a stack.  ``w`` is one-hot per row, with
-    straight-through backward onto the softmax probabilities.  Stochastic
-    mode draws ``rng.random(R)``, one uniform per row in row order, and
-    removes what ``rng.choice(M, p=row)`` would with that uniform.
+    ``scores`` is one score vector (M,) or a stack (R, M), an array or a
+    :class:`Selection`; a NaN score is an error naming its row.
+    ``removed`` is the dropped item of a vector, or an array of R items for
+    a stack.  ``w`` is a :class:`Selection`, one-hot per row, whose
+    straight-through backward goes onto the softmax probabilities p:
+    g_s = -p * (g - sum(g * p)) per row.  Stochastic mode draws
+    ``rng.random(R)``, one uniform per row in row order, and removes what
+    ``rng.choice(M, p=row)`` would with that uniform.
     """
-    scores = dc.as_tensor(scores)
-    finite = np.isfinite(scores.data)
-    if not np.atleast_2d(finite).any(axis=1).all():
+    scores = _selection(scores)
+    s = scores.data
+    if not np.atleast_2d(np.isfinite(s)).any(axis=1).all():
         raise ValueError("online_remove: no finite score (empty intermediate sketch)")
     # only -inf is masked: a NaN score stays NaN, so the check below names it
-    neg = dc.custom_op(np.where(scores.data == -np.inf, -np.inf, -scores.data), (scores,),
-                       lambda g, need: (dc.neg(g),), "neg_finite")
-    probs = dc.softmax(neg)
-    rows = np.atleast_2d(probs.data)
+    neg = np.where(s == -np.inf, -np.inf, -s)
+    e = np.exp(neg - np.max(neg, axis=-1, keepdims=True))
+    probs = e / np.sum(e, axis=-1, keepdims=True)
+    rows = np.atleast_2d(probs)
     _check_probabilities(rows, "online_remove")
     if mode == "deterministic":
         removed = np.argmax(rows, axis=1)
@@ -189,8 +245,12 @@ def online_remove(scores, mode="deterministic", rng=None):
         raise ValueError(f"unknown mode {mode!r}")
     hard = np.zeros(rows.shape)
     hard[np.arange(len(rows)), removed] = 1.0
-    w = dc.straight_through(probs, hard.reshape(scores.shape))
-    return w, (int(removed[0]) if scores.ndim == 1 else removed)
+
+    def grads(g):
+        return scores.grads(-(probs * (g - np.sum(g * probs, axis=-1, keepdims=True))))
+
+    w = Selection(hard.reshape(s.shape), grads)
+    return w, (int(removed[0]) if s.ndim == 1 else removed)
 
 
 def _check_probabilities(rows, head):
@@ -241,12 +301,13 @@ def _bisect_shift(f, k, tol=1e-9, max_iter=200):
 def topk_project(scores, k):
     """Entropic Top-K relaxation: u = sigmoid(f + nu) with sum(u) = k.
 
-    ``scores`` is one score vector (M,) or a stack (R, M); each row gets
-    its own shift nu, solved in row order.  Masked (-inf) scores map to
-    exactly zero; a NaN score is an error naming its row.  Gradients follow
-    the implicit-function rule of :func:`topk_grad`, applied per row.
+    ``scores`` is one score vector (M,) or a stack (R, M), an array or a
+    :class:`Selection`; each row gets its own shift nu, solved in row
+    order.  Masked (-inf) scores map to exactly zero; a NaN score is an
+    error naming its row.  Returns u as a :class:`Selection` whose backward
+    is the implicit-function rule of :func:`topk_grad`, applied per row.
     """
-    scores = dc.as_tensor(scores)
+    scores = _selection(scores)
     f = scores.data
     u = np.zeros_like(f)
     for r, (f_row, u_row) in enumerate(zip(np.atleast_2d(f), np.atleast_2d(u))):
@@ -265,11 +326,11 @@ def topk_project(scores, k):
         nu = _bisect_shift(f_row[finite], k)
         u_row[finite] = 1.0 / (1.0 + np.exp(-(f_row[finite] + nu)))
 
-    def vjp(g, need):
-        rows = zip(np.atleast_2d(f), np.atleast_2d(u), np.atleast_2d(g.data))
-        return (Tensor(np.array([topk_grad(*r) for r in rows]).reshape(f.shape)),)
+    def grads(g):
+        rows = zip(np.atleast_2d(f), np.atleast_2d(u), np.atleast_2d(g))
+        return scores.grads(np.array([topk_grad(*r) for r in rows]).reshape(f.shape))
 
-    return dc.custom_op(u, (scores,), vjp, "topk_project")
+    return Selection(u, grads)
 
 
 def topk_grad(f, u, v):
@@ -290,17 +351,18 @@ def batch_keep(u, k, mode="deterministic", rng=None):
     """Choose K items per row to keep from the relaxed indicator u; returns
     (w, kept).
 
-    ``u`` is one relaxed indicator (M,) or a stack (R, M); a NaN, infinite
-    or negative entry is an error naming its row.  ``kept`` holds the
-    sorted kept items of a vector, or one such row per row of a stack.
-    ``w`` is binary, with straight-through backward onto u.  Stochastic
-    mode samples sequentially without replacement with probabilities
-    proportional to u: it draws ``rng.random((R, k))``, row-major, and pick
-    j of a row takes what ``rng.choice`` would with uniform j of that row.
+    ``u`` is one relaxed indicator (M,) or a stack (R, M), an array or a
+    :class:`Selection`; a NaN, infinite or negative entry is an error naming
+    its row.  ``kept`` holds the sorted kept items of a vector, or one such
+    row per row of a stack.  ``w`` is a binary :class:`Selection`, with
+    straight-through backward onto u.  Stochastic mode samples sequentially
+    without replacement with probabilities proportional to u: it draws
+    ``rng.random((R, k))``, row-major, and pick j of a row takes what
+    ``rng.choice`` would with uniform j of that row.
     Rows with the same number of candidates take each pick together, every
     row from its own compacted pool, so its sums are those of the row alone.
     """
-    u = dc.as_tensor(u)
+    u = _selection(u)
     rows = np.atleast_2d(u.data)
     _check_probabilities(rows, "batch_keep")
     if mode == "stochastic":
@@ -334,8 +396,8 @@ def batch_keep(u, k, mode="deterministic", rng=None):
         kept.sort(axis=1)
     hard = np.zeros_like(rows)
     np.put_along_axis(hard, kept, 1.0, axis=1)
-    w = dc.straight_through(u, hard.reshape(u.shape))
-    return w, (kept[0] if u.ndim == 1 else kept)
+    w = Selection(hard.reshape(u.data.shape), u.grads)
+    return w, (kept[0] if u.data.ndim == 1 else kept)
 
 
 def reservoir_update(sketch: Sketch, item, rating, step, rng) -> Sketch:

@@ -14,13 +14,15 @@ the reverse pass through it are the closed-form kernel of
 :func:`recmodel.unrolled_backward`), which records no graph: the
 meta-gradient of :func:`theta_gradients` and the sketch-weight gradient v
 of :func:`policy_gradient` come from one adjoint recursion each, and
-:func:`inner_adapt` returns the adapted stack as an ndarray.  The only
-graph is the policy network's: the sketching policy is updated with a
-two-term gradient, a straight-through term for the current selection plus
-a replay term over each user's queue of stored intermediate sketch
-indicators, in one first-order backward per time step over the users at a
-sketch boundary, and each of those users commits the selection its
-gradient was taken at.  Per time step, the policy phase draws from the
+:func:`inner_adapt` returns the adapted stack as an ndarray.  The sketching
+policy is updated with a two-term gradient, a straight-through term for
+the current selection plus a replay term over each user's queue of stored
+intermediate sketch indicators, taken in closed form too: each selection
+is a :class:`policies.Selection` whose ``grads`` runs the head's
+straight-through backward and :func:`policies.policy_backward`, once per
+time step over the users at a sketch boundary, and each of those users
+commits the selection its gradient was taken at.  No step records an
+autodiff graph.  Per time step, the policy phase draws from the
 generator in a fixed order: the current stack's dropout masks, then one
 uniform per head pick (row by row), then the replay stack's masks and picks
 (users in stack order, each queue oldest first).  The commits of a learned
@@ -38,10 +40,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import diffcore as dc
 from . import policies as pol
 from . import recmodel as rm
-from .diffcore import Tensor
 from .recmodel import RecParams
 from .policies import IntermediateSketch, PolicyParams, Sketch, SketchEntry
 
@@ -95,6 +95,8 @@ class TrainConfig:
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.queue_size < 0:
             raise ValueError("queue_size must be >= 0")
+        if not 0.0 <= self.policy_dropout_rate < 1.0:
+            raise ValueError("policy_dropout_rate must lie in [0, 1)")
 
 
 class SketchQueue:
@@ -244,23 +246,25 @@ def select_with_policy(phi: PolicyParams, zhat, y, cfg, rng=None):
 
     ``zhat`` is one intermediate indicator (M,) or a stack (R, M) whose
     rows are selected one by one, in row order.  Returns the new indicator
-    tensor ``z``, shaped like ``zhat``, with straight-through backward onto
-    the policy scores; the kept items of a row are ``flatnonzero(z > 0.5)``.
-    ``cfg.tau`` picks the head: softmax removal for tau = 1, the Top-K
-    projection otherwise.  Both read a score as keep, so in deterministic
-    mode they keep the same K of K + 1 items.  With ``cfg.stochastic_train``
-    dropout (at ``phi.dropout_rate``) is on and the head samples: ``rng``
-    gives the dropout masks of the whole stack, then one uniform per head
-    pick, R for the online head and R x K (row-major) for the Top-K head.
-    Without it the selection is deterministic, dropout off and ``rng``
-    untouched.
+    ``z``, shaped like ``zhat``, as a :class:`policies.Selection` whose
+    ``grads(g)`` are phi's parameter gradients of sum(g * z), straight
+    through the head onto the policy scores; the kept items of a row are
+    ``flatnonzero(z > 0.5)``.  ``cfg.tau`` picks the head: softmax removal
+    for tau = 1, the Top-K projection otherwise.  Both read a score as
+    keep, so in deterministic mode they keep the same K of K + 1 items.
+    With ``cfg.stochastic_train`` dropout (at ``phi.dropout_rate``) is on
+    and the head samples: ``rng`` gives the dropout masks of the whole
+    stack, then one uniform per head pick, R for the online head and R x K
+    (row-major) for the Top-K head.  Without it the selection is
+    deterministic, dropout off and ``rng`` untouched.
     """
     stochastic = cfg.stochastic_train
     scores = pol.policy_scores(zhat, y, phi, training=stochastic, rng=rng)
     mode = "stochastic" if stochastic else "deterministic"
     if cfg.tau == 1:
         w, _ = pol.online_remove(scores, mode, rng=rng)
-        return Tensor(np.asarray(zhat, dtype=np.float64)) - w
+        return pol.Selection(np.asarray(zhat, dtype=np.float64) - w.data,
+                             lambda g: w.grads(-g))
     u = pol.topk_project(scores, cfg.sketch_size)
     w, _ = pol.batch_keep(u, cfg.sketch_size, mode, rng=rng)
     return w
@@ -277,7 +281,7 @@ def policy_gradient(phi: PolicyParams, rec: RecParams, y, mask, zhat_t, past_zha
 
     v is the gradient of the next-interaction loss w.r.t. the sketch
     weights, taken through the inner loop with the selection ``z`` from
-    ``zhat_t`` held constant.  The policy gradient is then one backward of
+    ``zhat_t`` held constant.  The policy gradient is then the gradient of
     v . z (the straight-through term) plus v . sum_j z_j, where each past
     z_j is recomputed from its stored indicator with the current policy
     (the replay term): every user's queue, oldest first, forms one stack,
@@ -292,15 +296,19 @@ def policy_gradient(phi: PolicyParams, rec: RecParams, y, mask, zhat_t, past_zha
     z_t = select_with_policy(phi, zhat_t, y, cfg, rng)
     _, v, loss = rm.unrolled_backward(rec, z_t.data, y, mask, next_item, next_rating,
                                       cfg.inner_lr, cfg.inner_steps, theta=False, sketch=True)
-    objective = dc.tsum(dc.mul(z_t, Tensor(v)))
-
     past = [z for queue in past_zhats for z in queue]
-    if past:
-        owner = np.repeat(np.arange(n_users), [len(q) for q in past_zhats])
-        z_past = select_with_policy(phi, np.stack(past), y[owner], cfg, rng)
-        objective = objective + dc.tsum(dc.mul(z_past, Tensor(v[owner])))
-    grads = dc.grad(objective, phi.params())
-    return [g.data for g in grads], v, z_t.data, loss
+    if not past:
+        return z_t.grads(v), v, z_t.data, loss
+    owner = np.repeat(np.arange(n_users), [len(q) for q in past_zhats])
+    z_past = select_with_policy(phi, np.stack(past), y[owner], cfg, rng)
+    # the replay term first: its arrays, freed once added in place, then lie
+    # below the returned ones rather than at the top of the heap, whose free
+    # pages go back to the system and fault in again at the next call
+    replay = z_past.grads(v[owner])
+    grads = z_t.grads(v)
+    for acc, g in zip(grads, replay):
+        acc += g
+    return grads, v, z_t.data, loss
 
 
 class _UserState:
@@ -379,8 +387,7 @@ def _update_sketch(state: _UserState, inter, rec, phi, cfg, rng, oracle_anchors=
         return inter.keep([e.item for e in (preferred + rest)[: cfg.sketch_size]])
     # dips / dips1
     if z is None:
-        with dc.no_grad():
-            z = select_with_policy(phi, inter.zhat, state.y, cfg, rng).data
+        z = select_with_policy(phi, inter.zhat, state.y, cfg, rng).data
     return inter.keep(np.flatnonzero(z > 0.5))
 
 
@@ -439,18 +446,18 @@ def train(cfg: TrainConfig, data, oracle_anchors=None, trace_file=None,
                 nxt = np.array([batch[i].items[t] for i in active], dtype=np.int64)
                 nxt_rating = np.array([batch[i].ratings[t] for i in active], dtype=np.float64)
 
-                # outer model update on the current sketches, one graph for
-                # every active user; it reads rec and the sketches only, so
-                # it runs before any sketch of this step is committed
+                # outer model update on the current sketches, one reverse
+                # pass for every active user; it reads rec and the sketches
+                # only, so it runs before any sketch of this step is committed
                 theta_acc, _ = theta_gradients(
                     rec, np.stack([states[i].sketch.z for i in active]), ys[active],
                     masks[active], nxt, nxt_rating, cfg)
                 n_theta = len(active)
 
                 inters = [states[i].observe(t, cfg) for i in active]
-                # one policy-gradient graph for the users at a sketch
-                # boundary; each of them commits the selection it returns,
-                # so the commits of a learned policy draw nothing from rng
+                # one policy gradient for the users at a sketch boundary;
+                # each of them commits the selection it returns, so the
+                # commits of a learned policy draw nothing from rng
                 at = [k for k, (_, boundary) in enumerate(inters) if learned and boundary]
                 z = [None] * len(active)
                 if at:

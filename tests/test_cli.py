@@ -99,7 +99,7 @@ def test_train_deterministic_logs(tmp_path):
 
 
 def test_manifest_records_versions_and_wall_time(trained, tmp_path):
-    commands = {"train": ["train"], "dump-trace": ["dump-trace"], "diagnose": ["diagnose"],
+    commands = {"train": ["train"], "diagnose": ["diagnose"],
                 "eval": ["eval", "--checkpoint", str(trained / "checkpoint.npz")]}
     for name, argv in commands.items():
         out = tmp_path / name
@@ -128,6 +128,30 @@ def test_train_invalid_config_exits_config_code(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("extra, message", [
+    (("synth.n_groups=1",), "synth.n_groups must be at least 2"),
+    (("synth.n_users=12", "synth.n_items=11", "synth.length=10", "synth.n_anchors=2",
+      "synth.n_groups=2"), "synth.length 10 is longer than n_anchors = 2 plus the 7 items"),
+    (("train.policy_dropout_rate=1",), "policy_dropout_rate must lie in [0, 1)"),
+])
+def test_invalid_synthetic_data_or_dropout_exits_config_code(tmp_path, capsys, extra,
+                                                              message):
+    out = tmp_path / "run"
+    assert cli.main(["train"] + tiny_overrides(out, *extra)) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (out / "checkpoint.npz").exists()
+
+
+def test_an_empty_liked_pool_trains(tmp_path):
+    # seed 0 draws no group-liked filler for some user: implicit data whose
+    # liked pool is empty still generates, and trains
+    out = tmp_path / "run"
+    code = cli.main(["train"] + tiny_overrides(
+        out, "synth.n_items=8", "synth.length=4", "synth.n_anchors=2", "synth.n_groups=2",
+        "train.setting=implicit"))
+    assert code == cli.EXIT_OK
+
+
 @pytest.mark.parametrize("policy", ["random", "dips"])
 def test_train_non_finite_parameters_exit_numeric(tmp_path, capsys, policy):
     out = tmp_path / "run"
@@ -141,15 +165,16 @@ def test_train_non_finite_parameters_exit_numeric(tmp_path, capsys, policy):
     assert not (out / "checkpoint.npz").exists()
 
 
-@pytest.mark.parametrize("command", ["train", "dump-trace"])
-def test_failed_run_keeps_the_previous_sketch_trace(tmp_path, command):
+@pytest.mark.parametrize("head", [[], ["train.tau=2", "train.mode=batch"]],
+                         ids=["train", "train-tau2"])
+def test_failed_run_keeps_the_previous_sketch_trace(tmp_path, head):
     out = tmp_path / "run"
-    assert cli.main([command] + tiny_overrides(out)) == cli.EXIT_OK
+    assert cli.main(["train"] + tiny_overrides(out, *head)) == cli.EXIT_OK
     before = (out / "sketch_trace.jsonl").read_bytes()
     files = sorted(p.name for p in out.iterdir())
     with np.errstate(all="ignore"):
-        code = cli.main([command] + tiny_overrides(
-            out, "train.lr_item=1e200", "train.lr_user=1e200"))
+        code = cli.main(["train"] + tiny_overrides(
+            out, *head, "train.lr_item=1e200", "train.lr_user=1e200"))
     assert code == cli.EXIT_NUMERIC
     assert (out / "sketch_trace.jsonl").read_bytes() == before
     assert sorted(p.name for p in out.iterdir()) == files
@@ -337,6 +362,22 @@ def test_gradcheck_checks_the_mixed_term_of_the_reverse_pass(monkeypatch):
     assert "FAIL meta_gradient_unrolled" in buf.getvalue()
 
 
+def test_gradcheck_checks_the_policy_backward(monkeypatch):
+    # the policy network's backward: only its own check reads the parameter
+    # gradients (grad_wrt_sketch checks the v of policy_gradient)
+    backward = pol.policy_backward
+    monkeypatch.setattr(pol, "policy_backward",
+                        lambda *args: [-g for g in backward(*args)])
+    buf = io.StringIO()
+    assert cli.run_gradchecks(out=buf) == ["policy_backward"]
+    assert "FAIL policy_backward" in buf.getvalue()
+
+    # without the dropout scale the backward is wrong where units dropped
+    monkeypatch.setattr(pol, "policy_backward", lambda phi, inputs, gates, g: backward(
+        phi, inputs, [(relu, None) for relu, _ in gates], g))
+    assert cli.run_gradchecks(out=io.StringIO()) == ["policy_backward"]
+
+
 def test_gradcheck_exit_codes(monkeypatch):
     assert cli.main(["gradcheck"]) == cli.EXIT_OK
     orig = pol.topk_grad
@@ -405,11 +446,11 @@ def test_diagnose_checks_the_replayed_stream_of_a_file_backed_dataset(tmp_path, 
     assert not out.exists() or not any(out.iterdir())
 
 
-# --------------------------------------------------------------- dump-trace
+# ------------------------------------------------------------ sketch trace
 
-def test_dump_trace(tmp_path):
+def test_train_writes_a_bounded_sketch_trace(tmp_path):
     out = tmp_path / "trace"
-    code = cli.main(["dump-trace"] + tiny_overrides(out))
+    code = cli.main(["train"] + tiny_overrides(out))
     assert code == cli.EXIT_OK
     lines = (out / "sketch_trace.jsonl").read_text().strip().split("\n")
     assert lines
@@ -417,3 +458,8 @@ def test_dump_trace(tmp_path):
         rec = json.loads(line)
         assert len(rec["kept"]) <= 2  # never exceeds the sketch size
         assert rec["step"] >= 1
+
+
+def test_no_separate_trace_command():
+    with pytest.raises(SystemExit):
+        cli.main(["dump-trace"])

@@ -241,6 +241,34 @@ def test_synth_config_validation():
         ds.SynthConfig(n_items=30, length=31)
 
 
+def test_synth_config_rejects_too_few_filler_items():
+    # 8 fillers per stream, but only 11 - 2 * 2 = 7 items lie outside the
+    # anchor blocks; every other invalid value is named as well
+    with pytest.raises(ValueError, match="n_anchors = 2 plus the 7 items outside the anchor"):
+        ds.SynthConfig(n_items=11, length=10, n_anchors=2, n_groups=2)
+    ds.SynthConfig(n_items=12, length=10, n_anchors=2, n_groups=2)
+    for bad, match in ((dict(length=1), "n_anchors must lie in"),
+                       (dict(noise=-1.0), "noise must be >= 0"),
+                       (dict(user_bias_std=-0.5), "user_bias_std must be >= 0"),
+                       (dict(setting="implicit", filler_like_prob=1.5), "filler_like_prob")):
+        with pytest.raises(ValueError, match=match):
+            ds.SynthConfig(**{"n_items": 30, "length": 8, "n_anchors": 2, **bad})
+    ds.SynthConfig(n_items=30, length=8, filler_like_prob=1.5)   # unread when explicit
+
+
+def test_synth_implicit_with_an_empty_liked_pool():
+    # seed 0 gives one group no liked item outside the anchor blocks: its
+    # users draw every filler from the disliked pool
+    cfg = ds.SynthConfig(n_users=10, n_items=8, length=4, n_anchors=2, n_groups=2,
+                         setting="implicit")
+    sd = ds.synth_stream(cfg, seed=0)
+    pool = np.arange(4, 8)
+    assert any(not np.any(sd.preferences[g, pool] > 0) for g in range(2))
+    for s in sd.splits.train + sd.splits.valid + sd.splits.test:
+        assert len(set(s.items.tolist())) == 4
+        assert set(s.items[:2].tolist()) == sd.anchors[s.user]
+
+
 def test_synth_deterministic():
     cfg = ds.SynthConfig(n_users=10, n_items=30, length=10)
     a = ds.synth_stream(cfg, seed=5)

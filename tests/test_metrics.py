@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dips import datasets as ds
+from dips import diagnostics as dg
 from dips import diffcore as dc
 from dips import metrics as met
 from dips import policies as pol
@@ -187,16 +188,61 @@ def test_stacked_evaluate_equals_one_user_at_a_time(setting, policy, batch_size)
                                rtol=1e-12, atol=1e-12)
 
 
+@pytest.fixture
+def no_engine(monkeypatch):
+    """``diffcore.grad``, and recording an op on a parent that requires a
+    gradient (every parameter does), both raise."""
+    node = dc._node
+
+    def grad(*args, **kwargs):
+        raise AssertionError("diffcore.grad called")
+
+    def record(data, parents, vjp, name):
+        if any(p.requires_grad for p in parents):
+            raise AssertionError(f"graph recorded: {name}")
+        return node(data, parents, vjp, name)
+
+    monkeypatch.setattr(dc, "grad", grad)
+    monkeypatch.setattr(dc, "_node", record)
+
+
+def test_no_engine_fixture_catches_the_engine(no_engine):
+    w = dc.Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(AssertionError, match="graph recorded: mul"):
+        dc.mul(w, 2.0)
+    with pytest.raises(AssertionError, match="diffcore.grad called"):
+        dc.grad(dc.Tensor(1.0), [w])
+
+
 @pytest.mark.parametrize("policy", EVAL_POLICIES)
 @pytest.mark.parametrize("setting", ["explicit", "implicit"])
-def test_evaluate_builds_no_gradient(setting, policy, monkeypatch):
+def test_evaluate_builds_no_gradient(setting, policy, no_engine):
     # adaptation, predictions and every policy's commit are graph-free
     rec, phi, streams, cfg, anchors = stack_setup(setting, seed=3, policy=policy)
-    calls = []
-    orig = dc.grad
-    monkeypatch.setattr(dc, "grad", lambda *a, **kw: calls.append(1) or orig(*a, **kw))
     res = met.evaluate(rec, phi, streams, cfg, return_records=True, anchors=anchors)
-    assert len(res.records) > 0 and calls == []
+    assert len(res.records) > 0
+
+
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.1])
+@pytest.mark.parametrize("stochastic", [False, True])
+@pytest.mark.parametrize("policy, tau", [("dips", 1), ("dips", 2), ("dips1", 1), ("dips1", 2)])
+def test_training_builds_no_graph(policy, tau, stochastic, dropout_rate, no_engine):
+    # the policy gradient, its commits and the recommender's reverse pass
+    # are closed forms; the run still moves the policy network
+    rec, phi, streams, cfg = eval_setup(n_users=20)
+    cfg = replace(cfg, policy=policy, tau=tau, mode="online" if tau == 1 else "batch",
+                  stochastic_train=stochastic, policy_dropout_rate=dropout_rate, lr_policy=1e-2)
+    data = ds.DatasetSplits(streams, streams[:2], [], rec.n_items)
+    before = [a.copy() for a in phi.state_arrays().values()]
+    res = tr.train(cfg, data, init_phi=phi)
+    assert not all(np.array_equal(a, b) for a, b in zip(res.phi.state_arrays().values(), before))
+
+
+def test_the_exact_replay_builds_no_graph(no_engine):
+    rec, phi, streams, cfg = eval_setup()
+    stream = next(s for s in streams if len(s.items) > cfg.sketch_size + 2)
+    grads, v = dg.true_policy_grad(rec, phi, stream, cfg, cfg.sketch_size + 2)
+    assert any(np.any(g != 0) for g in grads) and v.shape == (rec.n_items,)
 
 
 def test_evaluate_order_invariant():

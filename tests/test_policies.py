@@ -266,9 +266,10 @@ def test_policy_scores_masking():
     phi = pol.PolicyParams(M, hidden=8, rng=np.random.default_rng(0))
     zhat = np.array([1.0, 0, 1, 0, 1, 0])
     y = np.ones(M)
-    scores = pol.policy_scores(zhat, y, phi)
-    assert np.all(np.isneginf(scores.data[[1, 3, 5]]))
-    probs = dc.softmax(scores).data
+    scores = pol.policy_scores(zhat, y, phi).data
+    assert np.all(np.isneginf(scores[[1, 3, 5]]))
+    probs = np.exp(scores - scores.max())
+    probs /= probs.sum()
     assert np.all(probs[[1, 3, 5]] <= 1e-12)
     assert probs.sum() == pytest.approx(1.0)
 
@@ -321,7 +322,7 @@ def test_policy_scores_batched_rows_match_single():
 # ------------------------------------------------------------ online remove
 
 def test_online_remove_forced_choice():
-    scores = Tensor(np.array([-np.inf, 2.0, -np.inf]))
+    scores = np.array([-np.inf, 2.0, -np.inf])
     for mode in ("deterministic", "stochastic"):
         w, removed = pol.online_remove(scores, mode, rng=np.random.default_rng(0))
         assert removed == 1
@@ -330,7 +331,7 @@ def test_online_remove_forced_choice():
 
 def test_online_remove_drops_the_lowest_score():
     # a score means keep: the deterministic head removes the argmin
-    w, removed = pol.online_remove(Tensor(np.array([5.0, 1.0, 3.0, -np.inf])),
+    w, removed = pol.online_remove(np.array([5.0, 1.0, 3.0, -np.inf]),
                                    "deterministic")
     assert removed == 1
     np.testing.assert_array_equal(w.data, [0, 1, 0, 0])
@@ -338,7 +339,7 @@ def test_online_remove_drops_the_lowest_score():
 
 def test_online_remove_all_masked_rejected():
     with pytest.raises(ValueError):
-        pol.online_remove(Tensor(np.full(3, -np.inf)), "deterministic")
+        pol.online_remove(np.full(3, -np.inf), "deterministic")
 
 
 def test_online_remove_stochastic_frequencies():
@@ -350,7 +351,7 @@ def test_online_remove_stochastic_frequencies():
     counts = np.zeros(4)
     n = 10000
     for _ in range(n):
-        _, removed = pol.online_remove(Tensor(scores), "stochastic", rng=rng)
+        _, removed = pol.online_remove(scores, "stochastic", rng=rng)
         counts[removed] += 1
     sigma = np.sqrt(np.maximum(p * (1 - p) * n, 1e-12))
     assert np.all(np.abs(counts - p * n) <= 3 * sigma + 1e-9)
@@ -377,14 +378,14 @@ def oracle_topk(f, k, lo=-1e3, hi=1e3):
 
 
 def test_topk_equal_scores_symmetric():
-    u = pol.topk_project(Tensor(np.full(4, 1.7)), 2)
+    u = pol.topk_project(np.full(4, 1.7), 2)
     np.testing.assert_allclose(u.data, np.full(4, 0.5), atol=1e-9)
     assert abs(u.data.sum() - 2) <= 1e-8
 
 
 def test_topk_matches_oracle_and_is_monotone():
     f = np.array([2.0, 1.0, 0.0, -1.0])
-    u = pol.topk_project(Tensor(f), 2).data
+    u = pol.topk_project(f, 2).data
     expected = oracle_topk(f, 2)
     np.testing.assert_allclose(u, expected, atol=1e-7)
     assert np.all(np.diff(u) < 0)
@@ -394,20 +395,20 @@ def test_topk_matches_oracle_and_is_monotone():
 def test_topk_shift_invariance():
     rng = np.random.default_rng(5)
     f = rng.normal(size=6)
-    u1 = pol.topk_project(Tensor(f), 3).data
-    u2 = pol.topk_project(Tensor(f + 4.2), 3).data
+    u1 = pol.topk_project(f, 3).data
+    u2 = pol.topk_project(f + 4.2, 3).data
     np.testing.assert_allclose(u1, u2, atol=1e-7)
 
 
 def test_topk_rejects_k_too_large():
     f = np.array([1.0, 2.0, -np.inf])
     with pytest.raises(ValueError):
-        pol.topk_project(Tensor(f), 2)
+        pol.topk_project(f, 2)
 
 
 def test_topk_masked_items_exactly_zero():
     f = np.array([1.0, -np.inf, 0.5, -np.inf, -0.2])
-    u = pol.topk_project(Tensor(f), 2).data
+    u = pol.topk_project(f, 2).data
     assert u[1] == 0.0 and u[3] == 0.0
     assert abs(u.sum() - 2) <= 1e-8
 
@@ -415,7 +416,7 @@ def test_topk_masked_items_exactly_zero():
 def test_topk_grad_constraint_direction_is_null():
     rng = np.random.default_rng(6)
     f = rng.normal(size=6)
-    u = pol.topk_project(Tensor(f), 2).data
+    u = pol.topk_project(f, 2).data
     g = pol.topk_grad(f, u, np.ones(6))
     np.testing.assert_allclose(g, np.zeros(6), atol=1e-10)
 
@@ -424,7 +425,7 @@ def test_topk_grad_matches_finite_differences():
     rng = np.random.default_rng(7)
     f0 = rng.normal(size=6)
     k = 2
-    u0 = pol.topk_project(Tensor(f0), k).data
+    u0 = pol.topk_project(f0, k).data
     v = rng.normal(size=6)
     g = pol.topk_grad(f0, u0, v)
     fd = finite_difference(lambda f: float(np.dot(oracle_topk(f, k), v)), f0, h=1e-6)
@@ -433,7 +434,7 @@ def test_topk_grad_matches_finite_differences():
 
 def test_topk_grad_symmetric_rows():
     f = np.full(5, 0.3)
-    u = pol.topk_project(Tensor(f), 2).data
+    u = pol.topk_project(f, 2).data
     for i in range(5):
         v = np.zeros(5)
         v[i] = 1.0
@@ -449,13 +450,12 @@ def test_topk_grad_degenerate_rejected():
 
 
 def test_topk_backward_through_graph():
+    # the projection's backward is topk_grad, bit for bit
     rng = np.random.default_rng(8)
     f0 = rng.normal(size=5)
     v = rng.normal(size=5)
-    f = Tensor(f0, requires_grad=True)
-    u = pol.topk_project(f, 2)
-    (g,) = grad(dc.tsum(dc.mul(u, Tensor(v))), [f])
-    np.testing.assert_allclose(g.data, pol.topk_grad(f0, u.data, v), atol=1e-12)
+    u = pol.topk_project(f0, 2)
+    np.testing.assert_array_equal(u.grads(v), pol.topk_grad(f0, u.data, v))
 
 
 # --------------------------------------------------------------- batch keep
@@ -463,7 +463,7 @@ def test_topk_backward_through_graph():
 def test_batch_keep_saturated_case():
     u = np.array([0.999, 0.995, 0.002, 0.003, 0.001])
     for mode in ("deterministic", "stochastic"):
-        w, kept = pol.batch_keep(Tensor(u), 2, mode, rng=np.random.default_rng(9))
+        w, kept = pol.batch_keep(u, 2, mode, rng=np.random.default_rng(9))
         assert sorted(kept.tolist()) == [0, 1]
         assert w.data.sum() == 2
 
@@ -472,7 +472,7 @@ def test_batch_keep_sum_invariant():
     rng = np.random.default_rng(10)
     for _ in range(20):
         f = rng.normal(size=7)
-        u = pol.topk_project(Tensor(f), 3)
+        u = pol.topk_project(f, 3)
         w, kept = pol.batch_keep(u, 3, "stochastic", rng=rng)
         assert w.data.sum() == 3
         assert len(kept) == 3
@@ -481,7 +481,7 @@ def test_batch_keep_sum_invariant():
 def test_batch_keep_deterministic_equals_topk_of_scores():
     rng = np.random.default_rng(11)
     f = rng.normal(size=8)
-    u = pol.topk_project(Tensor(f), 3)
+    u = pol.topk_project(f, 3)
     _, kept = pol.batch_keep(u, 3, "deterministic")
     by_score = np.sort(np.argsort(-f)[:3])
     np.testing.assert_array_equal(kept, by_score)
@@ -490,7 +490,7 @@ def test_batch_keep_deterministic_equals_topk_of_scores():
 def test_batch_keep_too_few_candidates():
     u = np.array([0.5, 0.0, 0.0])
     with pytest.raises(ValueError):
-        pol.batch_keep(Tensor(u), 2, "stochastic", rng=np.random.default_rng(0))
+        pol.batch_keep(u, 2, "stochastic", rng=np.random.default_rng(0))
 
 
 # ------------------------------------------------------------ stacked rows
@@ -508,10 +508,10 @@ def score_stack(seed, R=4, M=9, n_live=5):
 def test_online_remove_stack_equals_row_calls(mode):
     f = score_stack(12)
     rng_stack, rng_rows = np.random.default_rng(3), np.random.default_rng(3)
-    w, removed = pol.online_remove(Tensor(f), mode, rng=rng_stack)
-    assert w.shape == f.shape and removed.shape == (len(f),)
+    w, removed = pol.online_remove(f, mode, rng=rng_stack)
+    assert w.data.shape == f.shape and removed.shape == (len(f),)
     for r, row in enumerate(f):
-        w_r, removed_r = pol.online_remove(Tensor(row), mode, rng=rng_rows)
+        w_r, removed_r = pol.online_remove(row, mode, rng=rng_rows)
         assert removed[r] == removed_r
         np.testing.assert_array_equal(w.data[r], w_r.data)
     assert rng_stack.random() == rng_rows.random()
@@ -522,20 +522,17 @@ def test_topk_project_and_batch_keep_stack_equal_row_calls(mode):
     f = score_stack(14)
     v = np.random.default_rng(15).normal(size=f.shape)
     rng_stack, rng_rows = np.random.default_rng(3), np.random.default_rng(3)
-    scores = Tensor(f, requires_grad=True)
-    u = pol.topk_project(scores, 2)
+    u = pol.topk_project(f, 2)
     w, kept = pol.batch_keep(u, 2, mode, rng=rng_stack)
-    (g,) = grad(dc.tsum(dc.mul(u, Tensor(v))), [scores])
+    g = w.grads(v)
     assert kept.shape == (len(f), 2)
     for r, row in enumerate(f):
-        scores_r = Tensor(row, requires_grad=True)
-        u_r = pol.topk_project(scores_r, 2)
+        u_r = pol.topk_project(row, 2)
         w_r, kept_r = pol.batch_keep(u_r, 2, mode, rng=rng_rows)
-        (g_r,) = grad(dc.tsum(dc.mul(u_r, Tensor(v[r]))), [scores_r])
         np.testing.assert_array_equal(u.data[r], u_r.data)
         np.testing.assert_array_equal(w.data[r], w_r.data)
         np.testing.assert_array_equal(kept[r], kept_r)
-        np.testing.assert_array_equal(g.data[r], g_r.data)
+        np.testing.assert_array_equal(g[r], w_r.grads(v[r]))
     assert rng_stack.random() == rng_rows.random()
 
 
@@ -549,8 +546,8 @@ def test_online_and_topk_heads_keep_the_same_items(seed):
     f = score_stack(seed, R=int(rng.integers(1, 6)), M=M, n_live=K + 1)
     f[np.isfinite(f)] *= rng.uniform(0.1, 5.0)
     for scores in [f[0], f]:
-        w, _ = pol.online_remove(Tensor(scores), "deterministic")
-        _, kept = pol.batch_keep(pol.topk_project(Tensor(scores), K), K, "deterministic")
+        w, _ = pol.online_remove(scores, "deterministic")
+        _, kept = pol.batch_keep(pol.topk_project(scores, K), K, "deterministic")
         for row, w_row, kept_row in zip(np.atleast_2d(scores), np.atleast_2d(w.data),
                                         np.atleast_2d(kept)):
             np.testing.assert_array_equal(np.flatnonzero(np.isfinite(row) & (w_row == 0)),
@@ -561,44 +558,40 @@ def test_stacked_heads_reject_one_all_masked_row():
     f = score_stack(16)
     f[2] = -np.inf
     with pytest.raises(ValueError, match="online_remove: no finite score"):
-        pol.online_remove(Tensor(f), "deterministic")
+        pol.online_remove(f, "deterministic")
     with pytest.raises(ValueError, match="topk_project: no finite scores"):
-        pol.topk_project(Tensor(f), 2)
-    u = pol.topk_project(Tensor(score_stack(16)), 2).data
+        pol.topk_project(f, 2)
+    u = pol.topk_project(score_stack(16), 2).data
     u[2] = 0.0
     with pytest.raises(ValueError, match="batch_keep: only 0 candidates for k=2"):
-        pol.batch_keep(Tensor(u), 2, "deterministic")
+        pol.batch_keep(u, 2, "deterministic")
 
 
 # ---------------------------------------------------------- straight-through
 
 def test_st_composed_with_softmax_matches_fd():
-    # gradient through ST(softmax(f)) should equal gradient of softmax(f).v
+    # the online head's gradient w.r.t. f = -scores, straight through its
+    # removal onto softmax(f), should equal the gradient of softmax(f).v
     rng = np.random.default_rng(12)
     f0 = rng.normal(size=4)
     v = rng.normal(size=4)
 
-    f = Tensor(f0, requires_grad=True)
-    probs = dc.softmax(f)
-    hard = np.zeros(4)
-    hard[np.argmax(probs.data)] = 1.0
-    w = dc.straight_through(probs, hard)
-    (g,) = grad(dc.tsum(dc.mul(w, Tensor(v))), [f])
+    w, _ = pol.online_remove(-f0)
+    g = -w.grads(v)
 
     def soft_value(fv):
         e = np.exp(fv - fv.max())
         return float(np.dot(e / e.sum(), v))
 
     fd = finite_difference(soft_value, f0)
-    assert rel_error(g.data, fd, floor=1e-6) <= 1e-4
+    assert rel_error(g, fd, floor=1e-6) <= 1e-4
 
 
 def test_st_zero_downstream_gradient():
-    f = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    probs = dc.softmax(f)
-    w = dc.straight_through(probs, np.array([0.0, 1.0]))
-    (g,) = grad(dc.tsum(dc.mul(w, Tensor(np.zeros(2)))), [f])
-    np.testing.assert_array_equal(g.data, np.zeros(2))
+    for head in (lambda f: pol.online_remove(f)[0],
+                 lambda f: pol.batch_keep(pol.topk_project(f, 1), 1)[0]):
+        w = head(np.array([1.0, 2.0]))
+        np.testing.assert_array_equal(w.grads(np.zeros(2)), np.zeros(2))
 
 
 # ----------------------------------------------------------------- sketches
@@ -670,13 +663,13 @@ def test_vectorised_draws_equal_one_rng_choice_per_row():
     for case in range(400):
         f, n_live = random_score_stack(rng)
         got, ref = np.random.default_rng(case), np.random.default_rng(case)
-        _, removed = pol.online_remove(Tensor(f), "stochastic", rng=got)
+        _, removed = pol.online_remove(f, "stochastic", rng=got)
         np.testing.assert_array_equal(np.atleast_1d(removed), choice_loop_remove(f, ref))
         assert got.bit_generator.state == ref.bit_generator.state
 
         u = np.where(np.isfinite(f), 1.0 / (1.0 + np.exp(-f)), 0.0)
         k = int(rng.integers(1, n_live.min() + 1))
-        _, kept = pol.batch_keep(Tensor(u), k, "stochastic", rng=got)
+        _, kept = pol.batch_keep(u, k, "stochastic", rng=got)
         np.testing.assert_array_equal(np.atleast_2d(kept), choice_loop_keep(u, k, ref))
         assert got.bit_generator.state == ref.bit_generator.state
 
@@ -689,14 +682,14 @@ def test_heads_reject_a_nan_score_row_by_name(mode):
     f[2, np.flatnonzero(np.isfinite(f[2]))[0]] = np.nan
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="online_remove: NaN, .* probability in row 2"):
-        pol.online_remove(Tensor(f), mode, rng=rng)
+        pol.online_remove(f, mode, rng=rng)
     with pytest.raises(ValueError, match="online_remove: NaN, .* probability in row 0"):
-        pol.online_remove(Tensor(f[2]), mode, rng=rng)
+        pol.online_remove(f[2], mode, rng=rng)
     with pytest.raises(ValueError, match="topk_project: NaN score in row 2"):
-        pol.topk_project(Tensor(f), 2)
-    u = pol.topk_project(Tensor(score_stack(17)), 2).data
+        pol.topk_project(f, 2)
+    u = pol.topk_project(score_stack(17), 2).data
     for bad in (np.nan, -0.5):
         u_bad = u.copy()
         u_bad[1, np.flatnonzero(u[1])[0]] = bad
         with pytest.raises(ValueError, match="batch_keep: NaN, .* probability in row 1"):
-            pol.batch_keep(Tensor(u_bad), 2, mode, rng=rng)
+            pol.batch_keep(u_bad, 2, mode, rng=rng)

@@ -13,6 +13,7 @@ from dips import trainer as tr
 from dips.diffcore import Tensor
 
 from test_policies import _affine_rig
+from policy_reference import graph_policy_gradient, graph_scores, graph_select
 from unrolled_reference import recorded_inner_adapt
 
 
@@ -525,7 +526,7 @@ def test_policy_gradient_finite_differences_first_term():
     zhat, live = zhat[0], np.flatnonzero(zhat[0] > 0)
 
     def loss_through(removal):
-        scores = pol.policy_scores(zhat, y[0], phi)
+        scores = graph_scores(zhat, y[0], phi)
         probs = dc.scatter_add(dc.softmax(dc.neg(dc.gather(scores, live))), live, zhat.shape)
         z = Tensor(zhat) - removal(probs)
         u = recorded_inner_adapt(rec, dc.reshape(z, (1, rec.n_items)), y, mask,
@@ -589,8 +590,8 @@ def test_policy_gradient_replay_is_the_sum_of_per_row_selections(tau, stochastic
     np.testing.assert_array_equal(v, v_ref)
     for zj in past:
         z = tr.select_with_policy(phi, zj[None], y, cfg, rng)
-        for acc, g in zip(expected, dc.grad(dc.tsum(dc.mul(z, Tensor(v))), phi.params())):
-            acc += g.data
+        for acc, g in zip(expected, z.grads(v)):
+            acc += g
     for a, b in zip(grads, expected):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
@@ -637,7 +638,7 @@ def two_backward_policy_gradient(phi, rec, y, mask, zhat_t, past_zhats, next_ite
     reference: v and the straight-through term from one backward of the
     loss through the recorded inner loop and the policy network, then a
     second backward through the policy network for the replay term."""
-    z_t = tr.select_with_policy(phi, zhat_t, y, cfg, rng)
+    z_t = graph_select(phi, zhat_t, y, cfg, rng)
     z_probe = dc.zeros(z_t.shape, requires_grad=True)
     u = recorded_inner_adapt(rec, z_t + z_probe, y, mask, cfg.inner_lr, cfg.inner_steps)
     loss = rm.next_item_loss(rec, u, next_item, next_rating)
@@ -647,7 +648,7 @@ def two_backward_policy_gradient(phi, rec, y, mask, zhat_t, past_zhats, next_ite
     past = [z for queue in past_zhats for z in queue]
     if past:
         owner = np.repeat(np.arange(len(past_zhats)), [len(q) for q in past_zhats])
-        z_past = tr.select_with_policy(phi, np.stack(past), y[owner], cfg, rng)
+        z_past = graph_select(phi, np.stack(past), y[owner], cfg, rng)
         grads2 = dc.grad(dc.tsum(dc.mul(z_past, Tensor(v[owner]))), phi.params())
         for acc, g in zip(total, grads2):
             acc += g.data
@@ -679,6 +680,33 @@ def test_factored_policy_gradient_equals_the_two_backward_form(setting, B, tau, 
     for g, g_ref in zip(grads, ref_grads):
         assert np.any(g_ref != 0)
         assert_close_rel(g, g_ref)
+
+
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.1])
+@pytest.mark.parametrize("stochastic", [False, True])
+@pytest.mark.parametrize("tau", [1, 2])
+@pytest.mark.parametrize("M", [10, 500, 3706])
+def test_policy_gradient_equals_the_recorded_graph_bit_for_bit(M, tau, stochastic,
+                                                              dropout_rate):
+    # the closed-form backward through the policy network and either head
+    # gives the recorded graph's gradients, v, z, loss and generator state
+    # bit for bit, for four users with queues of 2, 0, 3 and 1 rows; one
+    # user's selection from a single indicator (M,) matches too
+    rec, phi, y, mask, zhat, queues, nxt, r, cfg = stacked_pg_problem(4, tau, seed=M, M=M)
+    phi.dropout_rate = dropout_rate
+    cfg = replace(cfg, stochastic_train=stochastic)
+    args = (y, mask, zhat, queues, nxt, r)
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    grads, v, z, loss = tr.policy_gradient(phi, rec, *args, cfg, rng=rng)
+    ref_grads, ref_v, ref_z, ref_loss = graph_policy_gradient(phi, rec, *args, cfg,
+                                                              rng=ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert loss == ref_loss
+    for got, want in zip([v, z] + grads, [ref_v, ref_z] + ref_grads):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    one = tr.select_with_policy(phi, zhat[0], y[0], cfg, rng)
+    np.testing.assert_array_equal(one.data, graph_select(phi, zhat[0], y[0], cfg, ref_rng).data)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("tau", [1, 2])
@@ -716,13 +744,13 @@ def test_stacked_policy_gradient_draws_the_current_stack_then_the_replay():
                                            rng=rng)
 
     ref_rng = np.random.default_rng(7)
-    z_t = tr.select_with_policy(phi, zhat, y, cfg, ref_rng)
+    z_t = graph_select(phi, zhat, y, cfg, ref_rng)
     z_probe = Tensor(z_t.data, requires_grad=True)
     u = recorded_inner_adapt(rec, z_probe, y, mask, cfg.inner_lr, cfg.inner_steps)
     ref_loss = rm.next_item_loss(rec, u, nxt, r)
     (ref_v,) = dc.grad(ref_loss, [z_probe])
     owner = [0, 0]                       # the second user's queue is empty
-    z_past = tr.select_with_policy(phi, np.stack(queues[0]), y[owner], cfg, ref_rng)
+    z_past = graph_select(phi, np.stack(queues[0]), y[owner], cfg, ref_rng)
     first = dc.grad(dc.tsum(dc.mul(z_t, ref_v)), phi.params())
     replay = dc.grad(dc.tsum(dc.mul(z_past, Tensor(ref_v.data[owner]))), phi.params())
 
