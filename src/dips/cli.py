@@ -305,27 +305,34 @@ def _fd_error(f, x, grad, points, h, floor, lower=None):
 
 
 def _check_policy_backward():
-    # the policy network's closed-form backward, dropout on, against
-    # central differences of sum(g * scores) over the finite scores of a
-    # stack, at every parameter entry; biases clear of zero keep a row
-    # whose units all drop out off the relu kinks
+    # the policy network's closed-form backward on the live columns, dropout
+    # on, against central differences of sum(g * scores) over the finite
+    # scores of a stack, at every parameter entry: the rows share some
+    # items and not others, items 2 and 6 are in no row, and the gradients
+    # are scattered onto phi's shapes as training adds them; biases clear
+    # of zero keep a row whose units all drop out off the relu kinks
     rng = np.random.default_rng(0)
-    phi = pol.PolicyParams(6, hidden=5, dropout_rate=0.3, rng=rng)
+    phi = pol.PolicyParams(8, hidden=5, dropout_rate=0.3, rng=rng)
     for b in (phi.b1, phi.b2):
         b.data[:] = rng.uniform(0.1, 0.5, size=b.shape)
-    zhat = np.array([[1.0, 1, 0, 1, 0, 1], [0, 1, 1, 0, 1, 0], [1, 0, 1, 1, 1, 1]])
+    zhat = np.array([[1.0, 1, 0, 1, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0, 0, 1],
+                     [1, 0, 0, 1, 1, 1, 0, 0]])
     y = zhat * rng.uniform(1, 5, size=zhat.shape)
-    g = np.where(zhat > 0, rng.normal(size=zhat.shape), 0.0)
+    cols = np.flatnonzero(zhat.any(axis=0))
+    live = zhat[:, cols] > 0
+    g = np.where(live, rng.normal(size=live.shape), 0.0)
 
     def scores():
-        return pol.policy_scores(zhat, y, phi, training=True, rng=np.random.default_rng(7))
+        return pol.policy_scores(zhat, y, phi, training=True, rng=np.random.default_rng(7),
+                                 cols=cols)
 
     def value():
-        return float(np.sum(g[zhat > 0] * scores().data[zhat > 0]))
+        return float(np.sum(g[live] * scores().data[live]))
 
-    grads = scores().grads(g)
+    grads = tr.PolicyGradBuffer(phi)
+    grads.add(scores().grads(g), cols)
     return max(_fd_error(value, p.data, gp, range(p.data.size), 1e-6, 1e-8)
-               for p, gp in zip(phi.params(), grads)), 1e-4
+               for p, gp in zip(phi.params(), grads.grads)), 1e-4
 
 
 def _meta_setup(setting):

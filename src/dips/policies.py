@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import diffcore as dc
 from . import recmodel as rm
 from .diffcore import Tensor
 
@@ -93,24 +92,32 @@ class IntermediateSketch:
 
 
 class PolicyParams:
-    """Score network over the dense rating vector: M -> hidden -> hidden -> M."""
+    """Score network over the dense rating vector: M -> hidden -> hidden -> M.
 
-    def __init__(self, n_items, hidden=128, dropout_rate=0.10, rng=None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    The parameters are drawn from ``rng``, or taken as given from ``arrays``
+    (named as in :meth:`param_names`), which draws nothing.
+    """
+
+    def __init__(self, n_items, hidden=128, dropout_rate=0.10, rng=None, arrays=None):
         self.n_items = n_items
         self.hidden = hidden
         self.dropout_rate = dropout_rate
+        if arrays is not None:
+            self.load_arrays(arrays)
+            return
+        rng = rng if rng is not None else np.random.default_rng(0)
+        shapes = self.shapes()
 
-        def dense(fan_in, fan_out):
-            return Tensor(rng.normal(size=(fan_in, fan_out)) / np.sqrt(fan_in),
-                          requires_grad=True)
+        def dense(name):
+            return rng.normal(size=shapes[name]) / np.sqrt(shapes[name][0])
 
-        self.w1 = dense(n_items, hidden)
-        self.b1 = dc.zeros(hidden, requires_grad=True)
-        self.w2 = dense(hidden, hidden)
-        self.b2 = dc.zeros(hidden, requires_grad=True)
-        self.w3 = dense(hidden, n_items)
-        self.b3 = dc.zeros(n_items, requires_grad=True)
+        self.load_arrays({"w1": dense("w1"), "b1": np.zeros(hidden), "w2": dense("w2"),
+                          "b2": np.zeros(hidden), "w3": dense("w3"), "b3": np.zeros(n_items)})
+
+    def shapes(self):
+        """The shape of every parameter, by name."""
+        m, h = self.n_items, self.hidden
+        return {"w1": (m, h), "b1": (h,), "w2": (h, h), "b2": (h,), "w3": (h, m), "b3": (m,)}
 
     def params(self):
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
@@ -122,11 +129,11 @@ class PolicyParams:
         return {name: getattr(self, name).data for name in self.param_names()}
 
     def load_arrays(self, arrays):
-        for name in self.param_names():
-            cur = getattr(self, name)
+        """Hold ``arrays`` as the parameters, without a copy of a float64 array."""
+        for name, shape in self.shapes().items():
             new = np.asarray(arrays[name], dtype=np.float64)
-            if new.shape != cur.shape:
-                raise ValueError(f"checkpoint mismatch for {name}: {new.shape} vs {cur.shape}")
+            if new.shape != shape:
+                raise ValueError(f"checkpoint mismatch for {name}: {new.shape} vs {shape}")
             setattr(self, name, Tensor(new, requires_grad=True))
 
 
@@ -144,36 +151,55 @@ class Selection:
     :func:`policy_scores` to the gradients of phi's parameters, a head to
     the ``grads`` of its input, so a head over the policy scores takes it
     to phi.  A head given a plain array ends there: the array's ``grads``
-    is the identity.
+    is the identity.  ``cols`` are the catalog items that phi's gradients
+    cover, the rows of w1 and the columns of w3 and b3 (None: all M); the
+    scores and the heads over them also lay ``data``'s last axis out on
+    them, and the heads name their picks as items through them.
     """
 
-    __slots__ = ("data", "grads")
+    __slots__ = ("data", "grads", "cols")
 
-    def __init__(self, data, grads=lambda g: g):
+    def __init__(self, data, grads=lambda g: g, cols=None):
         self.data = data
         self.grads = grads
+        self.cols = cols
+
+    def items(self, index):
+        """The catalog items of column indices ``index`` of ``data``."""
+        return index if self.cols is None else self.cols[index]
 
 
 def _selection(x):
     return x if isinstance(x, Selection) else Selection(np.asarray(x, dtype=np.float64))
 
 
-def policy_scores(zhat, y, phi: PolicyParams, training=False, rng=None):
+def policy_scores(zhat, y, phi: PolicyParams, training=False, rng=None, cols=None):
     """Per-item keep scores f(zhat * y) + log(zhat), a :class:`Selection`
     whose ``grads`` is :func:`policy_backward`.
 
     ``zhat`` may be a single indicator vector or a matrix of stacked
-    indicator rows (one forward pass scores the whole stack).  Dropout is
+    indicator rows (one forward pass scores the whole stack).  ``cols``
+    (sorted catalog items, None for all M) are the columns scored: the
+    network reads only the rows ``cols`` of w1 and the columns ``cols`` of
+    w3 and b3, and the scores are laid out on them.  Every item a row of
+    ``zhat`` holds must be among them; any other item's score is -inf,
+    since zhat * y reads 0 there and log(zhat) is -inf.  Dropout is
     applied only in training mode: ``rng`` draws the mask of the first
-    hidden layer, then of the second.  The forward keeps every layer's
-    input, relu mask and dropout scale for the backward.
+    hidden layer, then of the second, (rows, hidden) each whatever the
+    columns.  The forward keeps every layer's weights, input, relu mask and
+    dropout scale for the backward.
     """
     zhat = np.asarray(zhat, dtype=np.float64)
-    h = zhat * np.asarray(y, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    w1, w3, b3 = phi.w1.data, phi.w3.data, phi.b3.data
+    if cols is not None:
+        zhat, y = zhat[..., cols], y[..., cols]
+        w1, w3, b3 = w1[cols], w3[:, cols], b3[cols]
+    h = zhat * y
     drop = training and phi.dropout_rate > 0
     inputs, gates = [h], []
-    for w, b in ((phi.w1, phi.b1), (phi.w2, phi.b2)):
-        a = h @ w.data + b.data
+    for w, b in ((w1, phi.b1.data), (phi.w2.data, phi.b2.data)):
+        a = h @ w + b
         relu = (a > 0).astype(np.float64)
         h = a * relu
         scale = None
@@ -183,28 +209,32 @@ def policy_scores(zhat, y, phi: PolicyParams, training=False, rng=None):
             h = h * scale
         inputs.append(h)
         gates.append((relu, scale))
-    scores = h @ phi.w3.data + phi.b3.data + log_indicator(zhat)
-    return Selection(scores, lambda g: policy_backward(phi, inputs, gates, g))
+    scores = h @ w3 + b3 + log_indicator(zhat)
+    weights = (w1, phi.w2.data, w3)
+    return Selection(scores, lambda g: policy_backward(weights, inputs, gates, g), cols)
 
 
-def policy_backward(phi: PolicyParams, inputs, gates, g):
-    """Gradients of sum(g * scores) w.r.t. ``phi.params()``, in that order.
+def policy_backward(weights, inputs, gates, g):
+    """Gradients of sum(g * scores) w.r.t. phi's parameters, in the order of
+    ``phi.params()``, on the columns :func:`policy_scores` scored.
 
-    ``inputs`` are the three layers' inputs and ``gates`` the two hidden
-    layers' relu masks and dropout scales (None without dropout), as
-    :func:`policy_scores` kept them; ``g`` is shaped like the scores.  A
-    layer y = h @ w + b passes back g @ w.T, then the dropout scale and the
-    relu mask, and takes h.T @ g and the column sums of g.
+    ``weights`` are the three layers' weights, ``inputs`` their inputs and
+    ``gates`` the two hidden layers' relu masks and dropout scales (None
+    without dropout), all as :func:`policy_scores` kept them: on scored
+    columns ``cols``, w1's rows and w3's columns are those of ``cols``.
+    ``g`` is shaped like the scores.  The gradients of w1, w3 and b3 are
+    those of the rows and columns ``cols``.  A layer y = h @ w + b passes
+    back g @ w.T, then the dropout scale and the relu mask, and takes
+    h.T @ g and the column sums of g.
     """
     g = np.atleast_2d(g)
-    weights = (phi.w1, phi.w2, phi.w3)
     grads = [None] * 6
     for k in (2, 1, 0):
         grads[2 * k] = np.atleast_2d(inputs[k]).T @ g
         grads[2 * k + 1] = np.sum(g, axis=0)
         if k:
             relu, scale = gates[k - 1]
-            g = g @ weights[k].data.T
+            g = g @ weights[k].T
             if scale is not None:
                 g = g * scale
             g = g * relu
@@ -249,7 +279,8 @@ def online_remove(scores, mode="deterministic", rng=None):
     def grads(g):
         return scores.grads(-(probs * (g - np.sum(g * probs, axis=-1, keepdims=True))))
 
-    w = Selection(hard.reshape(s.shape), grads)
+    w = Selection(hard.reshape(s.shape), grads, scores.cols)
+    removed = scores.items(removed)
     return w, (int(removed[0]) if s.ndim == 1 else removed)
 
 
@@ -330,7 +361,7 @@ def topk_project(scores, k):
         rows = zip(np.atleast_2d(f), np.atleast_2d(u), np.atleast_2d(g))
         return scores.grads(np.array([topk_grad(*r) for r in rows]).reshape(f.shape))
 
-    return Selection(u, grads)
+    return Selection(u, grads, scores.cols)
 
 
 def topk_grad(f, u, v):
@@ -396,7 +427,8 @@ def batch_keep(u, k, mode="deterministic", rng=None):
         kept.sort(axis=1)
     hard = np.zeros_like(rows)
     np.put_along_axis(hard, kept, 1.0, axis=1)
-    w = Selection(hard.reshape(u.data.shape), u.grads)
+    w = Selection(hard.reshape(u.data.shape), u.grads, u.cols)
+    kept = u.items(kept)
     return w, (kept[0] if u.data.ndim == 1 else kept)
 
 

@@ -38,32 +38,42 @@ IMPLICIT = "implicit"
 
 
 class RecParams:
-    """Global recommender parameters: user embedding, item embeddings, MLP tower."""
+    """Global recommender parameters: user embedding, item embeddings, MLP tower.
 
-    def __init__(self, n_items, dim=32, hidden=64, setting=EXPLICIT, rng=None):
+    They are drawn from ``rng``, or taken as given from ``arrays`` (named as
+    in :meth:`param_names`), which draws nothing.
+    """
+
+    def __init__(self, n_items, dim=32, hidden=64, setting=EXPLICIT, rng=None, arrays=None):
         if setting not in (EXPLICIT, IMPLICIT):
             raise ValueError(f"unknown setting {setting!r}")
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.n_items = n_items
         self.dim = dim
         self.hidden = hidden
         self.setting = setting
+        if arrays is not None:
+            self.load_arrays(arrays)
+            return
+        rng = rng if rng is not None else np.random.default_rng(0)
+        shapes = self.shapes()
 
-        def emb(*shape):
-            return Tensor(rng.uniform(-0.1, 0.1, size=shape), requires_grad=True)
+        def emb(name):
+            return rng.uniform(-0.1, 0.1, size=shapes[name])
 
-        def dense(fan_in, fan_out):
-            w = rng.normal(size=(fan_in, fan_out)) / np.sqrt(fan_in)
-            return Tensor(w, requires_grad=True)
+        def dense(name):
+            return rng.normal(size=shapes[name]) / np.sqrt(shapes[name][0])
 
-        self.user_emb = emb(dim)
-        self.item_emb = emb(n_items, dim)
-        in_dim = 2 * dim if setting == EXPLICIT else dim
-        out_dim = 1 if setting == EXPLICIT else dim
-        self.w1 = dense(in_dim, hidden)
-        self.b1 = dc.zeros(hidden, requires_grad=True)
-        self.w2 = dense(hidden, out_dim)
-        self.b2 = dc.zeros(out_dim, requires_grad=True)
+        self.load_arrays({"user_emb": emb("user_emb"), "item_emb": emb("item_emb"),
+                          "w1": dense("w1"), "b1": np.zeros(shapes["b1"]),
+                          "w2": dense("w2"), "b2": np.zeros(shapes["b2"])})
+
+    def shapes(self):
+        """The shape of every parameter, by name."""
+        in_dim = 2 * self.dim if self.setting == EXPLICIT else self.dim
+        out_dim = 1 if self.setting == EXPLICIT else self.dim
+        return {"user_emb": (self.dim,), "item_emb": (self.n_items, self.dim),
+                "w1": (in_dim, self.hidden), "b1": (self.hidden,),
+                "w2": (self.hidden, out_dim), "b2": (out_dim,)}
 
     def item_params(self):
         """Item-side parameters (everything but the user embedding)."""
@@ -79,11 +89,11 @@ class RecParams:
         return {name: getattr(self, name).data for name in self.param_names()}
 
     def load_arrays(self, arrays):
-        for name in self.param_names():
-            cur = getattr(self, name)
+        """Hold ``arrays`` as the parameters, without a copy of a float64 array."""
+        for name, shape in self.shapes().items():
             new = np.asarray(arrays[name], dtype=np.float64)
-            if new.shape != cur.shape:
-                raise ValueError(f"checkpoint mismatch for {name}: {new.shape} vs {cur.shape}")
+            if new.shape != shape:
+                raise ValueError(f"checkpoint mismatch for {name}: {new.shape} vs {shape}")
             setattr(self, name, Tensor(new, requires_grad=True))
 
 

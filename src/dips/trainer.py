@@ -21,8 +21,14 @@ intermediate sketch indicators, taken in closed form too: each selection
 is a :class:`policies.Selection` whose ``grads`` runs the head's
 straight-through backward and :func:`policies.policy_backward`, once per
 time step over the users at a sketch boundary, and each of those users
-commits the selection its gradient was taken at.  No step records an
-autodiff graph.  Per time step, the policy phase draws from the
+commits the selection its gradient was taken at.  A selection runs on its
+stack's live columns, the items its rows hold, since every other item
+scores -inf and gets no gradient; :func:`train` adds the gradients into
+one :class:`PolicyGradBuffer` for the whole run, whose written entries (the
+live rows of w1, columns of w3 and b3, and the small layers) are divided
+by the user count before the dense Adam step and zeroed after it, so no
+step allocates an (M, hidden) array.  No step records an autodiff
+graph.  Per time step, the policy phase draws from the
 generator in a fixed order: the current stack's dropout masks, then one
 uniform per head pick (row by row), then the replay stack's masks and picks
 (users in stack order, each queue oldest first).  The commits of a learned
@@ -247,37 +253,84 @@ def select_with_policy(phi: PolicyParams, zhat, y, cfg, rng=None):
     ``zhat`` is one intermediate indicator (M,) or a stack (R, M) whose
     rows are selected one by one, in row order.  Returns the new indicator
     ``z``, shaped like ``zhat``, as a :class:`policies.Selection` whose
-    ``grads(g)`` are phi's parameter gradients of sum(g * z), straight
-    through the head onto the policy scores; the kept items of a row are
-    ``flatnonzero(z > 0.5)``.  ``cfg.tau`` picks the head: softmax removal
-    for tau = 1, the Top-K projection otherwise.  Both read a score as
-    keep, so in deterministic mode they keep the same K of K + 1 items.
-    With ``cfg.stochastic_train`` dropout (at ``phi.dropout_rate``) is on
-    and the head samples: ``rng`` gives the dropout masks of the whole
-    stack, then one uniform per head pick, R for the online head and R x K
-    (row-major) for the Top-K head.  Without it the selection is
-    deterministic, dropout off and ``rng`` untouched.
+    ``grads(g)`` are phi's parameter gradients of sum(g * z) on its
+    ``cols``, straight through the head onto the policy scores; the kept
+    items of a row are ``flatnonzero(z > 0.5)``.  The network, the head and
+    the backward run on ``cols``, the items some row of ``zhat`` holds:
+    every other item scores -inf, is never kept and gets no gradient.
+    ``cfg.tau`` picks the head: softmax removal for tau = 1, the Top-K
+    projection otherwise.  Both read a score as keep, so in deterministic
+    mode they keep the same K of K + 1 items.  With ``cfg.stochastic_train``
+    dropout (at ``phi.dropout_rate``) is on and the head samples: ``rng``
+    gives the dropout masks of the whole stack, then one uniform per head
+    pick, R for the online head and R x K (row-major) for the Top-K head.
+    Without it the selection is deterministic, dropout off and ``rng``
+    untouched.
     """
     stochastic = cfg.stochastic_train
-    scores = pol.policy_scores(zhat, y, phi, training=stochastic, rng=rng)
+    zhat = np.asarray(zhat, dtype=np.float64)
+    cols = np.flatnonzero(np.atleast_2d(zhat).any(axis=0))
+    scores = pol.policy_scores(zhat, y, phi, training=stochastic, rng=rng, cols=cols)
     mode = "stochastic" if stochastic else "deterministic"
     if cfg.tau == 1:
         w, _ = pol.online_remove(scores, mode, rng=rng)
-        return pol.Selection(np.asarray(zhat, dtype=np.float64) - w.data,
-                             lambda g: w.grads(-g))
-    u = pol.topk_project(scores, cfg.sketch_size)
-    w, _ = pol.batch_keep(u, cfg.sketch_size, mode, rng=rng)
-    return w
+        live, grads = zhat[..., cols] - w.data, lambda g: w.grads(-g[..., cols])
+    else:
+        u = pol.topk_project(scores, cfg.sketch_size)
+        w, _ = pol.batch_keep(u, cfg.sketch_size, mode, rng=rng)
+        live, grads = w.data, lambda g: w.grads(g[..., cols])
+    z = np.zeros(zhat.shape)
+    z[..., cols] = live
+    return pol.Selection(z, grads, cols)
+
+
+class PolicyGradBuffer:
+    """phi's gradient, one dense array per parameter, of which a policy step
+    writes only the live entries.
+
+    :meth:`add` sums a selection's gradients on its items ``cols`` in: rows
+    ``cols`` of w1, columns ``cols`` of w3 and b3, and all of b1, w2 and b2.
+    Every other entry stays zero, so ``grads`` is always phi's dense
+    gradient.  :meth:`divide` and :meth:`clear` touch only the entries
+    written since the last clear, so one buffer serves every policy step of
+    a run and no step allocates an (M, hidden) array.
+    """
+
+    def __init__(self, phi: PolicyParams):
+        self.grads = [np.zeros(p.shape) for p in phi.params()]
+        self.cols = np.empty(0, dtype=np.int64)
+
+    @staticmethod
+    def _index(cols):
+        """Per parameter, the entries a gradient on items ``cols`` has."""
+        return cols, ..., ..., ..., (slice(None), cols), cols
+
+    def add(self, grads, cols):
+        for g, index, part in zip(self.grads, self._index(cols), grads):
+            g[index] += part
+        self.cols = np.union1d(self.cols, cols)
+
+    def divide(self, n):
+        for g, index in zip(self.grads, self._index(self.cols)):
+            g[index] /= n
+
+    def clear(self):
+        for g, index in zip(self.grads, self._index(self.cols)):
+            g[index] = 0.0
+        self.cols = np.empty(0, dtype=np.int64)
 
 
 def policy_gradient(phi: PolicyParams, rec: RecParams, y, mask, zhat_t, past_zhats,
-                    next_item, next_rating, cfg, rng=None):
+                    next_item, next_rating, cfg, rng=None, out=None):
     """Two-term approximate policy gradient; returns (grads, v, z, loss).
 
     B users pass ``y``, ``mask`` and ``zhat_t`` as (B, M), their queues
     ``past_zhats`` as a list of B lists of stored indicator rows, and (B,)
     next items and ratings.  The gradients and the loss are summed over
     the users; ``v`` and the selection ``z`` are (B, M), row b user b's.
+    The gradients are added into ``out``, a cleared
+    :class:`PolicyGradBuffer` (by default a new one), and ``grads`` are its
+    arrays.
 
     v is the gradient of the next-interaction loss w.r.t. the sketch
     weights, taken through the inner loop with the selection ``z`` from
@@ -289,26 +342,22 @@ def policy_gradient(phi: PolicyParams, rec: RecParams, y, mask, zhat_t, past_zha
     Jacobians are treated as identity.  Both selections go through
     :func:`select_with_policy`, so ``cfg`` decides mode and dropout, and
     ``rng`` is drawn for the current stack first, then for the replay.
+    Each term is backpropagated on the items its stack holds only.
     """
     n_users = len(zhat_t)
     if len(past_zhats) != n_users:
         raise ValueError(f"policy_gradient: {len(past_zhats)} queues for {n_users} users")
+    out = out if out is not None else PolicyGradBuffer(phi)
     z_t = select_with_policy(phi, zhat_t, y, cfg, rng)
     _, v, loss = rm.unrolled_backward(rec, z_t.data, y, mask, next_item, next_rating,
                                       cfg.inner_lr, cfg.inner_steps, theta=False, sketch=True)
+    out.add(z_t.grads(v), z_t.cols)
     past = [z for queue in past_zhats for z in queue]
-    if not past:
-        return z_t.grads(v), v, z_t.data, loss
-    owner = np.repeat(np.arange(n_users), [len(q) for q in past_zhats])
-    z_past = select_with_policy(phi, np.stack(past), y[owner], cfg, rng)
-    # the replay term first: its arrays, freed once added in place, then lie
-    # below the returned ones rather than at the top of the heap, whose free
-    # pages go back to the system and fault in again at the next call
-    replay = z_past.grads(v[owner])
-    grads = z_t.grads(v)
-    for acc, g in zip(grads, replay):
-        acc += g
-    return grads, v, z_t.data, loss
+    if past:
+        owner = np.repeat(np.arange(n_users), [len(q) for q in past_zhats])
+        z_past = select_with_policy(phi, np.stack(past), y[owner], cfg, rng)
+        out.add(z_past.grads(v[owner]), z_past.cols)
+    return out.grads, v, z_t.data, loss
 
 
 class _UserState:
@@ -407,7 +456,10 @@ def train(cfg: TrainConfig, data, oracle_anchors=None, trace_file=None,
     (copied, the originals are left untouched).  ``policy_grad_hook(users,
     t, grads, v)`` is called once per time step at which some users reach a
     sketch boundary: their ids in stack order, their summed policy
-    gradient and their (B', M) sketch-weight gradients ``v``.
+    gradient, before the division by their number, and their (B', M)
+    sketch-weight gradients ``v``.  ``grads`` are the run's
+    :class:`PolicyGradBuffer` arrays, zeroed after the step: a hook copies
+    what it keeps.
     """
     from . import metrics as met  # late import to avoid a cycle
 
@@ -416,14 +468,16 @@ def train(cfg: TrainConfig, data, oracle_anchors=None, trace_file=None,
                     setting=cfg.setting, rng=rng)
     phi = PolicyParams(data.n_items, hidden=cfg.policy_hidden,
                        dropout_rate=cfg.policy_dropout_rate, rng=rng)
+    # copies: the optimizers update the parameters in place
     if init_rec is not None:
-        rec.load_arrays(init_rec.state_arrays())
+        rec.load_arrays({n: a.copy() for n, a in init_rec.state_arrays().items()})
     if init_phi is not None:
-        phi.load_arrays(init_phi.state_arrays())
+        phi.load_arrays({n: a.copy() for n, a in init_phi.state_arrays().items()})
     opt_user = SGDMomentum([rec.user_emb], cfg.lr_user, cfg.momentum, cfg.weight_decay)
     opt_item = Adam(rec.item_params(), cfg.lr_item, weight_decay=cfg.weight_decay)
     opt_policy = Adam(phi.params(), cfg.lr_policy, weight_decay=cfg.weight_decay)
     learned = cfg.policy in LEARNED_POLICIES
+    policy_grad = PolicyGradBuffer(phi) if learned else None
     metric_log = []
 
     usable = []
@@ -466,7 +520,7 @@ def train(cfg: TrainConfig, data, oracle_anchors=None, trace_file=None,
                     policy_acc, v, z_at, _ = policy_gradient(
                         phi, rec, ys[rows], masks[rows], zhats,
                         [states[i].queue.entries() for i in rows], nxt[at], nxt_rating[at],
-                        cfg, rng=rng)
+                        cfg, rng=rng, out=policy_grad)
                     if policy_grad_hook is not None:
                         policy_grad_hook([batch[i].user for i in rows], t, policy_acc, v)
                     for i, zhat in zip(rows, zhats):
@@ -484,7 +538,9 @@ def train(cfg: TrainConfig, data, oracle_anchors=None, trace_file=None,
                 opt_item.step([g / n_theta for g in theta_acc[1:]])
                 _check_finite("rec", rec, epoch, t, batch)
                 if at:
-                    opt_policy.step([g / len(at) for g in policy_acc])
+                    policy_grad.divide(len(at))
+                    opt_policy.step(policy_acc)
+                    policy_grad.clear()
                     _check_finite("phi", phi, epoch, t, batch)
 
         if validate_each_epoch and data.valid:
@@ -601,13 +657,14 @@ def load_checkpoint(path):
         # tau = 1 policy scores removal, which a negated last layer maps onto.
         older = meta.pop("policy_dropout", None) is not None
         cfg = TrainConfig(**meta)
-        rec = RecParams(n_items=data["rec_item_emb"].shape[0], dim=cfg.dim,
-                        hidden=cfg.hidden, setting=cfg.setting)
-        rec.load_arrays({n: data[f"rec_{n}"] for n in rec.param_names()})
-        phi = PolicyParams(rec.n_items, hidden=cfg.policy_hidden,
-                           dropout_rate=cfg.policy_dropout_rate)
-        arrays = {n: data[f"phi_{n}"] for n in phi.param_names()}
+        # built on the stored arrays, so nothing is drawn
+        stored = {k: data[k] for k in data.files}
+        n_items = stored["rec_item_emb"].shape[0]
+        rec = RecParams(n_items, dim=cfg.dim, hidden=cfg.hidden, setting=cfg.setting,
+                        arrays={k[4:]: a for k, a in stored.items() if k.startswith("rec_")})
+        arrays = {k[4:]: a for k, a in stored.items() if k.startswith("phi_")}
         if older and cfg.tau == 1:
             arrays["w3"], arrays["b3"] = -arrays["w3"], -arrays["b3"]
-        phi.load_arrays(arrays)
+        phi = PolicyParams(n_items, hidden=cfg.policy_hidden,
+                           dropout_rate=cfg.policy_dropout_rate, arrays=arrays)
     return rec, phi, cfg

@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -583,16 +584,16 @@ def test_policy_gradient_replay_is_the_sum_of_per_row_selections(tau, stochastic
                                         rng=np.random.default_rng(7))
 
     # reference: the first term alone, then v . z_j for one stored row at a
-    # time, drawing from the rng in the same order
+    # time, drawing from the rng in the same order, each added on its items
     rng = np.random.default_rng(7)
-    expected, v_ref, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [[]], nxt, r, cfg,
-                                               rng=rng)
+    expected = tr.PolicyGradBuffer(phi)
+    _, v_ref, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [[]], nxt, r, cfg,
+                                        rng=rng, out=expected)
     np.testing.assert_array_equal(v, v_ref)
     for zj in past:
         z = tr.select_with_policy(phi, zj[None], y, cfg, rng)
-        for acc, g in zip(expected, z.grads(v)):
-            acc += g
-    for a, b in zip(grads, expected):
+        expected.add(z.grads(v), z.cols)
+    for a, b in zip(grads, expected.grads):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
@@ -688,10 +689,12 @@ def test_factored_policy_gradient_equals_the_two_backward_form(setting, B, tau, 
 @pytest.mark.parametrize("M", [10, 500, 3706])
 def test_policy_gradient_equals_the_recorded_graph_bit_for_bit(M, tau, stochastic,
                                                               dropout_rate):
-    # the closed-form backward through the policy network and either head
-    # gives the recorded graph's gradients, v, z, loss and generator state
-    # bit for bit, for four users with queues of 2, 0, 3 and 1 rows; one
-    # user's selection from a single indicator (M,) matches too
+    # the closed-form backward on the live columns, through the policy
+    # network and either head, gives the recorded graph's selection z and
+    # generator state bit for bit, and its gradients, v and loss within
+    # 1e-12 (the gathered matmuls sum in another order), for four users
+    # with queues of 2, 0, 3 and 1 rows; one user's selection from a single
+    # indicator (M,) matches too
     rec, phi, y, mask, zhat, queues, nxt, r, cfg = stacked_pg_problem(4, tau, seed=M, M=M)
     phi.dropout_rate = dropout_rate
     cfg = replace(cfg, stochastic_train=stochastic)
@@ -701,9 +704,10 @@ def test_policy_gradient_equals_the_recorded_graph_bit_for_bit(M, tau, stochasti
     ref_grads, ref_v, ref_z, ref_loss = graph_policy_gradient(phi, rec, *args, cfg,
                                                               rng=ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert loss == ref_loss
-    for got, want in zip([v, z] + grads, [ref_v, ref_z] + ref_grads):
-        assert got.shape == want.shape and np.array_equal(got, want)
+    assert z.shape == ref_z.shape and np.array_equal(z, ref_z)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    for got, want in zip([v] + grads, [ref_v] + ref_grads):
+        assert_close_rel(got, want)
     one = tr.select_with_policy(phi, zhat[0], y[0], cfg, rng)
     np.testing.assert_array_equal(one.data, graph_select(phi, zhat[0], y[0], cfg, ref_rng).data)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -772,11 +776,12 @@ def test_train_stacks_exactly_the_users_at_a_boundary(monkeypatch):
     calls = []
     original = tr.policy_gradient
 
-    def spy(phi, rec, y, mask, zhat_t, past_zhats, next_item, next_rating, cfg, rng=None):
+    def spy(phi, rec, y, mask, zhat_t, past_zhats, next_item, next_rating, cfg, rng=None,
+            out=None):
         calls.append((np.array(mask), np.array(zhat_t), [[q.copy() for q in queue]
                       for queue in past_zhats], np.array(next_item)))
         return original(phi, rec, y, mask, zhat_t, past_zhats, next_item, next_rating,
-                        cfg, rng=rng)
+                        cfg, rng=rng, out=out)
 
     hooked = []
     monkeypatch.setattr(tr, "policy_gradient", spy)
@@ -830,6 +835,119 @@ def test_stacked_policy_gradient_needs_one_queue_per_user():
     rec, phi, y, mask, zhat, queues, nxt, r, cfg = stacked_pg_problem(3)
     with pytest.raises(ValueError, match="2 queues for 3 users"):
         tr.policy_gradient(phi, rec, y, mask, zhat, queues[:2], nxt, r, cfg)
+
+
+def shared_items_pg_problem(M, K, tau, seed):
+    """Four users whose rows share some items and not others: user b holds
+    the K + tau items b, ..., b + K + tau - 1 of one window of K + tau + 3
+    items, plus two more past items and its next one drawn from the rest
+    of the catalog; queues of 0, 1, 2 and 3 rows, each K + tau of the
+    user's past items."""
+    rng = np.random.default_rng(seed)
+    rec = rm.RecParams(n_items=M, dim=3, hidden=4, rng=rng)
+    rec.b1.data[:] = 0.2
+    phi = pol.PolicyParams(M, hidden=8, rng=rng)
+    order = rng.permutation(M)
+    window, rest = order[:K + tau + 3], order[K + tau + 3:]
+    y, mask, zhat = np.zeros((3, 4, M))
+    queues, nxt, r = [], [], []
+    for b in range(4):
+        items = np.concatenate([window[b:b + K + tau], rng.choice(rest, size=3, replace=False)])
+        mask[b, items] = 1.0
+        y[b, items] = rng.uniform(1, 5, size=items.size)
+        zhat[b, items[:K + tau]] = 1.0
+        queue = []
+        for _ in range(b):
+            zj = np.zeros(M)
+            zj[rng.permutation(items[:-1])[:K + tau]] = 1.0
+            queue.append(zj)
+        queues.append(queue)
+        nxt.append(int(items[-1]))
+        r.append(float(y[b, items[-1]]))
+    cfg = small_cfg(sketch_size=K, tau=tau, mode="online" if tau == 1 else "batch")
+    return rec, phi, y, mask, zhat, queues, np.array(nxt), np.array(r), cfg
+
+
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.1])
+@pytest.mark.parametrize("stochastic", [False, True])
+@pytest.mark.parametrize("K, tau", [(1, 1), (1, 2), (2, 1), (2, 2)])
+@pytest.mark.parametrize("M", [10, 500, 3706])
+def test_live_column_policy_gradient_equals_the_recorded_graph(M, K, tau, stochastic,
+                                                               dropout_rate):
+    # rows that share some items and not others, queues of 0 to 3 rows and
+    # K = 1 at both heads: on the live columns, the selection and the
+    # generator state are the recorded graph's bit for bit, the gradients,
+    # v and loss within 1e-12, and the gradients are zero off the live items
+    rec, phi, y, mask, zhat, queues, nxt, r, cfg = shared_items_pg_problem(
+        M, K, tau, seed=M + 10 * K + tau)
+    shared = zhat.sum(axis=0)
+    assert np.any(shared > 1) and np.any(shared == 1)
+    phi.dropout_rate = dropout_rate
+    cfg = replace(cfg, stochastic_train=stochastic)
+    args = (y, mask, zhat, queues, nxt, r)
+    rng, ref_rng = np.random.default_rng(13), np.random.default_rng(13)
+    grads, v, z, loss = tr.policy_gradient(phi, rec, *args, cfg, rng=rng)
+    ref_grads, ref_v, ref_z, ref_loss = graph_policy_gradient(phi, rec, *args, cfg,
+                                                              rng=ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert z.shape == ref_z.shape and np.array_equal(z, ref_z)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    for got, want in zip([v] + grads, [ref_v] + ref_grads):
+        assert_close_rel(got, want)
+    held = np.concatenate([zhat] + [np.stack(q) for q in queues if q]).any(axis=0)
+    for g in (grads[0], grads[4].T, grads[5]):
+        assert not np.any(g[~held])
+
+
+def test_policy_gradient_adds_into_the_buffer_it_is_given():
+    # two calls into one buffer sum their gradients on the union of their
+    # live items; divide and clear touch only those, and leave it all zero
+    rec, phi, y, mask, zhat, queues, nxt, r, cfg = stacked_pg_problem(3, M=40)
+    buf = tr.PolicyGradBuffer(phi)
+    first, _, _, _ = tr.policy_gradient(phi, rec, y, mask, zhat, queues, nxt, r, cfg)
+    second, _, _, _ = tr.policy_gradient(phi, rec, y[:1], mask[:1], zhat[:1], queues[:1],
+                                         nxt[:1], r[:1], cfg)
+    tr.policy_gradient(phi, rec, y, mask, zhat, queues, nxt, r, cfg, out=buf)
+    grads, _, _, _ = tr.policy_gradient(phi, rec, y[:1], mask[:1], zhat[:1], queues[:1],
+                                        nxt[:1], r[:1], cfg, out=buf)
+    assert grads is buf.grads
+    for g, a, b in zip(buf.grads, first, second):
+        assert_close_rel(g, a + b)
+    total = [g.copy() for g in buf.grads]
+    buf.divide(4)
+    for g, a in zip(buf.grads, total):
+        np.testing.assert_array_equal(g, a / 4)
+    held = np.flatnonzero(zhat.any(axis=0) | np.stack(sum(queues, [])).any(axis=0))
+    np.testing.assert_array_equal(buf.cols, held)
+    buf.clear()
+    assert buf.cols.size == 0 and not any(np.any(g) for g in buf.grads)
+
+
+def test_a_policy_step_allocates_no_array_the_size_of_a_weight():
+    # at M = 3706 a policy step, the gradient into train()'s buffer, its
+    # division, the Adam step on it and the clear, never holds an array as
+    # large as one (M, hidden) weight matrix
+    rec, phi, y, mask, zhat, queues, nxt, r, cfg = stacked_pg_problem(5, M=3706)
+    phi = pol.PolicyParams(3706, hidden=128, rng=np.random.default_rng(2))
+    buf = tr.PolicyGradBuffer(phi)
+    opt = tr.Adam(phi.params(), 1e-3, weight_decay=2e-4)
+    cfg = replace(cfg, stochastic_train=True)
+    rng = np.random.default_rng(3)
+
+    def step():
+        tr.policy_gradient(phi, rec, y, mask, zhat, queues, nxt, r, cfg, rng=rng, out=buf)
+        buf.divide(len(zhat))
+        opt.step(buf.grads)
+        buf.clear()
+
+    step()
+    tracemalloc.start()
+    try:
+        step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < phi.w1.data.nbytes
 
 
 # ------------------------------------------------------------------- train
@@ -968,6 +1086,48 @@ def test_train_commits_the_selection_of_the_policy_gradient(monkeypatch, tau):
 
 
 @pytest.mark.parametrize("tau", [1, 2])
+def test_train_leaves_its_policy_gradient_buffer_zero_after_every_step(monkeypatch, tau):
+    # one buffer for the whole run: each policy step writes it, and its
+    # clear leaves every entry zero again, over several epochs
+    buffers, steps = [], []
+
+    class Spy(tr.PolicyGradBuffer):
+        def __init__(self, phi):
+            super().__init__(phi)
+            buffers.append(self)
+
+        def clear(self):
+            written = any(np.any(g) for g in self.grads)
+            super().clear()
+            steps.append((written, not any(np.any(g) for g in self.grads)))
+
+    monkeypatch.setattr(tr, "PolicyGradBuffer", Spy)
+    cfg = small_cfg(tau=tau, mode="online" if tau == 1 else "batch", epochs=3,
+                    queue_size=3, stochastic_train=True)
+    hooked = []
+    tr.train(cfg, synth(seed=9).splits, validate_each_epoch=False,
+             policy_grad_hook=lambda users, t, g, v: hooked.append(t))
+    assert len(buffers) == 1
+    assert len(steps) == len(hooked) > 10
+    assert all(zero for _, zero in steps)
+    assert sum(written for written, _ in steps) > len(steps) / 2
+
+
+def test_warm_start_leaves_the_callers_parameters_untouched():
+    # train() copies init_rec and init_phi: with nonzero rates its
+    # optimizers move its own parameters, never the caller's
+    data = synth(seed=10).splits
+    cfg = small_cfg(lr_user=1e-2, lr_item=1e-2, lr_policy=1e-2, stochastic_train=True)
+    init = tr.train(cfg, data, validate_each_epoch=False)
+    before = final_state(init)
+    warm = tr.train(replace(cfg, seed=1), data, validate_each_epoch=False,
+                    init_rec=init.rec, init_phi=init.phi)
+    for a, b in zip(final_state(init), before):
+        np.testing.assert_array_equal(a, b)
+    assert all(np.any(a != b) for a, b in zip(final_state(warm), before))
+
+
+@pytest.mark.parametrize("tau", [1, 2])
 @pytest.mark.parametrize("setting", ["explicit", "implicit"])
 def test_deterministic_training_is_unchanged_by_commit_reuse(monkeypatch, setting, tau):
     # deterministic heads: the selection commit would make for itself is
@@ -1053,6 +1213,33 @@ def test_checkpoint_roundtrip(tmp_path):
         np.testing.assert_array_equal(getattr(rec2, n).data, getattr(res.rec, n).data)
     for n in res.phi.param_names():
         np.testing.assert_array_equal(getattr(phi2, n).data, getattr(res.phi, n).data)
+
+
+def test_load_checkpoint_draws_nothing(tmp_path, monkeypatch):
+    # the parameters are built on the stored arrays: no generator is made,
+    # and a constructor given arrays leaves a given generator untouched
+    data = synth(seed=6).splits
+    cfg = small_cfg()
+    res = tr.train(cfg, data, validate_each_epoch=False)
+    path = tmp_path / "ckpt.npz"
+    tr.save_checkpoint(path, res.rec, res.phi, cfg)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("load_checkpoint made a generator")
+
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", no_generator)
+        rec2, phi2, cfg2 = tr.load_checkpoint(path)
+    assert cfg2 == cfg
+    for a, b in zip(final_state(res), final_state(tr.TrainResult(rec2, phi2))):
+        np.testing.assert_array_equal(a, b)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    rm.RecParams(res.rec.n_items, dim=cfg.dim, hidden=cfg.hidden, rng=rng,
+                 arrays=res.rec.state_arrays())
+    pol.PolicyParams(res.phi.n_items, hidden=cfg.policy_hidden, rng=rng,
+                     arrays=res.phi.state_arrays())
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("tau, mode", [(1, "online"), (2, "batch")])
