@@ -28,7 +28,13 @@ one :class:`PolicyGradBuffer` for the whole run, whose written entries (the
 live rows of w1, columns of w3 and b3, and the small layers) are divided
 by the user count before the dense Adam step and zeroed after it, so no
 step allocates an (M, hidden) array.  No step records an autodiff
-graph.  Per time step, the policy phase draws from the
+graph.  The optimizers step in place through fixed scratch rows: the
+recommender's gradients are divided by the user count in place, Adam
+takes Kingma & Ba's one-division order (alpha = lr sqrt(c2) / c1 and
+eps sqrt(c2) folded into the step, pinned bit for bit by the tests and to
+the textbook order within 1e-14 relative), and an optimizer at rate 0,
+whose step would leave every parameter bit-identical, is not stepped.
+Per time step, the policy phase draws from the
 generator in a fixed order: the current stack's dropout masks, then one
 uniform per head pick (row by row), then the replay stack's masks and picks
 (users in stack order, each queue oldest first).  The commits of a learned
@@ -39,6 +45,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import warnings
 from collections import deque
@@ -88,6 +95,11 @@ class TrainConfig:
             raise ValueError("tau must be >= 1")
         if self.inner_steps < 0:
             raise ValueError("inner_steps must be >= 0")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        for name in ("batch_size", "dim", "hidden", "policy_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("inner_lr", "lr_user", "lr_item", "lr_policy"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -194,12 +206,17 @@ class Adam:
         self.plan = _block_plan(params, 2)
 
     def step(self, grads):
-        # the textbook update, g = grad + wd * p, m and v moving averages,
-        # p -= lr * mhat / (sqrt(vhat) + eps), block by block through two
-        # scratch rows: the same operations in the same order, bit for bit,
-        # without a temporary per operation
+        # g = grad + wd * p, m and v moving averages, then the update in
+        # Kingma & Ba's one-division order (end of their section 2):
+        # p -= alpha * m / (sqrt(v) + eps_t) with alpha = lr * sqrt(c2) / c1
+        # and eps_t = eps * sqrt(c2), equal to the textbook
+        # lr * mhat / (sqrt(vhat) + eps) up to rounding; one division and
+        # one square root per entry instead of three divisions and one.
+        # Block by block through two scratch rows, without a temporary
+        # per operation
         self.t += 1
         c1, c2 = 1 - self.b1 ** self.t, 1 - self.b2 ** self.t
+        alpha, eps_t = self.lr * math.sqrt(c2) / c1, self.eps * math.sqrt(c2)
         for p, m, v, g, blocks in zip(self.params, self.m, self.v, grads, self.plan):
             for index, (s1, s2) in blocks:
                 p_b, m_b, v_b = p.data[index], m[index], v[index]
@@ -212,12 +229,10 @@ class Adam:
                 s2 *= s1
                 v_b *= self.b2
                 v_b += s2
-                np.divide(m_b, c1, out=s1)                 # s1 = mhat
-                s1 *= self.lr
-                np.divide(v_b, c2, out=s2)                 # s2 = vhat
-                np.sqrt(s2, out=s2)
-                s2 += self.eps
-                s1 /= s2
+                np.sqrt(v_b, out=s2)
+                s2 += eps_t
+                np.divide(m_b, s2, out=s1)
+                s1 *= alpha
                 p_b -= s1
 
 
@@ -240,7 +255,8 @@ def theta_gradients(rec: RecParams, z, y, mask, next_item, next_rating, cfg):
     ``z``, ``y`` and ``mask`` are (B, M), the next items and ratings (B,):
     one reverse pass through the unrolled inner loop of all B users
     (:func:`recmodel.unrolled_backward`).  Returns the gradients and the
-    loss, both summed over the users.
+    loss, both summed over the users; the gradients are fresh arrays, which
+    :func:`train` divides by the user count in place.
     """
     grads, _, loss = rm.unrolled_backward(rec, z, y, mask, next_item, next_rating,
                                           cfg.inner_lr, cfg.inner_steps)
@@ -534,14 +550,26 @@ def train(cfg: TrainConfig, data, oracle_anchors=None, trace_file=None,
                     if outcome is not None and trace_file is not None:
                         _trace(trace_file, st, t, absorbed=outcome == "absorbed")
 
-                opt_user.step([theta_acc[0] / n_theta])
-                opt_item.step([g / n_theta for g in theta_acc[1:]])
-                _check_finite("rec", rec, epoch, t, batch)
+                # the optimizer steps, each on gradients divided in place by
+                # the user count; a zero-rate step is skipped (see _moves)
+                # and its parameters are not checked again
+                written = []
+                if _moves(opt_user):
+                    theta_acc[0] /= n_theta
+                    opt_user.step(theta_acc[:1])
+                    written += rec.param_names()[:1]
+                if _moves(opt_item):
+                    for g in theta_acc[1:]:
+                        g /= n_theta
+                    opt_item.step(theta_acc[1:])
+                    written += rec.param_names()[1:]
+                _check_finite("rec", rec, written, epoch, t, batch)
                 if at:
-                    policy_grad.divide(len(at))
-                    opt_policy.step(policy_acc)
+                    if _moves(opt_policy):
+                        policy_grad.divide(len(at))
+                        opt_policy.step(policy_acc)
+                        _check_finite("phi", phi, phi.param_names(), epoch, t, batch)
                     policy_grad.clear()
-                    _check_finite("phi", phi, epoch, t, batch)
 
         if validate_each_epoch and data.valid:
             aggregates = met.evaluate(rec, phi, data.valid, cfg)
@@ -550,10 +578,23 @@ def train(cfg: TrainConfig, data, oracle_anchors=None, trace_file=None,
     return TrainResult(rec=rec, phi=phi, metric_log=metric_log)
 
 
-def _check_finite(prefix, params, epoch, t, batch):
-    """Raise on the first non-finite parameter array after an optimizer step."""
-    for name, arr in params.state_arrays().items():
-        if not np.isfinite(arr).all():
+def _moves(opt):
+    """Whether a step of ``opt`` can move a parameter.  At rate 0 a step of
+    either optimizer leaves every parameter bit-identical and draws
+    nothing, so :func:`train` skips it; the skipped moments are written
+    nowhere."""
+    return opt.lr != 0
+
+
+def _check_finite(prefix, params, names, epoch, t, batch):
+    """Raise on the first non-finite array among the parameters ``names``
+    of ``params``, after an optimizer step wrote them.  A finite sum proves
+    every entry finite, since a NaN or an infinity carries into it, so only
+    a non-finite sum, from a non-finite entry or an overflow of finite
+    ones, looks at the entries: a finite array takes no temporary its size."""
+    for name in names:
+        arr = getattr(params, name).data
+        if not np.isfinite(np.sum(arr)) and not np.isfinite(arr).all():
             users = [int(s.user) for s in batch]
             raise FloatingPointError(
                 f"non-finite {prefix}.{name} after the optimizer step at epoch {epoch}, "

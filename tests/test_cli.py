@@ -166,6 +166,31 @@ def test_train_non_finite_parameters_exit_numeric(tmp_path, capsys, policy):
 
 
 @pytest.mark.parametrize("head", [[], ["train.tau=2", "train.mode=batch"]],
+                         ids=["online", "topk"])
+def test_non_finite_policy_parameters_exit_numeric(tmp_path, capsys, head):
+    # Adam's step is bounded by about its rate, so a finite rate never makes
+    # phi non-finite in one step (a huge one overflows the next forward pass
+    # instead); an infinite rate does, at the first policy step
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        code = cli.main(["train"] + tiny_overrides(out, *head, "train.lr_policy=inf"))
+    assert code == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "non-finite phi.w1 after the optimizer step at epoch 0, step t=" in err
+    assert "batch users [" in err
+    assert not (out / "checkpoint.npz").exists()
+
+
+@pytest.mark.parametrize("key, value", [("batch_size", 0), ("epochs", -1), ("dim", 0),
+                                        ("hidden", 0), ("policy_hidden", 0)])
+def test_invalid_train_sizes_exit_config_code(tmp_path, capsys, key, value):
+    out = tmp_path / "run"
+    assert cli.main(["train"] + tiny_overrides(out, f"train.{key}={value}")) == cli.EXIT_CONFIG
+    assert f"config error: {key} must be >= " in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("head", [[], ["train.tau=2", "train.mode=batch"]],
                          ids=["train", "train-tau2"])
 def test_failed_run_keeps_the_previous_sketch_trace(tmp_path, head):
     out = tmp_path / "run"

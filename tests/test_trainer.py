@@ -15,6 +15,7 @@ from dips.diffcore import Tensor
 
 from test_policies import _affine_rig
 from policy_reference import graph_policy_gradient, graph_scores, graph_select
+from optimizer_reference import TextbookAdam
 from unrolled_reference import recorded_inner_adapt
 
 
@@ -111,6 +112,8 @@ def test_weight_decay_shrinks_parameters():
 
 
 def test_optimizer_steps_equal_the_textbook_formulas_bit_for_bit():
+    # SGD with momentum in the textbook form; Adam in Kingma & Ba's
+    # one-division order, alpha = lr sqrt(c2) / c1 and eps_t = eps sqrt(c2)
     rng = np.random.default_rng(11)
     shapes = [(7, 3), (3,), ()]
     init = [rng.normal(size=s) for s in shapes]
@@ -128,9 +131,9 @@ def test_optimizer_steps_equal_the_textbook_formulas_bit_for_bit():
             g = np.asarray(g) + wd * ref[i]
             m[i] = b1 * m[i] + (1 - b1) * g
             v[i] = b2 * v[i] + (1 - b2) * g * g
-            mhat = m[i] / (1 - b1 ** t)
-            vhat = v[i] / (1 - b2 ** t)
-            ref[i] = ref[i] - lr * mhat / (np.sqrt(vhat) + eps)
+            c1, c2 = 1 - b1 ** t, 1 - b2 ** t
+            alpha, eps_t = lr * np.sqrt(c2) / c1, eps * np.sqrt(c2)
+            ref[i] = ref[i] - alpha * (m[i] / (np.sqrt(v[i]) + eps_t))
         for p, r in zip(params, ref):
             np.testing.assert_array_equal(p.data, r)
 
@@ -150,8 +153,8 @@ def test_optimizer_steps_equal_the_textbook_formulas_bit_for_bit():
 
 def test_optimizer_steps_span_blocks_and_strided_parameters_bit_for_bit():
     # parameters larger than one scratch block, a row longer than a block
-    # and a transposed (strided) parameter take the textbook update in
-    # place, bit for bit
+    # and a transposed (strided) parameter take the update in place, bit
+    # for bit: SGD in the textbook form, Adam in the one-division order
     rng = np.random.default_rng(12)
     init = [rng.normal(size=(300, 200)), rng.normal(size=70000), rng.normal(size=(2, 40000)),
             np.asfortranarray(rng.normal(size=(150, 300)))]
@@ -175,14 +178,41 @@ def test_optimizer_steps_span_blocks_and_strided_parameters_bit_for_bit():
                 if make == "adam":
                     m[i] = b1 * m[i] + (1 - b1) * g
                     v[i] = b2 * v[i] + (1 - b2) * g * g
-                    ref[i] = ref[i] - lr * (m[i] / (1 - b1 ** t)) / (
-                        np.sqrt(v[i] / (1 - b2 ** t)) + eps)
+                    c1, c2 = 1 - b1 ** t, 1 - b2 ** t
+                    ref[i] = ref[i] - lr * np.sqrt(c2) / c1 * (
+                        m[i] / (np.sqrt(v[i]) + eps * np.sqrt(c2)))
                 else:
                     vel[i] = mom * vel[i] + g
                     ref[i] = ref[i] - lr * vel[i]
         for p, d, r in zip(params, data, ref):
             assert p.data is d
             np.testing.assert_array_equal(p.data, r)
+
+
+@pytest.mark.parametrize("M", [500, 3706])
+def test_adam_stays_within_rounding_of_the_textbook_order(M):
+    # 200 steps on phi's shapes (hidden 128) with live-column gradients, as
+    # train() gives them: a few rows of w1 and columns of w3/b3, all of the
+    # small layers.  phi stays within 1e-14, relative to its largest entry,
+    # of the textbook order
+    rng = np.random.default_rng(M)
+    phi = pol.PolicyParams(M, hidden=128, rng=rng)
+    ref = pol.PolicyParams(M, hidden=128,
+                           arrays={n: a.copy() for n, a in phi.state_arrays().items()})
+    adam = tr.Adam(phi.params(), 2e-4, weight_decay=2e-4)
+    textbook = TextbookAdam(ref.params(), 2e-4, weight_decay=2e-4)
+    buf = tr.PolicyGradBuffer(phi)
+    for _ in range(200):
+        cols = rng.choice(M, size=rng.integers(1, 40), replace=False)
+        parts = [rng.normal(size=(cols.size, 128)), rng.normal(size=128),
+                 rng.normal(size=(128, 128)), rng.normal(size=128),
+                 rng.normal(size=(128, cols.size)), rng.normal(size=cols.size)]
+        buf.add([part * 10.0 ** rng.uniform(-6, 1) for part in parts], cols)
+        adam.step(buf.grads)
+        textbook.step(buf.grads)
+        buf.clear()
+    for a, b in zip(phi.state_arrays().values(), ref.state_arrays().values()):
+        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
 
 
 # ------------------------------------------------------------- inner adapt
@@ -249,6 +279,93 @@ def test_outer_step_zero_rate_keeps_params():
                    validate_each_epoch=False, init_rec=init)
     for n, a in res.rec.state_arrays().items():
         np.testing.assert_array_equal(a, before[n])
+
+
+def _spied_train(monkeypatch, cfg, data, init_rec):
+    """Train, recording the optimizer steps and the run's generator.
+
+    Returns the result, the parameter groups whose optimizer stepped
+    ("user", "item", "policy"), copies of the policy gradients the hook
+    saw, and the generator's state after the run."""
+    stepped, gens, hooked = [], [], []
+    default_rng = np.random.default_rng
+    with monkeypatch.context() as mp:
+        mp.setattr(np.random, "default_rng", lambda *a: gens.append(default_rng(*a)) or gens[-1])
+        for cls in (tr.SGDMomentum, tr.Adam):
+            def spy(self, grads, step=cls.step):
+                stepped.append(self)
+                return step(self, grads)
+            mp.setattr(cls, "step", spy)
+        res = tr.train(cfg, data, validate_each_epoch=False, init_rec=init_rec,
+                       policy_grad_hook=lambda u, t, g, v: hooked.append([a.copy() for a in g]))
+    groups = {id(res.rec.user_emb): "user", id(res.rec.item_emb): "item", id(res.phi.w1): "policy"}
+    return res, {groups[id(opt.params[0])] for opt in stepped}, hooked, gens[0].bit_generator.state
+
+
+@pytest.mark.parametrize("zero", [("lr_user", "lr_item"), ("lr_policy",),
+                                  ("lr_user", "lr_item", "lr_policy")],
+                         ids=["recommender", "policy", "both"])
+def test_a_zero_rate_optimizer_is_not_stepped_and_changes_nothing(monkeypatch, zero):
+    # train() skips the step of an optimizer at rate 0; the run equals one
+    # with those steps forced back in, bit for bit: parameters, every policy
+    # gradient (a skipped policy step still clears the buffer) and the
+    # generator's state after the run
+    data = synth(seed=6).splits
+    init = tr.train(small_cfg(policy="random"), data, validate_each_epoch=False).rec
+    cfg = small_cfg(stochastic_train=True, epochs=2, **{name: 0.0 for name in zero})
+    res, stepped, hooked, state = _spied_train(monkeypatch, cfg, data, init)
+    groups = {"lr_user": "user", "lr_item": "item", "lr_policy": "policy"}
+    assert stepped == {groups[name] for name in groups if name not in zero}
+
+    monkeypatch.setattr(tr, "_moves", lambda opt: True)
+    forced, forced_stepped, forced_hooked, forced_state = _spied_train(
+        monkeypatch, cfg, data, init)
+    assert forced_stepped == {"user", "item", "policy"}
+    assert forced_state == state
+    for a, b in zip(final_state(res), final_state(forced)):
+        np.testing.assert_array_equal(a, b)
+    assert len(hooked) == len(forced_hooked) > 10
+    for grads, forced_grads in zip(hooked, forced_hooked):
+        for a, b in zip(grads, forced_grads):
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("lr_user, lr_item", [(0.0, 0.0), (1e-3, 0.0), (0.0, 1e-3),
+                                              (1e-3, 1e-3)])
+def test_train_checks_only_the_parameters_a_step_wrote(monkeypatch, lr_user, lr_item):
+    checked = []
+    monkeypatch.setattr(tr, "_check_finite",
+                        lambda prefix, params, names, *a: checked.append((prefix, tuple(names))))
+    cfg = small_cfg(lr_user=lr_user, lr_item=lr_item, stochastic_train=True)
+    tr.train(cfg, synth(seed=6).splits, validate_each_epoch=False)
+    rec_names = (("user_emb",) if lr_user else ()) + (
+        ("item_emb", "w1", "b1", "w2", "b2") if lr_item else ())
+    assert {names for prefix, names in checked if prefix == "rec"} == {rec_names}
+    assert {names for prefix, names in checked if prefix == "phi"} == {
+        ("w1", "b1", "w2", "b2", "w3", "b3")}
+
+
+def test_the_finite_check_names_the_first_non_finite_array_without_a_temporary():
+    phi = pol.PolicyParams(3706, hidden=128, rng=np.random.default_rng(0))
+    names = phi.param_names()
+    tr._check_finite("phi", phi, names, 0, 1, [])
+    tracemalloc.start()
+    try:
+        tr._check_finite("phi", phi, names, 0, 1, [])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < phi.w1.data.size      # a bool mask of w1 would take this
+    # finite entries whose sum overflows pass; a NaN or an infinity is named
+    phi.w2.data[:] = 1e308
+    with np.errstate(over="ignore"):
+        tr._check_finite("phi", phi, names, 0, 1, [])
+        phi.w3.data[5, 7] = -np.inf
+        phi.b3.data[0] = np.nan
+        with pytest.raises(FloatingPointError, match=r"non-finite phi\.w3 after the "
+                           r"optimizer step at epoch 2, step t=3, batch users \[\]"):
+            tr._check_finite("phi", phi, names, 2, 3, [])
+    tr._check_finite("phi", phi, ["w1", "b1"], 2, 3, [])
 
 
 def test_outer_step_rejects_bad_item():
