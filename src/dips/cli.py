@@ -19,7 +19,6 @@ from . import metrics as met
 from . import policies as pol
 from . import recmodel as rm
 from . import trainer as tr
-from .diffcore import GraphError, ShapeError, Tensor
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -314,7 +313,7 @@ def _check_policy_backward():
     rng = np.random.default_rng(0)
     phi = pol.PolicyParams(8, hidden=5, dropout_rate=0.3, rng=rng)
     for b in (phi.b1, phi.b2):
-        b.data[:] = rng.uniform(0.1, 0.5, size=b.shape)
+        b[:] = rng.uniform(0.1, 0.5, size=b.shape)
     zhat = np.array([[1.0, 1, 0, 1, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0, 0, 1],
                      [1, 0, 0, 1, 1, 1, 0, 0]])
     y = zhat * rng.uniform(1, 5, size=zhat.shape)
@@ -331,7 +330,7 @@ def _check_policy_backward():
 
     grads = tr.PolicyGradBuffer(phi)
     grads.add(scores().grads(g), cols)
-    return max(_fd_error(value, p.data, gp, range(p.data.size), 1e-6, 1e-8)
+    return max(_fd_error(value, p, gp, range(p.size), 1e-6, 1e-8)
                for p, gp in zip(phi.params(), grads.grads)), 1e-4
 
 
@@ -345,7 +344,7 @@ def _meta_setup(setting):
     """
     rng = np.random.default_rng(1)
     rec = rm.RecParams(n_items=8, dim=3, hidden=6, setting=setting, rng=rng)
-    rec.b1.data[:] = 0.2
+    rec.b1[:] = 0.2
     zhat, y, mask = np.zeros((3, 3, 8))
     nxt = []
     for b in range(3):
@@ -364,8 +363,8 @@ def _margin(rec, u, rows, items):
     """The least |relu pre-activation| of the tower at the stack ``u``:
     of each (row, item) pair (explicit) or each row (implicit)."""
     x = u if rec.setting == rm.IMPLICIT else np.concatenate(
-        [u[rows], rec.item_emb.data[items]], axis=1)
-    return np.min(np.abs(x @ rec.w1.data + rec.b1.data))
+        [u[rows], rec.item_emb[items]], axis=1)
+    return np.min(np.abs(x @ rec.w1 + rec.b1))
 
 
 def _kink_margin(rec, z, y, mask, cfg):
@@ -374,6 +373,26 @@ def _kink_margin(rec, z, y, mask, cfg):
     rows, items = np.nonzero(mask)
     return min(_margin(rec, tr.inner_adapt(rec, z, y, mask, cfg.inner_lr, k), rows, items)
                for k in range(cfg.inner_steps + 1))
+
+
+def _next_item_loss(rec, z, y, mask, nxt, r, cfg):
+    """The next-item loss after the inner loop on the sketch ``z``, as the
+    reverse pass computes it."""
+    return rm.unrolled_backward(rec, z, y, mask, nxt, r, cfg.inner_lr, cfg.inner_steps,
+                                theta=False)[2]
+
+
+def _sketch_loss(rec, u, z, y):
+    """The value of :func:`recmodel.sketch_loss` at the stack ``u`` from the
+    graph-free forward, over the entries ``z`` weights."""
+    rows, items = np.nonzero(z)
+    if rec.setting == rm.EXPLICIT:
+        d = rm.user_forward(rec, u, items, rows)[0] - y[rows, items]
+        return float(np.sum(z[rows, items] * d * d))
+    s = rm.user_forward(rec, u)[0]
+    top = np.max(s, axis=-1)
+    lse = np.log(np.sum(np.exp(s - top[:, None]), axis=-1)) + top
+    return float(np.sum(z[rows, items] * (lse[rows] - s[rows, items])))
 
 
 def _check_meta_gradient():
@@ -389,15 +408,11 @@ def _check_meta_gradient():
         if _kink_margin(rec, z, y, mask, cfg) <= 1e-3:
             return np.inf, 1e-3
         grads, _ = tr.theta_gradients(rec, z, y, mask, nxt, r, cfg)
-
-        def loss_value():
-            u = tr.inner_adapt(rec, z, y, mask, cfg.inner_lr, cfg.inner_steps)
-            return rm.next_item_loss(rec, Tensor(u), nxt, r).item()
-
         rng = np.random.default_rng(2)
         for p, g in zip(rec.all_params(), grads):
-            points = rng.choice(p.data.size, size=min(3, p.data.size), replace=False)
-            worst = max(worst, _fd_error(loss_value, p.data, g, points, h, 1e-6))
+            points = rng.choice(p.size, size=min(3, p.size), replace=False)
+            worst = max(worst, _fd_error(lambda: _next_item_loss(rec, z, y, mask, nxt, r, cfg),
+                                         p, g, points, h, 1e-6))
     return worst, 1e-3
 
 
@@ -413,13 +428,8 @@ def _check_grad_wrt_sketch():
         _, v, z, _ = tr.policy_gradient(phi, rec, y, mask, zhat, [[], [], []], nxt, r, cfg)
         if np.any(z[1]) or _kink_margin(rec, z, y, mask, cfg) <= 1e-3:
             return np.inf, 1e-3
-
-        def loss_value():
-            u = tr.inner_adapt(rec, z, y, mask, cfg.inner_lr, cfg.inner_steps)
-            return rm.next_item_loss(rec, Tensor(u), nxt, r).item()
-
-        worst = max(worst, _fd_error(loss_value, z, v, np.flatnonzero(mask), 1e-4, 1e-6,
-                                     lower=0.0))
+        worst = max(worst, _fd_error(lambda: _next_item_loss(rec, z, y, mask, nxt, r, cfg),
+                                     z, v, np.flatnonzero(mask), 1e-4, 1e-6, lower=0.0))
     return worst, 1e-3
 
 
@@ -439,7 +449,7 @@ def _check_topk_grad():
 
 def _check_sketch_gradient():
     # the closed-form gradient every graph-free inner step takes, against
-    # central differences of sketch_loss, for a stack whose middle row
+    # central differences of the sketch loss, for a stack whose middle row
     # weights nothing and for its first row alone, at a point where no relu
     # pre-activation changes sign within the step
     h = 1e-5
@@ -454,21 +464,18 @@ def _check_sketch_gradient():
         z = mask * rng.uniform(0.5, 1.5, size=mask.shape)
         z[1] = 0.0
         u0 = rng.normal(size=(3, 3))
-        if _margin(rec, u0, *np.nonzero(mask)) <= h * np.abs(rec.w1.data[:3]).sum(axis=0).max():
+        if _margin(rec, u0, *np.nonzero(mask)) <= h * np.abs(rec.w1[:3]).sum(axis=0).max():
             return np.inf, 1e-5
         for zc, yc, mc, uc in ((z, y, mask, u0), (z[:1], y[:1], mask[:1], u0[:1])):
             grad = rm.sketch_gradient(rec, uc, zc, yc, mc)
-
-            def loss():
-                return rm.sketch_loss(rec, Tensor(uc), zc, yc, mc).item()
-
-            worst = max(worst, _fd_error(loss, uc, grad, range(uc.size), h, 1e-6))
+            worst = max(worst, _fd_error(lambda: _sketch_loss(rec, uc, zc, yc), uc, grad,
+                                         range(uc.size), h, 1e-6))
     return worst, 1e-5
 
 
 def _check_influence_derivatives():
     # the closed-form derivatives influence reads: each entry's gradient
-    # against central differences of its next_item_loss, and the Hessian
+    # against central differences of its entry loss, and the Hessian
     # against central differences of the summed gradient, at a point where
     # no relu pre-activation changes sign within the step
     h = 1e-5
@@ -480,18 +487,16 @@ def _check_influence_derivatives():
         items = rng.choice(8, size=5, replace=False)
         ratings = rng.uniform(1, 5, size=5)
         if _margin(rec, u0[None], np.zeros(5, int), items) <= (
-                h * np.abs(rec.w1.data[:3]).sum(axis=0).max()):
+                h * np.abs(rec.w1[:3]).sum(axis=0).max()):
             return np.inf, 1e-5
-
-        def losses():
-            return np.array([rm.next_item_loss(rec, Tensor(u0[None]), [j], [r]).item()
-                             for j, r in zip(items, ratings)])
+        entries = [pol.SketchEntry(int(j), float(r), 0) for j, r in zip(items, ratings)]
 
         def gradient_sum():
             return rm.user_derivatives(rec, u0, items, ratings)[0].sum(axis=0)
 
         grads, hess = rm.user_derivatives(rec, u0, items, ratings)
-        worst = max(worst, _fd_error(losses, u0, grads.T, range(3), h, 1e-6),
+        worst = max(worst, _fd_error(lambda: pol.entry_losses(rec, u0, entries), u0, grads.T,
+                                     range(3), h, 1e-6),
                     _fd_error(gradient_sum, u0, hess.T, range(3), h, 1e-6))
     return worst, 1e-5
 
@@ -600,7 +605,7 @@ def main(argv=None):
     except ds.DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except (GraphError, ShapeError, np.linalg.LinAlgError, FloatingPointError) as e:
+    except (np.linalg.LinAlgError, FloatingPointError) as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -21,15 +21,6 @@ import numpy as np
 from . import recmodel as rm
 
 
-def rmse(pairs):
-    """Root mean squared error over (true, predicted) pairs."""
-    pairs = np.asarray(pairs, dtype=np.float64)
-    if pairs.size == 0:
-        raise ValueError("rmse: empty input")
-    d = pairs[:, 0] - pairs[:, 1]
-    return float(np.sqrt(np.mean(d * d)))
-
-
 def rank_of(target, scores):
     """1-based rank of the target among all scores; ties rank pessimistically
     (the target is placed after every equal score).  A NaN score is an

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import recmodel as rm
-from .diffcore import Tensor
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,7 @@ class PolicyParams:
         return ["w1", "b1", "w2", "b2", "w3", "b3"]
 
     def state_arrays(self):
-        return {name: getattr(self, name).data for name in self.param_names()}
+        return {name: getattr(self, name) for name in self.param_names()}
 
     def load_arrays(self, arrays):
         """Hold ``arrays`` as the parameters, without a copy of a float64 array."""
@@ -134,7 +133,13 @@ class PolicyParams:
             new = np.asarray(arrays[name], dtype=np.float64)
             if new.shape != shape:
                 raise ValueError(f"checkpoint mismatch for {name}: {new.shape} vs {shape}")
-            setattr(self, name, Tensor(new, requires_grad=True))
+            setattr(self, name, new)
+
+
+class ScoreError(FloatingPointError, ValueError):
+    """A head met a NaN score or an invalid probability, as a diverged
+    policy network gives: a numerical error, and also a ValueError for
+    callers that check a head's input."""
 
 
 def log_indicator(zhat):
@@ -191,14 +196,14 @@ def policy_scores(zhat, y, phi: PolicyParams, training=False, rng=None, cols=Non
     """
     zhat = np.asarray(zhat, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    w1, w3, b3 = phi.w1.data, phi.w3.data, phi.b3.data
+    w1, w3, b3 = phi.w1, phi.w3, phi.b3
     if cols is not None:
         zhat, y = zhat[..., cols], y[..., cols]
         w1, w3, b3 = w1[cols], w3[:, cols], b3[cols]
     h = zhat * y
     drop = training and phi.dropout_rate > 0
     inputs, gates = [h], []
-    for w, b in ((w1, phi.b1.data), (phi.w2.data, phi.b2.data)):
+    for w, b in ((w1, phi.b1), (phi.w2, phi.b2)):
         a = h @ w + b
         relu = (a > 0).astype(np.float64)
         h = a * relu
@@ -210,7 +215,7 @@ def policy_scores(zhat, y, phi: PolicyParams, training=False, rng=None, cols=Non
         inputs.append(h)
         gates.append((relu, scale))
     scores = h @ w3 + b3 + log_indicator(zhat)
-    weights = (w1, phi.w2.data, w3)
+    weights = (w1, phi.w2, w3)
     return Selection(scores, lambda g: policy_backward(weights, inputs, gates, g), cols)
 
 
@@ -247,9 +252,10 @@ def online_remove(scores, mode="deterministic", rng=None):
     A score means keep, as in the Top-K head: the lowest finite score is the
     likeliest to go, and a masked (-inf) item has removal probability 0.
     ``scores`` is one score vector (M,) or a stack (R, M), an array or a
-    :class:`Selection`; a NaN score is an error naming its row.
-    ``removed`` is the dropped item of a vector, or an array of R items for
-    a stack.  ``w`` is a :class:`Selection`, one-hot per row, whose
+    :class:`Selection`; a NaN score is a :class:`ScoreError` naming its
+    row, tested before an empty row (every score -inf).  ``removed`` is
+    the dropped item of a vector, or an array of R items for a stack.
+    ``w`` is a :class:`Selection`, one-hot per row, whose
     straight-through backward goes onto the softmax probabilities p:
     g_s = -p * (g - sum(g * p)) per row.  Stochastic mode draws
     ``rng.random(R)``, one uniform per row in row order, and removes what
@@ -257,9 +263,11 @@ def online_remove(scores, mode="deterministic", rng=None):
     """
     scores = _selection(scores)
     s = scores.data
-    if not np.atleast_2d(np.isfinite(s)).any(axis=1).all():
+    # a row is empty when every score is masked (-inf); a NaN score is not
+    # masked, so its row is not empty: it stays NaN through the softmax and
+    # the probability check below names the row
+    if np.atleast_2d(s == -np.inf).all(axis=1).any():
         raise ValueError("online_remove: no finite score (empty intermediate sketch)")
-    # only -inf is masked: a NaN score stays NaN, so the check below names it
     neg = np.where(s == -np.inf, -np.inf, -s)
     e = np.exp(neg - np.max(neg, axis=-1, keepdims=True))
     probs = e / np.sum(e, axis=-1, keepdims=True)
@@ -289,7 +297,7 @@ def _check_probabilities(rows, head):
     ``rng.choice`` would; the error names the head and the row."""
     bad = ~np.all(np.isfinite(rows) & (rows >= 0), axis=1)
     if bad.any():
-        raise ValueError(f"{head}: NaN, infinite or negative probability in row "
+        raise ScoreError(f"{head}: NaN, infinite or negative probability in row "
                          f"{int(np.flatnonzero(bad)[0])}")
 
 
@@ -334,16 +342,17 @@ def topk_project(scores, k):
 
     ``scores`` is one score vector (M,) or a stack (R, M), an array or a
     :class:`Selection`; each row gets its own shift nu, solved in row
-    order.  Masked (-inf) scores map to exactly zero; a NaN score is an
-    error naming its row.  Returns u as a :class:`Selection` whose backward
-    is the implicit-function rule of :func:`topk_grad`, applied per row.
+    order.  Masked (-inf) scores map to exactly zero; a NaN score is a
+    :class:`ScoreError` naming its row.  Returns u as a :class:`Selection`
+    whose backward is the implicit-function rule of :func:`topk_grad`,
+    applied per row.
     """
     scores = _selection(scores)
     f = scores.data
     u = np.zeros_like(f)
     for r, (f_row, u_row) in enumerate(zip(np.atleast_2d(f), np.atleast_2d(u))):
         if np.isnan(f_row).any():
-            raise ValueError(f"topk_project: NaN score in row {r}")
+            raise ScoreError(f"topk_project: NaN score in row {r}")
         finite = np.isfinite(f_row)
         n_finite = int(finite.sum())
         if n_finite < 1:
@@ -383,10 +392,11 @@ def batch_keep(u, k, mode="deterministic", rng=None):
     (w, kept).
 
     ``u`` is one relaxed indicator (M,) or a stack (R, M), an array or a
-    :class:`Selection`; a NaN, infinite or negative entry is an error naming
-    its row.  ``kept`` holds the sorted kept items of a vector, or one such
-    row per row of a stack.  ``w`` is a binary :class:`Selection`, with
-    straight-through backward onto u.  Stochastic mode samples sequentially
+    :class:`Selection`; a NaN, infinite or negative entry is a
+    :class:`ScoreError` naming its row.  ``kept`` holds the sorted kept
+    items of a vector, or one such row per row of a stack.  ``w`` is a
+    binary :class:`Selection`, with straight-through backward onto u.
+    Stochastic mode samples sequentially
     without replacement with probabilities proportional to u: it draws
     ``rng.random((R, k))``, row-major, and pick j of a row takes what
     ``rng.choice`` would with uniform j of that row.

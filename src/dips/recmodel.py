@@ -20,10 +20,12 @@ predictions (:func:`user_forward`), the sketch-loss gradient
 (:func:`sketch_gradient`), the inner loop (:func:`unroll`), the reverse
 pass through it (:func:`unrolled_backward`: meta-gradients w.r.t. the
 global parameters and gradients w.r.t. the sketch weights) and the
-per-entry derivatives (:func:`user_derivatives`).  The graph functions
-(:func:`sketch_loss`, :func:`next_item_loss`, ``predict_*``), on a Tensor
-``u``, stay as the references that ``dips gradcheck`` and the tests check
-the kernel against.
+per-entry derivatives (:func:`user_derivatives`).  The parameters are
+plain float64 arrays.  The graph functions (:func:`sketch_loss`,
+:func:`next_item_loss`, ``predict_*``), on a Tensor ``u``, take them as
+constants; they stay as the references the tests check the kernel
+against, on a tensor view of the parameters where a test differentiates
+w.r.t. them.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ class RecParams:
         return ["user_emb", "item_emb", "w1", "b1", "w2", "b2"]
 
     def state_arrays(self):
-        return {name: getattr(self, name).data for name in self.param_names()}
+        return {name: getattr(self, name) for name in self.param_names()}
 
     def load_arrays(self, arrays):
         """Hold ``arrays`` as the parameters, without a copy of a float64 array."""
@@ -94,7 +96,7 @@ class RecParams:
             new = np.asarray(arrays[name], dtype=np.float64)
             if new.shape != shape:
                 raise ValueError(f"checkpoint mismatch for {name}: {new.shape} vs {shape}")
-            setattr(self, name, Tensor(new, requires_grad=True))
+            setattr(self, name, new)
 
 
 def _check_items(rec, items):
@@ -167,16 +169,16 @@ def user_forward(rec: RecParams, u, items=None, rows=None):
 
     The operations are those of the graph functions, in the same order.
     """
-    w1, b1, w2, b2 = rec.w1.data, rec.b1.data, rec.w2.data, rec.b2.data
+    w1, b1, w2, b2 = rec.w1, rec.b1, rec.w2, rec.b2
     if rec.setting == EXPLICIT:
         items = np.asarray(items, dtype=np.int64)
         _check_items(rec, items)
-        a = np.concatenate([u[rows], rec.item_emb.data[items]], axis=1) @ w1 + b1
+        a = np.concatenate([u[rows], rec.item_emb[items]], axis=1) @ w1 + b1
         m = a > 0
         return ((a * m) @ w2 + b2)[:, 0], m
     a = u @ w1 + b1
     m = a > 0
-    return ((a * m) @ w2 + b2) @ rec.item_emb.data.T, m
+    return ((a * m) @ w2 + b2) @ rec.item_emb.T, m
 
 
 def _pull_back(rec: RecParams, g, m):
@@ -187,7 +189,7 @@ def _pull_back(rec: RecParams, g, m):
     entry.  Implicit: ``g`` (..., d) w.r.t. the user tower's output gives
     (..., d).  The model is piecewise linear in u, so this is exact.
     """
-    w1, w2 = rec.w1.data, rec.w2.data
+    w1, w2 = rec.w1, rec.w2
     if rec.setting == EXPLICIT:
         return (((g[:, None] @ w2.T) * m) @ w1.T)[:, :rec.dim]
     return ((g @ w2.T) * m) @ w1.T
@@ -212,7 +214,7 @@ class _Inner:
             self.rows, self.items = np.nonzero(self.mask if every_entry else z)
             self.z = z[self.rows, self.items]
             self.y = np.asarray(y, dtype=np.float64)[self.rows, self.items]
-            self.emb = rec.item_emb.data[self.items]
+            self.emb = rec.item_emb[self.items]
         else:
             self.z = z
             self.zsum = np.sum(z, axis=-1)
@@ -226,7 +228,7 @@ def _step(rec, inner, u):
     Implicit: row b is J_b^T E^T g_b, g_b = sum(z_b) softmax(s_b) - z_b, with
     J_b the Jacobian of the user tower and s_b the scores.
     """
-    w1, b1, w2, b2 = rec.w1.data, rec.b1.data, rec.w2.data, rec.b2.data
+    w1, b1, w2, b2 = rec.w1, rec.b1, rec.w2, rec.b2
     if rec.setting == EXPLICIT:
         x = np.concatenate([u[inner.rows], inner.emb], axis=1)
         a = x @ w1 + b1
@@ -244,11 +246,11 @@ def _step(rec, inner, u):
     m = a > 0
     h = a * m
     t = h @ w2 + b2
-    s = t @ rec.item_emb.data.T
+    s = t @ rec.item_emb.T
     e = np.exp(s - np.max(s, axis=-1, keepdims=True))
     se = np.sum(e, axis=-1)
     g = (inner.zsum / se)[..., None] * e - inner.z
-    ge = g @ rec.item_emb.data
+    ge = g @ rec.item_emb
     back = (ge @ w2.T) * m
     return back @ w1.T, (u, m, h, t, e, se, g, ge, back)
 
@@ -276,7 +278,7 @@ def unroll(rec: RecParams, z, y, mask, alpha, n_steps, keep=False, every_entry=F
     runs once per call; with no step (``n_steps`` or ``alpha`` zero) it does
     not run at all.
     """
-    u = np.broadcast_to(rec.user_emb.data, (len(z), rec.dim)).copy()
+    u = np.broadcast_to(rec.user_emb, (len(z), rec.dim)).copy()
     if n_steps == 0 or alpha == 0.0:
         return u, None, []
     inner = _Inner(rec, z, y, mask, len(z), every_entry)
@@ -297,8 +299,8 @@ def _tangent(rec: RecParams, lam, m):
     predictions explicit, (n, d) tower outputs implicit.  The tower is
     linear in u between relu kinks, so this is exact.
     """
-    mc = (lam @ rec.w1.data[:rec.dim]) * m
-    out = mc @ rec.w2.data
+    mc = (lam @ rec.w1[:rec.dim]) * m
+    out = mc @ rec.w2
     return mc, out[:, 0] if rec.setting == EXPLICIT else out
 
 
@@ -340,9 +342,9 @@ def unrolled_backward(rec: RecParams, z, y, mask, next_items, next_ratings, alph
 
 
 def _explicit_backward(rec, u, inner, steps, items, ratings, alpha, theta, sketch):
-    w1, b1, w2, b2 = rec.w1.data, rec.b1.data, rec.w2.data, rec.b2.data
+    w1, b1, w2, b2 = rec.w1, rec.b1, rec.w2, rec.b2
     w1u = w1[:rec.dim]
-    x = np.concatenate([u, rec.item_emb.data[items]], axis=1)
+    x = np.concatenate([u, rec.item_emb[items]], axis=1)
     a = x @ w1 + b1
     m = a > 0
     h = a * m
@@ -392,8 +394,8 @@ def _explicit_backward(rec, u, inner, steps, items, ratings, alpha, theta, sketc
 
 
 def _implicit_backward(rec, u, inner, steps, items, ratings, alpha, theta, sketch):
-    w1, b1, w2, b2 = rec.w1.data, rec.b1.data, rec.w2.data, rec.b2.data
-    emb = rec.item_emb.data
+    w1, b1, w2, b2 = rec.w1, rec.b1, rec.w2, rec.b2
+    emb = rec.item_emb
     rows = np.arange(len(items))
     a = u @ w1 + b1
     m = a > 0
@@ -465,13 +467,13 @@ def user_derivatives(rec: RecParams, u, items, ratings):
         dp = _pull_back(rec, np.ones(items.size), m)
         grads = 2.0 * (preds - np.asarray(ratings, dtype=np.float64))[:, None] * dp
         return grads, 2.0 * dp.T @ dp
-    emb = rec.item_emb.data
+    emb = rec.item_emb
     preds, m = preds[0], m[0]
     p = np.exp(preds - preds.max())
     p /= p.sum()
     mean_emb = p @ emb
     grads = _pull_back(rec, mean_emb - emb[items], m)
-    jac = (rec.w1.data * m) @ rec.w2.data
+    jac = (rec.w1 * m) @ rec.w2
     cov = (emb.T * p) @ emb - np.outer(mean_emb, mean_emb)
     return grads, items.size * jac @ cov @ jac.T
 

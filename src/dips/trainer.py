@@ -101,8 +101,9 @@ class TrainConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("inner_lr", "lr_user", "lr_item", "lr_policy"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            # written so that NaN fails too
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.mode not in ("online", "batch"):
             raise ValueError(f"mode must be online or batch, got {self.mode!r}")
         if self.mode == "online" and self.tau != 1:
@@ -150,11 +151,11 @@ def _block_plan(params, n):
     rows (the whole parameter when it fits in one) and ``scratch`` views of
     ``n`` scratch rows shaped like that block.  The scratch rows are one
     buffer, as long as a block or the longest parameter row."""
-    longest = max(p.data[0].size if p.data.ndim else 1 for p in params)
+    longest = max(p[0].size if p.ndim else 1 for p in params)
     buf = np.empty((n, max(_BLOCK, longest)))
     plan = []
     for p in params:
-        shape = p.data.shape
+        shape = p.shape
         if not shape:
             plan.append([(..., [row[:1].reshape(()) for row in buf])])
             continue
@@ -184,7 +185,7 @@ class SGDMomentum:
         # bit for bit
         for p, v, g, blocks in zip(self.params, self.velocity, grads, self.plan):
             for index, (s,) in blocks:
-                p_b, v_b = p.data[index], v[index]
+                p_b, v_b = p[index], v[index]
                 np.multiply(p_b, self.weight_decay, out=s)
                 s += np.asarray(g)[index]
                 v_b *= self.momentum
@@ -219,7 +220,7 @@ class Adam:
         alpha, eps_t = self.lr * math.sqrt(c2) / c1, self.eps * math.sqrt(c2)
         for p, m, v, g, blocks in zip(self.params, self.m, self.v, grads, self.plan):
             for index, (s1, s2) in blocks:
-                p_b, m_b, v_b = p.data[index], m[index], v[index]
+                p_b, m_b, v_b = p[index], m[index], v[index]
                 np.multiply(p_b, self.weight_decay, out=s1)
                 s1 += np.asarray(g)[index]                 # s1 = g
                 np.multiply(s1, 1 - self.b1, out=s2)
@@ -593,7 +594,7 @@ def _check_finite(prefix, params, names, epoch, t, batch):
     a non-finite sum, from a non-finite entry or an overflow of finite
     ones, looks at the entries: a finite array takes no temporary its size."""
     for name in names:
-        arr = getattr(params, name).data
+        arr = getattr(params, name)
         if not np.isfinite(np.sum(arr)) and not np.isfinite(arr).all():
             users = [int(s.user) for s in batch]
             raise FloatingPointError(

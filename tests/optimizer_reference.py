@@ -20,7 +20,7 @@ class TextbookAdam(tr.Adam):
         c1, c2 = 1 - self.b1 ** self.t, 1 - self.b2 ** self.t
         for p, m, v, g, blocks in zip(self.params, self.m, self.v, grads, self.plan):
             for index, (s1, s2) in blocks:
-                p_b, m_b, v_b = p.data[index], m[index], v[index]
+                p_b, m_b, v_b = p[index], m[index], v[index]
                 np.multiply(p_b, self.weight_decay, out=s1)
                 s1 += np.asarray(g)[index]                 # s1 = g
                 np.multiply(s1, 1 - self.b1, out=s2)

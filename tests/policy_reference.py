@@ -16,6 +16,8 @@ from dips import policies as pol
 from dips import recmodel as rm
 from dips.diffcore import Tensor
 
+from tensor_view import tensor_view
+
 
 def graph_scores(zhat, y, phi, training=False, rng=None):
     """``policies.policy_scores`` as a recorded graph."""
@@ -77,6 +79,7 @@ def graph_policy_gradient(phi, rec, y, mask, zhat_t, past_zhats, next_item, next
     """``trainer.policy_gradient`` with one ``diffcore.grad`` of
     v . z_t + v . z_past through the recorded selections; returns
     (grads, v, z, loss)."""
+    phi = tensor_view(phi)
     z_t = graph_select(phi, zhat_t, y, cfg, rng)
     _, v, loss = rm.unrolled_backward(rec, z_t.data, y, mask, next_item, next_rating,
                                       cfg.inner_lr, cfg.inner_steps, theta=False, sketch=True)

@@ -10,6 +10,9 @@ from dips import cli
 from dips import policies as pol
 from dips import recmodel as rm
 from dips import trainer as tr
+from dips.diffcore import Tensor
+
+from tensor_view import tensor_view
 
 
 TINY = [
@@ -170,15 +173,45 @@ def test_train_non_finite_parameters_exit_numeric(tmp_path, capsys, policy):
 def test_non_finite_policy_parameters_exit_numeric(tmp_path, capsys, head):
     # Adam's step is bounded by about its rate, so a finite rate never makes
     # phi non-finite in one step (a huge one overflows the next forward pass
-    # instead); an infinite rate does, at the first policy step
+    # instead), and an infinite rate is a configuration error; a non-finite
+    # gradient does, at the first policy step.  A huge inner rate overflows
+    # the adapted users and so v, while the frozen recommender takes no step
+    # that would be checked first
     out = tmp_path / "run"
     with np.errstate(all="ignore"):
-        code = cli.main(["train"] + tiny_overrides(out, *head, "train.lr_policy=inf"))
+        code = cli.main(["train"] + tiny_overrides(
+            out, *head, "train.inner_lr=1e200", "train.lr_user=0", "train.lr_item=0"))
     assert code == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
     assert "non-finite phi.w1 after the optimizer step at epoch 0, step t=" in err
     assert "batch users [" in err
     assert not (out / "checkpoint.npz").exists()
+
+
+@pytest.mark.parametrize("head, message", [
+    ([], "online_remove: NaN, infinite or negative probability in row "),
+    (["train.tau=2", "train.mode=batch"], "topk_project: NaN score in row ")],
+    ids=["online", "topk"])
+def test_a_diverged_policy_network_exits_numeric(tmp_path, capsys, head, message):
+    # a huge rate leaves phi finite, near 1e200, and the next forward pass
+    # overflows to NaN scores: a numerical error naming the head and the
+    # row, not an empty sketch or a traceback
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        code = cli.main(["train"] + tiny_overrides(out, *head, "train.lr_policy=1e200"))
+    assert code == cli.EXIT_NUMERIC
+    assert f"numerical error: {message}" in capsys.readouterr().err
+    assert not (out / "checkpoint.npz").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["inner_lr", "lr_user", "lr_item", "lr_policy"])
+def test_non_finite_rates_exit_config_code(tmp_path, capsys, key, value):
+    out = tmp_path / "run"
+    assert cli.main(["train"] + tiny_overrides(out, f"train.{key}={value}")) == cli.EXIT_CONFIG
+    assert f"config error: {key} must be finite and >= 0, got {value}" in \
+        capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("key, value", [("batch_size", 0), ("epochs", -1), ("dim", 0),
@@ -311,6 +344,25 @@ def test_gradcheck_passes_and_enumerates_all():
     assert len(lines) == len(cli.GRADCHECKS)
     for name, _ in cli.GRADCHECKS:
         assert sum(name in line for line in lines) == 1
+
+
+@pytest.mark.parametrize("setting", ["explicit", "implicit"])
+def test_gradcheck_losses_equal_the_graph_losses(setting):
+    # the numpy losses that gradcheck finite-differences are the values of
+    # the graph losses on the parameters' tensor view, for a stack whose
+    # middle row weights nothing: the sketch loss at the adapted users, and
+    # the next-item loss after the inner loop
+    rec, zhat, y, mask, nxt, r, cfg = cli._meta_setup(setting)
+    z = zhat * np.random.default_rng(3).uniform(0.5, 1.5, size=zhat.shape)
+    z[1] = 0.0
+    view = tensor_view(rec)
+    u = tr.inner_adapt(rec, z, y, mask, cfg.inner_lr, cfg.inner_steps)
+    assert np.all(u[1] == rec.user_emb) and np.any(u[0] != rec.user_emb)
+    for zc, yc, mc, uc in ((z, y, mask, u), (z[1:2], y[1:2], mask[1:2], u[1:2])):
+        want = rm.sketch_loss(view, Tensor(uc), zc, yc, mc).item()
+        assert cli._sketch_loss(rec, uc, zc, yc) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    want = rm.next_item_loss(view, Tensor(u), nxt, r).item()
+    assert cli._next_item_loss(rec, z, y, mask, nxt, r, cfg) == pytest.approx(want, rel=1e-12)
 
 
 def test_gradcheck_detects_injected_sign_flip(monkeypatch):

@@ -15,21 +15,14 @@ from dips import trainer as tr
 
 # ------------------------------------------------------------------- rmse
 
-def test_rmse_perfect_and_offset():
-    assert met.rmse([(1.0, 1.0), (4.0, 4.0)]) == 0.0
-    assert met.rmse([(2.0, 3.0), (5.0, 6.0)]) == pytest.approx(1.0)
-
-
-def test_rmse_empty_rejected():
-    with pytest.raises(ValueError):
-        met.rmse([])
-
-
-def test_rmse_formula_oracle():
-    rng = np.random.default_rng(0)
-    pairs = rng.normal(size=(50, 2))
-    expected = float(np.sqrt(np.mean((pairs[:, 0] - pairs[:, 1]) ** 2)))
-    assert met.rmse(pairs) == pytest.approx(expected, abs=1e-12)
+def test_aggregate_records_takes_the_rmse_of_the_squared_errors():
+    # sqrt of the mean of 0.25, 4 and 2.5, read from the sq_error records
+    # only; no sq_error record is an error
+    records = [met.EvalRecord(0, 1, "sq_error", 0.25), met.EvalRecord(0, 2, "rank", 9.0),
+               met.EvalRecord(1, 1, "sq_error", 4.0), met.EvalRecord(1, 2, "sq_error", 2.5)]
+    assert met.aggregate_records(records, "explicit") == {"rmse": 1.5}
+    with pytest.raises(ValueError, match="no sq_error records"):
+        met.aggregate_records(records[1:2], "explicit")
 
 
 # ------------------------------------------------------------------- ranks
@@ -190,37 +183,33 @@ def test_stacked_evaluate_equals_one_user_at_a_time(setting, policy, batch_size)
 
 @pytest.fixture
 def no_engine(monkeypatch):
-    """``diffcore.grad``, and recording an op on a parent that requires a
-    gradient (every parameter does), both raise."""
-    node = dc._node
+    """Constructing a ``diffcore.Tensor`` raises: every op, the graph
+    functions of ``recmodel`` (on plain-array parameters too) and
+    ``diffcore.grad`` construct one."""
+    def construct(self, *args, **kwargs):
+        raise AssertionError("diffcore.Tensor constructed")
 
-    def grad(*args, **kwargs):
-        raise AssertionError("diffcore.grad called")
-
-    def record(data, parents, vjp, name):
-        if any(p.requires_grad for p in parents):
-            raise AssertionError(f"graph recorded: {name}")
-        return node(data, parents, vjp, name)
-
-    monkeypatch.setattr(dc, "grad", grad)
-    monkeypatch.setattr(dc, "_node", record)
+    monkeypatch.setattr(dc.Tensor, "__init__", construct)
 
 
 def test_no_engine_fixture_catches_the_engine(no_engine):
-    w = dc.Tensor(np.ones(2), requires_grad=True)
-    with pytest.raises(AssertionError, match="graph recorded: mul"):
-        dc.mul(w, 2.0)
-    with pytest.raises(AssertionError, match="diffcore.grad called"):
-        dc.grad(dc.Tensor(1.0), [w])
+    rec = rm.RecParams(5, dim=2, hidden=3, rng=np.random.default_rng(0))
+    for build in (lambda: dc.Tensor(np.ones(2)), lambda: dc.mul(np.ones(2), 2.0),
+                  lambda: rm.next_item_loss(rec, np.zeros((1, 2)), [1], [3.0])):
+        with pytest.raises(AssertionError, match="diffcore.Tensor constructed"):
+            build()
 
 
 @pytest.mark.parametrize("policy", EVAL_POLICIES)
 @pytest.mark.parametrize("setting", ["explicit", "implicit"])
 def test_evaluate_builds_no_gradient(setting, policy, no_engine):
-    # adaptation, predictions and every policy's commit are graph-free
+    # adaptation, predictions and every policy's commit are graph-free,
+    # through either head
     rec, phi, streams, cfg, anchors = stack_setup(setting, seed=3, policy=policy)
-    res = met.evaluate(rec, phi, streams, cfg, return_records=True, anchors=anchors)
-    assert len(res.records) > 0
+    for tau in (1, 2):
+        cfg = replace(cfg, tau=tau, mode="online" if tau == 1 else "batch")
+        res = met.evaluate(rec, phi, streams, cfg, return_records=True, anchors=anchors)
+        assert len(res.records) > 0
 
 
 @pytest.mark.parametrize("dropout_rate", [0.0, 0.1])
@@ -228,21 +217,29 @@ def test_evaluate_builds_no_gradient(setting, policy, no_engine):
 @pytest.mark.parametrize("policy, tau", [("dips", 1), ("dips", 2), ("dips1", 1), ("dips1", 2)])
 def test_training_builds_no_graph(policy, tau, stochastic, dropout_rate, no_engine):
     # the policy gradient, its commits and the recommender's reverse pass
-    # are closed forms; the run still moves the policy network
-    rec, phi, streams, cfg = eval_setup(n_users=20)
-    cfg = replace(cfg, policy=policy, tau=tau, mode="online" if tau == 1 else "batch",
-                  stochastic_train=stochastic, policy_dropout_rate=dropout_rate, lr_policy=1e-2)
-    data = ds.DatasetSplits(streams, streams[:2], [], rec.n_items)
-    before = [a.copy() for a in phi.state_arrays().values()]
-    res = tr.train(cfg, data, init_phi=phi)
-    assert not all(np.array_equal(a, b) for a, b in zip(res.phi.state_arrays().values(), before))
+    # are closed forms, in both settings; the run still moves the policy
+    # network
+    for setting in ("explicit", "implicit"):
+        rec, phi, streams, cfg = eval_setup(setting, n_users=20)
+        cfg = replace(cfg, policy=policy, tau=tau, mode="online" if tau == 1 else "batch",
+                      stochastic_train=stochastic, policy_dropout_rate=dropout_rate,
+                      lr_policy=1e-2)
+        data = ds.DatasetSplits(streams, streams[:2], [], rec.n_items)
+        before = [a.copy() for a in phi.state_arrays().values()]
+        res = tr.train(cfg, data, init_phi=phi)
+        assert not all(np.array_equal(a, b)
+                       for a, b in zip(res.phi.state_arrays().values(), before))
 
 
 def test_the_exact_replay_builds_no_graph(no_engine):
-    rec, phi, streams, cfg = eval_setup()
-    stream = next(s for s in streams if len(s.items) > cfg.sketch_size + 2)
-    grads, v = dg.true_policy_grad(rec, phi, stream, cfg, cfg.sketch_size + 2)
-    assert any(np.any(g != 0) for g in grads) and v.shape == (rec.n_items,)
+    # in both settings, through either head
+    for setting in ("explicit", "implicit"):
+        for tau in (1, 2):
+            rec, phi, streams, cfg = eval_setup(setting)
+            cfg = replace(cfg, tau=tau, mode="online" if tau == 1 else "batch")
+            stream = next(s for s in streams if len(s.items) > cfg.sketch_size + 2)
+            grads, v = dg.true_policy_grad(rec, phi, stream, cfg, cfg.sketch_size + 2)
+            assert any(np.any(g != 0) for g in grads) and v.shape == (rec.n_items,)
 
 
 def test_evaluate_order_invariant():
@@ -269,18 +266,17 @@ def per_user_reference(rec, phi, stream, cfg, exclude_history, anchors):
         u = dc.Tensor(tr.inner_adapt(rec, st.sketch.z[None], st.y[None], st.mask[None],
                                      cfg.inner_lr, cfg.inner_steps))
         nxt = int(stream.items[t])
-        with dc.no_grad():
-            if cfg.setting == rm.EXPLICIT:
-                pred = rm.predict_explicit_many(rec, u, [nxt], [0]).data[0]
-                err = (pred - float(stream.ratings[t])) ** 2
-                records.append(met.EvalRecord(stream.user, t, "sq_error", err))
-            else:
-                scores = rm.predict_implicit(rec, u).data[0].copy()
-                if exclude_history:
-                    past = stream.items[:t]
-                    scores[past[past != nxt]] = -np.inf
-                records.append(met.EvalRecord(stream.user, t, "rank",
-                                              float(met.rank_of(nxt, scores))))
+        if cfg.setting == rm.EXPLICIT:
+            pred = rm.predict_explicit_many(rec, u, [nxt], [0]).data[0]
+            err = (pred - float(stream.ratings[t])) ** 2
+            records.append(met.EvalRecord(stream.user, t, "sq_error", err))
+        else:
+            scores = rm.predict_implicit(rec, u).data[0].copy()
+            if exclude_history:
+                past = stream.items[:t]
+                scores[past[past != nxt]] = -np.inf
+            records.append(met.EvalRecord(stream.user, t, "rank",
+                                          float(met.rank_of(nxt, scores))))
         inter, _ = st.observe(t, eval_cfg)
         st.commit(inter, rec, phi, eval_cfg, None, anchors)
     return records

@@ -83,7 +83,7 @@ def test_entry_losses_equal_the_graph_losses(setting):
 def test_hardest_under_capacity_keeps_all():
     rec = tiny_model()
     inter = IntermediateSketch(make_sketch([0], K=3, M=8), (SketchEntry(1, 2.0, 2),))
-    out = pol.hardest_update(rec, rec.user_emb.data, inter)
+    out = pol.hardest_update(rec, rec.user_emb, inter)
     assert sorted(out.items().tolist()) == [0, 1]
 
 
@@ -91,25 +91,25 @@ def test_hardest_keeps_largest_losses():
     rec = tiny_model(seed=1)
     # force known predictions: zero weights -> prediction = bias = 0, loss = rating^2
     for name in rec.param_names():
-        setattr(rec, name, Tensor(np.zeros(getattr(rec, name).shape), requires_grad=True))
+        setattr(rec, name, np.zeros(getattr(rec, name).shape))
     ratings = [0.9, 0.1, 0.5]  # losses 0.81, 0.01, 0.25
     inter = IntermediateSketch(
         make_sketch([3, 4], K=2, M=8, ratings=ratings[:2], steps=[1, 2]),
         (SketchEntry(5, ratings[2], 3),),
     )
-    out = pol.hardest_update(rec, rec.user_emb.data, inter)
+    out = pol.hardest_update(rec, rec.user_emb, inter)
     assert sorted(out.items().tolist()) == [3, 5]
 
 
 def test_hardest_ties_keep_most_recent():
     rec = tiny_model(seed=2)
     for name in rec.param_names():
-        setattr(rec, name, Tensor(np.zeros(getattr(rec, name).shape), requires_grad=True))
+        setattr(rec, name, np.zeros(getattr(rec, name).shape))
     inter = IntermediateSketch(
         make_sketch([0, 1], K=2, M=8, ratings=[1.0, 1.0], steps=[1, 2]),
         (SketchEntry(2, 1.0, 3),),
     )
-    out = pol.hardest_update(rec, rec.user_emb.data, inter)
+    out = pol.hardest_update(rec, rec.user_emb, inter)
     assert sorted(out.items().tolist()) == [1, 2]
 
 
@@ -119,9 +119,9 @@ def test_influence_single_entry_analytic():
     # with one entry, target = its own loss, so I = -g . (H + lam I)^-1 . g
     rec = tiny_model(seed=3)
     inter = IntermediateSketch(make_sketch([2], K=1, M=8, ratings=[4.0]), ())
-    scores = pol.influence_scores(rec, rec.user_emb.data, inter, damping=1e-3)
+    scores = pol.influence_scores(rec, rec.user_emb, inter, damping=1e-3)
 
-    u = Tensor(rec.user_emb.data.copy(), requires_grad=True)
+    u = Tensor(rec.user_emb.copy(), requires_grad=True)
     loss = entry_loss(rec, u, inter.all_entries()[0])
     (g,) = grad(loss, [u], create_graph=True)
     d = rec.dim
@@ -138,7 +138,7 @@ def test_influence_single_entry_analytic():
 def test_influence_scores_match_a_d_pass_hessian_reference(setting):
     rng = np.random.default_rng(12)
     rec = rm.RecParams(n_items=10, dim=4, hidden=6, setting=setting, rng=rng)
-    rec.b1.data[:] = 0.2
+    rec.b1[:] = 0.2
     items = rng.choice(10, size=5, replace=False)
     entries = [SketchEntry(int(it), float(rng.uniform(1, 5)), i + 1)
                for i, it in enumerate(items)]
@@ -169,18 +169,18 @@ def test_influence_builds_no_graph(setting, monkeypatch):
     rec = tiny_model(setting, seed=5)
     inter = IntermediateSketch(make_sketch([1, 4], K=2, M=8, ratings=[2.0, 4.0]),
                                (SketchEntry(6, 3.0, 3),))
-    u = rec.user_emb.data
+    u = rec.user_emb
     assert np.all(np.isfinite(pol.influence_scores(rec, u, inter)))
     assert len(pol.influence_update(rec, u, inter)) == 2
 
 
 def test_influence_equal_gradients_equal_scores():
     rec = tiny_model(seed=4)
-    rec.item_emb.data[5] = rec.item_emb.data[2]
+    rec.item_emb[5] = rec.item_emb[2]
     inter = IntermediateSketch(
         make_sketch([2, 5], K=2, M=8, ratings=[3.0, 3.0]), (SketchEntry(1, 1.0, 3),)
     )
-    scores = pol.influence_scores(rec, rec.user_emb.data, inter)
+    scores = pol.influence_scores(rec, rec.user_emb, inter)
     assert scores[0] == pytest.approx(scores[1], rel=1e-10)
 
 
@@ -198,20 +198,20 @@ def _affine_rig():
                           [0.0, 1.0, -0.5, -1.0]])
     w1i = 20.0 * np.array([[1.0, 0.0, 1.0, -1.0],
                            [0.0, 1.0, 1.0, 1.0]])
-    rec.w1.data[:] = np.vstack([w1u, w1i])
-    rec.b1.data[:] = 0.0
-    rec.w2.data[:] = np.array([[1.0], [-1.0], [0.7], [0.4]])
-    rec.b2.data[:] = 0.1
+    rec.w1[:] = np.vstack([w1u, w1i])
+    rec.b1[:] = 0.0
+    rec.w2[:] = np.array([[1.0], [-1.0], [0.7], [0.4]])
+    rec.b2[:] = 0.1
     angles = np.array([0.3, 1.2, 2.0, 2.9, 4.0, 5.2])
-    rec.item_emb.data[:] = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    rec.item_emb[:] = np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
     items = np.arange(5)
     A, C = [], []
     for it in items:
-        pre = rec.item_emb.data[it] @ w1i  # user part is tiny; sign is item-driven
+        pre = rec.item_emb[it] @ w1i  # user part is tiny; sign is item-driven
         act = pre > 0
-        A.append((w1u[:, act] @ rec.w2.data[act]).ravel())
-        C.append(float((pre[act] @ rec.w2.data[act]).ravel()[0] + rec.b2.data[0]))
+        A.append((w1u[:, act] @ rec.w2[act]).ravel())
+        C.append(float((pre[act] @ rec.w2[act]).ravel()[0] + rec.b2[0]))
     A, C = np.array(A), np.array(C)
     rng = np.random.default_rng(3)
     ratings = A @ np.array([0.4, -0.3]) + C + rng.uniform(-0.2, 0.2, size=5)
@@ -223,8 +223,8 @@ def _affine_rig():
 def _check_affine_margins(rec, u, items):
     # the rig is only exact while no relu pre-activation changes sign
     for it in items:
-        x = np.concatenate([u, rec.item_emb.data[it]])
-        assert np.abs(x @ rec.w1.data + rec.b1.data).min() > 1.0
+        x = np.concatenate([u, rec.item_emb[it]])
+        assert np.abs(x @ rec.w1 + rec.b1).min() > 1.0
 
 
 def test_influence_matches_affine_closed_form():
@@ -278,9 +278,9 @@ def test_policy_scores_symmetry_under_weight_tying():
     M = 4
     phi = pol.PolicyParams(M, hidden=8, rng=np.random.default_rng(1))
     # tie the weights of coordinates 0 and 2 in and out
-    phi.w1.data[2] = phi.w1.data[0]
-    phi.w3.data[:, 2] = phi.w3.data[:, 0]
-    phi.b3.data[2] = phi.b3.data[0]
+    phi.w1[2] = phi.w1[0]
+    phi.w3[:, 2] = phi.w3[:, 0]
+    phi.b3[2] = phi.b3[0]
     zhat = np.array([1.0, 1, 1, 0])
     y = np.array([2.5, 1.0, 2.5, 0.0])
     s = pol.policy_scores(zhat, y, phi).data
@@ -300,9 +300,9 @@ def test_policy_scores_forward_oracle():
     s = pol.policy_scores(zhat, y, phi).data
 
     x = zhat * y
-    h1 = np.maximum(x @ phi.w1.data + phi.b1.data, 0)
-    h2 = np.maximum(h1 @ phi.w2.data + phi.b2.data, 0)
-    f = h2 @ phi.w3.data + phi.b3.data
+    h1 = np.maximum(x @ phi.w1 + phi.b1, 0)
+    h2 = np.maximum(h1 @ phi.w2 + phi.b2, 0)
+    f = h2 @ phi.w3 + phi.b3
     with np.errstate(divide="ignore"):
         expected = f + np.log(zhat)
     np.testing.assert_allclose(s, expected, atol=1e-12)
@@ -693,3 +693,19 @@ def test_heads_reject_a_nan_score_row_by_name(mode):
         u_bad[1, np.flatnonzero(u[1])[0]] = bad
         with pytest.raises(ValueError, match="batch_keep: NaN, .* probability in row 1"):
             pol.batch_keep(u_bad, 2, mode, rng=rng)
+
+
+def test_a_row_of_nan_scores_is_a_numerical_error_not_an_empty_sketch():
+    # a diverged network scores NaN (and overflowed +inf) wherever an item
+    # is held: the NaN is named before the row could pass for an empty one,
+    # as an error that is numerical and still a ValueError
+    f = score_stack(18)
+    f[1] = np.where(np.isfinite(f[1]), np.nan, -np.inf)
+    f[1, np.flatnonzero(np.isnan(f[1]))[0]] = np.inf
+    for scores, row in ((f, 1), (f[1], 0)):
+        with pytest.raises(pol.ScoreError,
+                           match=f"online_remove: NaN, .* probability in row {row}") as err:
+            pol.online_remove(scores, "deterministic")
+        assert isinstance(err.value, FloatingPointError) and isinstance(err.value, ValueError)
+    with pytest.raises(pol.ScoreError, match="topk_project: NaN score in row 1"):
+        pol.topk_project(f, 2)

@@ -27,15 +27,15 @@ def rows_of(n):
 def test_predict_explicit_zero_params_is_bias():
     rec = tiny_model()
     for name in rec.param_names():
-        setattr(rec, name, Tensor(np.zeros(getattr(rec, name).shape), requires_grad=True))
-    rec.b2 = Tensor(np.array([0.37]), requires_grad=True)
+        setattr(rec, name, np.zeros(getattr(rec, name).shape))
+    rec.b2 = np.array([0.37])
     pred = rm.predict_explicit_many(rec, one_user(rec), [2], rows_of(1))
     assert pred.data[0] == pytest.approx(0.37)
 
 
 def test_predict_explicit_identical_embeddings_identical_predictions():
     rec = tiny_model()
-    rec.item_emb.data[3] = rec.item_emb.data[1]
+    rec.item_emb[3] = rec.item_emb[1]
     pred = rm.predict_explicit_many(rec, one_user(rec), [1, 3], rows_of(2)).data
     assert pred[0] == pytest.approx(pred[1])
 
@@ -49,22 +49,22 @@ def test_predict_explicit_out_of_range():
 def test_predict_explicit_matches_straightline_oracle():
     rec = tiny_model(seed=42)
     item = 4
-    x = np.concatenate([rec.user_emb.data, rec.item_emb.data[item]])
-    expected = float((np.maximum(x @ rec.w1.data + rec.b1.data, 0) @ rec.w2.data + rec.b2.data)[0])
+    x = np.concatenate([rec.user_emb, rec.item_emb[item]])
+    expected = float((np.maximum(x @ rec.w1 + rec.b1, 0) @ rec.w2 + rec.b2)[0])
     many = rm.predict_explicit_many(rec, one_user(rec), [4, 1], rows_of(2))
     assert many.data[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_predict_implicit_symmetry_and_oracle():
     rec = tiny_model(setting="implicit", seed=7)
-    rec.item_emb.data[2] = rec.item_emb.data[0]
+    rec.item_emb[2] = rec.item_emb[0]
     scores = rm.predict_implicit(rec, one_user(rec))
     assert scores.shape == (1, rec.n_items)
     assert scores.data[0, 0] == pytest.approx(scores.data[0, 2])
 
-    h = np.maximum(rec.user_emb.data @ rec.w1.data + rec.b1.data, 0)
-    t = h @ rec.w2.data + rec.b2.data
-    np.testing.assert_allclose(scores.data[0], rec.item_emb.data @ t, atol=1e-12)
+    h = np.maximum(rec.user_emb @ rec.w1 + rec.b1, 0)
+    t = h @ rec.w2 + rec.b2
+    np.testing.assert_allclose(scores.data[0], rec.item_emb @ t, atol=1e-12)
 
 
 def test_softmax_shift_invariance_of_scores():
@@ -78,13 +78,13 @@ def test_softmax_shift_invariance_of_scores():
 def test_next_item_losses_analytic():
     rec = tiny_model()
     for name in rec.param_names():
-        setattr(rec, name, Tensor(np.zeros(getattr(rec, name).shape), requires_grad=True))
-    rec.b2 = Tensor(np.array([2.0]), requires_grad=True)
+        setattr(rec, name, np.zeros(getattr(rec, name).shape))
+    rec.b2 = np.array([2.0])
     assert rm.next_item_loss(rec, one_user(rec), [1], [2.0]).item() == 0.0
     assert rm.next_item_loss(rec, one_user(rec), [1], [5.0]).item() == pytest.approx(9.0)
     # all-zero item embeddings score every item alike: cross-entropy log M
     rec = tiny_model(setting="implicit", n_items=4)
-    rec.item_emb.data[:] = 0.0
+    rec.item_emb[:] = 0.0
     assert rm.next_item_loss(rec, one_user(rec), [1], [1.0]).item() == pytest.approx(np.log(4))
     with pytest.raises(IndexError, match="item 9 out of range"):
         rm.next_item_loss(rec, one_user(rec), [9], [1.0])
@@ -115,8 +115,8 @@ def test_sketch_loss_one_hot_reduces_to_pointwise():
     z = np.zeros((1, rec.n_items))
     z[0, j] = 1.0
     loss = rm.sketch_loss(rec, one_user(rec), z, y, mask)
-    x = np.concatenate([rec.user_emb.data, rec.item_emb.data[j]])
-    pred = (np.maximum(x @ rec.w1.data + rec.b1.data, 0) @ rec.w2.data + rec.b2.data)[0]
+    x = np.concatenate([rec.user_emb, rec.item_emb[j]])
+    pred = (np.maximum(x @ rec.w1 + rec.b1, 0) @ rec.w2 + rec.b2)[0]
     assert loss.item() == pytest.approx((pred - y[0, j]) ** 2, abs=1e-12)
 
 
@@ -195,12 +195,12 @@ def test_sketch_loss_grad_wrt_user_is_weighted_sum():
     z = np.zeros((1, rec.n_items))
     z[0, items] = rng.uniform(0.1, 1.0, size=items.size)
 
-    u = Tensor(rec.user_emb.data[None].copy(), requires_grad=True)
+    u = Tensor(rec.user_emb[None].copy(), requires_grad=True)
     (g,) = grad(rm.sketch_loss(rec, u, z, y, mask), [u])
 
     total = np.zeros((1, rec.dim))
     for j in items:
-        uj = Tensor(rec.user_emb.data[None].copy(), requires_grad=True)
+        uj = Tensor(rec.user_emb[None].copy(), requires_grad=True)
         lj = rm.next_item_loss(rec, uj, [j], [y[0, j]])
         (gj,) = grad(lj, [uj])
         total += z[0, j] * gj.data
@@ -213,7 +213,7 @@ def test_checkpoint_roundtrip(tmp_path):
     rec2 = tiny_model(seed=99)
     rec2.load_arrays(arrays)
     for name in rec.param_names():
-        np.testing.assert_array_equal(getattr(rec2, name).data, getattr(rec, name).data)
+        np.testing.assert_array_equal(getattr(rec2, name), getattr(rec, name))
     bad = dict(arrays)
     bad["w1"] = np.zeros((2, 2))
     with pytest.raises(ValueError, match="mismatch"):
@@ -242,14 +242,14 @@ def _autodiff_derivatives(rec, u0, items, ratings):
 def test_user_derivatives_match_autodiff(setting, n_items, n_entries):
     rng = np.random.default_rng(n_items + n_entries)
     rec = rm.RecParams(n_items=n_items, dim=4, hidden=6, setting=setting, rng=rng)
-    rec.b1.data[:] = 0.2
-    rec.b1.data[2] = -50.0                      # hidden unit 2 is dead
+    rec.b1[:] = 0.2
+    rec.b1[2] = -50.0                      # hidden unit 2 is dead
     u0 = 0.5 * rng.normal(size=4)
     items = rng.choice(n_items, size=n_entries, replace=False)
     ratings = rng.uniform(1, 5, size=n_entries)
-    x = np.concatenate([np.tile(u0, (n_entries, 1)), rec.item_emb.data[items]], axis=1) \
+    x = np.concatenate([np.tile(u0, (n_entries, 1)), rec.item_emb[items]], axis=1) \
         if setting == "explicit" else u0
-    pre = x @ rec.w1.data + rec.b1.data
+    pre = x @ rec.w1 + rec.b1
     assert np.all(pre[..., 2] < 0) and np.any(pre > 0)
 
     grads, hess = rm.user_derivatives(rec, u0, items, ratings)
@@ -264,7 +264,7 @@ def test_user_derivatives_take_one_user():
     with pytest.raises(ValueError, match="one user embedding"):
         rm.user_derivatives(rec, np.zeros((2, rec.dim)), [1], [1.0])
     with pytest.raises(IndexError, match="out of range"):
-        rm.user_derivatives(rec, rec.user_emb.data, [5], [1.0])
+        rm.user_derivatives(rec, rec.user_emb, [5], [1.0])
 
 
 @pytest.mark.parametrize("setting", ["explicit", "implicit"])
@@ -312,8 +312,8 @@ def kernel_problem(setting, n_items, seed):
     pre-activations stay clear of 0."""
     rng = np.random.default_rng(seed)
     rec = rm.RecParams(n_items=n_items, dim=4, hidden=6, setting=setting, rng=rng)
-    rec.b1.data[:] = 0.3
-    rec.b1.data[2] = -50.0                      # hidden unit 2 is dead
+    rec.b1[:] = 0.3
+    rec.b1[2] = -50.0                      # hidden unit 2 is dead
     mask = np.zeros((3, n_items))
     for row in mask:
         row[rng.choice(n_items, size=min(7, n_items), replace=False)] = 1.0
@@ -323,8 +323,8 @@ def kernel_problem(setting, n_items, seed):
     u0 = 0.5 * rng.normal(size=(3, 4))
     rows, items = np.nonzero(mask)
     x = u0 if setting == "implicit" else np.concatenate(
-        [u0[rows], rec.item_emb.data[items]], axis=1)
-    pre = x @ rec.w1.data + rec.b1.data
+        [u0[rows], rec.item_emb[items]], axis=1)
+    pre = x @ rec.w1 + rec.b1
     assert np.min(np.abs(pre)) > 1e-4 and np.all(pre[:, 2] < 0) and np.any(pre > 0)
     return rec, z, y, mask, u0
 
@@ -411,4 +411,4 @@ def test_unroll_checks_the_sketch_once_per_call(monkeypatch, setting):
         stepped = n_steps > 0 and alpha > 0
         assert len(checked) == stepped and len(steps) == n_steps * stepped
         if not stepped:
-            np.testing.assert_array_equal(u, np.tile(rec.user_emb.data, (3, 1)))
+            np.testing.assert_array_equal(u, np.tile(rec.user_emb, (3, 1)))

@@ -16,6 +16,7 @@ from dips.diffcore import Tensor
 from test_policies import _affine_rig
 from policy_reference import graph_policy_gradient, graph_scores, graph_select
 from optimizer_reference import TextbookAdam
+from tensor_view import tensor_view
 from unrolled_reference import recorded_inner_adapt
 
 
@@ -87,28 +88,28 @@ def test_queue_capacity_zero_stays_empty():
 # -------------------------------------------------------------- optimizers
 
 def test_sgd_momentum_matches_hand_rollout():
-    p = Tensor(np.array([1.0]), requires_grad=True)
+    p = np.array([1.0])
     opt = tr.SGDMomentum([p], lr=0.1, momentum=0.9, weight_decay=0.0)
     x, v = 1.0, 0.0
     for g in (0.5, -0.2, 1.0):
         opt.step([np.array([g])])
         v = 0.9 * v + g
         x = x - 0.1 * v
-        assert p.data[0] == pytest.approx(x, rel=1e-12)
+        assert p[0] == pytest.approx(x, rel=1e-12)
 
 
 def test_adam_first_step_is_signed_lr():
-    p = Tensor(np.array([0.0, 0.0]), requires_grad=True)
+    p = np.array([0.0, 0.0])
     opt = tr.Adam([p], lr=0.01)
     opt.step([np.array([3.0, -7.0])])
     # bias-corrected first step is -lr * g / (|g| + eps)
-    np.testing.assert_allclose(p.data, [-0.01, 0.01], rtol=1e-6)
+    np.testing.assert_allclose(p, [-0.01, 0.01], rtol=1e-6)
 
 
 def test_weight_decay_shrinks_parameters():
-    p = Tensor(np.array([2.0]), requires_grad=True)
+    p = np.array([2.0])
     tr.SGDMomentum([p], lr=0.1, momentum=0.0, weight_decay=0.5).step([np.zeros(1)])
-    assert p.data[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
+    assert p[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
 
 def test_optimizer_steps_equal_the_textbook_formulas_bit_for_bit():
@@ -120,7 +121,7 @@ def test_optimizer_steps_equal_the_textbook_formulas_bit_for_bit():
     grads = [[rng.normal(size=s) for s in shapes] for _ in range(3)]
     lr, wd, b1, b2, eps, mom = 0.01, 0.3, 0.9, 0.999, 1e-8, 0.9
 
-    params = [Tensor(a.copy(), requires_grad=True) for a in init]
+    params = [a.copy() for a in init]
     adam = tr.Adam(params, lr, betas=(b1, b2), eps=eps, weight_decay=wd)
     ref = [a.copy() for a in init]
     m = [np.zeros(s) for s in shapes]
@@ -135,9 +136,9 @@ def test_optimizer_steps_equal_the_textbook_formulas_bit_for_bit():
             alpha, eps_t = lr * np.sqrt(c2) / c1, eps * np.sqrt(c2)
             ref[i] = ref[i] - alpha * (m[i] / (np.sqrt(v[i]) + eps_t))
         for p, r in zip(params, ref):
-            np.testing.assert_array_equal(p.data, r)
+            np.testing.assert_array_equal(p, r)
 
-    params = [Tensor(a.copy(), requires_grad=True) for a in init]
+    params = [a.copy() for a in init]
     sgd = tr.SGDMomentum(params, lr, momentum=mom, weight_decay=wd)
     ref = [a.copy() for a in init]
     vel = [np.zeros(s) for s in shapes]
@@ -148,7 +149,7 @@ def test_optimizer_steps_equal_the_textbook_formulas_bit_for_bit():
             vel[i] = mom * vel[i] + g
             ref[i] = ref[i] - lr * vel[i]
         for p, r in zip(params, ref):
-            np.testing.assert_array_equal(p.data, r)
+            np.testing.assert_array_equal(p, r)
 
 
 def test_optimizer_steps_span_blocks_and_strided_parameters_bit_for_bit():
@@ -161,8 +162,7 @@ def test_optimizer_steps_span_blocks_and_strided_parameters_bit_for_bit():
     grads = [[rng.normal(size=a.shape) for a in init] for _ in range(2)]
     lr, wd, b1, b2, eps, mom = 0.01, 0.3, 0.9, 0.999, 1e-8, 0.9
     for make in ("adam", "sgd"):
-        params = [Tensor(a.copy(order="K"), requires_grad=True) for a in init]
-        data = [p.data for p in params]
+        params = [a.copy(order="K") for a in init]
         ref = [a.copy() for a in init]
         if make == "adam":
             opt = tr.Adam(params, lr, betas=(b1, b2), eps=eps, weight_decay=wd)
@@ -184,9 +184,8 @@ def test_optimizer_steps_span_blocks_and_strided_parameters_bit_for_bit():
                 else:
                     vel[i] = mom * vel[i] + g
                     ref[i] = ref[i] - lr * vel[i]
-        for p, d, r in zip(params, data, ref):
-            assert p.data is d
-            np.testing.assert_array_equal(p.data, r)
+        for p, r in zip(params, ref):
+            np.testing.assert_array_equal(p, r)
 
 
 @pytest.mark.parametrize("M", [500, 3706])
@@ -219,7 +218,7 @@ def test_adam_stays_within_rounding_of_the_textbook_order(M):
 
 def test_inner_adapt_identity_cases():
     rec, z, y, mask, _, _ = small_problem()
-    u0 = rec.user_emb.data[None].copy()
+    u0 = rec.user_emb[None].copy()
     cases = [(z, 0.2, 0), (z, 0.0, 5), (np.zeros((1, rec.n_items)), 0.2, 5)]
     for zc, alpha, n_steps in cases:
         np.testing.assert_array_equal(
@@ -232,9 +231,9 @@ def test_inner_adapt_identity_cases():
 def test_inner_adapt_monotone_decrease_convex_toy():
     # keep every relu active so the sketch loss is a convex quadratic in u
     rec, z, y, mask, _, _ = small_problem(seed=2)
-    rec.b1.data[:] = 5.0
-    rec.w1.data *= 0.1
-    prev = rm.sketch_loss(rec, Tensor(rec.user_emb.data[None]), z, y, mask).item()
+    rec.b1[:] = 5.0
+    rec.w1 *= 0.1
+    prev = rm.sketch_loss(rec, Tensor(rec.user_emb[None]), z, y, mask).item()
     for n in range(1, 11):
         u = tr.inner_adapt(rec, z, y, mask, 0.2, n)
         cur = rm.sketch_loss(rec, Tensor(u), z, y, mask).item()
@@ -244,10 +243,10 @@ def test_inner_adapt_monotone_decrease_convex_toy():
 
 def test_inner_adapt_leaves_item_params_untouched():
     rec, z, y, mask, _, _ = small_problem(seed=3)
-    before = [p.data.copy() for p in rec.item_params()]
+    before = [p.copy() for p in rec.item_params()]
     tr.inner_adapt(rec, z, y, mask, 0.5, 4)
     for p, b in zip(rec.item_params(), before):
-        np.testing.assert_array_equal(p.data, b)
+        np.testing.assert_array_equal(p, b)
 
 
 def test_inner_adapt_matches_the_recorded_reference():
@@ -263,8 +262,9 @@ def test_zero_inner_steps_meta_grad_is_plain_grad():
     rec, z, y, mask, nxt, r = small_problem(seed=5)
     cfg = small_cfg(inner_steps=0)
     grads, _ = tr.theta_gradients(rec, z, y, mask, nxt, r, cfg)
-    loss = rm.next_item_loss(rec, dc.broadcast_to(rec.user_emb, (1, rec.dim)), nxt, r)
-    plain = dc.grad(loss, rec.all_params())
+    view = tensor_view(rec)
+    loss = rm.next_item_loss(view, dc.broadcast_to(view.user_emb, (1, rec.dim)), nxt, r)
+    plain = dc.grad(loss, view.all_params())
     for g, p in zip(grads, plain):
         np.testing.assert_allclose(g, p.data, atol=1e-12)
 
@@ -355,13 +355,13 @@ def test_the_finite_check_names_the_first_non_finite_array_without_a_temporary()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < phi.w1.data.size      # a bool mask of w1 would take this
+    assert peak < phi.w1.size  # a bool mask of w1 would take this
     # finite entries whose sum overflows pass; a NaN or an infinity is named
-    phi.w2.data[:] = 1e308
+    phi.w2[:] = 1e308
     with np.errstate(over="ignore"):
         tr._check_finite("phi", phi, names, 0, 1, [])
-        phi.w3.data[5, 7] = -np.inf
-        phi.b3.data[0] = np.nan
+        phi.w3[5, 7] = -np.inf
+        phi.b3[0] = np.nan
         with pytest.raises(FloatingPointError, match=r"non-finite phi\.w3 after the "
                            r"optimizer step at epoch 2, step t=3, batch users \[\]"):
             tr._check_finite("phi", phi, names, 2, 3, [])
@@ -387,7 +387,7 @@ def test_meta_gradient_matches_finite_differences():
     h = 1e-5
     rng = np.random.default_rng(0)
     for p, g in zip(rec.all_params(), grads):
-        flat = p.data.reshape(-1)
+        flat = p.reshape(-1)
         gflat = np.asarray(g).reshape(-1)
         idxs = rng.choice(flat.size, size=min(4, flat.size), replace=False)
         for i in idxs:
@@ -409,7 +409,7 @@ def stacked_problem(setting, B, seed=0, M=12, d=3):
     item.  With B > 1 the sketch weights of row 1 are all zero."""
     rng = np.random.default_rng(seed)
     rec = rm.RecParams(n_items=M, dim=d, hidden=4, setting=setting, rng=rng)
-    rec.b1.data[:] = 0.2  # live relus, so every parameter gets a gradient
+    rec.b1[:] = 0.2  # live relus, so every parameter gets a gradient
     z, y, mask = np.zeros((3, B, M))
     nxt, r = [], []
     for b in range(B):
@@ -548,13 +548,13 @@ def test_grad_wrt_sketch_defined_on_zero_weight_items():
 def test_grad_wrt_sketch_duplicate_items_equal_entries():
     rec, zhat, y, mask, nxt, r = small_problem(seed=11)
     a, b, c = (int(i) for i in np.flatnonzero(zhat))
-    rec.item_emb.data[b] = rec.item_emb.data[a]
+    rec.item_emb[b] = rec.item_emb[a]
     y2 = y.copy()
     y2[0, b] = y2[0, a]
     cfg = small_cfg()
     phi = pol.PolicyParams(rec.n_items, hidden=cfg.policy_hidden,
                            rng=np.random.default_rng(1))
-    phi.b3.data[c] = -50.0                 # the lowest score: c is removed
+    phi.b3[c] = -50.0  # the lowest score: c is removed
     v, z = sketch_v(rec, zhat, y2, mask, nxt, r, cfg, phi)
     assert z[a] == z[b] == 1.0 and z[c] == 0.0
     assert v[a] == pytest.approx(v[b], rel=1e-10)
@@ -577,7 +577,7 @@ def test_grad_wrt_sketch_one_step_closed_form():
     v, z = sketch_v(rec, zhat[None], y[None], mask[None], [nxt], [r_next], cfg)
     assert z.sum() == cfg.sketch_size
 
-    u0 = rec.user_emb.data
+    u0 = rec.user_emb
     items = [e.item for e in entries]
     resid0 = A @ u0 + C - ratings
     grads0 = 2.0 * resid0[:, None] * A
@@ -642,9 +642,10 @@ def test_policy_gradient_finite_differences_first_term():
     # the oracle's removal probabilities: softmax(-scores) over the items in
     # the sketch, zero elsewhere
     zhat, live = zhat[0], np.flatnonzero(zhat[0] > 0)
+    view = tensor_view(phi)
 
     def loss_through(removal):
-        scores = graph_scores(zhat, y[0], phi)
+        scores = graph_scores(zhat, y[0], view)
         probs = dc.scatter_add(dc.softmax(dc.neg(dc.gather(scores, live))), live, zhat.shape)
         z = Tensor(zhat) - removal(probs)
         u = recorded_inner_adapt(rec, dc.reshape(z, (1, rec.n_items)), y, mask,
@@ -657,14 +658,14 @@ def test_policy_gradient_finite_differences_first_term():
         onehot[np.argmax(probs.data)] = 1.0
         return dc.straight_through(probs, onehot)
 
-    st_grads = dc.grad(loss_through(hard), phi.params())
+    st_grads = dc.grad(loss_through(hard), view.params())
     for g, g_ref in zip(grads, st_grads):
         np.testing.assert_allclose(g, g_ref.data, rtol=1e-10, atol=1e-14)
 
     # ST treats the hard selection as identity on the probabilities, so FD
     # through the *soft* path is the right oracle: compare against grad of
     # the relaxed loss where w = the removal probabilities
-    relaxed_grads = dc.grad(loss_through(lambda probs: probs), phi.params())
+    relaxed_grads = dc.grad(loss_through(lambda probs: probs), view.params())
     # ST gradient differs from the relaxed one only through the forward
     # value (hard vs soft z); with identical backward structure the masked
     # coordinates must agree exactly
@@ -672,7 +673,7 @@ def test_policy_gradient_finite_differences_first_term():
     np.testing.assert_allclose(grads[-1][off], relaxed_grads[-1].data[off], atol=1e-12)
 
     h = 1e-6
-    flat = phi.b3.data
+    flat = phi.b3
     for i in live[:3]:
         orig = flat[i]
         flat[i] = orig + h
@@ -728,7 +729,7 @@ def stacked_pg_problem(B, tau=1, seed=0, M=12, K=2, setting="explicit"):
     next items and ratings."""
     rng = np.random.default_rng(seed)
     rec = rm.RecParams(n_items=M, dim=3, hidden=4, setting=setting, rng=rng)
-    rec.b1.data[:] = 0.2
+    rec.b1[:] = 0.2
     phi = pol.PolicyParams(M, hidden=8, rng=rng)
     y, mask, zhat = np.zeros((3, B, M))
     queues, nxt, r = [], [], []
@@ -756,6 +757,7 @@ def two_backward_policy_gradient(phi, rec, y, mask, zhat_t, past_zhats, next_ite
     reference: v and the straight-through term from one backward of the
     loss through the recorded inner loop and the policy network, then a
     second backward through the policy network for the replay term."""
+    phi = tensor_view(phi)
     z_t = graph_select(phi, zhat_t, y, cfg, rng)
     z_probe = dc.zeros(z_t.shape, requires_grad=True)
     u = recorded_inner_adapt(rec, z_t + z_probe, y, mask, cfg.inner_lr, cfg.inner_steps)
@@ -865,15 +867,16 @@ def test_stacked_policy_gradient_draws_the_current_stack_then_the_replay():
                                            rng=rng)
 
     ref_rng = np.random.default_rng(7)
-    z_t = graph_select(phi, zhat, y, cfg, ref_rng)
+    view = tensor_view(phi)
+    z_t = graph_select(view, zhat, y, cfg, ref_rng)
     z_probe = Tensor(z_t.data, requires_grad=True)
     u = recorded_inner_adapt(rec, z_probe, y, mask, cfg.inner_lr, cfg.inner_steps)
     ref_loss = rm.next_item_loss(rec, u, nxt, r)
     (ref_v,) = dc.grad(ref_loss, [z_probe])
     owner = [0, 0]                       # the second user's queue is empty
-    z_past = graph_select(phi, np.stack(queues[0]), y[owner], cfg, ref_rng)
-    first = dc.grad(dc.tsum(dc.mul(z_t, ref_v)), phi.params())
-    replay = dc.grad(dc.tsum(dc.mul(z_past, Tensor(ref_v.data[owner]))), phi.params())
+    z_past = graph_select(view, np.stack(queues[0]), y[owner], cfg, ref_rng)
+    first = dc.grad(dc.tsum(dc.mul(z_t, ref_v)), view.params())
+    replay = dc.grad(dc.tsum(dc.mul(z_past, Tensor(ref_v.data[owner]))), view.params())
 
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert_close_rel(v, ref_v.data)
@@ -962,7 +965,7 @@ def shared_items_pg_problem(M, K, tau, seed):
     user's past items."""
     rng = np.random.default_rng(seed)
     rec = rm.RecParams(n_items=M, dim=3, hidden=4, rng=rng)
-    rec.b1.data[:] = 0.2
+    rec.b1[:] = 0.2
     phi = pol.PolicyParams(M, hidden=8, rng=rng)
     order = rng.permutation(M)
     window, rest = order[:K + tau + 3], order[K + tau + 3:]
@@ -1064,7 +1067,7 @@ def test_a_policy_step_allocates_no_array_the_size_of_a_weight():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < phi.w1.data.nbytes
+    assert peak < phi.w1.nbytes
 
 
 # ------------------------------------------------------------------- train
@@ -1318,6 +1321,30 @@ def test_recommender_improves_with_random_policy():
     assert rmses[-1] < rmses[0]
 
 
+def test_parameters_are_float64_arrays_held_without_a_copy():
+    # every parameter is a plain float64 array, the one the parameter lists
+    # and state_arrays hand out; load_arrays holds a float64 input itself,
+    # converts any other, and checks the shapes
+    rng = np.random.default_rng(0)
+    for params in (rm.RecParams(6, dim=2, hidden=3, rng=rng),
+                   rm.RecParams(6, dim=2, hidden=3, setting="implicit", rng=rng),
+                   pol.PolicyParams(6, hidden=4, rng=rng)):
+        listed = params.all_params() if isinstance(params, rm.RecParams) else params.params()
+        state = params.state_arrays()
+        assert list(state) == params.param_names()
+        for name, arr in zip(params.param_names(), listed):
+            assert type(arr) is np.ndarray and arr.dtype == np.float64
+            assert getattr(params, name) is arr and state[name] is arr
+        arrays = {n: a.copy() for n, a in state.items()}
+        params.load_arrays(arrays)
+        for name, arr in arrays.items():
+            assert np.shares_memory(getattr(params, name), arr)
+        params.load_arrays({n: a.astype(np.float32) for n, a in arrays.items()})
+        assert all(a.dtype == np.float64 for a in params.state_arrays().values())
+        with pytest.raises(ValueError, match="checkpoint mismatch for"):
+            params.load_arrays({n: a[..., :1] for n, a in arrays.items()})
+
+
 def test_checkpoint_roundtrip(tmp_path):
     data = synth(seed=6).splits
     cfg = small_cfg()
@@ -1327,9 +1354,9 @@ def test_checkpoint_roundtrip(tmp_path):
     rec2, phi2, cfg2 = tr.load_checkpoint(path)
     assert cfg2 == cfg
     for n in res.rec.param_names():
-        np.testing.assert_array_equal(getattr(rec2, n).data, getattr(res.rec, n).data)
+        np.testing.assert_array_equal(getattr(rec2, n), getattr(res.rec, n))
     for n in res.phi.param_names():
-        np.testing.assert_array_equal(getattr(phi2, n).data, getattr(res.phi, n).data)
+        np.testing.assert_array_equal(getattr(phi2, n), getattr(res.phi, n))
 
 
 def test_load_checkpoint_draws_nothing(tmp_path, monkeypatch):
@@ -1368,7 +1395,7 @@ def test_checkpoint_holding_the_removed_policy_dropout_flag_loads(tmp_path, tau,
     rng = np.random.default_rng(5)
     rec = rm.RecParams(n_items=6, dim=cfg.dim, hidden=cfg.hidden, rng=rng)
     phi = pol.PolicyParams(6, hidden=cfg.policy_hidden, rng=rng)
-    phi.b3 = Tensor(rng.normal(size=6), requires_grad=True)
+    phi.b3 = rng.normal(size=6)
     path = tmp_path / "checkpoint.npz"
     tr.save_checkpoint(path, rec, phi, cfg)
     with np.load(path) as data:
@@ -1379,7 +1406,7 @@ def test_checkpoint_holding_the_removed_policy_dropout_flag_loads(tmp_path, tau,
     rec2, phi2, cfg2 = tr.load_checkpoint(path)
     assert cfg2 == cfg
     for name in ["w1", "b1", "w2", "b2"]:
-        np.testing.assert_array_equal(getattr(phi2, name).data, getattr(phi, name).data)
+        np.testing.assert_array_equal(getattr(phi2, name), getattr(phi, name))
     zhat = np.zeros((20, 6))
     for row in zhat:
         row[rng.choice(6, size=3, replace=False)] = 1.0
@@ -1406,7 +1433,7 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
         fh.write(b"PK\x03\x04 partial archive")
         raise OSError("disk full")
 
-    rec.user_emb.data += 1.0
+    rec.user_emb += 1.0
     monkeypatch.setattr(tr.np, "savez", failing_savez)
     with pytest.raises(OSError, match="disk full"):
         tr.save_checkpoint(path, rec, phi, cfg)
@@ -1416,7 +1443,7 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
     monkeypatch.undo()
     tr.save_checkpoint(tmp_path / "bare", rec, phi, cfg)   # np.savez naming
     rec2, _, _ = tr.load_checkpoint(tmp_path / "bare.npz")
-    np.testing.assert_array_equal(rec2.user_emb.data, rec.user_emb.data)
+    np.testing.assert_array_equal(rec2.user_emb.data, rec.user_emb)
 
 
 @pytest.mark.parametrize("setting", ["explicit", "implicit"])

@@ -13,12 +13,17 @@ from dips import diffcore as dc
 from dips import recmodel as rm
 from dips.diffcore import Tensor
 
+from tensor_view import tensor_view
+
 
 def recorded_inner_adapt(rec, z, y, mask, alpha, n_steps):
     """The adapted stack (B, d) as a Tensor whose steps stay on the graph;
-    ``z`` may be an array or a Tensor."""
+    ``z`` may be an array or a Tensor, and ``rec`` a tensor view, to
+    differentiate w.r.t. its parameters too."""
     n_users = len(z.data if isinstance(z, Tensor) else z)
     u = dc.broadcast_to(rec.user_emb, (n_users, rec.dim))
+    # on plain-array parameters the stack itself is the leaf the steps need
+    u = u if u.requires_grad else Tensor(u.data, requires_grad=True)
     if n_steps == 0 or alpha == 0.0:
         return u
     for _ in range(n_steps):
@@ -31,6 +36,7 @@ def recorded_inner_adapt(rec, z, y, mask, alpha, n_steps):
 def recorded_backward(rec, z, y, mask, next_items, next_ratings, alpha, n_steps):
     """``(grads, v, loss)`` of ``recmodel.unrolled_backward`` with both
     ``theta`` and ``sketch``, from one backward of the recorded graph."""
+    rec = tensor_view(rec)
     z_probe = Tensor(np.asarray(z, dtype=np.float64), requires_grad=True)
     u = recorded_inner_adapt(rec, z_probe, y, mask, alpha, n_steps)
     loss = rm.next_item_loss(rec, u, next_items, next_ratings)
