@@ -5,6 +5,7 @@ subcommands, deterministic artifacts plus a run manifest.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -30,6 +31,21 @@ class ConfigError(Exception):
     pass
 
 
+def _field_keys(cls, prefix, exceptions):
+    """Each field of the dataclass ``cls`` and the config key that sets it:
+    ``prefix.field`` unless ``exceptions`` names another key, or None for a
+    field no key sets."""
+    return {f.name: key for f in dataclasses.fields(cls)
+            if (key := exceptions.get(f.name, f"{prefix}.{f.name}")) is not None}
+
+
+# The train.* and synth.* keys are the fields of TrainConfig and SynthConfig,
+# with their defaults; the only exceptions are these.  weight_decay keeps the
+# library's default, and SynthConfig's setting is the run's train.setting.
+TRAIN_KEYS = _field_keys(tr.TrainConfig, "train",
+                         {"stochastic_train": "train.stochastic", "weight_decay": None})
+SYNTH_KEYS = _field_keys(ds.SynthConfig, "synth", {"setting": "train.setting"})
+
 # every recognized key with its default; values are parsed to the default's type
 DEFAULTS = {
     "data.kind": "synth",          # synth | movielens-dat | csv
@@ -37,37 +53,10 @@ DEFAULTS = {
     "data.min_ratings": 20,
     "data.k_core": 0,              # 0 disables the filter
     "data.split_seed": 0,
-    "synth.n_users": 200,
-    "synth.n_items": 100,
-    "synth.length": 30,
-    "synth.n_anchors": 3,
-    "synth.n_groups": 4,
-    "synth.anchor_weight": 1.5,
-    "synth.noise": 0.6,
-    "synth.user_bias_std": 0.0,
-    "synth.junk_prob": 0.0,
-    "synth.filler_like_prob": 0.75,
-    "synth.clip": True,
+    **{key: getattr(ds.SynthConfig, name) for name, key in SYNTH_KEYS.items()
+       if key.startswith("synth.")},
     "synth.seed": 0,
-    "train.sketch_size": 4,
-    "train.tau": 1,
-    "train.queue_size": 50,
-    "train.inner_steps": 5,
-    "train.inner_lr": 0.2,
-    "train.lr_user": 1e-4,
-    "train.lr_item": 2e-5,
-    "train.lr_policy": 2e-4,
-    "train.batch_size": 32,
-    "train.epochs": 1,
-    "train.seed": 0,
-    "train.mode": "online",
-    "train.setting": "explicit",
-    "train.policy": "dips",
-    "train.dim": 32,
-    "train.hidden": 64,
-    "train.policy_hidden": 128,
-    "train.policy_dropout_rate": 0.10,
-    "train.stochastic": True,
+    **{key: getattr(tr.TrainConfig, name) for name, key in TRAIN_KEYS.items()},
     "eval.k": 20,
     "eval.exclude_history": False,
     "eval.seeds": "0",
@@ -130,18 +119,7 @@ def parse_config(path=None, overrides=()):
 
 
 def train_config(cfg, **kw):
-    base = dict(
-        sketch_size=cfg["train.sketch_size"], tau=cfg["train.tau"],
-        queue_size=cfg["train.queue_size"], inner_steps=cfg["train.inner_steps"],
-        inner_lr=cfg["train.inner_lr"], lr_user=cfg["train.lr_user"],
-        lr_item=cfg["train.lr_item"], lr_policy=cfg["train.lr_policy"],
-        batch_size=cfg["train.batch_size"], epochs=cfg["train.epochs"],
-        seed=cfg["train.seed"], mode=cfg["train.mode"],
-        setting=cfg["train.setting"], policy=cfg["train.policy"],
-        dim=cfg["train.dim"], hidden=cfg["train.hidden"],
-        policy_hidden=cfg["train.policy_hidden"],
-        policy_dropout_rate=cfg["train.policy_dropout_rate"],
-        stochastic_train=cfg["train.stochastic"])
+    base = {name: cfg[key] for name, key in TRAIN_KEYS.items()}
     base.update(kw)
     try:
         return tr.TrainConfig(**base)
@@ -151,16 +129,13 @@ def train_config(cfg, **kw):
 
 def load_data(cfg):
     """Returns (DatasetSplits, oracle_anchors-or-None)."""
+    for key in ("synth.seed", "data.split_seed"):
+        if cfg[key] < 0:
+            raise ConfigError(f"{key} must be >= 0, got {cfg[key]}")
     kind = cfg["data.kind"]
     if kind == "synth":
         try:
-            synth = ds.SynthConfig(
-                n_users=cfg["synth.n_users"], n_items=cfg["synth.n_items"],
-                length=cfg["synth.length"], n_anchors=cfg["synth.n_anchors"],
-                n_groups=cfg["synth.n_groups"], anchor_weight=cfg["synth.anchor_weight"],
-                noise=cfg["synth.noise"], user_bias_std=cfg["synth.user_bias_std"],
-                junk_prob=cfg["synth.junk_prob"], filler_like_prob=cfg["synth.filler_like_prob"],
-                clip=cfg["synth.clip"], setting=cfg["train.setting"])
+            synth = ds.SynthConfig(**{name: cfg[key] for name, key in SYNTH_KEYS.items()})
         except ValueError as e:
             raise ConfigError(f"synth.{e}") from None
         sd = ds.synth_stream(synth, seed=cfg["synth.seed"],

@@ -5,6 +5,7 @@ stream generator with planted anchor items for desk-scale benchmarks.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -240,9 +241,14 @@ class SynthConfig:
         if anchored > self.n_items:
             raise ValueError(f"n_groups * n_anchors = {anchored} anchor items exceed "
                              f"n_items = {self.n_items}")
+        if not math.isfinite(self.anchor_weight):
+            raise ValueError(f"anchor_weight must be finite, got {self.anchor_weight}")
         for name in ("noise", "user_bias_std"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            # written so that NaN fails too
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
+        if not 0 <= self.junk_prob <= 1:
+            raise ValueError(f"junk_prob must lie in [0, 1], got {self.junk_prob}")
         if self.setting == "implicit" and not 0 <= self.filler_like_prob <= 1:
             raise ValueError(f"filler_like_prob must lie in [0, 1] in the implicit setting, "
                              f"got {self.filler_like_prob}")
@@ -329,6 +335,9 @@ def synth_stream(cfg: SynthConfig, seed=0, split=SplitSpec()) -> SynthData:
             ratings = np.clip(ratings, 1.0, 5.0)
         if cfg.setting == "implicit":
             ratings = np.ones(cfg.length)
+        elif not np.isfinite(ratings).all():
+            raise DataError(f"synthetic user {u}: a rating overflows float64 (anchor_weight, "
+                            "noise or user_bias_std too large)")
         streams.append(UserStream(user=u, items=items, ratings=ratings))
         anchors[u] = set(anchor_items)
         groups[u] = g

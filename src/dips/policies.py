@@ -137,9 +137,9 @@ class PolicyParams:
 
 
 class ScoreError(FloatingPointError, ValueError):
-    """A head met a NaN score or an invalid probability, as a diverged
-    policy network gives: a numerical error, and also a ValueError for
-    callers that check a head's input."""
+    """A head met a NaN or +inf score or an invalid probability, as a
+    diverged policy network gives: a numerical error, and also a ValueError
+    for callers that check a head's input."""
 
 
 def log_indicator(zhat):
@@ -252,10 +252,10 @@ def online_remove(scores, mode="deterministic", rng=None):
     A score means keep, as in the Top-K head: the lowest finite score is the
     likeliest to go, and a masked (-inf) item has removal probability 0.
     ``scores`` is one score vector (M,) or a stack (R, M), an array or a
-    :class:`Selection`; a NaN score is a :class:`ScoreError` naming its
-    row, tested before an empty row (every score -inf).  ``removed`` is
-    the dropped item of a vector, or an array of R items for a stack.
-    ``w`` is a :class:`Selection`, one-hot per row, whose
+    :class:`Selection`; a NaN or +inf score is a :class:`ScoreError`
+    naming its row, a NaN tested before an empty row (every score -inf).
+    ``removed`` is the dropped item of a vector, or an array of R items for
+    a stack.  ``w`` is a :class:`Selection`, one-hot per row, whose
     straight-through backward goes onto the softmax probabilities p:
     g_s = -p * (g - sum(g * p)) per row.  Stochastic mode draws
     ``rng.random(R)``, one uniform per row in row order, and removes what
@@ -273,6 +273,11 @@ def online_remove(scores, mode="deterministic", rng=None):
     probs = e / np.sum(e, axis=-1, keepdims=True)
     rows = np.atleast_2d(probs)
     _check_probabilities(rows, "online_remove")
+    # softmax(-s) gives a +inf score, an overflowed keep, removal
+    # probability 0: the item could never go
+    inf = np.atleast_2d(s == np.inf).any(axis=1)
+    if inf.any():
+        raise ScoreError(f"online_remove: +inf score in row {int(np.flatnonzero(inf)[0])}")
     if mode == "deterministic":
         removed = np.argmax(rows, axis=1)
     elif mode == "stochastic":
@@ -342,8 +347,8 @@ def topk_project(scores, k):
 
     ``scores`` is one score vector (M,) or a stack (R, M), an array or a
     :class:`Selection`; each row gets its own shift nu, solved in row
-    order.  Masked (-inf) scores map to exactly zero; a NaN score is a
-    :class:`ScoreError` naming its row.  Returns u as a :class:`Selection`
+    order.  Masked (-inf) scores map to exactly zero; a NaN or +inf score
+    is a :class:`ScoreError` naming its row.  Returns u as a :class:`Selection`
     whose backward is the implicit-function rule of :func:`topk_grad`,
     applied per row.
     """
@@ -353,6 +358,8 @@ def topk_project(scores, k):
     for r, (f_row, u_row) in enumerate(zip(np.atleast_2d(f), np.atleast_2d(u))):
         if np.isnan(f_row).any():
             raise ScoreError(f"topk_project: NaN score in row {r}")
+        if (f_row == np.inf).any():
+            raise ScoreError(f"topk_project: +inf score in row {r}")
         finite = np.isfinite(f_row)
         n_finite = int(finite.sum())
         if n_finite < 1:

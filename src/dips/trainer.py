@@ -84,22 +84,15 @@ class TrainConfig:
     policy_hidden: int = 128
     policy_dropout_rate: float = 0.10
     stochastic_train: bool = True
-    momentum: float = 0.9
     weight_decay: float = 2e-4
-    influence_damping: float = 1e-3
 
     def __post_init__(self):
-        if self.sketch_size < 1:
-            raise ValueError("sketch_size must be >= 1")
-        if self.tau < 1:
-            raise ValueError("tau must be >= 1")
-        if self.inner_steps < 0:
-            raise ValueError("inner_steps must be >= 0")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        for name in ("batch_size", "dim", "hidden", "policy_hidden"):
+        for name in ("sketch_size", "tau", "batch_size", "dim", "hidden", "policy_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("inner_steps", "epochs", "queue_size", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("inner_lr", "lr_user", "lr_item", "lr_policy"):
             # written so that NaN fails too
             if not 0 <= getattr(self, name) < math.inf:
@@ -112,8 +105,6 @@ class TrainConfig:
             raise ValueError(f"unknown setting {self.setting!r}")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
-        if self.queue_size < 0:
-            raise ValueError("queue_size must be >= 0")
         if not 0.0 <= self.policy_dropout_rate < 1.0:
             raise ValueError("policy_dropout_rate must lie in [0, 1)")
 
@@ -444,7 +435,7 @@ def _update_sketch(state: _UserState, inter, rec, phi, cfg, rng, oracle_anchors=
                             cfg.inner_lr, cfg.inner_steps)[0]
         if cfg.policy == "hardest":
             return pol.hardest_update(rec, u, inter)
-        return pol.influence_update(rec, u, inter, damping=cfg.influence_damping)
+        return pol.influence_update(rec, u, inter)
     if cfg.policy == "oracle":
         anchors = oracle_anchors.get(state.stream.user, set()) if oracle_anchors else set()
         entries = inter.all_entries()
@@ -490,7 +481,7 @@ def train(cfg: TrainConfig, data, oracle_anchors=None, trace_file=None,
         rec.load_arrays({n: a.copy() for n, a in init_rec.state_arrays().items()})
     if init_phi is not None:
         phi.load_arrays({n: a.copy() for n, a in init_phi.state_arrays().items()})
-    opt_user = SGDMomentum([rec.user_emb], cfg.lr_user, cfg.momentum, cfg.weight_decay)
+    opt_user = SGDMomentum([rec.user_emb], cfg.lr_user, weight_decay=cfg.weight_decay)
     opt_item = Adam(rec.item_params(), cfg.lr_item, weight_decay=cfg.weight_decay)
     opt_policy = Adam(phi.params(), cfg.lr_policy, weight_decay=cfg.weight_decay)
     learned = cfg.policy in LEARNED_POLICIES
@@ -698,6 +689,10 @@ def load_checkpoint(path):
         # A meta holding ``policy_dropout`` predates the keep convention: its
         # tau = 1 policy scores removal, which a negated last layer maps onto.
         older = meta.pop("policy_dropout", None) is not None
+        # fields of older configs that no caller set; their values are the
+        # defaults of SGDMomentum and influence_update, which train() uses
+        for name in ("momentum", "influence_damping"):
+            meta.pop(name, None)
         cfg = TrainConfig(**meta)
         # built on the stored arrays, so nothing is drawn
         stored = {k: data[k] for k in data.files}

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import platform
@@ -5,8 +6,10 @@ import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dips import cli
+from dips import datasets as ds
 from dips import policies as pol
 from dips import recmodel as rm
 from dips import trainer as tr
@@ -65,6 +68,82 @@ def test_bool_parsing():
     assert cfg["train.stochastic"] is False
     with pytest.raises(cli.ConfigError):
         cli.parse_config(overrides=["train.stochastic=maybe"])
+
+
+def test_default_config_builds_the_dataclass_defaults(monkeypatch):
+    cfg = cli.parse_config(None, [])
+    assert cli.train_config(cfg) == tr.TrainConfig()
+    built = []
+    real = ds.synth_stream
+
+    def spy(synth, **kw):
+        built.append(synth)
+        return real(synth, **kw)
+
+    monkeypatch.setattr(ds, "synth_stream", spy)
+    cli.load_data(cfg)
+    assert built == [ds.SynthConfig()]
+
+
+def test_each_dataclass_field_has_one_key():
+    # every TrainConfig field but the library-only weight_decay, and every
+    # SynthConfig field, is set by exactly one key; no other train.* or
+    # synth.* key exists but synth.seed
+    train_fields = [f.name for f in dataclasses.fields(tr.TrainConfig)]
+    assert sorted(cli.TRAIN_KEYS) == sorted(set(train_fields) - {"weight_decay"})
+    assert sorted(cli.SYNTH_KEYS) == sorted(f.name for f in dataclasses.fields(ds.SynthConfig))
+    keys = list(cli.TRAIN_KEYS.values()) + list(cli.SYNTH_KEYS.values()) + ["synth.seed"]
+    assert sorted(set(keys)) == sorted(k for k in cli.DEFAULTS
+                                       if k.startswith(("train.", "synth.")))
+    assert len(set(cli.TRAIN_KEYS.values())) == len(cli.TRAIN_KEYS)
+    assert cli.TRAIN_KEYS["stochastic_train"] == "train.stochastic"
+    assert cli.SYNTH_KEYS["setting"] == "train.setting"
+    with pytest.raises(cli.ConfigError, match="unknown config key 'train.weight_decay'"):
+        cli.parse_config(overrides=["train.weight_decay=0"])
+
+
+# the derived train.* and synth.* keys, and a value strategy for each
+_KEYS = [k for k in cli.DEFAULTS if k.startswith(("train.", "synth."))]
+_CHOICES = {"train.mode": ("online", "batch"), "train.setting": (rm.EXPLICIT, rm.IMPLICIT),
+            "train.policy": tr.POLICIES}
+
+
+def _raw_values(key):
+    default = cli.DEFAULTS[key]
+    if isinstance(default, bool):
+        values = st.sampled_from(["true", "false"])
+    elif isinstance(default, int):
+        # small enough that every accepted shape generates in milliseconds
+        values = st.integers(-2, 2 * max(default, 1) + 2).map(str)
+    elif isinstance(default, float):
+        values = (st.floats(-2, 2) | st.sampled_from([1e308, -1e308])
+                  | st.floats(allow_nan=True, allow_infinity=True)).map(repr)
+    else:
+        values = st.sampled_from(_CHOICES[key] + ("bogus",))
+    # one value in ten does not parse
+    return st.integers(0, 9).flatmap(lambda i: values if i else st.just("x"))
+
+
+_OVERRIDES = st.lists(st.sampled_from(_KEYS).flatmap(
+    lambda key: _raw_values(key).map(lambda raw: f"{key}={raw}")), max_size=8)
+
+
+@settings(max_examples=300, deadline=2000, derandomize=True, database=None)
+@given(_OVERRIDES)
+def test_overrides_generate_valid_data_or_name_the_error(overrides):
+    # any --set of the train.* and synth.* keys is a configuration or data
+    # error, or data whose ratings are finite and whose items are in the
+    # catalog
+    try:
+        cfg = cli.parse_config(None, overrides)
+        cli.train_config(cfg)
+        with np.errstate(all="ignore"):
+            data, _ = cli.load_data(cfg)
+    except (cli.ConfigError, ds.DataError):
+        return
+    for s in data.train + data.valid + data.test:
+        assert np.all(np.isfinite(s.ratings))
+        assert np.all((s.items >= 0) & (s.items < data.n_items))
 
 
 # ------------------------------------------------------------------- train
@@ -136,12 +215,41 @@ def test_train_invalid_config_exits_config_code(tmp_path):
     (("synth.n_users=12", "synth.n_items=11", "synth.length=10", "synth.n_anchors=2",
       "synth.n_groups=2"), "synth.length 10 is longer than n_anchors = 2 plus the 7 items"),
     (("train.policy_dropout_rate=1",), "policy_dropout_rate must lie in [0, 1)"),
+    (("synth.anchor_weight=nan",), "synth.anchor_weight must be finite, got nan"),
+    (("synth.anchor_weight=inf",), "synth.anchor_weight must be finite, got inf"),
+    (("synth.noise=nan",), "synth.noise must be >= 0 and finite, got nan"),
+    (("synth.noise=inf",), "synth.noise must be >= 0 and finite, got inf"),
+    (("synth.user_bias_std=inf",), "synth.user_bias_std must be >= 0 and finite, got inf"),
+    (("synth.user_bias_std=inf", "synth.clip=false"),
+     "synth.user_bias_std must be >= 0 and finite, got inf"),
+    (("synth.junk_prob=nan",), "synth.junk_prob must lie in [0, 1], got nan"),
+    (("synth.junk_prob=-1",), "synth.junk_prob must lie in [0, 1], got -1.0"),
+    (("synth.junk_prob=1.5",), "synth.junk_prob must lie in [0, 1], got 1.5"),
+    # synth.seed=-1 is a failing example of the --set property above: numpy
+    # rejected it with a traceback
+    (("synth.seed=-1",), "synth.seed must be >= 0, got -1"),
+    (("data.split_seed=-1",), "data.split_seed must be >= 0, got -1"),
+    (("train.seed=-1",), "seed must be >= 0, got -1"),
 ])
 def test_invalid_synthetic_data_or_dropout_exits_config_code(tmp_path, capsys, extra,
                                                               message):
     out = tmp_path / "run"
     assert cli.main(["train"] + tiny_overrides(out, *extra)) == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
+    assert not (out / "checkpoint.npz").exists()
+
+
+@pytest.mark.parametrize("extra, user", [
+    # the first is a failing example of the --set property above
+    (("synth.user_bias_std=1e+308",), 7), (("synth.noise=1e308",), 0)])
+def test_overflowing_synthetic_ratings_exit_data_code(tmp_path, capsys, extra, user):
+    # finite settings whose ratings overflow float64 without the clip
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        code = cli.main(["train"] + tiny_overrides(out, *extra, "synth.clip=false"))
+    assert code == cli.EXIT_DATA
+    assert f"data error: synthetic user {user}: a rating overflows float64" in \
+        capsys.readouterr().err
     assert not (out / "checkpoint.npz").exists()
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -250,10 +252,32 @@ def test_synth_config_rejects_too_few_filler_items():
     for bad, match in ((dict(length=1), "n_anchors must lie in"),
                        (dict(noise=-1.0), "noise must be >= 0"),
                        (dict(user_bias_std=-0.5), "user_bias_std must be >= 0"),
-                       (dict(setting="implicit", filler_like_prob=1.5), "filler_like_prob")):
+                       (dict(setting="implicit", filler_like_prob=1.5), "filler_like_prob"),
+                       (dict(anchor_weight=np.nan), "^anchor_weight must be finite"),
+                       (dict(anchor_weight=-np.inf), "^anchor_weight must be finite"),
+                       (dict(noise=np.nan), "^noise must be >= 0 and finite"),
+                       (dict(noise=np.inf), "^noise must be >= 0 and finite"),
+                       (dict(user_bias_std=np.nan), "^user_bias_std must be >= 0 and finite"),
+                       (dict(user_bias_std=np.inf), "^user_bias_std must be >= 0 and finite"),
+                       (dict(junk_prob=np.nan), r"^junk_prob must lie in \[0, 1\]"),
+                       (dict(junk_prob=-0.1), r"^junk_prob must lie in \[0, 1\]"),
+                       (dict(junk_prob=1.01), r"^junk_prob must lie in \[0, 1\]")):
         with pytest.raises(ValueError, match=match):
             ds.SynthConfig(**{"n_items": 30, "length": 8, "n_anchors": 2, **bad})
     ds.SynthConfig(n_items=30, length=8, filler_like_prob=1.5)   # unread when explicit
+    ds.SynthConfig(anchor_weight=-2.0, noise=0.0, junk_prob=1.0)
+
+
+def test_synth_stream_rejects_ratings_that_overflow():
+    # finite settings can still overflow float64; the clip bounds an
+    # overflowed rating, without it the stream is a data error
+    cfg = ds.SynthConfig(n_users=10, n_items=30, length=8, noise=1e308, clip=False)
+    with pytest.raises(ds.DataError, match="synthetic user 0: a rating overflows"), \
+            np.errstate(all="ignore"):
+        ds.synth_stream(cfg, seed=0)
+    with np.errstate(all="ignore"):
+        sd = ds.synth_stream(dataclasses.replace(cfg, clip=True), seed=0)
+    assert all(np.isfinite(s.ratings).all() for s in sd.splits.train)
 
 
 def test_synth_implicit_with_an_empty_liked_pool():

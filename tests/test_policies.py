@@ -709,3 +709,26 @@ def test_a_row_of_nan_scores_is_a_numerical_error_not_an_empty_sketch():
         assert isinstance(err.value, FloatingPointError) and isinstance(err.value, ValueError)
     with pytest.raises(pol.ScoreError, match="topk_project: NaN score in row 1"):
         pol.topk_project(f, 2)
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+def test_online_remove_rejects_a_positive_infinite_score_by_row(mode):
+    # softmax(-s) would give an overflowed keep probability 0, so the item
+    # could never go: a numerical error naming the row, as NaN is
+    rng = np.random.default_rng(0)
+    with pytest.raises(pol.ScoreError, match=r"online_remove: \+inf score in row 0"):
+        pol.online_remove(np.array([np.inf, 1.0, 2.0]), mode, rng=rng)
+    f = score_stack(19)
+    f[2, np.flatnonzero(np.isfinite(f[2]))[0]] = np.inf
+    with pytest.raises(pol.ScoreError, match=r"online_remove: \+inf score in row 2"):
+        pol.online_remove(f, mode, rng=rng)
+
+
+def test_topk_project_rejects_a_positive_infinite_score_by_row():
+    # a +inf score is not masked: it would map to u = 0 and never be kept
+    with pytest.raises(pol.ScoreError, match=r"topk_project: \+inf score in row 0"):
+        pol.topk_project(np.array([np.inf, 1.0, 2.0, 0.5]), 2)
+    f = score_stack(19)
+    f[2, np.flatnonzero(np.isfinite(f[2]))[0]] = np.inf
+    with pytest.raises(pol.ScoreError, match=r"topk_project: \+inf score in row 2"):
+        pol.topk_project(f, 2)

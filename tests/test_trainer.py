@@ -1420,6 +1420,28 @@ def test_checkpoint_holding_the_removed_policy_dropout_flag_loads(tmp_path, tau,
         np.testing.assert_array_equal(after, before)
 
 
+def test_checkpoint_holding_the_removed_momentum_and_damping_loads(tmp_path):
+    # configs once held momentum and influence_damping, at the values
+    # train() still uses; a meta holding them loads unchanged
+    cfg = small_cfg()
+    rng = np.random.default_rng(6)
+    rec = rm.RecParams(n_items=6, dim=cfg.dim, hidden=cfg.hidden, rng=rng)
+    phi = pol.PolicyParams(6, hidden=cfg.policy_hidden, rng=rng)
+    path = tmp_path / "checkpoint.npz"
+    tr.save_checkpoint(path, rec, phi, cfg)
+    with np.load(path) as data:
+        arrays = dict(data)
+    meta = dict(json.loads(bytes(arrays["meta"]).decode()), momentum=0.9,
+                influence_damping=1e-3)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+    rec2, phi2, cfg2 = tr.load_checkpoint(path)
+    assert cfg2 == cfg
+    for a, b in zip(final_state(tr.TrainResult(rec, phi)),
+                    final_state(tr.TrainResult(rec2, phi2))):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
     cfg = small_cfg()
     rng = np.random.default_rng(4)
