@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import platform
@@ -157,6 +158,16 @@ def load_data(cfg):
     return ds.DatasetSplits(train, valid, test, catalog.n_items), None
 
 
+def _out_dir(cfg):
+    """Make the directory ``out.dir`` unless it exists; returns its path."""
+    path = cfg["out.dir"]
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:    # "" or a file on the path
+        raise ConfigError(f"out.dir {path!r}: {e.strerror}") from None
+    return path
+
+
 def _write_manifest(files, out_dir, cfg, artifacts, started):
     """Write ``manifest.json`` into the open ``trainer.atomic_files`` group;
     written last, it is also the last file the group moves into place.
@@ -176,10 +187,10 @@ def _write_manifest(files, out_dir, cfg, artifacts, started):
 
 def cmd_train(cfg):
     started = time.perf_counter()
-    out_dir = cfg["out.dir"]
-    os.makedirs(out_dir, exist_ok=True)
     tcfg = train_config(cfg)
     data, anchors = load_data(cfg)
+    _check_anchors([tcfg.policy], anchors)
+    out_dir = _out_dir(cfg)
     ckpt = os.path.join(out_dir, "checkpoint.npz")
     # the four artefacts replace an earlier run's only once all are written
     with tr.atomic_files() as files:
@@ -195,18 +206,32 @@ def cmd_train(cfg):
     return EXIT_OK
 
 
-def _int_list(raw, fallback):
-    if not raw.strip():
-        return [fallback]
-    return [int(x) for x in raw.split(",") if x.strip()]
+def _int_list(cfg, key, fallback):
+    """The comma-separated integers of ``cfg[key]``, or ``[fallback]`` if it
+    lists none."""
+    try:
+        return [int(x) for x in cfg[key].split(",") if x.strip()] or [fallback]
+    except ValueError:
+        raise ConfigError(f"config key {key}: expected comma-separated integers, "
+                          f"got {cfg[key]!r}") from None
+
+
+def _check_anchors(policies, anchors):
+    """``oracle`` keeps the anchors planted in synthetic data; file-backed
+    data has none (``anchors`` None)."""
+    if "oracle" in policies and anchors is None:
+        raise ConfigError("policy oracle needs the planted anchors of synthetic data "
+                          "(data.kind=synth)")
 
 
 def cmd_eval(cfg, checkpoint):
     started = time.perf_counter()
     if not os.path.exists(checkpoint):
         raise ConfigError(f"checkpoint not found: {checkpoint}")
+    if cfg["eval.k"] < 1:
+        raise ConfigError(f"eval.k must be >= 1, got {cfg['eval.k']}")
     rec, phi, ckpt_cfg = tr.load_checkpoint(checkpoint)
-    data, _ = load_data(cfg)
+    data, anchors = load_data(cfg)
     if data.n_items != rec.n_items:
         raise ConfigError(
             f"checkpoint/config mismatch: checkpoint has {rec.n_items} items, "
@@ -221,25 +246,22 @@ def cmd_eval(cfg, checkpoint):
     for p in policies:
         if p not in tr.POLICIES:
             raise ConfigError(f"unknown eval policy {p!r}")
-    sketch_sizes = _int_list(cfg["eval.sketch_sizes"], ckpt_cfg.sketch_size)
-    taus = _int_list(cfg["eval.taus"], ckpt_cfg.tau)
-    seeds = _int_list(cfg["eval.seeds"], 0)
-
+    _check_anchors(policies, anchors)
+    grid = itertools.product(
+        policies, _int_list(cfg, "eval.sketch_sizes", ckpt_cfg.sketch_size),
+        _int_list(cfg, "eval.taus", ckpt_cfg.tau), _int_list(cfg, "eval.seeds", 0))
+    # every cell's config is checked before the first evaluation
+    cells = [train_config(cfg, policy=policy, sketch_size=K, tau=tau,
+                          mode="online" if tau == 1 else "batch", seed=seed)
+             for policy, K, tau, seed in grid]
+    out_dir = _out_dir(cfg)
     rows = {}
-    for policy in policies:
-        for K in sketch_sizes:
-            for tau in taus:
-                for seed in seeds:
-                    cell = train_config(cfg, policy=policy, sketch_size=K, tau=tau,
-                                        mode="online" if tau == 1 else "batch",
-                                        seed=seed)
-                    agg = met.evaluate(rec, phi, data.test, cell, k=cfg["eval.k"],
-                                       exclude_history=cfg["eval.exclude_history"],
-                                       seed=seed)
-                    for name, value in agg.items():
-                        rows.setdefault((policy, K, tau, name), []).append(value)
-    out_dir = cfg["out.dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    for cell in cells:
+        agg = met.evaluate(rec, phi, data.test, cell, k=cfg["eval.k"],
+                           exclude_history=cfg["eval.exclude_history"], seed=cell.seed,
+                           anchors=anchors)
+        for name, value in agg.items():
+            rows.setdefault((cell.policy, cell.sketch_size, cell.tau, name), []).append(value)
     table = met.summary_table(rows)
     with tr.atomic_files() as files:
         with files.open(os.path.join(out_dir, "eval.csv")) as fh:
@@ -286,7 +308,7 @@ def _check_policy_backward():
     # are scattered onto phi's shapes as training adds them; biases clear
     # of zero keep a row whose units all drop out off the relu kinks
     rng = np.random.default_rng(0)
-    phi = pol.PolicyParams(8, hidden=5, dropout_rate=0.3, rng=rng)
+    phi = pol.PolicyParams(8, hidden=5, rng=rng)
     for b in (phi.b1, phi.b2):
         b[:] = rng.uniform(0.1, 0.5, size=b.shape)
     zhat = np.array([[1.0, 1, 0, 1, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0, 0, 1],
@@ -297,8 +319,7 @@ def _check_policy_backward():
     g = np.where(live, rng.normal(size=live.shape), 0.0)
 
     def scores():
-        return pol.policy_scores(zhat, y, phi, training=True, rng=np.random.default_rng(7),
-                                 cols=cols)
+        return pol.policy_scores(zhat, y, phi, 0.3, rng=np.random.default_rng(7), cols=cols)
 
     def value():
         return float(np.sum(g[live] * scores().data[live]))
@@ -384,7 +405,7 @@ def _check_meta_gradient():
             return np.inf, 1e-3
         grads, _ = tr.theta_gradients(rec, z, y, mask, nxt, r, cfg)
         rng = np.random.default_rng(2)
-        for p, g in zip(rec.all_params(), grads):
+        for p, g in zip(rec.params(), grads):
             points = rng.choice(p.size, size=min(3, p.size), replace=False)
             worst = max(worst, _fd_error(lambda: _next_item_loss(rec, z, y, mask, nxt, r, cfg),
                                          p, g, points, h, 1e-6))
@@ -511,7 +532,8 @@ def cmd_gradcheck():
 def cmd_diagnose(cfg):
     started = time.perf_counter()
     tcfg = train_config(cfg)
-    data, _ = load_data(cfg)
+    data, anchors = load_data(cfg)
+    _check_anchors([tcfg.policy], anchors)
     stream = data.train[0]
     # true_policy_grad rejects these instances too, but only after training
     for what, size, key in (("stream length", len(stream.items), "diagnose.max_len"),
@@ -519,13 +541,12 @@ def cmd_diagnose(cfg):
         if size > cfg[key]:
             raise ConfigError(f"diagnose: {what} {size} exceeds the replay limit "
                               f"{key}={cfg[key]}")
+    out_dir = _out_dir(cfg)
     captured = {}
     res = tr.train(tcfg, ds.DatasetSplits([stream], [], [], data.n_items),
-                   validate_each_epoch=False,
+                   oracle_anchors=anchors, validate_each_epoch=False,
                    policy_grad_hook=lambda u, t, g, v: captured.update(
                        {t: [x.copy() for x in g]}))
-    out_dir = cfg["out.dir"]
-    os.makedirs(out_dir, exist_ok=True)
     n = 0
     with tr.atomic_files() as files:
         with files.open(os.path.join(out_dir, "diagnose.jsonl")) as fh:

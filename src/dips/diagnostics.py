@@ -18,6 +18,9 @@ import numpy as np
 
 from . import trainer as tr
 
+# a gradient entry of at most this magnitude counts as zero
+_ZERO = 1e-12
+
 
 def true_policy_grad(rec, phi, stream, cfg, probe_t, max_len=50, max_items=100):
     """Full-history policy gradient at step ``probe_t`` of one user stream.
@@ -80,10 +83,11 @@ class GradReport:
         })
 
 
-def direction_stats(approx, true, tol=1e-12) -> GradReport:
+def direction_stats(approx, true) -> GradReport:
     """Per-coordinate sign agreement of an approximate gradient with the
     exact one, restricted to coordinates where the exact gradient is
-    nonzero; cosine similarity over the full flattened vectors."""
+    nonzero (a magnitude above ``_ZERO``); cosine similarity over the full
+    flattened vectors."""
     a_parts = [np.asarray(g, dtype=np.float64).ravel() for g in approx]
     t_parts = [np.asarray(g, dtype=np.float64).ravel() for g in true]
     if len(a_parts) != len(t_parts) or any(
@@ -92,19 +96,19 @@ def direction_stats(approx, true, tol=1e-12) -> GradReport:
     a = np.concatenate(a_parts)
     t = np.concatenate(t_parts)
 
-    active = np.abs(t) > tol
+    active = np.abs(t) > _ZERO
     n_active = int(active.sum())
     if n_active == 0:
         preserved, negated, zeroed = 1.0, 0.0, 0.0
     else:
         aa, tt = a[active], t[active]
-        zeroed_mask = np.abs(aa) <= tol
+        zeroed_mask = np.abs(aa) <= _ZERO
         preserved = float(np.sum(~zeroed_mask & (np.sign(aa) == np.sign(tt))) / n_active)
         negated = float(np.sum(~zeroed_mask & (np.sign(aa) == -np.sign(tt))) / n_active)
         zeroed = float(np.sum(zeroed_mask) / n_active)
 
     inactive = ~active
-    spurious = (float(np.sum(np.abs(a[inactive]) > tol) / inactive.sum())
+    spurious = (float(np.sum(np.abs(a[inactive]) > _ZERO) / inactive.sum())
                 if inactive.any() else 0.0)
 
     na, nt = np.linalg.norm(a), np.linalg.norm(t)

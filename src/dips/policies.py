@@ -90,50 +90,25 @@ class IntermediateSketch:
         return Sketch(self.base.capacity, self.base.n_items, kept)
 
 
-class PolicyParams:
-    """Score network over the dense rating vector: M -> hidden -> hidden -> M.
+class PolicyParams(rm.Params):
+    """Score network over the dense rating vector: M -> hidden -> hidden -> M."""
 
-    The parameters are drawn from ``rng``, or taken as given from ``arrays``
-    (named as in :meth:`param_names`), which draws nothing.
-    """
-
-    def __init__(self, n_items, hidden=128, dropout_rate=0.10, rng=None, arrays=None):
+    def __init__(self, n_items, hidden=128, rng=None, arrays=None):
         self.n_items = n_items
         self.hidden = hidden
-        self.dropout_rate = dropout_rate
-        if arrays is not None:
-            self.load_arrays(arrays)
-            return
-        rng = rng if rng is not None else np.random.default_rng(0)
-        shapes = self.shapes()
-
-        def dense(name):
-            return rng.normal(size=shapes[name]) / np.sqrt(shapes[name][0])
-
-        self.load_arrays({"w1": dense("w1"), "b1": np.zeros(hidden), "w2": dense("w2"),
-                          "b2": np.zeros(hidden), "w3": dense("w3"), "b3": np.zeros(n_items)})
+        super().__init__(rng, arrays)
 
     def shapes(self):
         """The shape of every parameter, by name."""
         m, h = self.n_items, self.hidden
         return {"w1": (m, h), "b1": (h,), "w2": (h, h), "b2": (h,), "w3": (h, m), "b3": (m,)}
 
-    def params(self):
-        return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
-
-    def param_names(self):
-        return ["w1", "b1", "w2", "b2", "w3", "b3"]
-
-    def state_arrays(self):
-        return {name: getattr(self, name) for name in self.param_names()}
-
-    def load_arrays(self, arrays):
-        """Hold ``arrays`` as the parameters, without a copy of a float64 array."""
-        for name, shape in self.shapes().items():
-            new = np.asarray(arrays[name], dtype=np.float64)
-            if new.shape != shape:
-                raise ValueError(f"checkpoint mismatch for {name}: {new.shape} vs {shape}")
-            setattr(self, name, new)
+    def draw(self, rng):
+        """The weights dense, drawn in the order w1, w2, w3; the biases zero."""
+        s = self.shapes()
+        return {"w1": self._dense(rng, s["w1"]), "b1": np.zeros(s["b1"]),
+                "w2": self._dense(rng, s["w2"]), "b2": np.zeros(s["b2"]),
+                "w3": self._dense(rng, s["w3"]), "b3": np.zeros(s["b3"])}
 
 
 class ScoreError(FloatingPointError, ValueError):
@@ -178,7 +153,7 @@ def _selection(x):
     return x if isinstance(x, Selection) else Selection(np.asarray(x, dtype=np.float64))
 
 
-def policy_scores(zhat, y, phi: PolicyParams, training=False, rng=None, cols=None):
+def policy_scores(zhat, y, phi: PolicyParams, dropout=0.0, rng=None, cols=None):
     """Per-item keep scores f(zhat * y) + log(zhat), a :class:`Selection`
     whose ``grads`` is :func:`policy_backward`.
 
@@ -188,8 +163,8 @@ def policy_scores(zhat, y, phi: PolicyParams, training=False, rng=None, cols=Non
     network reads only the rows ``cols`` of w1 and the columns ``cols`` of
     w3 and b3, and the scores are laid out on them.  Every item a row of
     ``zhat`` holds must be among them; any other item's score is -inf,
-    since zhat * y reads 0 there and log(zhat) is -inf.  Dropout is
-    applied only in training mode: ``rng`` draws the mask of the first
+    since zhat * y reads 0 there and log(zhat) is -inf.  A ``dropout``
+    rate above 0 drops hidden units: ``rng`` draws the mask of the first
     hidden layer, then of the second, (rows, hidden) each whatever the
     columns.  The forward keeps every layer's weights, input, relu mask and
     dropout scale for the backward.
@@ -201,16 +176,15 @@ def policy_scores(zhat, y, phi: PolicyParams, training=False, rng=None, cols=Non
         zhat, y = zhat[..., cols], y[..., cols]
         w1, w3, b3 = w1[cols], w3[:, cols], b3[cols]
     h = zhat * y
-    drop = training and phi.dropout_rate > 0
     inputs, gates = [h], []
     for w, b in ((w1, phi.b1), (phi.w2, phi.b2)):
         a = h @ w + b
         relu = (a > 0).astype(np.float64)
         h = a * relu
         scale = None
-        if drop:
-            keep = rng.random(h.shape) >= phi.dropout_rate
-            scale = keep.astype(np.float64) / (1.0 - phi.dropout_rate)
+        if dropout > 0:
+            keep = rng.random(h.shape) >= dropout
+            scale = keep.astype(np.float64) / (1.0 - dropout)
             h = h * scale
         inputs.append(h)
         gates.append((relu, scale))
@@ -315,8 +289,10 @@ def _inverse_cdf(p, u):
     return np.sum(cdf <= u[..., None], axis=-1)
 
 
-def _bisect_shift(f, k, tol=1e-9, max_iter=200):
-    """Root nu of sum(sigmoid(f + nu)) = k over the given finite scores."""
+def _bisect_shift(f, k):
+    """Root nu of sum(sigmoid(f + nu)) = k over the given finite scores:
+    at most 200 bisections, stopping once the residual is within 1e-9 and
+    the bracket within 1e-13 relative."""
     lo = -np.max(f) - 20.0
     hi = -np.min(f) + 20.0
 
@@ -330,14 +306,14 @@ def _bisect_shift(f, k, tol=1e-9, max_iter=200):
         width *= 2
         if width > 1e12:
             raise RuntimeError("top-k projection: failed to bracket the shift")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         r = total(mid)
         if r > 0:
             hi = mid
         else:
             lo = mid
-        if abs(r) <= tol and (hi - lo) < 1e-13 * max(1.0, abs(mid)):
+        if abs(r) <= 1e-9 and (hi - lo) < 1e-13 * max(1.0, abs(mid)):
             break
     return 0.5 * (lo + hi)
 
@@ -516,14 +492,14 @@ def influence_scores(rec: rm.RecParams, u, inter: IntermediateSketch, damping=1e
     return -(grads @ x)
 
 
-def influence_update(rec: rm.RecParams, u, inter: IntermediateSketch,
-                     damping=1e-3) -> Sketch:
-    """Keep the K entries whose upweighting most reduces the sketch loss."""
+def influence_update(rec: rm.RecParams, u, inter: IntermediateSketch) -> Sketch:
+    """Keep the K entries whose upweighting most reduces the sketch loss,
+    by :func:`influence_scores` at its default damping."""
     entries = inter.all_entries()
     cap = inter.base.capacity
     if len(entries) <= cap:
         return Sketch(cap, inter.base.n_items, entries)
-    scores = influence_scores(rec, u, inter, damping=damping)
+    scores = influence_scores(rec, u, inter)
     order = sorted(range(len(entries)), key=lambda i: (scores[i], -entries[i].step))
     kept = [entries[i].item for i in order[:cap]]
     return inter.keep(kept)

@@ -39,12 +39,44 @@ EXPLICIT = "explicit"
 IMPLICIT = "implicit"
 
 
-class RecParams:
-    """Global recommender parameters: user embedding, item embeddings, MLP tower.
+class Params:
+    """Named float64 parameter arrays, held as attributes in :meth:`shapes` order.
 
-    They are drawn from ``rng``, or taken as given from ``arrays`` (named as
-    in :meth:`param_names`), which draws nothing.
+    A subclass sets its sizes, then calls this ``__init__``, and defines
+    ``shapes()``, the shape of every parameter by name, and ``draw(rng)``,
+    every parameter drawn from ``rng``.  The parameters are drawn, or taken
+    as given from ``arrays`` (named as in :meth:`param_names`), which draws
+    nothing.
     """
+
+    def __init__(self, rng=None, arrays=None):
+        self.load_arrays(self.draw(rng) if arrays is None else arrays)
+
+    @staticmethod
+    def _dense(rng, shape):
+        """A weight drawn normal over the square root of its fan-in."""
+        return rng.normal(size=shape) / np.sqrt(shape[0])
+
+    def param_names(self):
+        return list(self.shapes())
+
+    def params(self):
+        return [getattr(self, name) for name in self.shapes()]
+
+    def state_arrays(self):
+        return {name: getattr(self, name) for name in self.shapes()}
+
+    def load_arrays(self, arrays):
+        """Hold ``arrays`` as the parameters, without a copy of a float64 array."""
+        for name, shape in self.shapes().items():
+            new = np.asarray(arrays[name], dtype=np.float64)
+            if new.shape != shape:
+                raise ValueError(f"checkpoint mismatch for {name}: {new.shape} vs {shape}")
+            setattr(self, name, new)
+
+
+class RecParams(Params):
+    """Global recommender parameters: user embedding, item embeddings, MLP tower."""
 
     def __init__(self, n_items, dim=32, hidden=64, setting=EXPLICIT, rng=None, arrays=None):
         if setting not in (EXPLICIT, IMPLICIT):
@@ -53,21 +85,7 @@ class RecParams:
         self.dim = dim
         self.hidden = hidden
         self.setting = setting
-        if arrays is not None:
-            self.load_arrays(arrays)
-            return
-        rng = rng if rng is not None else np.random.default_rng(0)
-        shapes = self.shapes()
-
-        def emb(name):
-            return rng.uniform(-0.1, 0.1, size=shapes[name])
-
-        def dense(name):
-            return rng.normal(size=shapes[name]) / np.sqrt(shapes[name][0])
-
-        self.load_arrays({"user_emb": emb("user_emb"), "item_emb": emb("item_emb"),
-                          "w1": dense("w1"), "b1": np.zeros(shapes["b1"]),
-                          "w2": dense("w2"), "b2": np.zeros(shapes["b2"])})
+        super().__init__(rng, arrays)
 
     def shapes(self):
         """The shape of every parameter, by name."""
@@ -77,26 +95,18 @@ class RecParams:
                 "w1": (in_dim, self.hidden), "b1": (self.hidden,),
                 "w2": (self.hidden, out_dim), "b2": (out_dim,)}
 
+    def draw(self, rng):
+        """The embeddings uniform in [-0.1, 0.1], the weights dense, the
+        biases zero; drawn in the order user_emb, item_emb, w1, w2."""
+        s = self.shapes()
+        return {"user_emb": rng.uniform(-0.1, 0.1, size=s["user_emb"]),
+                "item_emb": rng.uniform(-0.1, 0.1, size=s["item_emb"]),
+                "w1": self._dense(rng, s["w1"]), "b1": np.zeros(s["b1"]),
+                "w2": self._dense(rng, s["w2"]), "b2": np.zeros(s["b2"])}
+
     def item_params(self):
         """Item-side parameters (everything but the user embedding)."""
-        return [self.item_emb, self.w1, self.b1, self.w2, self.b2]
-
-    def all_params(self):
-        return [self.user_emb] + self.item_params()
-
-    def param_names(self):
-        return ["user_emb", "item_emb", "w1", "b1", "w2", "b2"]
-
-    def state_arrays(self):
-        return {name: getattr(self, name) for name in self.param_names()}
-
-    def load_arrays(self, arrays):
-        """Hold ``arrays`` as the parameters, without a copy of a float64 array."""
-        for name, shape in self.shapes().items():
-            new = np.asarray(arrays[name], dtype=np.float64)
-            if new.shape != shape:
-                raise ValueError(f"checkpoint mismatch for {name}: {new.shape} vs {shape}")
-            setattr(self, name, new)
+        return self.params()[1:]
 
 
 def _check_items(rec, items):
@@ -313,7 +323,7 @@ def unrolled_backward(rec: RecParams, z, y, mask, next_items, next_ratings, alph
     and ``next_ratings`` (B,) as in :func:`next_item_loss`; both functions'
     checks run, with their errors.  Returns ``(grads, v, loss)``:
 
-    * ``grads``, with ``theta``: the gradients w.r.t. ``rec.all_params()``,
+    * ``grads``, with ``theta``: the gradients w.r.t. ``rec.params()``,
       summed over the users, else None;
     * ``v``, with ``sketch``: the (B, M) gradient w.r.t. the sketch weights,
       non-zero only on ``mask``, else None;

@@ -269,16 +269,17 @@ def select_with_policy(phi: PolicyParams, zhat, y, cfg, rng=None):
     ``cfg.tau`` picks the head: softmax removal for tau = 1, the Top-K
     projection otherwise.  Both read a score as keep, so in deterministic
     mode they keep the same K of K + 1 items.  With ``cfg.stochastic_train``
-    dropout (at ``phi.dropout_rate``) is on and the head samples: ``rng``
-    gives the dropout masks of the whole stack, then one uniform per head
-    pick, R for the online head and R x K (row-major) for the Top-K head.
+    dropout at ``cfg.policy_dropout_rate`` is on and the head samples:
+    ``rng`` gives the dropout masks of the whole stack, then one uniform per
+    head pick, R for the online head and R x K (row-major) for the Top-K head.
     Without it the selection is deterministic, dropout off and ``rng``
     untouched.
     """
     stochastic = cfg.stochastic_train
     zhat = np.asarray(zhat, dtype=np.float64)
     cols = np.flatnonzero(np.atleast_2d(zhat).any(axis=0))
-    scores = pol.policy_scores(zhat, y, phi, training=stochastic, rng=rng, cols=cols)
+    dropout = cfg.policy_dropout_rate if stochastic else 0.0
+    scores = pol.policy_scores(zhat, y, phi, dropout, rng=rng, cols=cols)
     mode = "stochastic" if stochastic else "deterministic"
     if cfg.tau == 1:
         w, _ = pol.online_remove(scores, mode, rng=rng)
@@ -474,8 +475,7 @@ def train(cfg: TrainConfig, data, oracle_anchors=None, trace_file=None,
     rng = np.random.default_rng(cfg.seed)
     rec = RecParams(data.n_items, dim=cfg.dim, hidden=cfg.hidden,
                     setting=cfg.setting, rng=rng)
-    phi = PolicyParams(data.n_items, hidden=cfg.policy_hidden,
-                       dropout_rate=cfg.policy_dropout_rate, rng=rng)
+    phi = PolicyParams(data.n_items, hidden=cfg.policy_hidden, rng=rng)
     # copies: the optimizers update the parameters in place
     if init_rec is not None:
         rec.load_arrays({n: a.copy() for n, a in init_rec.state_arrays().items()})
@@ -702,6 +702,5 @@ def load_checkpoint(path):
         arrays = {k[4:]: a for k, a in stored.items() if k.startswith("phi_")}
         if older and cfg.tau == 1:
             arrays["w3"], arrays["b3"] = -arrays["w3"], -arrays["b3"]
-        phi = PolicyParams(n_items, hidden=cfg.policy_hidden,
-                           dropout_rate=cfg.policy_dropout_rate, arrays=arrays)
+        phi = PolicyParams(n_items, hidden=cfg.policy_hidden, arrays=arrays)
     return rec, phi, cfg

@@ -19,17 +19,17 @@ from dips.diffcore import Tensor
 from tensor_view import tensor_view
 
 
-def graph_scores(zhat, y, phi, training=False, rng=None):
+def graph_scores(zhat, y, phi, dropout=0.0, rng=None):
     """``policies.policy_scores`` as a recorded graph."""
     zhat = np.asarray(zhat, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     x = Tensor(zhat * y)
     h1 = dc.relu(dc.matmul(x, phi.w1) + phi.b1)
-    if training and phi.dropout_rate > 0:
-        h1 = dc.dropout(h1, phi.dropout_rate, rng=rng)
+    if dropout > 0:
+        h1 = dc.dropout(h1, dropout, rng=rng)
     h2 = dc.relu(dc.matmul(h1, phi.w2) + phi.b2)
-    if training and phi.dropout_rate > 0:
-        h2 = dc.dropout(h2, phi.dropout_rate, rng=rng)
+    if dropout > 0:
+        h2 = dc.dropout(h2, dropout, rng=rng)
     f = dc.matmul(h2, phi.w3) + phi.b3
     return f + Tensor(pol.log_indicator(zhat))
 
@@ -64,7 +64,8 @@ def graph_select(phi, zhat, y, cfg, rng=None):
     """``trainer.select_with_policy`` as a recorded graph: the selection
     ``z`` as a Tensor, with the same draws in the same order."""
     stochastic = cfg.stochastic_train
-    scores = graph_scores(zhat, y, phi, training=stochastic, rng=rng)
+    dropout = cfg.policy_dropout_rate if stochastic else 0.0
+    scores = graph_scores(zhat, y, phi, dropout, rng=rng)
     mode = "stochastic" if stochastic else "deterministic"
     if cfg.tau == 1:
         w, _ = graph_online_remove(scores, mode, rng=rng)

@@ -3,6 +3,7 @@ import io
 import json
 import platform
 import zipfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from dips import cli
 from dips import datasets as ds
+from dips import metrics as met
 from dips import policies as pol
 from dips import recmodel as rm
 from dips import trainer as tr
@@ -102,48 +104,108 @@ def test_each_dataclass_field_has_one_key():
         cli.parse_config(overrides=["train.weight_decay=0"])
 
 
-# the derived train.* and synth.* keys, and a value strategy for each
-_KEYS = [k for k in cli.DEFAULTS if k.startswith(("train.", "synth."))]
+@pytest.fixture(scope="module")
+def rating_files(tmp_path_factory):
+    """A directory holding one rating log as ``ratings.csv`` and as
+    ``ratings.dat``: 6 users who each rate all 30 items, the catalog of the
+    tiny checkpoint, in an order of their own.  No anchors are planted."""
+    root = tmp_path_factory.mktemp("files")
+    log = [(u, i, 1 + (u + i) % 5, (7 * i + u) % 30) for u in range(6) for i in range(30)]
+    (root / "ratings.csv").write_text("user,item,rating,timestamp\n" + "".join(
+        f"{u},{i},{r}.0,{t}\n" for u, i, r, t in log))
+    (root / "ratings.dat").write_text("".join(f"{u}::{i}::{r}::{t}\n" for u, i, r, t in log))
+    return root
+
+
+# every key, and a value strategy for each; "@" stands for the directory of
+# rating_files, so every path the draws name lies in it
+_KEYS = list(cli.DEFAULTS)
 _CHOICES = {"train.mode": ("online", "batch"), "train.setting": (rm.EXPLICIT, rm.IMPLICIT),
-            "train.policy": tr.POLICIES}
+            "train.policy": tr.POLICIES, "data.kind": ("synth", "movielens-dat", "csv"),
+            "data.path": ("", "@ratings.csv", "@ratings.dat", "@missing.csv")}
+_LIST_ITEMS = {"eval.policies": st.sampled_from(tr.POLICIES),
+               "eval.sketch_sizes": st.integers(-1, 4).map(str),
+               "eval.taus": st.integers(-1, 4).map(str),
+               "eval.seeds": st.integers(-1, 3).map(str)}
 
 
 def _raw_values(key):
     default = cli.DEFAULTS[key]
+    if key == "out.dir":
+        # a directory to make, or one the path cannot be
+        return st.sampled_from(["@out", "@out/run", "", "@ratings.csv"])
     if isinstance(default, bool):
         values = st.sampled_from(["true", "false"])
     elif isinstance(default, int):
-        # small enough that every accepted shape generates in milliseconds
-        values = st.integers(-2, 2 * max(default, 1) + 2).map(str)
+        # small enough that every accepted shape generates in milliseconds,
+        # and often at the bounds the checks draw: -1, 0 and 1
+        values = (st.integers(-2, 2 * max(default, 1) + 2) | st.integers(-1, 1)).map(str)
     elif isinstance(default, float):
         values = (st.floats(-2, 2) | st.sampled_from([1e308, -1e308])
                   | st.floats(allow_nan=True, allow_infinity=True)).map(repr)
+    elif key in _LIST_ITEMS:
+        values = st.lists(_LIST_ITEMS[key], max_size=3).map(",".join)
     else:
-        values = st.sampled_from(_CHOICES[key] + ("bogus",))
-    # one value in ten does not parse
+        values = st.sampled_from(_CHOICES[key])
+    # one value in ten does not parse, or names nothing
     return st.integers(0, 9).flatmap(lambda i: values if i else st.just("x"))
 
 
-_OVERRIDES = st.lists(st.sampled_from(_KEYS).flatmap(
-    lambda key: _raw_values(key).map(lambda raw: f"{key}={raw}")), max_size=8)
+def _overrides(keys, max_size):
+    return st.lists(st.sampled_from(keys).flatmap(
+        lambda key: _raw_values(key).map(lambda raw: f"{key}={raw}")), max_size=max_size)
 
 
-@settings(max_examples=300, deadline=2000, derandomize=True, database=None)
-@given(_OVERRIDES)
-def test_overrides_generate_valid_data_or_name_the_error(overrides):
-    # any --set of the train.* and synth.* keys is a configuration or data
-    # error, or data whose ratings are finite and whose items are in the
-    # catalog
-    try:
-        cfg = cli.parse_config(None, overrides)
-        cli.train_config(cfg)
-        with np.errstate(all="ignore"):
-            data, _ = cli.load_data(cfg)
-    except (cli.ConfigError, ds.DataError):
-        return
+# any keys, then keys that only the commands read, which a draw of any keys
+# rarely reaches past the train.* and synth.* checks
+_OVERRIDES = st.tuples(
+    _overrides(_KEYS, 6),
+    _overrides([k for k in _KEYS if not k.startswith(("train.", "synth."))], 3)).map(
+        lambda drawn: drawn[0] + drawn[1])
+
+
+class _Reached(Exception):
+    """Raised in place of training or evaluation: the command's parsing and
+    checks passed."""
+
+
+def _train_stand_in(cfg, data, oracle_anchors=None, **kwargs):
+    # what training reads: finite ratings, items in the catalog, and the
+    # anchors of an oracle policy
     for s in data.train + data.valid + data.test:
         assert np.all(np.isfinite(s.ratings))
         assert np.all((s.items >= 0) & (s.items < data.n_items))
+    assert cfg.policy != "oracle" or oracle_anchors is not None
+    raise _Reached
+
+
+def _evaluate_stand_in(rec, phi, streams, cfg, k=20, anchors=None, **kwargs):
+    assert k >= 1
+    assert cfg.policy != "oracle" or anchors is not None
+    raise _Reached
+
+
+@settings(max_examples=300, deadline=2000, derandomize=True, database=None)
+@given(st.sampled_from(tr.POLICIES), st.booleans(), _OVERRIDES)
+def test_overrides_generate_valid_data_or_name_the_error(trained, rating_files, policy,
+                                                         from_file, overrides):
+    # any --set of any key, for any policy on the tiny synthetic data or on
+    # a rating file: dips train, eval (of the tiny checkpoint) and diagnose
+    # each end in a configuration or data error, or pass their checks and
+    # reach training or evaluation (stand-ins that check what they are
+    # given, then stop)
+    base = TINY + ["out.dir=@out", f"train.policy={policy}"] + (
+        ["data.kind=csv", "data.path=@ratings.csv"] if from_file else [])
+    overrides = [ov.replace("@", f"{rating_files}/") for ov in base + overrides]
+    checkpoint = str(trained / "checkpoint.npz")
+    commands = (cli.cmd_train, lambda cfg: cli.cmd_eval(cfg, checkpoint), cli.cmd_diagnose)
+    with mock.patch.object(tr, "train", _train_stand_in), \
+            mock.patch.object(met, "evaluate", _evaluate_stand_in), np.errstate(all="ignore"):
+        for command in commands:
+            try:
+                command(cli.parse_config(None, overrides))
+            except (cli.ConfigError, ds.DataError, _Reached):
+                pass
 
 
 # ------------------------------------------------------------------- train
@@ -440,6 +502,101 @@ def test_eval_missing_checkpoint(tmp_path):
     code = cli.main(["eval", "--checkpoint", str(tmp_path / "nope.npz")]
                     + tiny_overrides(tmp_path / "e"))
     assert code == cli.EXIT_CONFIG
+
+
+def test_eval_oracle_keeps_the_planted_anchors(trained, tmp_path):
+    # oracle keeps the anchors that load_data planted; without them it would
+    # keep the K most recent items, and score otherwise
+    out = tmp_path / "eval"
+    code = cli.main(["eval", "--checkpoint", str(trained / "checkpoint.npz")]
+                    + tiny_overrides(out, "eval.policies=oracle"))
+    assert code == cli.EXIT_OK
+    cfg = cli.parse_config(None, TINY)
+    data, anchors = cli.load_data(cfg)
+    rec, phi, _ = tr.load_checkpoint(trained / "checkpoint.npz")
+    cell = cli.train_config(cfg, policy="oracle")
+    planted = met.evaluate(rec, phi, data.test, cell, seed=0, anchors=anchors)["rmse"]
+    assert planted != met.evaluate(rec, phi, data.test, cell, seed=0)["rmse"]
+    row = (out / "eval.csv").read_text().strip().split("\n")[1].split(",")
+    assert row[:5] == ["oracle", "2", "1", "rmse", f"{planted:.6f}"]
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("train", ["train.policy=oracle"]), ("diagnose", ["train.policy=oracle"]),
+    ("eval", ["eval.policies=random,oracle"]), ("eval", ["train.policy=oracle"])])
+def test_oracle_on_file_backed_data_exits_config_code(trained, rating_files, tmp_path,
+                                                     monkeypatch, capsys, command, extra):
+    # a rating file plants no anchors, so oracle has none to keep; a
+    # failing example of the --set property above
+    monkeypatch.setattr(tr, "train", no_training)
+    monkeypatch.setattr(met, "evaluate", no_evaluation)
+    argv = [command] + (["--checkpoint", str(trained / "checkpoint.npz")]
+                        if command == "eval" else [])
+    out = tmp_path / "run"
+    code = cli.main(argv + tiny_overrides(out, "data.kind=csv",
+                                          f"data.path={rating_files / 'ratings.csv'}", *extra))
+    assert code == cli.EXIT_CONFIG
+    assert "config error: policy oracle needs the planted anchors of synthetic data" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def no_evaluation(*args, **kwargs):
+    raise AssertionError("eval evaluated before checking its configuration")
+
+
+@pytest.mark.parametrize("key, value", [
+    # the first is a failing example of the --set property above
+    ("eval.sketch_sizes", "x"), ("eval.taus", "1,x"), ("eval.seeds", "0.5")])
+def test_a_bad_eval_list_exits_config_code(trained, tmp_path, monkeypatch, capsys, key, value):
+    monkeypatch.setattr(met, "evaluate", no_evaluation)
+    code = cli.main(["eval", "--checkpoint", str(trained / "checkpoint.npz")]
+                    + tiny_overrides(tmp_path / "e", f"{key}={value}"))
+    assert code == cli.EXIT_CONFIG
+    assert (f"config error: config key {key}: expected comma-separated integers, "
+            f"got {value!r}") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("eval.seeds=0,-1", "seed must be >= 0, got -1"),
+    ("eval.sketch_sizes=2,0", "sketch_size must be >= 1, got 0"),
+    ("eval.taus=1,0", "tau must be >= 1, got 0")])
+def test_every_eval_cell_is_checked_before_the_first_evaluation(trained, tmp_path, monkeypatch,
+                                                                capsys, extra, message):
+    monkeypatch.setattr(met, "evaluate", no_evaluation)
+    out = tmp_path / "e"
+    code = cli.main(["eval", "--checkpoint", str(trained / "checkpoint.npz")]
+                    + tiny_overrides(out, extra))
+    assert code == cli.EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_eval_k_below_one_exits_config_code(trained, tmp_path, monkeypatch, capsys, k):
+    # a failing example of the --set property above; eval.k=-3 wrote
+    # recall@-3 rows of 0.0
+    monkeypatch.setattr(met, "evaluate", no_evaluation)
+    code = cli.main(["eval", "--checkpoint", str(trained / "checkpoint.npz")]
+                    + tiny_overrides(tmp_path / "e", f"eval.k={k}", "train.setting=implicit"))
+    assert code == cli.EXIT_CONFIG
+    assert f"config error: eval.k must be >= 1, got {k}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "diagnose"])
+@pytest.mark.parametrize("where", ["empty", "file"])
+def test_an_out_dir_that_cannot_be_made_exits_config_code(trained, tmp_path, monkeypatch,
+                                                         capsys, command, where):
+    # a failing example of the --set property above: os.makedirs raised
+    monkeypatch.setattr(tr, "train", no_training)
+    monkeypatch.setattr(met, "evaluate", no_evaluation)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = "" if where == "empty" else blocker / "run"
+    argv = [command] + (["--checkpoint", str(trained / "checkpoint.npz")]
+                        if command == "eval" else [])
+    assert cli.main(argv + tiny_overrides(out)) == cli.EXIT_CONFIG
+    assert f"config error: out.dir {str(out)!r}: " in capsys.readouterr().err
 
 
 # --------------------------------------------------------------- gradcheck

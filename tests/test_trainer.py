@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import tracemalloc
@@ -264,7 +265,7 @@ def test_zero_inner_steps_meta_grad_is_plain_grad():
     grads, _ = tr.theta_gradients(rec, z, y, mask, nxt, r, cfg)
     view = tensor_view(rec)
     loss = rm.next_item_loss(view, dc.broadcast_to(view.user_emb, (1, rec.dim)), nxt, r)
-    plain = dc.grad(loss, view.all_params())
+    plain = dc.grad(loss, view.params())
     for g, p in zip(grads, plain):
         np.testing.assert_allclose(g, p.data, atol=1e-12)
 
@@ -386,7 +387,7 @@ def test_meta_gradient_matches_finite_differences():
 
     h = 1e-5
     rng = np.random.default_rng(0)
-    for p, g in zip(rec.all_params(), grads):
+    for p, g in zip(rec.params(), grads):
         flat = p.reshape(-1)
         gflat = np.asarray(g).reshape(-1)
         idxs = rng.choice(flat.size, size=min(4, flat.size), replace=False)
@@ -435,7 +436,7 @@ def test_theta_gradients_stack_equals_sum_of_row_calls(setting, B):
     rec, z, y, mask, nxt, r = stacked_problem(setting, B)
     cfg = small_cfg(setting=setting, inner_steps=3, inner_lr=0.3)
     grads, loss = tr.theta_gradients(rec, z, y, mask, nxt, r, cfg)
-    ref_grads = [np.zeros(p.shape) for p in rec.all_params()]
+    ref_grads = [np.zeros(p.shape) for p in rec.params()]
     ref_loss = 0.0
     for b in range(B):
         one = slice(b, b + 1)
@@ -595,7 +596,7 @@ def pg_setup(seed=0, M=8, K=2, tau=1, dropout_rate=0.10):
     indicator (1, M), next item and rating (1,)."""
     rng = np.random.default_rng(seed)
     rec = rm.RecParams(n_items=M, dim=3, hidden=4, setting="explicit", rng=rng)
-    phi = pol.PolicyParams(M, hidden=8, dropout_rate=dropout_rate, rng=rng)
+    phi = pol.PolicyParams(M, hidden=8, rng=rng)
     items = rng.choice(M, size=K + 3, replace=False)
     mask = np.zeros((1, M))
     y = np.zeros((1, M))
@@ -603,8 +604,8 @@ def pg_setup(seed=0, M=8, K=2, tau=1, dropout_rate=0.10):
     y[0, items] = rng.uniform(1, 5, size=items.size)
     zhat = np.zeros((1, M))
     zhat[0, items[:K + tau]] = 1.0
-    cfg = small_cfg(sketch_size=K, tau=tau,
-                    mode="online" if tau == 1 else "batch")
+    cfg = small_cfg(sketch_size=K, tau=tau, mode="online" if tau == 1 else "batch",
+                    policy_dropout_rate=dropout_rate)
     return rec, phi, y, mask, zhat, items[-1:], y[0, items[-1:]], cfg
 
 
@@ -815,8 +816,7 @@ def test_policy_gradient_equals_the_recorded_graph_bit_for_bit(M, tau, stochasti
     # with queues of 2, 0, 3 and 1 rows; one user's selection from a single
     # indicator (M,) matches too
     rec, phi, y, mask, zhat, queues, nxt, r, cfg = stacked_pg_problem(4, tau, seed=M, M=M)
-    phi.dropout_rate = dropout_rate
-    cfg = replace(cfg, stochastic_train=stochastic)
+    cfg = replace(cfg, stochastic_train=stochastic, policy_dropout_rate=dropout_rate)
     args = (y, mask, zhat, queues, nxt, r)
     rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
     grads, v, z, loss = tr.policy_gradient(phi, rec, *args, cfg, rng=rng)
@@ -861,7 +861,7 @@ def test_stacked_policy_gradient_draws_the_current_stack_then_the_replay():
     # the gradient is one backward of v . z_t plus the replay term
     rec, phi, y, mask, zhat, queues, nxt, r, cfg = stacked_pg_problem(2, seed=3)
     cfg = replace(cfg, stochastic_train=True)
-    assert phi.dropout_rate > 0
+    assert cfg.policy_dropout_rate > 0
     rng = np.random.default_rng(7)
     grads, v, z, loss = tr.policy_gradient(phi, rec, y, mask, zhat, queues, nxt, r, cfg,
                                            rng=rng)
@@ -1002,8 +1002,7 @@ def test_live_column_policy_gradient_equals_the_recorded_graph(M, K, tau, stocha
         M, K, tau, seed=M + 10 * K + tau)
     shared = zhat.sum(axis=0)
     assert np.any(shared > 1) and np.any(shared == 1)
-    phi.dropout_rate = dropout_rate
-    cfg = replace(cfg, stochastic_train=stochastic)
+    cfg = replace(cfg, stochastic_train=stochastic, policy_dropout_rate=dropout_rate)
     args = (y, mask, zhat, queues, nxt, r)
     rng, ref_rng = np.random.default_rng(13), np.random.default_rng(13)
     grads, v, z, loss = tr.policy_gradient(phi, rec, *args, cfg, rng=rng)
@@ -1329,10 +1328,9 @@ def test_parameters_are_float64_arrays_held_without_a_copy():
     for params in (rm.RecParams(6, dim=2, hidden=3, rng=rng),
                    rm.RecParams(6, dim=2, hidden=3, setting="implicit", rng=rng),
                    pol.PolicyParams(6, hidden=4, rng=rng)):
-        listed = params.all_params() if isinstance(params, rm.RecParams) else params.params()
         state = params.state_arrays()
-        assert list(state) == params.param_names()
-        for name, arr in zip(params.param_names(), listed):
+        assert list(state) == params.param_names() == list(params.shapes())
+        for name, arr in zip(params.param_names(), params.params()):
             assert type(arr) is np.ndarray and arr.dtype == np.float64
             assert getattr(params, name) is arr and state[name] is arr
         arrays = {n: a.copy() for n, a in state.items()}
@@ -1343,6 +1341,30 @@ def test_parameters_are_float64_arrays_held_without_a_copy():
         assert all(a.dtype == np.float64 for a in params.state_arrays().values())
         with pytest.raises(ValueError, match="checkpoint mismatch for"):
             params.load_arrays({n: a[..., :1] for n, a in arrays.items()})
+
+
+@pytest.mark.parametrize("setting, rec_digest, phi_digest, next_draw", [
+    ("explicit", "2d538c0825f473c4", "74f199eea0b96964", 519815374767555537),
+    ("implicit", "335e806128213d1b", "6d96c2ee02788bca", 4427545624748377404)])
+def test_seeded_parameters_draw_the_recorded_arrays(setting, rec_digest, phi_digest,
+                                                    next_draw):
+    # one generator draws rec, then phi, as train() does: user_emb and
+    # item_emb uniform, then the dense w1 and w2 of rec, then w1, w2 and w3
+    # of phi.  The digests of the arrays and the generator's next draw are
+    # recorded constants, so any change to what is drawn, or in which order,
+    # moves them
+    def digest(params):
+        h = hashlib.sha256()
+        for name, arr in params.state_arrays().items():
+            h.update(name.encode())
+            h.update(arr.tobytes())
+        return h.hexdigest()[:16]
+
+    rng = np.random.default_rng(7)
+    rec = rm.RecParams(9, dim=3, hidden=5, setting=setting, rng=rng)
+    phi = pol.PolicyParams(9, hidden=6, rng=rng)
+    assert (digest(rec), digest(phi)) == (rec_digest, phi_digest)
+    assert int(rng.integers(2 ** 62)) == next_draw
 
 
 def test_checkpoint_roundtrip(tmp_path):

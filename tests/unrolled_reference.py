@@ -40,5 +40,5 @@ def recorded_backward(rec, z, y, mask, next_items, next_ratings, alpha, n_steps)
     z_probe = Tensor(np.asarray(z, dtype=np.float64), requires_grad=True)
     u = recorded_inner_adapt(rec, z_probe, y, mask, alpha, n_steps)
     loss = rm.next_item_loss(rec, u, next_items, next_ratings)
-    grads = dc.grad(loss, rec.all_params() + [z_probe])
+    grads = dc.grad(loss, rec.params() + [z_probe])
     return [g.data for g in grads[:-1]], grads[-1].data, loss.item()
