@@ -250,10 +250,20 @@ def cmd_eval(cfg, checkpoint):
     grid = itertools.product(
         policies, _int_list(cfg, "eval.sketch_sizes", ckpt_cfg.sketch_size),
         _int_list(cfg, "eval.taus", ckpt_cfg.tau), _int_list(cfg, "eval.seeds", 0))
-    # every cell's config is checked before the first evaluation
-    cells = [train_config(cfg, policy=policy, sketch_size=K, tau=tau,
-                          mode="online" if tau == 1 else "batch", seed=seed)
-             for policy, K, tau, seed in grid]
+    # every cell's config is checked before the first evaluation; an error
+    # in a cell's sketch_size, tau or seed names the eval list that set it
+    cells = []
+    for policy, K, tau, seed in grid:
+        try:
+            cells.append(train_config(cfg, policy=policy, sketch_size=K, tau=tau,
+                                      mode="online" if tau == 1 else "batch", seed=seed))
+        except ConfigError as e:
+            # TrainConfig's messages begin with the field they name
+            key = {"sketch_size": "eval.sketch_sizes", "tau": "eval.taus",
+                   "seed": "eval.seeds"}.get(str(e).split(" ", 1)[0])
+            if key is None:
+                raise
+            raise ConfigError(f"{e} (from {key}={cfg[key]})") from None
     out_dir = _out_dir(cfg)
     rows = {}
     for cell in cells:
@@ -534,6 +544,10 @@ def cmd_diagnose(cfg):
     tcfg = train_config(cfg)
     data, anchors = load_data(cfg)
     _check_anchors([tcfg.policy], anchors)
+    if tcfg.policy not in tr.LEARNED_POLICIES:
+        # only a learned policy has a policy gradient to compare
+        raise ConfigError(f"diagnose needs a learned policy: train.policy must be one of "
+                          f"{', '.join(tr.LEARNED_POLICIES)}, got {tcfg.policy!r}")
     stream = data.train[0]
     # true_policy_grad rejects these instances too, but only after training
     for what, size, key in (("stream length", len(stream.items), "diagnose.max_len"),

@@ -268,6 +268,21 @@ class SynthData:
     preferences: np.ndarray = None                # group x item signs
 
 
+def _group_items(g, A, pool, signs, setting):
+    """Group g's anchor items and, in the implicit setting, its liked and
+    disliked fillers and the probabilities the liked ones are drawn with."""
+    anchor_items = np.arange(g * A, (g + 1) * A)
+    if setting != "implicit":
+        return anchor_items, None, None, None
+    liked = pool[signs[pool] > 0]
+    # liked items follow a shared popularity skew within the group, so a
+    # model that identifies the group can concentrate its top-ranked slots on
+    # a small head of likely next items; an empty liked pool has no
+    # popularity to normalise
+    pop = 1.0 / (1.0 + np.arange(len(liked)))
+    return anchor_items, liked, pool[signs[pool] <= 0], pop / pop.sum() if len(liked) else None
+
+
 def synth_stream(cfg: SynthConfig, seed=0, split=SplitSpec()) -> SynthData:
     """Streams where a few early "anchor" items reveal the user's taste group.
 
@@ -291,35 +306,35 @@ def synth_stream(cfg: SynthConfig, seed=0, split=SplitSpec()) -> SynthData:
         block = np.arange(g * A, (g + 1) * A)
         prefs[g, block] = np.where(np.arange(A) % 2 == 0, 1.0, -1.0)
 
+    # every group's fillers are the items outside all anchor blocks
+    pool = np.arange(G * A, cfg.n_items)
+    n_fill = cfg.length - A
+    # what a stream takes from its group, built when the group's first user
+    # is drawn
+    by_group = {}
+
     streams, anchors, groups = [], {}, {}
     for u in range(cfg.n_users):
         g = int(rng.integers(G))
-        anchor_items = list(range(g * A, (g + 1) * A))
-        n_fill = cfg.length - A
-        pool = np.setdiff1d(np.arange(G * A, cfg.n_items), anchor_items)
+        if g not in by_group:
+            by_group[g] = _group_items(g, A, pool, prefs[g], cfg.setting)
+        anchor_items, liked, disliked, liked_p = by_group[g]
         if cfg.setting == "implicit":
             # group signal lives in the choice of items: fillers lean toward
             # the group's liked items, so a sketch that pins the group down
             # early predicts upcoming interactions better
-            liked = pool[prefs[g, pool] > 0]
-            disliked = pool[prefs[g, pool] <= 0]
             n_liked = int(rng.binomial(n_fill, cfg.filler_like_prob))
             n_liked = min(n_liked, len(liked))
             n_liked = max(n_liked, n_fill - len(disliked))
-            # liked items follow a shared popularity skew within the group,
-            # so a model that identifies the group can concentrate its
-            # top-ranked slots on a small head of likely next items
-            pop = 1.0 / (1.0 + np.arange(len(liked)))
-            # drawing no liked filler takes nothing from the generator,
-            # and an empty liked pool has no popularity to normalise
-            liked_fill = (rng.choice(liked, size=n_liked, replace=False, p=pop / pop.sum())
+            # drawing no liked filler takes nothing from the generator
+            liked_fill = (rng.choice(liked, size=n_liked, replace=False, p=liked_p)
                           if n_liked else liked[:0])
             fillers = np.concatenate([
                 liked_fill, rng.choice(disliked, size=n_fill - n_liked, replace=False)])
             fillers = fillers[rng.permutation(n_fill)]
         else:
             fillers = rng.choice(pool, size=n_fill, replace=False)
-        items = np.concatenate([anchor_items, fillers]).astype(np.int64)
+        items = np.concatenate([anchor_items, fillers])
         bias = rng.normal(0.0, cfg.user_bias_std) if cfg.user_bias_std else 0.0
         sig = bias + cfg.anchor_weight * prefs[g, items]
         noise = rng.normal(0.0, cfg.noise, size=cfg.length)
@@ -339,7 +354,7 @@ def synth_stream(cfg: SynthConfig, seed=0, split=SplitSpec()) -> SynthData:
             raise DataError(f"synthetic user {u}: a rating overflows float64 (anchor_weight, "
                             "noise or user_bias_std too large)")
         streams.append(UserStream(user=u, items=items, ratings=ratings))
-        anchors[u] = set(anchor_items)
+        anchors[u] = set(range(g * A, (g + 1) * A))
         groups[u] = g
     train, valid, test = split_users(streams, split)
     return SynthData(

@@ -198,14 +198,20 @@ def test_overrides_generate_valid_data_or_name_the_error(trained, rating_files, 
         ["data.kind=csv", "data.path=@ratings.csv"] if from_file else [])
     overrides = [ov.replace("@", f"{rating_files}/") for ov in base + overrides]
     checkpoint = str(trained / "checkpoint.npz")
-    commands = (cli.cmd_train, lambda cfg: cli.cmd_eval(cfg, checkpoint), cli.cmd_diagnose)
+    commands = {"train": cli.cmd_train, "eval": lambda cfg: cli.cmd_eval(cfg, checkpoint),
+                "diagnose": cli.cmd_diagnose}
     with mock.patch.object(tr, "train", _train_stand_in), \
             mock.patch.object(met, "evaluate", _evaluate_stand_in), np.errstate(all="ignore"):
-        for command in commands:
+        for name, command in commands.items():
             try:
-                command(cli.parse_config(None, overrides))
-            except (cli.ConfigError, ds.DataError, _Reached):
+                cfg = cli.parse_config(None, overrides)
+                command(cfg)
+            except (cli.ConfigError, ds.DataError):
                 pass
+            except _Reached:
+                # diagnose compares policy gradients, which only a learned
+                # policy has: any other is a configuration error
+                assert name != "diagnose" or cfg["train.policy"] in tr.LEARNED_POLICIES
 
 
 # ------------------------------------------------------------------- train
@@ -572,6 +578,29 @@ def test_every_eval_cell_is_checked_before_the_first_evaluation(trained, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra", ["eval.sketch_sizes=2,0", "eval.taus=1,3,0",
+                                   "eval.seeds=0,-1"])
+def test_an_eval_cell_error_names_the_eval_list_that_set_it(trained, tmp_path, monkeypatch,
+                                                            capsys, extra):
+    # the TrainConfig field alone read as train.sketch_size, train.tau or
+    # train.seed
+    monkeypatch.setattr(met, "evaluate", no_evaluation)
+    code = cli.main(["eval", "--checkpoint", str(trained / "checkpoint.npz")]
+                    + tiny_overrides(tmp_path / "e", extra))
+    assert code == cli.EXIT_CONFIG
+    assert f" (from {extra})" in capsys.readouterr().err
+
+
+def test_a_train_key_error_in_an_eval_cell_names_no_eval_list(trained, tmp_path, monkeypatch,
+                                                              capsys):
+    monkeypatch.setattr(met, "evaluate", no_evaluation)
+    code = cli.main(["eval", "--checkpoint", str(trained / "checkpoint.npz")]
+                    + tiny_overrides(tmp_path / "e", "train.batch_size=0", "eval.seeds=0,1"))
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: batch_size must be >= 1, got 0\n" in err and "eval." not in err
+
+
 @pytest.mark.parametrize("k", [0, -3])
 def test_eval_k_below_one_exits_config_code(trained, tmp_path, monkeypatch, capsys, k):
     # a failing example of the --set property above; eval.k=-3 wrote
@@ -769,6 +798,20 @@ def test_diagnose_checks_the_replay_limits_before_training(tmp_path, monkeypatch
     assert code == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not (out / "diagnose.jsonl").exists() and not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("policy", ["random", "hardest", "influence", "oracle"])
+def test_diagnose_rejects_a_policy_without_a_policy_gradient(tmp_path, monkeypatch, capsys,
+                                                             policy):
+    # it trained in full, captured no policy gradient and wrote an empty
+    # diagnose.jsonl with exit 0
+    out = tmp_path / "diag"
+    monkeypatch.setattr(tr, "train", no_training)
+    code = cli.main(["diagnose"] + tiny_overrides(out, f"train.policy={policy}"))
+    assert code == cli.EXIT_CONFIG
+    assert (f"config error: diagnose needs a learned policy: train.policy must be one of "
+            f"dips, dips1, got {policy!r}") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_diagnose_checks_the_replayed_stream_of_a_file_backed_dataset(tmp_path, monkeypatch):

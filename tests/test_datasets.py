@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -300,6 +301,75 @@ def test_synth_deterministic():
     for s1, s2 in zip(a.splits.train, b.splits.train):
         np.testing.assert_array_equal(s1.items, s2.items)
         np.testing.assert_array_equal(s1.ratings, s2.ratings)
+
+
+# ------------------------------------------------------- recorded streams
+
+# gate 5's two data settings (tests/test_acceptance.py)
+_GATE5_EXPLICIT = dict(n_users=2000, n_items=500, length=40, n_anchors=4, n_groups=2,
+                       anchor_weight=0.4, noise=1.0, user_bias_std=0.8, junk_prob=0.12,
+                       clip=False)
+_GATE5_IMPLICIT = dict(n_users=2000, n_items=500, length=40, n_anchors=4, n_groups=2,
+                       filler_like_prob=0.75, setting="implicit")
+# the benchmark's Movielens-scale workload: the CLI's defaults at M = 3706
+_ML1M = dict(n_users=5, n_items=3706, length=40)
+# one group has no liked item outside the anchor blocks
+_EMPTY_LIKED = dict(n_users=10, n_items=8, length=4, n_anchors=2, n_groups=2,
+                    setting="implicit")
+# five of eight groups draw no user at seed 0
+_SPARSE_GROUPS = dict(n_users=5, n_items=60, length=10, n_anchors=2, n_groups=8)
+_ALL_LIKED = dict(n_users=30, n_items=60, length=12, n_anchors=2, n_groups=3,
+                  filler_like_prob=1.0, setting="implicit")
+
+
+def synth_digest(sd):
+    """sha256 over every stream (in split order), the preference matrix,
+    the groups and the anchors."""
+    h = hashlib.sha256()
+    for split in (sd.splits.train, sd.splits.valid, sd.splits.test):
+        h.update(b"|split")
+        for s in split:
+            h.update(np.int64(s.user).tobytes())
+            h.update(s.items.astype(np.int64).tobytes())
+            h.update(s.ratings.astype(np.float64).tobytes())
+    h.update(sd.preferences.tobytes())
+    for u in sorted(sd.groups):
+        h.update(np.array([u, sd.groups[u]], dtype=np.int64).tobytes())
+        h.update(np.array(sorted(sd.anchors[u]), dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+# recorded from the generator that derived every user's filler pools anew;
+# a change that moves, adds or drops one draw changes them
+_SYNTH_DIGESTS = [
+    ("_GATE5_EXPLICIT", 0, "6a9ff49e2eeabe9dce8781e71dd05f6c6971c304e081e97cf03db60a51d2a653"),
+    ("_GATE5_EXPLICIT", 1, "f3f15cd3034b01886d91ad80dc9e40482afa6ba0f0e8b5d463d4118a08c68381"),
+    ("_GATE5_EXPLICIT", 2, "2a2c834d2391bab1f0e4b07ebf8c58edd03400ec9327b3c4975c74998c90d3bd"),
+    ("_GATE5_IMPLICIT", 0, "0b6437c718761e9b0b4e96429ba74f5342c08bdc8bc8a8a8280568f9899a3c4c"),
+    ("_GATE5_IMPLICIT", 1, "93d10feb1b803ee9e1441914c4fa9b4fba2e974c69073b12a44cea2cad2c623c"),
+    ("_GATE5_IMPLICIT", 2, "adabd5b0b165ce6aa9cdd7b16b0e38a5beb4d46c0a2041f1590c5e84e363f376"),
+    ("_ML1M", 0, "a910439f4d5b71f0a64ff0da3efb8a42976f06a4ed22d2290dfeec2bd0e8849b"),
+    ("_ML1M", 1, "04925fb37afa2dd1f1c50a30b410dbf9f4172d857b0ca94b544a84a5457ffb5d"),
+    ("_EMPTY_LIKED", 0, "5fbe946554eabb6a21d6ee94ab836799fc6e91b2065c2da1aecde5a8a0120172"),
+    ("_SPARSE_GROUPS", 0, "ec42810b70274a90d2afe920ab76721300035d45d7fede8ec4cd88f6b2a7afcf"),
+    ("_ALL_LIKED", 0, "191206d5514ab6ca96e8fbd5cbdfee10662761bffba94a141de81055393d2416"),
+    ("_ALL_LIKED", 1, "abac3af836362757da5cc8709f997213351d3cd64ee9b581ee43bc6bf071cb5f"),
+]
+
+
+@pytest.mark.parametrize("config, seed, digest", _SYNTH_DIGESTS,
+                         ids=[f"{c}-{s}" for c, s, _ in _SYNTH_DIGESTS])
+def test_synth_stream_matches_its_recorded_digest(config, seed, digest):
+    sd = ds.synth_stream(ds.SynthConfig(**globals()[config]), seed=seed)
+    assert synth_digest(sd) == digest
+    for s in sd.splits.train + sd.splits.valid + sd.splits.test:
+        assert s.items.dtype == np.int64 and s.ratings.dtype == np.float64
+    assert all(type(a) is int for u in sd.anchors for a in sd.anchors[u])
+
+
+def test_the_sparse_groups_config_leaves_a_group_without_users():
+    sd = ds.synth_stream(ds.SynthConfig(**_SPARSE_GROUPS), seed=0)
+    assert len(set(sd.groups.values())) < _SPARSE_GROUPS["n_groups"]
 
 
 # -------------------------------------------------------------- properties

@@ -567,6 +567,151 @@ def test_stacked_heads_reject_one_all_masked_row():
         pol.batch_keep(u, 2, "deterministic")
 
 
+# ------------------------------------------------- the stacked bisection
+
+def per_row_topk(f, k):
+    """The top-K projection's u solved one row at a time, in row order, on
+    Python floats: the reference the stacked bisection is pinned to."""
+    def bisect(f, k):
+        lo = -np.max(f) - 20.0
+        hi = -np.min(f) + 20.0
+
+        def total(nu):
+            return float(np.sum(1.0 / (1.0 + np.exp(-(f + nu))))) - k
+
+        width = hi - lo
+        while total(lo) > 0 or total(hi) < 0:
+            lo -= width
+            hi += width
+            width *= 2
+            if width > 1e12:
+                raise RuntimeError("top-k projection: failed to bracket the shift")
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            r = total(mid)
+            if r > 0:
+                hi = mid
+            else:
+                lo = mid
+            if abs(r) <= 1e-9 and (hi - lo) < 1e-13 * max(1.0, abs(mid)):
+                break
+        return 0.5 * (lo + hi)
+
+    u = np.zeros_like(f)
+    for r, (f_row, u_row) in enumerate(zip(np.atleast_2d(f), np.atleast_2d(u))):
+        if np.isnan(f_row).any():
+            raise pol.ScoreError(f"topk_project: NaN score in row {r}")
+        if (f_row == np.inf).any():
+            raise pol.ScoreError(f"topk_project: +inf score in row {r}")
+        finite = np.isfinite(f_row)
+        n_finite = int(finite.sum())
+        if n_finite < 1:
+            raise ValueError("topk_project: no finite scores")
+        if k >= n_finite:
+            raise ValueError(
+                f"topk_project: k={k} must be smaller than the number of finite scores ({n_finite})"
+            )
+        if k < 1:
+            raise ValueError(f"topk_project: k={k} must be positive")
+        nu = bisect(f_row[finite], k)
+        u_row[finite] = 1.0 / (1.0 + np.exp(-(f_row[finite] + nu)))
+    return u
+
+
+def outcome(fn):
+    """The bytes of a result, or the type and message of its error."""
+    try:
+        return fn().tobytes()
+    except Exception as e:  # noqa: BLE001 - the error is the outcome compared
+        return type(e), str(e)
+
+
+def random_scores(rng, R, M, k, scale, n_live=None):
+    """R rows of M scores, each finite on n_live entries, or on a count of
+    its own above k."""
+    f = np.full((R, M), -np.inf)
+    for row in f:
+        n = n_live or int(rng.integers(k + 1, M + 1))
+        row[rng.choice(M, size=n, replace=False)] = scale * rng.normal(size=n)
+    return f
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_topk_bisection_matches_the_per_row_loop_bit_for_bit(seed):
+    # 1-11 rows of 3-59 entries at score scales 0.1-100, every row finite on
+    # the same count of them or each on its own: one-row groups take the
+    # scalar bisection, the others the stacked one
+    rng = np.random.default_rng(seed)
+    for i in range(75):
+        M = int(rng.integers(3, 60))
+        k = int(rng.integers(1, M))
+        n_live = int(rng.integers(k + 1, M + 1)) if i % 2 else None
+        f = random_scores(rng, int(rng.integers(1, 12)), M, k, 10 ** rng.uniform(-1, 2), n_live)
+        assert outcome(lambda: pol.topk_project(f, k).data) == outcome(lambda: per_row_topk(f, k))
+        assert (outcome(lambda: pol.topk_project(f[0], k).data)
+                == outcome(lambda: per_row_topk(f[0], k)))
+
+
+@pytest.mark.parametrize("M, scale", [(4, 1.0), (8, 3.0), (9, 3.0), (200, 1.0),
+                                      (12, 1e3), (40, 1e200)])
+def test_stacked_topk_bisection_at_short_long_and_overflowing_rows(M, scale):
+    # np.sum unrolls by 8 and sums pairwise past 128 entries; scores of 1e3
+    # and beyond overflow exp, which maps them to exactly 0 or 1
+    rng = np.random.default_rng(M)
+    f = random_scores(rng, 6, M, 2, scale, n_live=M - M // 4)
+    u = pol.topk_project(f, 2).data
+    assert u.tobytes() == per_row_topk(f, 2).tobytes()
+    assert np.all(np.isfinite(u))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stacked_topk_bisection_raises_as_the_first_failing_row_would(seed):
+    rng = np.random.default_rng(100 + seed)
+    faults = ("nan", "inf", "masked", "few", "k0", "k-1")
+    for _ in range(60):
+        M = int(rng.integers(4, 20))
+        k = int(rng.integers(1, M - 1))
+        f = random_scores(rng, int(rng.integers(1, 8)), M, k, 1.0)
+        for r in rng.choice(len(f), size=int(rng.integers(1, len(f) + 1)), replace=False):
+            fault = faults[int(rng.integers(len(faults)))]
+            live = np.flatnonzero(np.isfinite(f[r]))
+            if fault == "nan":
+                f[r, rng.choice(M)] = np.nan
+            elif fault == "inf":
+                f[r, rng.choice(M)] = np.inf
+            elif fault == "masked":
+                f[r] = -np.inf
+            elif fault == "few":
+                f[r, live[:len(live) - k]] = -np.inf
+            else:
+                k = 0 if fault == "k0" else -1
+        got = outcome(lambda: pol.topk_project(f, k).data)
+        assert isinstance(got, tuple)
+        assert got == outcome(lambda: per_row_topk(f, k))
+
+
+def test_a_failed_bracket_is_raised_before_a_later_row_fails(monkeypatch):
+    # no finite row with k below its count fails to bracket, so the shift
+    # solver is made to fail: the rows before the first bad row are solved
+    # first, as the per-row loop solved them
+    for solve in (pol._bisect_shifts, lambda f, k: pol._bisect_shift(f[0], k)):
+        with pytest.raises(RuntimeError, match="failed to bracket"):
+            solve(np.array([[0.0, 1.0, 2.0]]), 5)
+
+    def fail(f, k):
+        raise RuntimeError("top-k projection: failed to bracket the shift")
+
+    monkeypatch.setattr(pol, "_bisect_shifts", fail)
+    monkeypatch.setattr(pol, "_bisect_shift", fail)
+    f = score_stack(20)
+    f[2, np.flatnonzero(np.isfinite(f[2]))[0]] = np.nan
+    with pytest.raises(RuntimeError, match="failed to bracket"):
+        pol.topk_project(f, 2)
+    f[0, np.flatnonzero(np.isfinite(f[0]))[0]] = np.nan
+    with pytest.raises(pol.ScoreError, match="NaN score in row 0"):
+        pol.topk_project(f, 2)
+
+
 # ---------------------------------------------------------- straight-through
 
 def test_st_composed_with_softmax_matches_fd():
