@@ -132,9 +132,8 @@ class Selection:
     the ``grads`` of its input, so a head over the policy scores takes it
     to phi.  A head given a plain array ends there: the array's ``grads``
     is the identity.  ``cols`` are the catalog items that phi's gradients
-    cover, the rows of w1 and the columns of w3 and b3 (None: all M); the
-    scores and the heads over them also lay ``data``'s last axis out on
-    them, and the heads name their picks as items through them.
+    cover, the rows of w1 and the columns of w3 and b3 (None: all M), as
+    :func:`trainer.select_with_policy` sets them.
     """
 
     __slots__ = ("data", "grads", "cols")
@@ -143,10 +142,6 @@ class Selection:
         self.data = data
         self.grads = grads
         self.cols = cols
-
-    def items(self, index):
-        """The catalog items of column indices ``index`` of ``data``."""
-        return index if self.cols is None else self.cols[index]
 
 
 def _selection(x):
@@ -190,7 +185,7 @@ def policy_scores(zhat, y, phi: PolicyParams, dropout=0.0, rng=None, cols=None):
         gates.append((relu, scale))
     scores = h @ w3 + b3 + log_indicator(zhat)
     weights = (w1, phi.w2, w3)
-    return Selection(scores, lambda g: policy_backward(weights, inputs, gates, g), cols)
+    return Selection(scores, lambda g: policy_backward(weights, inputs, gates, g))
 
 
 def policy_backward(weights, inputs, gates, g):
@@ -228,10 +223,10 @@ def online_remove(scores, mode="deterministic", rng=None):
     ``scores`` is one score vector (M,) or a stack (R, M), an array or a
     :class:`Selection`; a NaN or +inf score is a :class:`ScoreError`
     naming its row, a NaN tested before an empty row (every score -inf).
-    ``removed`` is the dropped item of a vector, or an array of R items for
-    a stack.  ``w`` is a :class:`Selection`, one-hot per row, whose
-    straight-through backward goes onto the softmax probabilities p:
-    g_s = -p * (g - sum(g * p)) per row.  Stochastic mode draws
+    ``removed`` is the index of the dropped entry of a vector, or an array
+    of R such indices for a stack.  ``w`` is a :class:`Selection`, one-hot
+    per row, whose straight-through backward goes onto the softmax
+    probabilities p: g_s = -p * (g - sum(g * p)) per row.  Stochastic mode draws
     ``rng.random(R)``, one uniform per row in row order, and removes what
     ``rng.choice(M, p=row)`` would with that uniform.
     """
@@ -266,8 +261,7 @@ def online_remove(scores, mode="deterministic", rng=None):
     def grads(g):
         return scores.grads(-(probs * (g - np.sum(g * probs, axis=-1, keepdims=True))))
 
-    w = Selection(hard.reshape(s.shape), grads, scores.cols)
-    removed = scores.items(removed)
+    w = Selection(hard.reshape(s.shape), grads)
     return w, (int(removed[0]) if s.ndim == 1 else removed)
 
 
@@ -289,94 +283,70 @@ def _inverse_cdf(p, u):
     return np.sum(cdf <= u[..., None], axis=-1)
 
 
-def _bisect_shift(f, k):
-    """Root nu of sum(sigmoid(f + nu)) = k over the given finite scores:
-    at most 200 bisections, stopping once the residual is within 1e-9 and
-    the bracket within 1e-13 relative.  The one-row form of
-    :func:`_bisect_shifts`, which it matches bit for bit: on Python floats,
-    one row's bisection costs less than half the stacked one's."""
-    lo = -np.max(f) - 20.0
-    hi = -np.min(f) + 20.0
-
-    def total(nu):
-        return float(np.sum(1.0 / (1.0 + np.exp(-(f + nu))))) - k
-
-    width = hi - lo
-    while total(lo) > 0 or total(hi) < 0:
-        lo -= width
-        hi += width
-        width *= 2
-        if width > 1e12:
-            raise RuntimeError("top-k projection: failed to bracket the shift")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        r = total(mid)
-        if r > 0:
-            hi = mid
-        else:
-            lo = mid
-        if abs(r) <= 1e-9 and (hi - lo) < 1e-13 * max(1.0, abs(mid)):
-            break
-    return 0.5 * (lo + hi)
+_SHIFT_STEPS = 100
 
 
-def _bisect_shifts(f, k):
-    """Root nu_r of sum(sigmoid(f_r + nu_r)) = k for each row f_r of the
-    finite scores f (R, n): at most 200 bisections, a row stopping once its
-    residual is within 1e-9 and its bracket within 1e-13 relative.  The rows
-    bisect in lockstep and a stopped row keeps its bracket, so each row gets
-    the shift, to the last bit, that :func:`_bisect_shift` gives it alone."""
-    neg_f = -f
-    buf = np.empty_like(f)
+def _topk_rows(f, k):
+    """u_r = sigmoid(f_r + nu_r) with sum(u_r) = k for each row f_r of the
+    finite scores f (R, n), 1 <= k < n; a row whose shift is not found is NaN.
 
-    def total(nu):
-        # 1 / (1 + exp(-(f + nu))), summed along each row as np.sum sums a row
-        np.subtract(neg_f, nu[:, None], out=buf)
-        np.exp(buf, out=buf)
-        np.add(buf, 1.0, out=buf)
-        np.divide(1.0, buf, out=buf)
-        return buf.sum(axis=1) - k
-
-    lo = -f.max(axis=1) - 20.0
-    hi = -f.min(axis=1) + 20.0
-    width = hi - lo
-    grow = (total(lo) > 0) | (total(hi) < 0)
-    while grow.any():
-        lo = np.where(grow, lo - width, lo)
-        hi = np.where(grow, hi + width, hi)
-        width = np.where(grow, width * 2, width)
-        if np.any(width[grow] > 1e12):
-            raise RuntimeError("top-k projection: failed to bracket the shift")
-        grow = (total(lo) > 0) | (total(hi) < 0)
-    active = np.ones(len(f), dtype=bool)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        r = total(mid)
-        down = active & (r > 0)
-        hi = np.where(down, mid, hi)
-        lo = np.where(down ^ active, mid, lo)
-        # a row can stop only where its residual is within 1e-9
-        near = np.abs(r) <= 1e-9
-        if near.any():
-            # np.fmax, like Python's max, reads max(1.0, nan) as 1.0
-            active &= ~(near & (hi - lo < 1e-13 * np.fmax(1.0, np.abs(mid))))
+    A row is centred at its maximum, g = f - max(f), which leaves u as it is
+    and keeps nu near the scores' spread rather than their offset.  nu
+    starts midway between the k-th and (k+1)-th largest g, g_k and g_(k+1),
+    inside the bracket [-20 - g_k, 20 - g_(k+1)]: at its low end all but
+    the k-1 largest u are at most sigmoid(-20), so sum(u) < k, and at its
+    high end the k+1 largest are at least sigmoid(20), so sum(u) > k; no
+    bracket search is needed.  Each step is a Newton step on sum(u) - k,
+    or a bisection of the bracket where Newton leaves it or the last step
+    did not halve the residual.  A row stops once |sum(u) - k| <= 1e-11 k,
+    its u that of the shift it stopped at; it fails when its bracket holds
+    no float64 left to try, or after ``_SHIFT_STEPS`` steps.  Every step is
+    row by row, so a row of a stack gets the u, to the last bit, that it
+    gets alone.
+    """
+    g = f - f.max(axis=1, keepdims=True)
+    n = g.shape[1]
+    part = np.partition(g, (n - k - 1, n - k), axis=1)
+    lo, hi = -20.0 - part[:, n - k], 20.0 - part[:, n - k - 1]
+    nu = -0.5 * (part[:, n - k] + part[:, n - k - 1])
+    u = np.full_like(g, np.nan)
+    active = np.ones(len(g), dtype=bool)
+    last = np.full(len(g), np.inf)
+    # exp overflows where a u saturates to exactly 0 or 1, as intended; a
+    # saturated row's slope is 0, and its infinite Newton step a bisection
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for _ in range(_SHIFT_STEPS):
+            s = 1.0 / (1.0 + np.exp(-(g + nu[:, None])))
+            r = s.sum(axis=1) - k
+            stop = active & (np.abs(r) <= 1e-11 * k)
+            u[stop] = s[stop]
+            active &= ~stop
             if not active.any():
                 break
-    return 0.5 * (lo + hi)
+            lo = np.where(r < 0, nu, lo)
+            hi = np.where(r > 0, nu, hi)
+            newton = nu - r / (s * (1.0 - s)).sum(axis=1)
+            mid = 0.5 * (lo + hi)
+            bisect = ~((lo < newton) & (newton < hi)) | (np.abs(r) > 0.5 * last)
+            active &= ~(bisect & ~((lo < mid) & (mid < hi)))
+            nu = np.where(bisect, mid, newton)
+            last = np.abs(r)
+    return u
 
 
 def topk_project(scores, k):
     """Entropic Top-K relaxation: u = sigmoid(f + nu) with sum(u) = k.
 
     ``scores`` is one score vector (M,) or a stack (R, M), an array or a
-    :class:`Selection`; each row gets its own shift nu.  Rows with the same
-    number of finite scores solve their shifts together, each on its own
-    compacted scores, as :func:`batch_keep` picks.  Masked (-inf) scores map
-    to exactly zero; a NaN or +inf score is a :class:`ScoreError` naming its
-    row.  The first row that fails a check raises, after the rows before it
-    are solved, as if the rows were taken in order.  Returns u as a
-    :class:`Selection` whose backward is the implicit-function rule of
-    :func:`topk_grad`, applied per row.
+    :class:`Selection`; each row gets its own shift nu.  Masked (-inf)
+    scores map to exactly zero.  Every row is checked before any is solved:
+    a NaN or +inf score is a :class:`ScoreError` naming the first such row.
+    Rows with the same number of finite scores solve their shifts together,
+    each on its own compacted scores, as :func:`batch_keep` picks, so a row
+    of a stack gets the u it gets alone; a row whose shift
+    :func:`_topk_rows` does not find is a :class:`ScoreError` naming the
+    first such row.  Returns u as a :class:`Selection` whose backward
+    is the implicit-function rule of :func:`topk_grad`.
     """
     scores = _selection(scores)
     f = scores.data
@@ -384,17 +354,9 @@ def topk_project(scores, k):
     finite = np.isfinite(rows)
     counts = finite.sum(axis=1)
     bad = np.isnan(rows).any(axis=1) | (rows == np.inf).any(axis=1) | (counts <= k) | (k < 1)
-    n_ok = int(np.argmax(bad)) if bad.any() else len(rows)
-    u = np.zeros_like(f)
-    u_rows = np.atleast_2d(u)
-    for c in np.unique(counts[:n_ok]):
-        group = np.flatnonzero(counts[:n_ok] == c)
-        cols = np.nonzero(finite[group])[1].reshape(group.size, c)
-        f_g = rows[group[:, None], cols]
-        nu = _bisect_shifts(f_g, k) if group.size > 1 else np.array([_bisect_shift(f_g[0], k)])
-        u_rows[group[:, None], cols] = 1.0 / (1.0 + np.exp(-(f_g + nu[:, None])))
-    if n_ok < len(rows):
-        r, n_finite = n_ok, int(counts[n_ok])
+    if bad.any():
+        r = int(np.argmax(bad))
+        n_finite = int(counts[r])
         if np.isnan(rows[r]).any():
             raise ScoreError(f"topk_project: NaN score in row {r}")
         if (rows[r] == np.inf).any():
@@ -406,26 +368,36 @@ def topk_project(scores, k):
                 f"topk_project: k={k} must be smaller than the number of finite scores ({n_finite})"
             )
         raise ValueError(f"topk_project: k={k} must be positive")
-
-    def grads(g):
-        rows = zip(np.atleast_2d(f), np.atleast_2d(u), np.atleast_2d(g))
-        return scores.grads(np.array([topk_grad(*r) for r in rows]).reshape(f.shape))
-
-    return Selection(u, grads, scores.cols)
+    u = np.zeros_like(f)
+    u_rows = np.atleast_2d(u)
+    for c in np.unique(counts):
+        group = np.flatnonzero(counts == c)
+        cols = np.nonzero(finite[group])[1].reshape(group.size, c)
+        u_rows[group[:, None], cols] = _topk_rows(rows[group[:, None], cols], k)
+    lost = np.isnan(u_rows).any(axis=1)
+    if lost.any():
+        raise ScoreError(f"topk_project: no shift of row {int(np.argmax(lost))} meets "
+                         f"sum(u) = {k} in float64 within {_SHIFT_STEPS} steps")
+    return Selection(u, lambda g: scores.grads(topk_grad(f, u, g)))
 
 
 def topk_grad(f, u, v):
-    """Vector-Jacobian product v^T (du/df) of the Top-K projection."""
+    """Vector-Jacobian product v^T (du/df) of the Top-K projection, for one
+    row (n,) or for each row of a stack (R, n): s * (v - (v . s) / sum(s))
+    with s = u * (1 - u).  A row whose every u is 0 or 1 has no gradient: a
+    :class:`ScoreError` naming it."""
     f = np.asarray(f, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if f.shape != u.shape or f.shape != v.shape:
         raise ValueError(f"topk_grad: shape mismatch {f.shape}, {u.shape}, {v.shape}")
     s = u * (1.0 - u)
-    total = float(np.sum(s))
-    if total <= 1e-12:
-        raise ValueError("topk_grad: degenerate projection (all outputs saturated)")
-    return s * (v - float(np.dot(v, s)) / total)
+    total = s.sum(axis=-1, keepdims=True)
+    flat = (total <= 1e-12).reshape(-1)
+    if flat.any():
+        raise ScoreError(f"topk_grad: the Top-K head's u of row {int(np.argmax(flat))} "
+                         "are all 0 or 1 (a saturated projection has no gradient)")
+    return s * (v - np.sum(v * s, axis=-1, keepdims=True) / total)
 
 
 def batch_keep(u, k, mode="deterministic", rng=None):
@@ -434,8 +406,8 @@ def batch_keep(u, k, mode="deterministic", rng=None):
 
     ``u`` is one relaxed indicator (M,) or a stack (R, M), an array or a
     :class:`Selection`; a NaN, infinite or negative entry is a
-    :class:`ScoreError` naming its row.  ``kept`` holds the sorted kept
-    items of a vector, or one such row per row of a stack.  ``w`` is a
+    :class:`ScoreError` naming its row.  ``kept`` holds the sorted indices
+    of the kept entries of a vector, or one such row per row of a stack.  ``w`` is a
     binary :class:`Selection`, with straight-through backward onto u.
     Stochastic mode samples sequentially
     without replacement with probabilities proportional to u: it draws
@@ -478,8 +450,7 @@ def batch_keep(u, k, mode="deterministic", rng=None):
         kept.sort(axis=1)
     hard = np.zeros_like(rows)
     np.put_along_axis(hard, kept, 1.0, axis=1)
-    w = Selection(hard.reshape(u.data.shape), u.grads, u.cols)
-    kept = u.items(kept)
+    w = Selection(hard.reshape(u.data.shape), u.grads)
     return w, (kept[0] if u.data.ndim == 1 else kept)
 
 

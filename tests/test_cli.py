@@ -364,17 +364,19 @@ def test_non_finite_policy_parameters_exit_numeric(tmp_path, capsys, head):
     assert not (out / "checkpoint.npz").exists()
 
 
-@pytest.mark.parametrize("head, message", [
-    ([], "online_remove: NaN, infinite or negative probability in row "),
-    (["train.tau=2", "train.mode=batch"], "topk_project: NaN score in row ")],
-    ids=["online", "topk"])
-def test_a_diverged_policy_network_exits_numeric(tmp_path, capsys, head, message):
+@pytest.mark.parametrize("head, rate, message", [
+    ([], "1e200", "online_remove: NaN, infinite or negative probability in row "),
+    (["train.tau=2", "train.mode=batch"], "1e200", "topk_project: NaN score in row "),
+    (["train.tau=2", "train.mode=batch"], "1e6", "topk_grad: the Top-K head's u of row ")],
+    ids=["online", "topk", "topk-saturated"])
+def test_a_diverged_policy_network_exits_numeric(tmp_path, capsys, head, rate, message):
     # a huge rate leaves phi finite, near 1e200, and the next forward pass
-    # overflows to NaN scores: a numerical error naming the head and the
-    # row, not an empty sketch or a traceback
+    # overflows to NaN scores; a large one saturates every u of a Top-K row
+    # at 0 or 1, where the backward has no gradient: a numerical error
+    # naming the head and the row, not an empty sketch or a traceback
     out = tmp_path / "run"
     with np.errstate(all="ignore"):
-        code = cli.main(["train"] + tiny_overrides(out, *head, "train.lr_policy=1e200"))
+        code = cli.main(["train"] + tiny_overrides(out, *head, f"train.lr_policy={rate}"))
     assert code == cli.EXIT_NUMERIC
     assert f"numerical error: {message}" in capsys.readouterr().err
     assert not (out / "checkpoint.npz").exists()

@@ -1,5 +1,9 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dips import diffcore as dc
 from dips import policies as pol
@@ -449,6 +453,12 @@ def test_topk_grad_degenerate_rejected():
         pol.topk_grad(np.zeros(4), u, np.ones(4))
 
 
+def test_topk_grad_of_a_stack_names_its_saturated_row():
+    u = np.array([[0.5, 0.5, 0.5, 0.5], [1.0, 1.0, 0.0, 0.0]])
+    with pytest.raises(pol.ScoreError, match="topk_grad: the Top-K head's u of row 1 "):
+        pol.topk_grad(np.zeros((2, 4)), u, np.ones((2, 4)))
+
+
 def test_topk_backward_through_graph():
     # the projection's backward is topk_grad, bit for bit
     rng = np.random.default_rng(8)
@@ -567,56 +577,7 @@ def test_stacked_heads_reject_one_all_masked_row():
         pol.batch_keep(u, 2, "deterministic")
 
 
-# ------------------------------------------------- the stacked bisection
-
-def per_row_topk(f, k):
-    """The top-K projection's u solved one row at a time, in row order, on
-    Python floats: the reference the stacked bisection is pinned to."""
-    def bisect(f, k):
-        lo = -np.max(f) - 20.0
-        hi = -np.min(f) + 20.0
-
-        def total(nu):
-            return float(np.sum(1.0 / (1.0 + np.exp(-(f + nu))))) - k
-
-        width = hi - lo
-        while total(lo) > 0 or total(hi) < 0:
-            lo -= width
-            hi += width
-            width *= 2
-            if width > 1e12:
-                raise RuntimeError("top-k projection: failed to bracket the shift")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            r = total(mid)
-            if r > 0:
-                hi = mid
-            else:
-                lo = mid
-            if abs(r) <= 1e-9 and (hi - lo) < 1e-13 * max(1.0, abs(mid)):
-                break
-        return 0.5 * (lo + hi)
-
-    u = np.zeros_like(f)
-    for r, (f_row, u_row) in enumerate(zip(np.atleast_2d(f), np.atleast_2d(u))):
-        if np.isnan(f_row).any():
-            raise pol.ScoreError(f"topk_project: NaN score in row {r}")
-        if (f_row == np.inf).any():
-            raise pol.ScoreError(f"topk_project: +inf score in row {r}")
-        finite = np.isfinite(f_row)
-        n_finite = int(finite.sum())
-        if n_finite < 1:
-            raise ValueError("topk_project: no finite scores")
-        if k >= n_finite:
-            raise ValueError(
-                f"topk_project: k={k} must be smaller than the number of finite scores ({n_finite})"
-            )
-        if k < 1:
-            raise ValueError(f"topk_project: k={k} must be positive")
-        nu = bisect(f_row[finite], k)
-        u_row[finite] = 1.0 / (1.0 + np.exp(-(f_row[finite] + nu)))
-    return u
-
+# ------------------------------------------------- the stacked shift solve
 
 def outcome(fn):
     """The bytes of a result, or the type and message of its error."""
@@ -624,6 +585,22 @@ def outcome(fn):
         return fn().tobytes()
     except Exception as e:  # noqa: BLE001 - the error is the outcome compared
         return type(e), str(e)
+
+
+def assert_stack_equals_its_rows(f, k):
+    """topk_project of a stack gives every row, to the last bit, the u that
+    topk_project gives the row alone; or it fails as the first row that
+    fails alone does, naming that row by its place in the stack."""
+    got = outcome(lambda: pol.topk_project(f, k).data)
+    alone = [outcome(lambda: pol.topk_project(row, k).data) for row in np.atleast_2d(f)]
+    failed = [r for r, out in enumerate(alone) if isinstance(out, tuple)]
+    if not failed:
+        assert got == b"".join(alone)
+        return got
+    r = failed[0]
+    kind, message = alone[r]
+    assert got == (kind, message.replace("row 0", f"row {r}"))
+    return got
 
 
 def random_scores(rng, R, M, k, scale, n_live=None):
@@ -639,29 +616,30 @@ def random_scores(rng, R, M, k, scale, n_live=None):
 @pytest.mark.parametrize("seed", range(4))
 def test_stacked_topk_bisection_matches_the_per_row_loop_bit_for_bit(seed):
     # 1-11 rows of 3-59 entries at score scales 0.1-100, every row finite on
-    # the same count of them or each on its own: one-row groups take the
-    # scalar bisection, the others the stacked one
+    # the same count of them or each on its own: rows of one count are
+    # solved together, and a stack is the rows solved one at a time
     rng = np.random.default_rng(seed)
     for i in range(75):
         M = int(rng.integers(3, 60))
         k = int(rng.integers(1, M))
         n_live = int(rng.integers(k + 1, M + 1)) if i % 2 else None
         f = random_scores(rng, int(rng.integers(1, 12)), M, k, 10 ** rng.uniform(-1, 2), n_live)
-        assert outcome(lambda: pol.topk_project(f, k).data) == outcome(lambda: per_row_topk(f, k))
-        assert (outcome(lambda: pol.topk_project(f[0], k).data)
-                == outcome(lambda: per_row_topk(f[0], k)))
+        assert isinstance(assert_stack_equals_its_rows(f, k), bytes)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("M, scale", [(4, 1.0), (8, 3.0), (9, 3.0), (200, 1.0),
                                       (12, 1e3), (40, 1e200)])
 def test_stacked_topk_bisection_at_short_long_and_overflowing_rows(M, scale):
     # np.sum unrolls by 8 and sums pairwise past 128 entries; scores of 1e3
-    # and beyond overflow exp, which maps them to exactly 0 or 1
+    # and beyond overflow exp, which maps them to exactly 0 or 1 and warns
+    # nothing
     rng = np.random.default_rng(M)
     f = random_scores(rng, 6, M, 2, scale, n_live=M - M // 4)
+    assert_stack_equals_its_rows(f, 2)
     u = pol.topk_project(f, 2).data
-    assert u.tobytes() == per_row_topk(f, 2).tobytes()
     assert np.all(np.isfinite(u))
+    np.testing.assert_allclose(u.sum(axis=1), 2.0, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -685,31 +663,96 @@ def test_stacked_topk_bisection_raises_as_the_first_failing_row_would(seed):
                 f[r, live[:len(live) - k]] = -np.inf
             else:
                 k = 0 if fault == "k0" else -1
-        got = outcome(lambda: pol.topk_project(f, k).data)
-        assert isinstance(got, tuple)
-        assert got == outcome(lambda: per_row_topk(f, k))
+        assert isinstance(assert_stack_equals_its_rows(f, k), tuple)
 
 
-def test_a_failed_bracket_is_raised_before_a_later_row_fails(monkeypatch):
-    # no finite row with k below its count fails to bracket, so the shift
-    # solver is made to fail: the rows before the first bad row are solved
-    # first, as the per-row loop solved them
-    for solve in (pol._bisect_shifts, lambda f, k: pol._bisect_shift(f[0], k)):
-        with pytest.raises(RuntimeError, match="failed to bracket"):
-            solve(np.array([[0.0, 1.0, 2.0]]), 5)
-
+def test_the_input_checks_run_before_the_solve(monkeypatch):
+    # a bad row anywhere in the stack is named before any row is solved
     def fail(f, k):
-        raise RuntimeError("top-k projection: failed to bracket the shift")
+        raise AssertionError("solved before the input checks")
 
-    monkeypatch.setattr(pol, "_bisect_shifts", fail)
-    monkeypatch.setattr(pol, "_bisect_shift", fail)
+    monkeypatch.setattr(pol, "_topk_rows", fail)
     f = score_stack(20)
     f[2, np.flatnonzero(np.isfinite(f[2]))[0]] = np.nan
-    with pytest.raises(RuntimeError, match="failed to bracket"):
+    with pytest.raises(pol.ScoreError, match="NaN score in row 2"):
         pol.topk_project(f, 2)
-    f[0, np.flatnonzero(np.isfinite(f[0]))[0]] = np.nan
-    with pytest.raises(pol.ScoreError, match="NaN score in row 0"):
-        pol.topk_project(f, 2)
+    with pytest.raises(ValueError, match="k=5 must be smaller"):
+        pol.topk_project(score_stack(20), 5)
+
+
+LARGE_SCORES = [
+    # equal scores far from 0: centred at their maximum, every entry is 0,
+    # so the solve never adds a margin to a score it cannot resolve
+    (np.full(10, 1e20), 2, np.full(10, 0.2)),
+    (np.full(10, 1e18), 2, np.full(10, 0.2)),
+    (np.array([1e20, 1e20, 1e20, 5.0]), 2, np.array([2 / 3, 2 / 3, 2 / 3, 0.0])),
+    # u depends on score differences only, so a common offset costs nothing
+    (1e10 + np.random.default_rng(0).normal(size=12), 8, None),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("f, k, expected", LARGE_SCORES, ids=["1e20", "1e18", "ties", "offset"])
+def test_topk_project_at_large_scores_as_a_row_and_in_a_stack(f, k, expected):
+    stack = np.stack([np.random.default_rng(1).normal(size=f.size), f, np.full(f.size, 3.0)])
+    for scores, row in ((f, 0), (stack, 1)):
+        u = np.atleast_2d(pol.topk_project(scores, k).data)[row]
+        assert abs(u.sum() - k) <= 1e-9
+        if expected is not None:
+            np.testing.assert_allclose(u, expected, rtol=0, atol=1e-12)
+    assert_stack_equals_its_rows(stack, k)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_shift_float64_cannot_hold_is_a_score_error_naming_the_row():
+    # sum(u) = 5 needs nu within 1e184 of 1e200, where float64 steps by
+    # about 1e184: the bracket collapses before the residual test is met
+    f = np.array([0.0] + [-1e200] * 9)
+    with pytest.raises(pol.ScoreError, match="no shift of row 0 meets sum"):
+        pol.topk_project(f, 5)
+    stack = np.stack([np.linspace(-1.0, 1.0, 10), np.linspace(0.0, 2.0, 10), f])
+    with pytest.raises(pol.ScoreError, match="no shift of row 2 meets sum"):
+        pol.topk_project(stack, 5)
+    assert_stack_equals_its_rows(stack, 5)
+
+
+@st.composite
+def score_stacks(draw):
+    """R score rows of n entries at a common scale, some tied to another
+    entry of their row, some masked, every row with more than k finite."""
+    R, n = draw(st.integers(1, 8)), draw(st.integers(2, 60))
+    n_masked = draw(st.integers(0, n - 2))
+    k = draw(st.integers(1, n - n_masked - 1))
+    scale = 10.0 ** draw(st.floats(-3, 200))
+    ties = draw(st.integers(0, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = scale * rng.normal(size=(R, n))
+    for row in f:
+        row[rng.choice(n, size=ties, replace=True)] = row[rng.integers(n)]
+        row[rng.choice(n, size=n_masked, replace=False)] = -np.inf
+    return f, k
+
+
+@settings(max_examples=300, deadline=2000, derandomize=True, database=None)
+@given(score_stacks())
+def test_topk_project_meets_its_sum_or_names_the_row_it_cannot(case):
+    f, k = case
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = pol.topk_project(f, k).data
+    except pol.ScoreError as e:
+        assert re.fullmatch(r"topk_project: no shift of row \d+ meets .*", str(e))
+    else:
+        np.testing.assert_allclose(u.sum(axis=1), k, rtol=0, atol=1e-9)
+        assert np.all(u[f == -np.inf] == 0.0)
+        for f_row, u_row in zip(f, u):
+            live = f_row > -np.inf
+            order = np.argsort(f_row[live])
+            fs, us = f_row[live][order], u_row[live][order]
+            assert np.all(np.diff(us) >= 0)
+            assert np.all(np.diff(us)[np.diff(fs) == 0] == 0)
+    assert_stack_equals_its_rows(f, k)
 
 
 # ---------------------------------------------------------- straight-through
