@@ -495,14 +495,15 @@ def _check_influence_derivatives():
         if _margin(rec, u0[None], np.zeros(5, int), items) <= (
                 h * np.abs(rec.w1[:3]).sum(axis=0).max()):
             return np.inf, 1e-5
-        entries = [pol.SketchEntry(int(j), float(r), 0) for j, r in zip(items, ratings)]
 
         def gradient_sum():
             return rm.user_derivatives(rec, u0, items, ratings)[0].sum(axis=0)
 
+        def losses():
+            return pol.entry_losses(rec, u0[None], items[None], ratings[None])[0]
+
         grads, hess = rm.user_derivatives(rec, u0, items, ratings)
-        worst = max(worst, _fd_error(lambda: pol.entry_losses(rec, u0, entries), u0, grads.T,
-                                     range(3), h, 1e-6),
+        worst = max(worst, _fd_error(losses, u0, grads.T, range(3), h, 1e-6),
                     _fd_error(gradient_sum, u0, hess.T, range(3), h, 1e-6))
     return worst, 1e-5
 

@@ -42,20 +42,23 @@ def true_policy_grad(rec, phi, stream, cfg, probe_t, max_len=50, max_items=100):
 
     replay_cfg = replace(cfg, stochastic_train=False)
     rng = np.random.default_rng(0)  # unused by deterministic selection
-    st = tr._UserState(stream, rec.n_items, replay_cfg)
+    table = tr.SketchTable([stream], rec.n_items, replay_cfg)
+    row = np.zeros(1, dtype=np.int64)
     past = []
     for t in range(1, probe_t + 1):
-        inter, boundary = st.observe(t, replay_cfg)
+        _, up = table.observe(t, row)
         if t == probe_t:
-            if not boundary:
+            if not up.size:
                 raise ValueError(f"probe step {probe_t} is not a sketch-update boundary")
             grads, v, _, _ = tr.policy_gradient(
-                phi, rec, st.y[None], st.mask[None], inter.zhat[None], [past],
+                phi, rec, table.y, table.mask, table.zhat(up), [past],
                 stream.items[t:t + 1], stream.ratings[t:t + 1], replay_cfg, rng=rng)
             return grads, v[0]
-        if boundary and cfg.policy == "dips":
-            past.append(inter.zhat)
-        st.commit(inter, rec, phi, replay_cfg, rng)
+        if up.size:
+            zhat = table.zhat(up)
+            if cfg.policy == "dips":
+                past.append(zhat[0])
+            table.commit(up, z=tr.select_with_policy(phi, zhat, table.y, replay_cfg).data)
     raise AssertionError("unreachable")
 
 

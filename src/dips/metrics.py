@@ -106,18 +106,23 @@ def evaluate(rec, phi, streams, cfg, k=20, exclude_history=False, seed=None,
     records = []
     for start in range(0, len(users), cfg.batch_size):
         batch = users[start:start + cfg.batch_size]
-        states = [tr._UserState(s, rec.n_items, eval_cfg) for s in batch]
-        ys = np.stack([st.y for st in states])
-        masks = np.stack([st.mask for st in states])
         rngs = [np.random.default_rng((seed, int(s.user))) for s in batch]
+        table = tr.SketchTable(batch, rec.n_items, eval_cfg, rngs, anchors)
+        lens = np.array([len(s.items) for s in batch])
         out = [[] for _ in batch]
-        for t in range(1, max(len(s.items) for s in batch)):
-            active = [i for i, s in enumerate(batch) if t < len(s.items)]
-            u = tr.inner_adapt(rec, np.stack([states[i].sketch.z for i in active]),
-                               ys[active], masks[active], cfg.inner_lr, cfg.inner_steps)
-            nxt = np.array([batch[i].items[t] for i in active], dtype=np.int64)
+        for t in range(1, lens.max()):
+            active = np.flatnonzero(t < lens)
+            u = tr.inner_adapt(rec, table.z(active), table.y[active], table.mask[active],
+                               cfg.inner_lr, cfg.inner_steps)
+            nxt = table.stream_items[active, t]
             # explicit: one prediction per user; implicit: (B, M) scores
             preds, _ = rm.user_forward(rec, u, nxt, np.arange(len(active)))
+            for name, arr in (("adapted user embeddings", u), ("predictions", preds)):
+                if not tr.finite(arr):
+                    bad = ~np.isfinite(arr.reshape(len(active), -1)).all(axis=1)
+                    raise FloatingPointError(
+                        f"evaluate: non-finite {name} at step t={t}, users "
+                        f"{[int(table.users[b]) for b in active[bad]]}")
             for b, i in enumerate(active):
                 s = batch[i]
                 if cfg.setting == rm.EXPLICIT:
@@ -133,16 +138,13 @@ def evaluate(rec, phi, streams, cfg, k=20, exclude_history=False, seed=None,
                                              float(rank_of(nxt[b], row))))
 
             # advance the sketches exactly as the trainer would
-            inters = [states[i].observe(t, eval_cfg) for i in active]
-            z = [None] * len(active)
-            at = [b for b, (_, boundary) in enumerate(inters) if learned and boundary]
-            if at:
-                sel = tr.select_with_policy(phi, np.stack([inters[b][0].zhat for b in at]),
-                                            ys[[active[b] for b in at]], eval_cfg)
-                for b, row in zip(at, sel.data):
-                    z[b] = row
-            for b, (i, (inter, _)) in enumerate(zip(active, inters)):
-                states[i].commit(inter, rec, phi, eval_cfg, rngs[i], anchors, u=u[b], z=z[b])
+            _, up = table.observe(t, active)
+            if up.size:
+                pos = np.searchsorted(active, up)
+                z = (tr.select_with_policy(phi, table.zhat(up), table.y[up], eval_cfg).data
+                     if learned else None)
+                scores = preds[pos] if cfg.setting == rm.IMPLICIT else None
+                table.commit(up, rec, u[pos], scores, z=z)
         records += [r for recs in out for r in recs]
     aggregates = aggregate_records(records, cfg.setting, k)
     if return_records:

@@ -11,83 +11,9 @@ the highest scores, so a policy trained at one tau selects alike at any.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import recmodel as rm
-
-
-@dataclass(frozen=True)
-class SketchEntry:
-    item: int
-    rating: float
-    step: int
-
-
-@dataclass
-class Sketch:
-    """Up to K retained interactions for one user."""
-
-    capacity: int
-    n_items: int
-    entries: tuple = ()
-
-    def __post_init__(self):
-        items = [e.item for e in self.entries]
-        if len(set(items)) != len(items):
-            raise ValueError("duplicate item in sketch")
-        if len(self.entries) > self.capacity:
-            raise ValueError(f"sketch holds {len(self.entries)} > capacity {self.capacity}")
-
-    def __len__(self):
-        return len(self.entries)
-
-    def items(self):
-        return np.array([e.item for e in self.entries], dtype=np.int64)
-
-    @property
-    def z(self):
-        out = np.zeros(self.n_items)
-        for e in self.entries:
-            out[e.item] = 1.0
-        return out
-
-    def contains(self, item):
-        return any(e.item == item for e in self.entries)
-
-
-@dataclass
-class IntermediateSketch:
-    """A sketch plus the incoming items awaiting a keep/remove decision."""
-
-    base: Sketch
-    incoming: tuple = ()
-
-    def __post_init__(self):
-        items = [e.item for e in self.all_entries()]
-        if len(set(items)) != len(items):
-            raise ValueError("duplicate item in intermediate sketch")
-
-    def all_entries(self):
-        return tuple(self.base.entries) + tuple(self.incoming)
-
-    def __len__(self):
-        return len(self.base) + len(self.incoming)
-
-    @property
-    def zhat(self):
-        out = self.base.z
-        for e in self.incoming:
-            out[e.item] += 1.0
-        return out
-
-    def keep(self, items_to_keep) -> Sketch:
-        keep = set(int(i) for i in items_to_keep)
-        kept = tuple(e for e in self.all_entries() if e.item in keep)
-        if len(kept) != len(keep):
-            raise ValueError("keep set contains items not in the intermediate sketch")
-        return Sketch(self.base.capacity, self.base.n_items, kept)
 
 
 class PolicyParams(rm.Params):
@@ -454,81 +380,61 @@ def batch_keep(u, k, mode="deterministic", rng=None):
     return w, (kept[0] if u.data.ndim == 1 else kept)
 
 
-def reservoir_update(sketch: Sketch, item, rating, step, rng) -> Sketch:
-    """Uniform reservoir sampling: every streamed item ends up in the
-    sketch with probability K/step."""
-    if sketch.contains(item):
-        raise ValueError(f"reservoir_update: item {item} already in sketch")
-    entry = SketchEntry(int(item), float(rating), int(step))
-    if len(sketch) < sketch.capacity:
-        return Sketch(sketch.capacity, sketch.n_items, tuple(sketch.entries) + (entry,))
-    j = int(rng.integers(step))
-    if j < sketch.capacity:
-        entries = list(sketch.entries)
-        entries[j] = entry
-        return Sketch(sketch.capacity, sketch.n_items, tuple(entries))
-    return sketch
 
 
-def entry_losses(rec: rm.RecParams, u, entries):
-    """Pointwise loss of each entry for one user embedding ``u`` (d,), from
-    the graph-free forward :func:`recmodel.user_forward`."""
-    items = np.array([e.item for e in entries], dtype=np.int64)
-    preds, _ = rm.user_forward(rec, u[None], items, np.zeros(items.size, dtype=np.int64))
+def reservoir_update(steps, k, rngs):
+    """Uniform reservoir sampling: every streamed item ends up in a row's k
+    kept slots with probability k/step.
+
+    ``steps`` (R, n) holds each row's slot steps, slots 0..k-1 its sketch and
+    slots k.. the items pending, in stream order.  Row r draws from
+    ``rngs[r]``, the rows in order: each pending slot p, in order, draws
+    j = ``rng.integers(steps[r, p])`` and replaces kept slot j if j < k.
+    Returns the slot each kept slot takes its item from, (R, k).
+    """
+    src = np.tile(np.arange(k), (len(steps), 1))
+    for r, (row, rng) in enumerate(zip(steps, rngs)):
+        for p in range(k, len(row)):
+            j = int(rng.integers(row[p]))
+            if j < k:
+                src[r, j] = p
+    return src
+
+
+def entry_losses(rec: rm.RecParams, u, items, ratings, scores=None):
+    """Pointwise loss of each slot (R, n) of ``items`` and ``ratings``, row r
+    at the user embedding ``u[r]`` (R, d), from the graph-free forward
+    :func:`recmodel.user_forward`.  An implicit caller that holds the (R, M)
+    scores at ``u`` passes them as ``scores``, and no forward runs."""
     if rec.setting == rm.EXPLICIT:
-        targets = np.array([e.rating for e in entries])
-        return (preds - targets) ** 2
-    preds = preds[0]
-    m = preds.max()
-    lse = float(np.log(np.sum(np.exp(preds - m))) + m)
-    return np.array([lse - preds[e.item] for e in entries])
+        rows = np.repeat(np.arange(len(u)), items.shape[1])
+        preds, _ = rm.user_forward(rec, u, items.ravel(), rows)
+        return (preds.reshape(items.shape) - ratings) ** 2
+    if scores is None:
+        scores, _ = rm.user_forward(rec, u)
+    m = scores.max(axis=1)
+    lse = np.log(np.sum(np.exp(scores - m[:, None]), axis=1)) + m
+    return lse[:, None] - np.take_along_axis(scores, items, 1)
 
 
-def hardest_update(rec: rm.RecParams, u, inter: IntermediateSketch) -> Sketch:
-    """Keep the K entries with the largest loss at the adapted user embedding
-    ``u`` (d,); ties keep the most recent."""
-    entries = inter.all_entries()
-    cap = inter.base.capacity
-    if len(entries) <= cap:
-        return Sketch(cap, inter.base.n_items, entries)
-    losses = entry_losses(rec, u, entries)
-    order = sorted(range(len(entries)), key=lambda i: (-losses[i], -entries[i].step))
-    kept = [entries[i].item for i in order[:cap]]
-    return inter.keep(kept)
-
-
-def influence_scores(rec: rm.RecParams, u, inter: IntermediateSketch, damping=1e-3):
-    """Influence of upweighting each entry on the mean loss over the
-    intermediate sketch: I(j) = -grad_target . H^-1 . grad_j, at the
-    adapted user embedding ``u`` (d,).
+def influence_scores(rec: rm.RecParams, u, items, ratings, damping=1e-3):
+    """Influence of upweighting each slot (R, n) of ``items`` and ``ratings``
+    on the mean loss over its row: I(j) = -grad_target . H^-1 . grad_j, row r
+    at the adapted user embedding ``u[r]`` (R, d).
 
     The per-entry gradients grad_j and the Hessian H of the summed loss
     come in closed form from :func:`recmodel.user_derivatives`, with no
-    graph; grad_target is their mean, and H is symmetrised and damped.
+    graph; grad_target is their mean, and H is symmetrised and damped.  The
+    R systems are solved together.  A row whose solve is not finite gets
+    non-finite scores, for the caller to name.
     """
-    entries = inter.all_entries()
-    items = np.array([e.item for e in entries], dtype=np.int64)
-    ratings = np.array([e.rating for e in entries], dtype=np.float64)
-    grads, hess = rm.user_derivatives(rec, u, items, ratings)
-    hess = 0.5 * (hess + hess.T) + damping * np.eye(len(hess))
-    g_target = np.mean(grads, axis=0)
+    derivs = [rm.user_derivatives(rec, *row) for row in zip(u, items, ratings)]
+    grads = np.stack([g for g, _ in derivs])
+    hess = np.stack([h for _, h in derivs])
+    hess = 0.5 * (hess + hess.transpose(0, 2, 1)) + damping * np.eye(hess.shape[-1])
+    g_target = np.mean(grads, axis=1)
     try:
-        x = np.linalg.solve(hess, g_target)
+        x = np.linalg.solve(hess, g_target[..., None])
     except np.linalg.LinAlgError as e:
         raise ValueError(f"influence_scores: Hessian singular even with damping {damping}") from e
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"influence_scores: Hessian solve produced non-finite values")
-    return -(grads @ x)
-
-
-def influence_update(rec: rm.RecParams, u, inter: IntermediateSketch) -> Sketch:
-    """Keep the K entries whose upweighting most reduces the sketch loss,
-    by :func:`influence_scores` at its default damping."""
-    entries = inter.all_entries()
-    cap = inter.base.capacity
-    if len(entries) <= cap:
-        return Sketch(cap, inter.base.n_items, entries)
-    scores = influence_scores(rec, u, inter)
-    order = sorted(range(len(entries)), key=lambda i: (scores[i], -entries[i].step))
-    kept = [entries[i].item for i in order[:cap]]
-    return inter.keep(kept)
+    return -(grads @ x)[..., 0]

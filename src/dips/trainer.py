@@ -56,7 +56,7 @@ import numpy as np
 from . import policies as pol
 from . import recmodel as rm
 from .recmodel import RecParams
-from .policies import IntermediateSketch, PolicyParams, Sketch, SketchEntry
+from .policies import PolicyParams
 
 POLICIES = ("random", "hardest", "influence", "dips", "dips1", "oracle")
 # policies whose scores come from the trained network phi
@@ -369,84 +369,131 @@ def policy_gradient(phi: PolicyParams, rec: RecParams, y, mask, zhat_t, past_zha
     return out.grads, v, z_t.data, loss
 
 
-class _UserState:
-    """Per-user mutable state: sketch, pending items, queue.
+class SketchTable:
+    """The sketches of one stack of users, as one slot table.
 
-    ``observe`` and ``commit`` are the one copy of the sketch transition,
-    shared by training, evaluation and the exact replay.
+    Row b holds user b's sketch in slots 0..kept[b]-1 and the items pending
+    a keep/remove decision in slots kept[b]..filled[b]-1, each slot an item
+    id with its rating and step; the K + tau slots of a row are never
+    exceeded, and an empty slot holds item -1.  Slot order is entry order:
+    :meth:`observe` appends, a policy keeps its slots in order, and the
+    reservoir replaces a slot in place.  ``y`` and ``mask`` are the users'
+    rating and interaction rows (B, M).  :meth:`observe` and :meth:`commit`
+    are the one copy of the sketch transition, shared by training,
+    evaluation and the exact replay.  ``rngs[b]`` is the generator row b's
+    reservoir draws from, and ``anchors`` maps a user to the items the
+    oracle prefers.
     """
 
-    def __init__(self, stream, n_items, cfg):
-        self.stream = stream
-        self.sketch = Sketch(cfg.sketch_size, n_items)
-        self.pending = []
-        self.queue = SketchQueue(cfg.queue_size if cfg.policy == "dips" else 0)
-        self.mask = np.zeros(n_items)
-        self.y = np.zeros(n_items)
-        self.mask[stream.items] = 1.0
-        if cfg.setting == rm.EXPLICIT:
-            self.y[stream.items] = stream.ratings
-        else:
-            self.y[stream.items] = 1.0
+    def __init__(self, streams, n_items, cfg, rngs=None, anchors=None):
+        self.cfg, self.rngs = cfg, rngs
+        n, width = len(streams), cfg.sketch_size + cfg.tau
+        self.users = [s.user for s in streams]
+        self.items = np.full((n, width), -1, dtype=np.int64)
+        self.ratings = np.zeros((n, width))
+        self.steps = np.zeros((n, width), dtype=np.int64)
+        self.kept = np.zeros(n, dtype=np.int64)
+        self.filled = np.zeros(n, dtype=np.int64)
+        lens = [len(s.items) for s in streams]
+        rows = np.repeat(np.arange(n), lens)
+        cols = np.concatenate([s.items for s in streams]).astype(np.int64)
+        ratings = np.concatenate([s.ratings for s in streams]).astype(np.float64)
+        at = np.concatenate([np.arange(k) for k in lens])
+        # each stream padded to the longest: interaction t of row b
+        self.stream_items = np.full((n, max(lens)), -1, dtype=np.int64)
+        self.stream_ratings = np.zeros((n, max(lens)))
+        self.stream_items[rows, at], self.stream_ratings[rows, at] = cols, ratings
+        self.mask = np.zeros((n, n_items))
+        self.mask[rows, cols] = 1.0
+        self.y = np.zeros((n, n_items))
+        self.y[rows, cols] = ratings if cfg.setting == rm.EXPLICIT else 1.0
+        if cfg.policy == "oracle":
+            self.anchor = np.zeros((n, n_items), dtype=bool)
+            for b, user in enumerate(self.users):
+                self.anchor[b, list((anchors or {}).get(user, ()))] = True
 
-    def observe(self, t, cfg):
-        """Queue interaction ``t-1``; returns the intermediate sketch and
-        whether step ``t`` is a policy boundary (past warm-up, tau pending)."""
-        s = self.stream
-        self.pending.append(SketchEntry(int(s.items[t - 1]), float(s.ratings[t - 1]), t))
-        inter = IntermediateSketch(self.sketch, tuple(self.pending))
-        return inter, t > cfg.sketch_size and len(self.pending) == cfg.tau
+    def _indicator(self, rows, slots):
+        out = np.zeros((len(rows), self.y.shape[1]))
+        r, c = np.nonzero(slots)
+        out[r, self.items[rows][r, c]] = 1.0
+        return out
 
-    def commit(self, inter, rec, phi, cfg, rng, anchors=None, u=None, z=None):
-        """Absorb while the intermediate sketch fits, else apply the policy
-        once tau items are pending; returns "absorbed", "updated" or None.
+    def z(self, rows):
+        """The sketch indicators of ``rows``, (R, M)."""
+        return self._indicator(rows, np.arange(self.items.shape[1]) < self.kept[rows, None])
 
-        A caller that already holds this user's embedding adapted on the
-        current sketch passes it as ``u`` (d,) (``hardest``/``influence``),
-        or the indicator the learned policy selected from ``inter.zhat`` as
-        ``z``: training passes the row of its policy gradient's selection,
-        evaluation the row of its stacked selection.  By default the update
-        computes them itself, and a learned policy then selects (and, with
-        ``cfg.stochastic_train``, draws from ``rng``) here.
+    def zhat(self, rows):
+        """The intermediate sketch indicators of ``rows``, sketch and pending
+        items, (R, M)."""
+        return self._indicator(rows, self.items[rows] >= 0)
+
+    def observe(self, t, rows):
+        """Write interaction t-1 of every row of ``rows`` into its next slot.
+
+        A row whose slots still fit the K-item sketch absorbs them.  Returns
+        the rows of ``rows`` that absorbed and those at which the policy
+        decides (past warm-up, tau items pending), each in stack order.  An
+        item already in its row's slots is a ValueError naming the user.
         """
-        if len(inter) <= cfg.sketch_size:
-            self.sketch = Sketch(cfg.sketch_size, inter.base.n_items, inter.all_entries())
-            outcome = "absorbed"
-        elif len(self.pending) == cfg.tau:
-            self.sketch = _update_sketch(self, inter, rec, phi, cfg, rng, anchors, u, z)
-            outcome = "updated"
+        self.t = t
+        item = self.stream_items[rows, t - 1]
+        dup = (self.items[rows] == item[:, None]).any(axis=1)
+        if dup.any():
+            b = int(np.argmax(dup))
+            raise ValueError(f"user {self.users[rows[b]]}, step t={t}: item {item[b]} is "
+                             "already in the sketch")
+        slot = self.filled[rows]
+        self.items[rows, slot] = item
+        self.ratings[rows, slot] = self.stream_ratings[rows, t - 1]
+        self.steps[rows, slot] = t
+        self.filled[rows] += 1
+        fits = self.filled[rows] <= self.cfg.sketch_size
+        absorbed = rows[fits]
+        self.kept[absorbed] = self.filled[absorbed]
+        pending = self.filled[rows] - self.kept[rows]
+        return absorbed, rows[~fits & (pending == self.cfg.tau)]
+
+    def commit(self, rows, rec=None, u=None, scores=None, z=None):
+        """Apply the policy at the rows ``rows`` that :meth:`observe` returned
+        as deciding: each keeps K of its K + tau slots, in slot order.
+
+        ``hardest`` and ``influence`` read ``u`` (R, d), the users' embeddings
+        adapted on their sketches, and ``hardest`` in the implicit setting
+        the (R, M) ``scores`` at ``u`` where the caller holds them; the
+        learned policy keeps the items its selection ``z`` (R, M) keeps.
+        ``oracle`` keeps the anchors, then the most recent; ``hardest`` the
+        largest losses and ``influence`` the lowest influence, ties keeping
+        the most recent; ``random`` draws its reservoir row by row.
+        """
+        cfg, k = self.cfg, self.cfg.sketch_size
+        if not len(rows):
+            return
+        items, steps = self.items[rows], self.steps[rows]
+        if cfg.policy == "random":
+            src = pol.reservoir_update(steps, k, [self.rngs[b] for b in rows])
         else:
-            return None
-        self.pending = []
-        return outcome
-
-
-def _update_sketch(state: _UserState, inter, rec, phi, cfg, rng, oracle_anchors=None,
-                   u=None, z=None):
-    """The sketch the configured policy keeps from ``inter``; ``u`` and
-    ``z`` are as in :meth:`_UserState.commit`."""
-    if cfg.policy == "random":
-        sk = inter.base
-        for e in inter.incoming:
-            sk = pol.reservoir_update(sk, e.item, e.rating, e.step, rng)
-        return sk
-    if cfg.policy in ("hardest", "influence"):
-        if u is None:
-            u = inner_adapt(rec, inter.base.z[None], state.y[None], state.mask[None],
-                            cfg.inner_lr, cfg.inner_steps)[0]
-        if cfg.policy == "hardest":
-            return pol.hardest_update(rec, u, inter)
-        return pol.influence_update(rec, u, inter)
-    if cfg.policy == "oracle":
-        anchors = oracle_anchors.get(state.stream.user, set()) if oracle_anchors else set()
-        entries = inter.all_entries()
-        preferred = [e for e in entries if e.item in anchors]
-        rest = sorted((e for e in entries if e.item not in anchors), key=lambda e: -e.step)
-        return inter.keep([e.item for e in (preferred + rest)[: cfg.sketch_size]])
-    # dips / dips1
-    if z is None:
-        z = select_with_policy(phi, inter.zhat, state.y, cfg, rng).data
-    return inter.keep(np.flatnonzero(z > 0.5))
+            if cfg.policy == "oracle":
+                anchor = np.take_along_axis(self.anchor[rows], items, 1)
+                slot = np.broadcast_to(np.arange(items.shape[1]), items.shape)
+                order = np.lexsort((np.where(anchor, slot, -steps), ~anchor))
+            elif cfg.policy == "hardest":
+                losses = pol.entry_losses(rec, u, items, self.ratings[rows], scores)
+                order = np.lexsort((-steps, -losses))
+            elif cfg.policy == "influence":
+                infl = pol.influence_scores(rec, u, items, self.ratings[rows])
+                bad = ~np.isfinite(infl).all(axis=1)
+                if bad.any():
+                    raise FloatingPointError(
+                        f"influence: non-finite Hessian solve for user "
+                        f"{self.users[rows[np.argmax(bad)]]} at step t={self.t}")
+                order = np.lexsort((-steps, infl))
+            else:
+                order = np.argsort(np.take_along_axis(z, items, 1) <= 0.5, kind="stable")
+            src = np.sort(order[:, :k], axis=1)
+        for a in (self.items, self.ratings, self.steps):
+            a[rows, :k] = np.take_along_axis(a[rows], src, 1)
+        self.items[rows, k:] = -1
+        self.kept[rows] = self.filled[rows] = k
 
 
 @dataclass
@@ -499,48 +546,45 @@ def train(cfg: TrainConfig, data, oracle_anchors=None, trace_file=None,
         order = rng.permutation(len(usable))
         for start in range(0, len(order), cfg.batch_size):
             batch = [usable[i] for i in order[start:start + cfg.batch_size]]
-            states = [_UserState(s, data.n_items, cfg) for s in batch]
-            ys = np.stack([st.y for st in states])
-            masks = np.stack([st.mask for st in states])
-            max_t = max(len(s.items) for s in batch)
-            for t in range(1, max_t):
-                active = [i for i, s in enumerate(batch) if t < len(s.items)]
-                nxt = np.array([batch[i].items[t] for i in active], dtype=np.int64)
-                nxt_rating = np.array([batch[i].ratings[t] for i in active], dtype=np.float64)
+            table = SketchTable(batch, data.n_items, cfg, [rng] * len(batch), oracle_anchors)
+            queues = [SketchQueue(cfg.queue_size if cfg.policy == "dips" else 0) for _ in batch]
+            lens = np.array([len(s.items) for s in batch])
+            for t in range(1, lens.max()):
+                active = np.flatnonzero(t < lens)
+                nxt, nxt_rating = table.stream_items[active, t], table.stream_ratings[active, t]
 
                 # outer model update on the current sketches, one reverse
                 # pass for every active user; it reads rec and the sketches
                 # only, so it runs before any sketch of this step is committed
                 theta_acc, _ = theta_gradients(
-                    rec, np.stack([states[i].sketch.z for i in active]), ys[active],
-                    masks[active], nxt, nxt_rating, cfg)
+                    rec, table.z(active), table.y[active], table.mask[active], nxt,
+                    nxt_rating, cfg)
                 n_theta = len(active)
 
-                inters = [states[i].observe(t, cfg) for i in active]
+                absorbed, up = table.observe(t, active)
                 # one policy gradient for the users at a sketch boundary;
-                # each of them commits the selection it returns, so the
-                # commits of a learned policy draw nothing from rng
-                at = [k for k, (_, boundary) in enumerate(inters) if learned and boundary]
-                z = [None] * len(active)
-                if at:
-                    rows = [active[k] for k in at]
-                    zhats = np.stack([inters[k][0].zhat for k in at])
-                    policy_acc, v, z_at, _ = policy_gradient(
-                        phi, rec, ys[rows], masks[rows], zhats,
-                        [states[i].queue.entries() for i in rows], nxt[at], nxt_rating[at],
+                # they commit the selection it returns, so the commits of a
+                # learned policy draw nothing from rng
+                at = up if learned else up[:0]
+                u = z = None
+                if at.size:
+                    zhats = table.zhat(at)
+                    pos = np.searchsorted(active, at)
+                    policy_acc, v, z, _ = policy_gradient(
+                        phi, rec, table.y[at], table.mask[at], zhats,
+                        [queues[i].entries() for i in at], nxt[pos], nxt_rating[pos],
                         cfg, rng=rng, out=policy_grad)
                     if policy_grad_hook is not None:
-                        policy_grad_hook([batch[i].user for i in rows], t, policy_acc, v)
-                    for i, zhat in zip(rows, zhats):
-                        states[i].queue.push(zhat)
-                    for k, row in zip(at, z_at):
-                        z[k] = row
-
-                for k, (i, (inter, _)) in enumerate(zip(active, inters)):
-                    st = states[i]
-                    outcome = st.commit(inter, rec, phi, cfg, rng, oracle_anchors, z=z[k])
-                    if outcome is not None and trace_file is not None:
-                        _trace(trace_file, st, t, absorbed=outcome == "absorbed")
+                        policy_grad_hook([batch[i].user for i in at], t, policy_acc, v)
+                    for i, zhat in zip(at, zhats):
+                        queues[i].push(zhat)
+                elif up.size and cfg.policy in ("hardest", "influence"):
+                    u = inner_adapt(rec, table.z(up), table.y[up], table.mask[up],
+                                    cfg.inner_lr, cfg.inner_steps)
+                table.commit(up, rec, u, z=z)
+                if trace_file is not None:
+                    for i in np.union1d(absorbed, up):
+                        _trace(trace_file, table, i, t, absorbed=i in absorbed)
 
                 # the optimizer steps, each on gradients divided in place by
                 # the user count; a zero-rate step is skipped (see _moves)
@@ -556,7 +600,7 @@ def train(cfg: TrainConfig, data, oracle_anchors=None, trace_file=None,
                     opt_item.step(theta_acc[1:])
                     written += rec.param_names()[1:]
                 _check_finite("rec", rec, written, epoch, t, batch)
-                if at:
+                if at.size:
                     if _moves(opt_policy):
                         policy_grad.divide(len(at))
                         opt_policy.step(policy_acc)
@@ -578,15 +622,19 @@ def _moves(opt):
     return opt.lr != 0
 
 
+def finite(arr):
+    """Whether every entry of ``arr`` is finite.  A finite sum proves it,
+    since a NaN or an infinity carries into it, so only a non-finite sum,
+    from a non-finite entry or an overflow of finite ones, looks at the
+    entries: a finite array takes no temporary its size."""
+    return bool(np.isfinite(np.sum(arr)) or np.isfinite(arr).all())
+
+
 def _check_finite(prefix, params, names, epoch, t, batch):
     """Raise on the first non-finite array among the parameters ``names``
-    of ``params``, after an optimizer step wrote them.  A finite sum proves
-    every entry finite, since a NaN or an infinity carries into it, so only
-    a non-finite sum, from a non-finite entry or an overflow of finite
-    ones, looks at the entries: a finite array takes no temporary its size."""
+    of ``params``, after an optimizer step wrote them."""
     for name in names:
-        arr = getattr(params, name)
-        if not np.isfinite(np.sum(arr)) and not np.isfinite(arr).all():
+        if not finite(getattr(params, name)):
             users = [int(s.user) for s in batch]
             raise FloatingPointError(
                 f"non-finite {prefix}.{name} after the optimizer step at epoch {epoch}, "
@@ -600,13 +648,13 @@ def _record(cfg, epoch, split, metric, value):
     }
 
 
-def _trace(fh, state, t, absorbed):
+def _trace(fh, table, b, t, absorbed):
     fh.write(json.dumps({
-        "user": int(state.stream.user),
+        "user": int(table.users[b]),
         "step": int(t),
-        "incoming": int(state.stream.items[t - 1]),
-        "kept": sorted(state.sketch.items().tolist()),
-        "absorbed": absorbed,
+        "incoming": int(table.stream_items[b, t - 1]),
+        "kept": sorted(table.items[b, :table.kept[b]].tolist()),
+        "absorbed": bool(absorbed),
     }) + "\n")
 
 

@@ -122,11 +122,9 @@ def test_acceptance_4_reservoir_statistics():
     K, T, trials = 10, 100, 20000
     rng = np.random.default_rng(4)
     counts = np.zeros(T)
+    steps = np.arange(1, T + 1)[None]   # slot p holds item p, streamed at step p + 1
     for _ in range(trials):
-        s = pol.Sketch(K, T)
-        for t in range(1, T + 1):
-            s = pol.reservoir_update(s, t - 1, 1.0, step=t, rng=rng)
-        counts[s.items()] += 1
+        counts[pol.reservoir_update(steps, K, [rng])[0]] += 1
     p = K / T
     sigma = np.sqrt(p * (1 - p) * trials)
     dev = float(np.abs(counts - p * trials).max())
@@ -246,19 +244,19 @@ def test_acceptance_7_head_agreement():
                            rng=np.random.default_rng(3))
     boundaries = agree = 0
     for stream in splits.train + splits.valid + splits.test:
-        state = tr._UserState(stream, splits.n_items, cfg)
+        table = tr.SketchTable([stream], splits.n_items, cfg)
         for t in range(1, len(stream.items)):
-            inter, boundary = state.observe(t, cfg)
-            if boundary:
-                zhat = inter.zhat
-                online = np.flatnonzero(
-                    tr.select_with_policy(phi, zhat, state.y, cfg).data > 0.5)
-                scores = pol.policy_scores(zhat, state.y, phi)
+            _, up = table.observe(t, np.zeros(1, dtype=np.int64))
+            if up.size:
+                zhat, y = table.zhat(up)[0], table.y[0]
+                z = tr.select_with_policy(phi, zhat, y, cfg).data
+                online = np.flatnonzero(z > 0.5)
+                scores = pol.policy_scores(zhat, y, phi)
                 _, top_k = pol.batch_keep(pol.topk_project(scores, cfg.sketch_size),
                                           cfg.sketch_size)
                 boundaries += 1
                 agree += np.array_equal(online, top_k)
-            state.commit(inter, None, phi, cfg, rng=None)
+                table.commit(up, z=z[None])
     ok = boundaries > 0 and agree == boundaries
     _verdict(7, "head agreement", ok,
              f"same kept items at {agree} of {boundaries} boundaries")
@@ -273,10 +271,13 @@ _CASES = settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(1, 8), st.integers(1, 60), st.integers(0, 2 ** 31 - 1))
 def _prop_sketch_cardinality(k, t_total, seed):
     rng = np.random.default_rng(seed)
-    s = pol.Sketch(k, t_total)
+    stream = ds.UserStream(0, np.arange(t_total), np.ones(t_total))
+    table = tr.SketchTable([stream], t_total, tr.TrainConfig(sketch_size=k, policy="random"),
+                           [rng])
     for t in range(1, t_total + 1):
-        s = pol.reservoir_update(s, t - 1, 1.0, step=t, rng=rng)
-        assert len(s) == min(t, k) <= k
+        _, up = table.observe(t, np.zeros(1, dtype=np.int64))
+        table.commit(up)
+        assert table.kept[0] == min(t, k) <= k
 
 
 @_CASES

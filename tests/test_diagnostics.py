@@ -112,14 +112,11 @@ def test_first_boundary_replay_equals_first_term_only():
     probe = cfg.sketch_size + 1
     true_g, v = dg.true_policy_grad(res.rec, res.phi, stream, cfg, probe)
 
-    st = tr._UserState(stream, M, cfg)
-    for t in range(1, probe):
-        e = tr.SketchEntry(int(stream.items[t - 1]), float(stream.ratings[t - 1]), t)
-        st.sketch = tr.Sketch(cfg.sketch_size, M, tuple(st.sketch.entries) + (e,))
-    zhat = st.sketch.z
-    zhat[int(stream.items[probe - 1])] += 1.0
+    table = tr.SketchTable([stream], M, cfg)
+    for t in range(1, probe + 1):
+        _, up = table.observe(t, np.zeros(1, dtype=np.int64))
     first_only, _, _, _ = tr.policy_gradient(
-        res.phi, res.rec, st.y[None], st.mask[None], zhat[None], [[]],
+        res.phi, res.rec, table.y, table.mask, table.zhat(up), [[]],
         stream.items[probe:probe + 1], stream.ratings[probe:probe + 1], cfg)
     for a, b in zip(first_only, true_g):
         np.testing.assert_allclose(a, b, atol=1e-12)

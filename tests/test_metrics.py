@@ -260,10 +260,11 @@ def test_evaluate_order_invariant():
 def per_user_reference(rec, phi, stream, cfg, exclude_history, anchors):
     """The protocol for one user, step by step, as a plain per-user loop."""
     eval_cfg = replace(cfg, stochastic_train=False)
-    st = tr._UserState(stream, rec.n_items, eval_cfg)
+    table = tr.SketchTable([stream], rec.n_items, eval_cfg, anchors=anchors)
+    row = np.zeros(1, dtype=np.int64)
     records = []
     for t in range(1, len(stream.items)):
-        u = dc.Tensor(tr.inner_adapt(rec, st.sketch.z[None], st.y[None], st.mask[None],
+        u = dc.Tensor(tr.inner_adapt(rec, table.z(row), table.y, table.mask,
                                      cfg.inner_lr, cfg.inner_steps))
         nxt = int(stream.items[t])
         if cfg.setting == rm.EXPLICIT:
@@ -277,8 +278,10 @@ def per_user_reference(rec, phi, stream, cfg, exclude_history, anchors):
                 scores[past[past != nxt]] = -np.inf
             records.append(met.EvalRecord(stream.user, t, "rank",
                                           float(met.rank_of(nxt, scores))))
-        inter, _ = st.observe(t, eval_cfg)
-        st.commit(inter, rec, phi, eval_cfg, None, anchors)
+        _, up = table.observe(t, row)
+        if up.size:
+            z = tr.select_with_policy(phi, table.zhat(up), table.y, eval_cfg).data
+            table.commit(up, rec, u.data, z=z)
     return records
 
 

@@ -9,39 +9,65 @@ from dips import diffcore as dc
 from dips import policies as pol
 from dips import recmodel as rm
 from dips.diffcore import Tensor, grad
-from dips.policies import IntermediateSketch, Sketch, SketchEntry
+from dips import trainer as tr
+from dips.datasets import UserStream
 
 from fdcheck import finite_difference, rel_error
 
 
-def make_sketch(items, K, M, ratings=None, steps=None):
+def stepped_table(items, K, M, policy, ratings=None, tau=1, rng=None):
+    """A one-user table after observing (and committing) every item of
+    ``items`` but the last, which it has just observed; returns the table
+    and the rows deciding at that last step."""
     ratings = ratings if ratings is not None else [1.0] * len(items)
-    steps = steps if steps is not None else list(range(1, len(items) + 1))
-    return Sketch(K, M, tuple(SketchEntry(i, r, s) for i, r, s in zip(items, ratings, steps)))
+    stream = UserStream(0, np.array(items), np.array(ratings, dtype=np.float64))
+    cfg = tr.TrainConfig(sketch_size=K, tau=tau, mode="online" if tau == 1 else "batch",
+                         policy=policy)
+    table = tr.SketchTable([stream], M, cfg, [rng])
+    for t in range(1, len(items) + 1):
+        _, up = table.observe(t, np.zeros(1, dtype=np.int64))
+        if t < len(items) and up.size:
+            table.commit(up)
+    return table, up
+
+
+def kept_items(table):
+    return sorted(table.items[0, :table.kept[0]].tolist())
 
 
 # ---------------------------------------------------------------- reservoir
 
 def test_reservoir_under_capacity_always_inserts():
+    # the table absorbs while the sketch has room, drawing nothing
     rng = np.random.default_rng(0)
-    s = make_sketch([0, 1, 2], K=4, M=10)
-    s2 = pol.reservoir_update(s, 7, 1.0, step=4, rng=rng)
-    assert s2.contains(7) and len(s2) == 4
+    state = rng.bit_generator.state
+    table, up = stepped_table([0, 1, 2, 7], K=4, M=10, policy="random", rng=rng)
+    assert up.size == 0 and kept_items(table) == [0, 1, 2, 7]
+    assert rng.bit_generator.state == state
 
 
-def test_reservoir_rejects_duplicates():
-    s = make_sketch([0, 1], K=4, M=10)
-    with pytest.raises(ValueError):
-        pol.reservoir_update(s, 1, 1.0, step=3, rng=np.random.default_rng(0))
+def test_reservoir_replaces_a_kept_slot_in_place():
+    # a draw j < k puts the pending slot's item in slot j; every other
+    # kept slot keeps its item and its place
+    steps = np.array([[1, 2, 3, 4, 9]])
+    rng = np.random.default_rng(0)
+    j = int(np.random.default_rng(0).integers(9))
+    src = pol.reservoir_update(steps, 4, [rng])
+    expected = np.arange(4)
+    if j < 4:
+        expected[j] = 4
+    np.testing.assert_array_equal(src, [expected])
 
 
 def test_reservoir_size_invariant():
     rng = np.random.default_rng(1)
     K, M, T = 5, 100, 30
-    s = Sketch(K, M)
+    stream = UserStream(0, np.arange(T), np.ones(T))
+    table = tr.SketchTable([stream], M, tr.TrainConfig(sketch_size=K, policy="random"), [rng])
     for t in range(1, T + 1):
-        s = pol.reservoir_update(s, t - 1, 1.0, step=t, rng=rng)
-        assert len(s) == min(t, K)
+        _, up = table.observe(t, np.zeros(1, dtype=np.int64))
+        table.commit(up)
+        assert table.kept[0] == min(t, K)
 
 
 def test_reservoir_inclusion_probability():
@@ -49,11 +75,9 @@ def test_reservoir_inclusion_probability():
     rng = np.random.default_rng(2)
     K, M, T, trials = 10, 100, 100, 20000
     counts = np.zeros(T)
+    steps = np.arange(1, T + 1)[None]
     for _ in range(trials):
-        s = Sketch(K, M)
-        for t in range(1, T + 1):
-            s = pol.reservoir_update(s, t - 1, 1.0, step=t, rng=rng)
-        counts[s.items()] += 1
+        counts[pol.reservoir_update(steps, K, [rng])[0]] += 1
     p = K / T
     sigma = np.sqrt(p * (1 - p) * trials)
     assert np.all(np.abs(counts - p * trials) <= 3 * sigma)
@@ -66,29 +90,30 @@ def tiny_model(setting="explicit", n_items=8, seed=0):
                         rng=np.random.default_rng(seed))
 
 
-def entry_loss(rec, u, e):
+def entry_loss(rec, u, item, rating):
     """The graph loss of one entry at ``u`` (d,), a Tensor or an array."""
-    return rm.next_item_loss(rec, dc.reshape(u, (1, rec.dim)), [e.item], [e.rating])
+    return rm.next_item_loss(rec, dc.reshape(u, (1, rec.dim)), [item], [rating])
 
 
 @pytest.mark.parametrize("setting", ["explicit", "implicit"])
 def test_entry_losses_equal_the_graph_losses(setting):
     rec = tiny_model(setting, n_items=40, seed=8)
     rng = np.random.default_rng(8)
-    items = rng.choice(40, size=6, replace=False)
-    entries = [SketchEntry(int(j), float(r), s)
-               for s, (j, r) in enumerate(zip(items, rng.uniform(1, 5, size=6)))]
-    u = rng.normal(size=3)
-    want = np.array([entry_loss(rec, u, e).item() for e in entries])
-    got = pol.entry_losses(rec, u, entries)
+    items = rng.choice(40, size=(2, 6), replace=False)
+    ratings = rng.uniform(1, 5, size=(2, 6))
+    u = rng.normal(size=(2, 3))
+    want = np.array([[entry_loss(rec, u[r], j, y).item() for j, y in zip(items[r], ratings[r])]
+                     for r in range(2)])
+    got = pol.entry_losses(rec, u, items, ratings)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    if setting == "implicit":
+        scores, _ = rm.user_forward(rec, u)
+        np.testing.assert_array_equal(pol.entry_losses(rec, u, items, ratings, scores), got)
 
 
 def test_hardest_under_capacity_keeps_all():
-    rec = tiny_model()
-    inter = IntermediateSketch(make_sketch([0], K=3, M=8), (SketchEntry(1, 2.0, 2),))
-    out = pol.hardest_update(rec, rec.user_emb, inter)
-    assert sorted(out.items().tolist()) == [0, 1]
+    table, up = stepped_table([0, 1], K=3, M=8, policy="hardest")
+    assert up.size == 0 and kept_items(table) == [0, 1]
 
 
 def test_hardest_keeps_largest_losses():
@@ -97,24 +122,18 @@ def test_hardest_keeps_largest_losses():
     for name in rec.param_names():
         setattr(rec, name, np.zeros(getattr(rec, name).shape))
     ratings = [0.9, 0.1, 0.5]  # losses 0.81, 0.01, 0.25
-    inter = IntermediateSketch(
-        make_sketch([3, 4], K=2, M=8, ratings=ratings[:2], steps=[1, 2]),
-        (SketchEntry(5, ratings[2], 3),),
-    )
-    out = pol.hardest_update(rec, rec.user_emb, inter)
-    assert sorted(out.items().tolist()) == [3, 5]
+    table, up = stepped_table([3, 4, 5], K=2, M=8, policy="hardest", ratings=ratings)
+    table.commit(up, rec, rec.user_emb[None])
+    assert kept_items(table) == [3, 5]
 
 
 def test_hardest_ties_keep_most_recent():
     rec = tiny_model(seed=2)
     for name in rec.param_names():
         setattr(rec, name, np.zeros(getattr(rec, name).shape))
-    inter = IntermediateSketch(
-        make_sketch([0, 1], K=2, M=8, ratings=[1.0, 1.0], steps=[1, 2]),
-        (SketchEntry(2, 1.0, 3),),
-    )
-    out = pol.hardest_update(rec, rec.user_emb, inter)
-    assert sorted(out.items().tolist()) == [1, 2]
+    table, up = stepped_table([0, 1, 2], K=2, M=8, policy="hardest")
+    table.commit(up, rec, rec.user_emb[None])
+    assert kept_items(table) == [1, 2]
 
 
 # ---------------------------------------------------------------- influence
@@ -122,11 +141,11 @@ def test_hardest_ties_keep_most_recent():
 def test_influence_single_entry_analytic():
     # with one entry, target = its own loss, so I = -g . (H + lam I)^-1 . g
     rec = tiny_model(seed=3)
-    inter = IntermediateSketch(make_sketch([2], K=1, M=8, ratings=[4.0]), ())
-    scores = pol.influence_scores(rec, rec.user_emb, inter, damping=1e-3)
+    scores = pol.influence_scores(rec, rec.user_emb[None], np.array([[2]]), np.array([[4.0]]),
+                                  damping=1e-3)[0]
 
     u = Tensor(rec.user_emb.copy(), requires_grad=True)
-    loss = entry_loss(rec, u, inter.all_entries()[0])
+    loss = entry_loss(rec, u, 2, 4.0)
     (g,) = grad(loss, [u], create_graph=True)
     d = rec.dim
     H = np.zeros((d, d))
@@ -144,16 +163,15 @@ def test_influence_scores_match_a_d_pass_hessian_reference(setting):
     rec = rm.RecParams(n_items=10, dim=4, hidden=6, setting=setting, rng=rng)
     rec.b1[:] = 0.2
     items = rng.choice(10, size=5, replace=False)
-    entries = [SketchEntry(int(it), float(rng.uniform(1, 5)), i + 1)
-               for i, it in enumerate(items)]
-    inter = IntermediateSketch(Sketch(4, 10, tuple(entries[:4])), (entries[4],))
+    ratings = np.array([rng.uniform(1, 5) for _ in items])
     u0 = 0.5 * rng.normal(size=4)
     damping = 1e-3
-    scores = pol.influence_scores(rec, u0, inter, damping=damping)
+    scores = pol.influence_scores(rec, u0[None], items[None], ratings[None], damping=damping)[0]
 
     # one backward pass per entry, one more per Hessian row
     u = Tensor(u0.copy(), requires_grad=True)
-    grads = [grad(entry_loss(rec, u, e), [u], create_graph=True)[0] for e in entries]
+    grads = [grad(entry_loss(rec, u, j, r), [u], create_graph=True)[0]
+             for j, r in zip(items, ratings)]
     total = grads[0]
     for g in grads[1:]:
         total = total + g
@@ -171,28 +189,43 @@ def test_influence_builds_no_graph(setting, monkeypatch):
 
     monkeypatch.setattr(dc, "grad", no_grad_allowed)
     rec = tiny_model(setting, seed=5)
-    inter = IntermediateSketch(make_sketch([1, 4], K=2, M=8, ratings=[2.0, 4.0]),
-                               (SketchEntry(6, 3.0, 3),))
-    u = rec.user_emb
-    assert np.all(np.isfinite(pol.influence_scores(rec, u, inter)))
-    assert len(pol.influence_update(rec, u, inter)) == 2
+    table, up = stepped_table([1, 4, 6], K=2, M=8, policy="influence",
+                              ratings=[2.0, 4.0, 3.0])
+    u = rec.user_emb[None]
+    assert np.all(np.isfinite(pol.influence_scores(rec, u, table.items[up],
+                                                   table.ratings[up])))
+    table.commit(up, rec, u)
+    assert table.kept[0] == 2 and len(kept_items(table)) == 2
 
 
 def test_influence_equal_gradients_equal_scores():
     rec = tiny_model(seed=4)
     rec.item_emb[5] = rec.item_emb[2]
-    inter = IntermediateSketch(
-        make_sketch([2, 5], K=2, M=8, ratings=[3.0, 3.0]), (SketchEntry(1, 1.0, 3),)
-    )
-    scores = pol.influence_scores(rec, rec.user_emb, inter)
+    scores = pol.influence_scores(rec, rec.user_emb[None], np.array([[2, 5, 1]]),
+                                  np.array([[3.0, 3.0, 1.0]]))[0]
     assert scores[0] == pytest.approx(scores[1], rel=1e-10)
+
+
+def test_influence_solves_a_stack_as_its_rows():
+    # the R systems of a stack solve together: each row's scores are those
+    # of the row alone
+    rng = np.random.default_rng(6)
+    for setting in ("explicit", "implicit"):
+        rec = tiny_model(setting, n_items=12, seed=6)
+        items = np.stack([rng.choice(12, size=4, replace=False) for _ in range(5)])
+        ratings = rng.uniform(1, 5, size=(5, 4))
+        u = rng.normal(size=(5, 3))
+        stack = pol.influence_scores(rec, u, items, ratings)
+        for r in range(5):
+            alone = pol.influence_scores(rec, u[r:r + 1], items[r:r + 1], ratings[r:r + 1])
+            np.testing.assert_array_equal(stack[r], alone[0])
 
 
 def _affine_rig():
     """Model whose relu pattern is item-determined with wide margins, so each
     prediction is exactly affine in the user vector: p_j(u) = a_j . u + c_j.
 
-    Returns (rec, entries, A, C, ratings) with the affine coefficients
+    Returns (rec, items, A, C, ratings) with the affine coefficients
     computed from plain numpy, independent of the autodiff graph.
     """
     d, hidden, M = 2, 4, 6
@@ -219,9 +252,7 @@ def _affine_rig():
     A, C = np.array(A), np.array(C)
     rng = np.random.default_rng(3)
     ratings = A @ np.array([0.4, -0.3]) + C + rng.uniform(-0.2, 0.2, size=5)
-    entries = [SketchEntry(int(it), float(r), i + 1)
-               for i, (it, r) in enumerate(zip(items, ratings))]
-    return rec, entries, A, C, ratings
+    return rec, items, A, C, ratings
 
 
 def _check_affine_margins(rec, u, items):
@@ -234,12 +265,11 @@ def _check_affine_margins(rec, u, items):
 def test_influence_matches_affine_closed_form():
     # at a non-stationary user vector, I(j) = -g_t . (H + lam)^-1 . g_j with
     # g and H computed in closed form from the affine coefficients
-    rec, entries, A, C, ratings = _affine_rig()
-    inter = IntermediateSketch(Sketch(5, rec.n_items, tuple(entries[:4])), (entries[4],))
+    rec, items, A, C, ratings = _affine_rig()
     u = np.array([0.25, 0.1])
-    _check_affine_margins(rec, u, [e.item for e in entries])
+    _check_affine_margins(rec, u, items)
     damping = 1e-8
-    scores = pol.influence_scores(rec, u, inter, damping=damping)
+    scores = pol.influence_scores(rec, u[None], items[None], ratings[None], damping=damping)[0]
 
     resid = A @ u + C - ratings
     grads = 2.0 * resid[:, None] * A          # per-entry d(resid^2)/du
@@ -253,11 +283,11 @@ def test_influence_matches_affine_closed_form():
 def test_influence_vanishes_at_refit_optimum():
     # the target is the mean loss over the same entries the refit minimizes,
     # so at the exact least-squares optimum every influence score is ~0
-    rec, entries, A, C, ratings = _affine_rig()
-    inter = IntermediateSketch(Sketch(5, rec.n_items, tuple(entries[:4])), (entries[4],))
+    rec, items, A, C, ratings = _affine_rig()
     u_star, *_ = np.linalg.lstsq(A, ratings - C, rcond=None)
-    _check_affine_margins(rec, u_star, [e.item for e in entries])
-    scores = pol.influence_scores(rec, u_star, inter, damping=1e-8)
+    _check_affine_margins(rec, u_star, items)
+    scores = pol.influence_scores(rec, u_star[None], items[None], ratings[None],
+                                  damping=1e-8)[0]
     resid = A @ u_star + C - ratings
     assert np.max(np.abs(resid)) > 0.05       # losses themselves are not zero
     np.testing.assert_allclose(scores, 0.0, atol=1e-10)
@@ -784,24 +814,20 @@ def test_st_zero_downstream_gradient():
 
 # ----------------------------------------------------------------- sketches
 
-def test_sketch_duplicate_rejected():
-    with pytest.raises(ValueError):
-        make_sketch([1, 1], K=3, M=5)
+@pytest.mark.parametrize("items", [[1, 1], [0, 2, 4, 2], [0, 2, 4, 4]])
+def test_sketch_duplicate_rejected(items):
+    # an item already in its row's slots, kept or pending, names the user
+    # and the step that brought it again
+    with pytest.raises(ValueError, match=f"user 0, step t={len(items)}: item {items[-1]} is "
+                       "already in the sketch"):
+        stepped_table(items, K=2, M=5, policy="oracle", tau=2)
 
 
 def test_intermediate_zhat_identity():
-    s = make_sketch([0, 2], K=2, M=5)
-    inter = IntermediateSketch(s, (SketchEntry(4, 1.0, 3),))
-    expected = s.z
-    expected[4] += 1
-    np.testing.assert_array_equal(inter.zhat, expected)
-
-
-def test_keep_rejects_unknown_items():
-    s = make_sketch([0, 2], K=2, M=5)
-    inter = IntermediateSketch(s, (SketchEntry(4, 1.0, 3),))
-    with pytest.raises(ValueError):
-        inter.keep([0, 3])
+    table, up = stepped_table([0, 2, 4], K=2, M=5, policy="oracle")
+    expected = table.z(up)
+    expected[0, 4] += 1
+    np.testing.assert_array_equal(table.zhat(up), expected)
 
 
 # ------------------------------------------------------- vectorised draws

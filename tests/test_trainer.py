@@ -563,23 +563,21 @@ def test_grad_wrt_sketch_duplicate_items_equal_entries():
 
 def test_grad_wrt_sketch_one_step_closed_form():
     # exact affine model, one inner step: v_j = -alpha g_next(u1) . g_j(u0)
-    rec, entries, A, C, ratings = _affine_rig()
+    rec, items, A, C, ratings = _affine_rig()
     M = rec.n_items
     mask = np.zeros(M)
     y = np.zeros(M)
-    for e in entries:
-        mask[e.item] = 1
-        y[e.item] = e.rating
+    mask[items] = 1
+    y[items] = ratings
     zhat = mask.copy()
-    zhat[entries[-1].item] = 0.0
-    nxt, r_next = entries[-1].item, entries[-1].rating
+    zhat[items[-1]] = 0.0
+    nxt, r_next = items[-1], ratings[-1]
     alpha = 0.05
-    cfg = small_cfg(sketch_size=len(entries) - 2, inner_steps=1, inner_lr=alpha)
+    cfg = small_cfg(sketch_size=len(items) - 2, inner_steps=1, inner_lr=alpha)
     v, z = sketch_v(rec, zhat[None], y[None], mask[None], [nxt], [r_next], cfg)
     assert z.sum() == cfg.sketch_size
 
     u0 = rec.user_emb
-    items = [e.item for e in entries]
     resid0 = A @ u0 + C - ratings
     grads0 = 2.0 * resid0[:, None] * A
     u1 = u0 - alpha * (z[items][:, None] * grads0).sum(axis=0)
@@ -1086,51 +1084,88 @@ def test_stepper_follows_the_transition_rules(tau, expected):
                            ratings=np.array([4.0, 2.0, 3.0, 5.0, 1.0]))
     cfg = small_cfg(sketch_size=2, tau=tau, policy="oracle",
                     mode="online" if tau == 1 else "batch")
-    st = tr._UserState(stream, 8, cfg)
+    table = tr.SketchTable([stream], 8, cfg, anchors={0: {5}})
+    row = np.zeros(1, dtype=np.int64)
     got = []
     for t in range(1, 5):
-        inter, boundary = st.observe(t, cfg)
-        assert inter.incoming[-1] == tr.SketchEntry(int(stream.items[t - 1]),
-                                                    float(stream.ratings[t - 1]), t)
-        outcome = st.commit(inter, None, None, cfg, None, {0: {5}})
-        got.append((outcome, boundary, sorted(st.sketch.items().tolist()),
-                    [e.item for e in st.pending]))
+        absorbed, up = table.observe(t, row)
+        slot = table.filled[0] - 1
+        assert (table.items[0, slot], table.ratings[0, slot], table.steps[0, slot]) == \
+            (stream.items[t - 1], stream.ratings[t - 1], t)
+        table.commit(up)
+        outcome = "absorbed" if absorbed.size else "updated" if up.size else None
+        got.append((outcome, bool(up.size), sorted(table.items[0, :table.kept[0]].tolist()),
+                    table.items[0, table.kept[0]:table.filled[0]].tolist()))
     assert got == expected
+
+
+def test_a_stack_steps_as_its_rows_and_names_the_user_of_a_duplicate():
+    # one table of three users keeps, at every step, what a one-user table
+    # keeps for each of them; a repeated item is found in one comparison
+    # over the stack and named by its user and step
+    streams = [ds.UserStream(7, np.array([5, 1, 7, 3, 0, 2]), np.arange(6.0)),
+               ds.UserStream(8, np.array([4, 6, 2]), np.arange(3.0)),
+               ds.UserStream(9, np.array([0, 2, 5, 1, 6]), np.arange(5.0))]
+    cfg = small_cfg(sketch_size=2, tau=2, policy="oracle", mode="batch")
+    anchors = {7: {5}, 9: {1, 6}}
+    stack = tr.SketchTable(streams, 8, cfg, anchors=anchors)
+    alone = [tr.SketchTable([s], 8, cfg, anchors=anchors) for s in streams]
+    lens = np.array([len(s.items) for s in streams])
+    for t in range(1, lens.max() + 1):
+        active = np.flatnonzero(t <= lens)
+        _, up = stack.observe(t, active)
+        stack.commit(up)
+        for b in active:
+            _, own = alone[b].observe(t, np.zeros(1, dtype=np.int64))
+            alone[b].commit(own)
+            assert (b in up) == bool(own.size)
+            for name in ("items", "ratings", "steps", "kept", "filled"):
+                np.testing.assert_array_equal(getattr(stack, name)[b], getattr(alone[b], name)[0])
+    twice = [streams[0], ds.UserStream(8, np.array([4, 6, 4]), np.arange(3.0))]
+    table = tr.SketchTable(twice, 8, cfg, anchors=anchors)
+    for t in (1, 2):
+        table.observe(t, np.arange(2))
+    with pytest.raises(ValueError, match="user 8, step t=3: item 4 is already in the sketch"):
+        table.observe(3, np.arange(2))
 
 
 @pytest.mark.parametrize("setting", ["explicit", "implicit"])
 @pytest.mark.parametrize("policy", ["hardest", "influence"])
-def test_commit_given_the_adapted_row_keeps_the_same_items(monkeypatch, setting, policy):
-    # evaluation hands commit the row of its stacked adaptation; the update
-    # keeps what re-running inner_adapt on the same sketch keeps, without
-    # that second call
+def test_commit_given_the_adapted_rows_keeps_the_same_items(setting, policy):
+    # evaluation hands commit the rows of its adaptation of every active
+    # user (and, implicit, their scores), training adapts the deciding rows
+    # alone, and a user alone is a one-row stack: all three keep the same
+    # items
     streams = synth(seed=5, n_users=20, setting=setting).splits.train[:4]
     streams = [ds.UserStream(s.user, s.items[:n], s.ratings[:n])
                for s, n in zip(streams, (8, 5, 7, 6))]
     cfg = small_cfg(setting=setting, policy=policy)
     rec = rm.RecParams(24, dim=3, hidden=4, setting=setting, rng=np.random.default_rng(1))
-    shared = [tr._UserState(s, 24, cfg) for s in streams]
-    own = [tr._UserState(s, 24, cfg) for s in streams]
-    calls = []
-    adapt = tr.inner_adapt
-    monkeypatch.setattr(tr, "inner_adapt", lambda *a, **kw: calls.append(1) or adapt(*a, **kw))
+    tables = [tr.SketchTable(streams, 24, cfg) for _ in range(2)]
+    alone = [tr.SketchTable([s], 24, cfg) for s in streams]
+
+    def adapt(table, rows):
+        return tr.inner_adapt(rec, table.z(rows), table.y[rows], table.mask[rows],
+                              cfg.inner_lr, cfg.inner_steps)
+
+    lens = np.array([len(s.items) for s in streams])
     updates = 0
     for t in range(1, 8):
-        active = [i for i, s in enumerate(streams) if t < len(s.items)]
-        u = adapt(rec, np.stack([shared[i].sketch.z for i in active]),
-                  np.stack([shared[i].y for i in active]),
-                  np.stack([shared[i].mask for i in active]),
-                  cfg.inner_lr, cfg.inner_steps)
-        for b, i in enumerate(active):
-            inter, _ = shared[i].observe(t, cfg)
-            outcome = shared[i].commit(inter, rec, None, cfg, None, u=u[b])
-            assert not calls
-            inter, _ = own[i].observe(t, cfg)
-            own[i].commit(inter, rec, None, cfg, None)
-            assert len(calls) == (outcome == "updated")
-            calls.clear()
-            assert shared[i].sketch.items().tolist() == own[i].sketch.items().tolist()
-            updates += outcome == "updated"
+        active = np.flatnonzero(t < lens)
+        u = adapt(tables[0], active)
+        scores = rm.user_forward(rec, u)[0] if setting == "implicit" else None
+        for table in tables:
+            _, up = table.observe(t, active)
+        pos = np.searchsorted(active, up)
+        tables[0].commit(up, rec, u[pos], None if scores is None else scores[pos])
+        tables[1].commit(up, rec, adapt(tables[1], up))
+        for b in active:
+            _, own = alone[b].observe(t, np.zeros(1, dtype=np.int64))
+            alone[b].commit(own, rec, adapt(alone[b], own))
+            kept = sorted(alone[b].items[0, :alone[b].kept[0]].tolist())
+            for table in tables:
+                assert sorted(table.items[b, :table.kept[b]].tolist()) == kept
+        updates += up.size
     assert updates == sum(len(s.items) - 1 - cfg.sketch_size for s in streams)
 
 
@@ -1170,7 +1205,7 @@ def test_train_commits_the_selection_of_the_policy_gradient(monkeypatch, tau):
     data = synth(seed=7, length=10).splits
     cfg = small_cfg(tau=tau, mode="online" if tau == 1 else "batch", stochastic_train=True)
     selections, hooked, in_commit, selected_in_commit = [], [], [False], []
-    policy_gradient, commit, select = tr.policy_gradient, tr._UserState.commit, \
+    policy_gradient, commit, select = tr.policy_gradient, tr.SketchTable.commit, \
         tr.select_with_policy
 
     def pg_spy(*args, **kwargs):
@@ -1190,7 +1225,7 @@ def test_train_commits_the_selection_of_the_policy_gradient(monkeypatch, tau):
         return select(*args, **kwargs)
 
     monkeypatch.setattr(tr, "policy_gradient", pg_spy)
-    monkeypatch.setattr(tr._UserState, "commit", commit_spy)
+    monkeypatch.setattr(tr.SketchTable, "commit", commit_spy)
     monkeypatch.setattr(tr, "select_with_policy", select_spy)
     _, trace = traced_train(cfg, data, validate_each_epoch=False,
                             policy_grad_hook=lambda users, t, g, v: hooked.append((users, t)))
@@ -1248,21 +1283,30 @@ def test_warm_start_leaves_the_callers_parameters_untouched():
 
 @pytest.mark.parametrize("tau", [1, 2])
 @pytest.mark.parametrize("setting", ["explicit", "implicit"])
-def test_deterministic_training_is_unchanged_by_commit_reuse(monkeypatch, setting, tau):
-    # deterministic heads: the selection commit would make for itself is
-    # the one policy_gradient took, so reusing it changes no bit
+def test_deterministic_training_commits_a_fresh_selection(monkeypatch, setting, tau):
+    # deterministic heads: the selection each boundary user commits, the
+    # one policy_gradient took, is the one a fresh selection of its
+    # intermediate sketch by the same phi makes
     data = synth(seed=8, setting=setting).splits
     cfg = small_cfg(setting=setting, tau=tau, mode="online" if tau == 1 else "batch")
-    reused, reused_trace = traced_train(cfg, data)
-    commit = tr._UserState.commit
-    monkeypatch.setattr(tr._UserState, "commit",
-                        lambda self, *args, z=None, **kwargs: commit(self, *args, **kwargs))
-    own, own_trace = traced_train(cfg, data)
-    assert any(not rec["absorbed"] for rec in own_trace)
-    assert reused_trace == own_trace
-    assert reused.metric_log == own.metric_log
-    for a, b in zip(final_state(reused), final_state(own)):
-        np.testing.assert_array_equal(a, b)
+    phis, same = [], []
+    policy_gradient, commit = tr.policy_gradient, tr.SketchTable.commit
+
+    def pg_spy(phi, *args, **kwargs):
+        phis.append(phi)
+        return policy_gradient(phi, *args, **kwargs)
+
+    def commit_spy(self, rows, *args, z=None, **kwargs):
+        if z is not None:
+            fresh = tr.select_with_policy(phis[-1], self.zhat(rows), self.y[rows], cfg).data
+            same.extend(np.all((fresh > 0.5) == (z > 0.5), axis=1))
+        return commit(self, rows, *args, z=z, **kwargs)
+
+    monkeypatch.setattr(tr, "policy_gradient", pg_spy)
+    monkeypatch.setattr(tr.SketchTable, "commit", commit_spy)
+    _, trace = traced_train(cfg, data)
+    assert any(not rec["absorbed"] for rec in trace)
+    assert len(same) > 10 and all(same)
 
 
 def test_batch_tau1_identical_to_online():
