@@ -3,10 +3,11 @@
 The production trainer estimates the policy gradient from a bounded queue
 of stored intermediate indicators.  Here the whole sketching trajectory
 is replayed from the first step with the current policy, so every past
-selection contributes.  The replay advances the sketch with the trainer's
-own stepper (``_UserState.observe``/``commit``) and calls the trainer's
-estimator, which makes the two gradients exactly equal when the policy was
-frozen during the original run.
+selection contributes.  The replay advances the user's sketch as a
+one-row :class:`trainer.SketchTable`, through the trainer's own
+``observe``/``commit``, and calls the trainer's estimator, which makes the
+two gradients exactly equal when the policy was frozen during the original
+run.
 """
 
 from __future__ import annotations

@@ -4,10 +4,10 @@ and the model predicts the next interaction.
 
 The protocol runs time-major, as training does: at each step the users
 still streaming, up to ``batch_size`` at a time, form one stack, adapted
-and scored on the graph-free kernel of :mod:`recmodel`, and the learned
-policy selects for the users at a sketch boundary in one deterministic
-call, a numpy forward that keeps no graph; a single user still streaming
-is the stack B = 1.  Each user draws from its own generator, seeded by
+and scored on the graph-free kernel of :mod:`recmodel`, their sketches
+one slot table, and the learned policy selects for the users at a sketch
+boundary in one deterministic call, a numpy forward that keeps no graph; a
+single user still streaming is the stack B = 1.  Each user draws from its own generator, seeded by
 (seed, user id), so a user's records do not depend on which users are
 evaluated with it, or in which order.
 """
@@ -90,10 +90,14 @@ def evaluate(rec, phi, streams, cfg, k=20, exclude_history=False, seed=None,
     taken ``cfg.batch_size`` at a time, the stack width of training; at
     each step t the users of a stack with t < len(items) are adapted on
     their sketches in one graph-free ``inner_adapt`` and predicted in one
-    ``recmodel.user_forward``, then every sketch advances through the
-    trainer's ``observe``/``commit``, which reuses the adapted row
-    (``hardest``/``influence``) and the stacked selection
-    (``dips``/``dips1``).  User ``s`` draws from
+    ``recmodel.user_forward``; a non-finite adapted user, prediction or
+    squared error, as a diverged adaptation gives, is a FloatingPointError
+    naming the step and the users.  Then the stack's
+    :class:`trainer.SketchTable` advances: ``observe`` writes the step's
+    interaction of every user, and one ``commit`` decides for the users at
+    a sketch boundary, reusing their adapted rows (``hardest``/
+    ``influence``), their implicit scores (``hardest``) and one stacked
+    selection (``dips``/``dips1``).  User ``s`` draws from
     ``default_rng((seed, s.user))``, ``seed`` defaulting to ``cfg.seed``.
     Records come out in stream order, then step order.
     """
@@ -117,17 +121,24 @@ def evaluate(rec, phi, streams, cfg, k=20, exclude_history=False, seed=None,
             nxt = table.stream_items[active, t]
             # explicit: one prediction per user; implicit: (B, M) scores
             preds, _ = rm.user_forward(rec, u, nxt, np.arange(len(active)))
-            for name, arr in (("adapted user embeddings", u), ("predictions", preds)):
-                if not tr.finite(arr):
+            checked = ("predictions", preds)
+            if cfg.setting == rm.EXPLICIT:
+                errs = (preds - table.stream_ratings[active, t]) ** 2
+                checked = ("squared errors", errs)
+            # a non-finite user gives non-finite predictions, and a finite
+            # sum proves every entry finite: only a non-finite one, from a
+            # non-finite entry or an overflow, looks at the rows
+            if not np.isfinite(checked[1].sum()):
+                for name, arr in (("adapted user embeddings", u), checked):
                     bad = ~np.isfinite(arr.reshape(len(active), -1)).all(axis=1)
-                    raise FloatingPointError(
-                        f"evaluate: non-finite {name} at step t={t}, users "
-                        f"{[int(table.users[b]) for b in active[bad]]}")
+                    if bad.any():
+                        raise FloatingPointError(
+                            f"evaluate: non-finite {name} at step t={t}, users "
+                            f"{[int(table.users[b]) for b in active[bad]]}")
             for b, i in enumerate(active):
                 s = batch[i]
                 if cfg.setting == rm.EXPLICIT:
-                    err = (preds[b] - float(s.ratings[t])) ** 2
-                    out[i].append(EvalRecord(s.user, t, "sq_error", err))
+                    out[i].append(EvalRecord(s.user, t, "sq_error", errs[b]))
                 else:
                     row = preds[b]
                     if exclude_history:

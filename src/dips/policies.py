@@ -1,8 +1,11 @@
-"""Sketch data structures and the four sketch-update policies.
+"""The four sketch-update policies.
 
 Random keeps a uniform reservoir, Hardest keeps the highest-loss items,
 Influence keeps the items whose upweighting most reduces the sketch
-loss, and the learned policy scores items with a small network and
+loss: :func:`reservoir_update`, :func:`entry_losses` and
+:func:`influence_scores` take the slots of every row that decides at a
+step, as :meth:`trainer.SketchTable.commit` passes them.  The learned
+policy scores items with a small network and
 selects through a softmax-removal (online) or Top-K projection (batch)
 head with a straight-through backward pass.  Both heads read a score as
 keep: the online head removes by softmax(-scores), the Top-K head keeps
@@ -210,6 +213,18 @@ def _inverse_cdf(p, u):
 
 
 _SHIFT_STEPS = 100
+# the largest ulp of nu at which a step of one ulp is small against the
+# sigmoid's unit width, so that it moves sum(u) by about slope * ulp(nu)
+_LINEAR_ULP = 2.0 ** -10
+
+
+def _resolution(nu, slope):
+    """What one ulp step of the shifts ``nu`` can resolve of sum(u):
+    slope * ulp(nu), with ``slope`` = sum(u (1 - u)), where that ulp is at
+    most ``_LINEAR_ULP`` (|nu| < 2**42); 0 beyond, where one ulp can jump
+    over the whole of a tie."""
+    ulp = np.spacing(np.abs(nu))
+    return np.where(ulp <= _LINEAR_ULP, slope * ulp, 0.0)
 
 
 def _topk_rows(f, k):
@@ -224,9 +239,11 @@ def _topk_rows(f, k):
     high end the k+1 largest are at least sigmoid(20), so sum(u) > k; no
     bracket search is needed.  Each step is a Newton step on sum(u) - k,
     or a bisection of the bracket where Newton leaves it or the last step
-    did not halve the residual.  A row stops once |sum(u) - k| <= 1e-11 k,
-    its u that of the shift it stopped at; it fails when its bracket holds
-    no float64 left to try, or after ``_SHIFT_STEPS`` steps.  Every step is
+    did not halve the residual.  A row stops once |sum(u) - k| is at most
+    1e-11 k or what one ulp step of nu can resolve (:func:`_resolution`),
+    as in a near-tie far below the maximum, its u that of the shift it
+    stopped at; it fails when its bracket holds no float64 left to try, or
+    after ``_SHIFT_STEPS`` steps.  Every step is
     row by row, so a row of a stack gets the u, to the last bit, that it
     gets alone.
     """
@@ -244,14 +261,15 @@ def _topk_rows(f, k):
         for _ in range(_SHIFT_STEPS):
             s = 1.0 / (1.0 + np.exp(-(g + nu[:, None])))
             r = s.sum(axis=1) - k
-            stop = active & (np.abs(r) <= 1e-11 * k)
+            slope = (s * (1.0 - s)).sum(axis=1)
+            stop = active & (np.abs(r) <= np.maximum(1e-11 * k, _resolution(nu, slope)))
             u[stop] = s[stop]
             active &= ~stop
             if not active.any():
                 break
             lo = np.where(r < 0, nu, lo)
             hi = np.where(r > 0, nu, hi)
-            newton = nu - r / (s * (1.0 - s)).sum(axis=1)
+            newton = nu - r / slope
             mid = 0.5 * (lo + hi)
             bisect = ~((lo < newton) & (newton < hi)) | (np.abs(r) > 0.5 * last)
             active &= ~(bisect & ~((lo < mid) & (mid < hi)))
@@ -392,13 +410,13 @@ def reservoir_update(steps, k, rngs):
     j = ``rng.integers(steps[r, p])`` and replaces kept slot j if j < k.
     Returns the slot each kept slot takes its item from, (R, k).
     """
-    src = np.tile(np.arange(k), (len(steps), 1))
-    for r, (row, rng) in enumerate(zip(steps, rngs)):
+    src = [list(range(k)) for _ in rngs]
+    for row, rng, taken in zip(steps.tolist(), rngs, src):
         for p in range(k, len(row)):
             j = int(rng.integers(row[p]))
             if j < k:
-                src[r, j] = p
-    return src
+                taken[j] = p
+    return np.array(src, dtype=np.int64).reshape(len(steps), k)
 
 
 def entry_losses(rec: rm.RecParams, u, items, ratings, scores=None):
@@ -414,7 +432,7 @@ def entry_losses(rec: rm.RecParams, u, items, ratings, scores=None):
         scores, _ = rm.user_forward(rec, u)
     m = scores.max(axis=1)
     lse = np.log(np.sum(np.exp(scores - m[:, None]), axis=1)) + m
-    return lse[:, None] - np.take_along_axis(scores, items, 1)
+    return lse[:, None] - scores[np.arange(len(items))[:, None], items]
 
 
 def influence_scores(rec: rm.RecParams, u, items, ratings, damping=1e-3):

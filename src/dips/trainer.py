@@ -38,7 +38,9 @@ Per time step, the policy phase draws from the
 generator in a fixed order: the current stack's dropout masks, then one
 uniform per head pick (row by row), then the replay stack's masks and picks
 (users in stack order, each queue oldest first).  The commits of a learned
-policy draw nothing.
+policy draw nothing.  A batch's sketches are one :class:`SketchTable`:
+each time step writes the next interaction of every active user into it
+at once, and the users at a sketch boundary commit together.
 """
 
 from __future__ import annotations
@@ -415,7 +417,7 @@ class SketchTable:
     def _indicator(self, rows, slots):
         out = np.zeros((len(rows), self.y.shape[1]))
         r, c = np.nonzero(slots)
-        out[r, self.items[rows][r, c]] = 1.0
+        out[r, self.items[rows[r], c]] = 1.0
         return out
 
     def z(self, rows):
@@ -437,21 +439,20 @@ class SketchTable:
         """
         self.t = t
         item = self.stream_items[rows, t - 1]
-        dup = (self.items[rows] == item[:, None]).any(axis=1)
+        dup = self.items[rows] == item[:, None]
         if dup.any():
-            b = int(np.argmax(dup))
+            b = int(np.argmax(dup.any(axis=1)))
             raise ValueError(f"user {self.users[rows[b]]}, step t={t}: item {item[b]} is "
                              "already in the sketch")
         slot = self.filled[rows]
         self.items[rows, slot] = item
         self.ratings[rows, slot] = self.stream_ratings[rows, t - 1]
         self.steps[rows, slot] = t
-        self.filled[rows] += 1
-        fits = self.filled[rows] <= self.cfg.sketch_size
+        filled = self.filled[rows] = slot + 1
+        fits = filled <= self.cfg.sketch_size
         absorbed = rows[fits]
-        self.kept[absorbed] = self.filled[absorbed]
-        pending = self.filled[rows] - self.kept[rows]
-        return absorbed, rows[~fits & (pending == self.cfg.tau)]
+        self.kept[absorbed] = filled[fits]
+        return absorbed, rows[~fits & (filled - self.kept[rows] == self.cfg.tau)]
 
     def commit(self, rows, rec=None, u=None, scores=None, z=None):
         """Apply the policy at the rows ``rows`` that :meth:`observe` returned
@@ -463,19 +464,23 @@ class SketchTable:
         learned policy keeps the items its selection ``z`` (R, M) keeps.
         ``oracle`` keeps the anchors, then the most recent; ``hardest`` the
         largest losses and ``influence`` the lowest influence, ties keeping
-        the most recent; ``random`` draws its reservoir row by row.
+        the most recent; ``random`` draws its reservoir row by row.  No row
+        is a no-op.  A selection that does not keep K of a row's items is a
+        ValueError, and a non-finite influence solve a FloatingPointError
+        naming the user and the step :meth:`observe` last wrote.
         """
-        cfg, k = self.cfg, self.cfg.sketch_size
         if not len(rows):
             return
-        items, steps = self.items[rows], self.steps[rows]
+        cfg, k = self.cfg, self.cfg.sketch_size
+        steps = self.steps[rows]
         if cfg.policy == "random":
             src = pol.reservoir_update(steps, k, [self.rngs[b] for b in rows])
         else:
+            items = self.items[rows]
             if cfg.policy == "oracle":
-                anchor = np.take_along_axis(self.anchor[rows], items, 1)
-                slot = np.broadcast_to(np.arange(items.shape[1]), items.shape)
-                order = np.lexsort((np.where(anchor, slot, -steps), ~anchor))
+                # anchors in slot order, which is step order for the oracle
+                anchor = self.anchor[rows[:, None], items]
+                order = np.lexsort((np.where(anchor, steps, -steps), ~anchor))
             elif cfg.policy == "hardest":
                 losses = pol.entry_losses(rec, u, items, self.ratings[rows], scores)
                 order = np.lexsort((-steps, -losses))
@@ -488,10 +493,15 @@ class SketchTable:
                         f"{self.users[rows[np.argmax(bad)]]} at step t={self.t}")
                 order = np.lexsort((-steps, infl))
             else:
-                order = np.argsort(np.take_along_axis(z, items, 1) <= 0.5, kind="stable")
+                kept = z[np.arange(len(rows))[:, None], items] > 0.5
+                short = kept.sum(axis=1) != k
+                if short.any():
+                    raise ValueError(f"the selection for user {self.users[rows[np.argmax(short)]]} "
+                                     f"does not keep {k} of its sketch's items")
+                order = np.argsort(~kept, kind="stable")
             src = np.sort(order[:, :k], axis=1)
         for a in (self.items, self.ratings, self.steps):
-            a[rows, :k] = np.take_along_axis(a[rows], src, 1)
+            a[rows, :k] = a[rows[:, None], src]
         self.items[rows, k:] = -1
         self.kept[rows] = self.filled[rows] = k
 
@@ -565,18 +575,18 @@ def train(cfg: TrainConfig, data, oracle_anchors=None, trace_file=None,
                 # one policy gradient for the users at a sketch boundary;
                 # they commit the selection it returns, so the commits of a
                 # learned policy draw nothing from rng
-                at = up if learned else up[:0]
+                policy_step = learned and up.size > 0
                 u = z = None
-                if at.size:
-                    zhats = table.zhat(at)
-                    pos = np.searchsorted(active, at)
+                if policy_step:
+                    zhats = table.zhat(up)
+                    pos = np.searchsorted(active, up)
                     policy_acc, v, z, _ = policy_gradient(
-                        phi, rec, table.y[at], table.mask[at], zhats,
-                        [queues[i].entries() for i in at], nxt[pos], nxt_rating[pos],
+                        phi, rec, table.y[up], table.mask[up], zhats,
+                        [queues[i].entries() for i in up], nxt[pos], nxt_rating[pos],
                         cfg, rng=rng, out=policy_grad)
                     if policy_grad_hook is not None:
-                        policy_grad_hook([batch[i].user for i in at], t, policy_acc, v)
-                    for i, zhat in zip(at, zhats):
+                        policy_grad_hook([batch[i].user for i in up], t, policy_acc, v)
+                    for i, zhat in zip(up, zhats):
                         queues[i].push(zhat)
                 elif up.size and cfg.policy in ("hardest", "influence"):
                     u = inner_adapt(rec, table.z(up), table.y[up], table.mask[up],
@@ -600,9 +610,9 @@ def train(cfg: TrainConfig, data, oracle_anchors=None, trace_file=None,
                     opt_item.step(theta_acc[1:])
                     written += rec.param_names()[1:]
                 _check_finite("rec", rec, written, epoch, t, batch)
-                if at.size:
+                if policy_step:
                     if _moves(opt_policy):
-                        policy_grad.divide(len(at))
+                        policy_grad.divide(len(up))
                         opt_policy.step(policy_acc)
                         _check_finite("phi", phi, phi.param_names(), epoch, t, batch)
                     policy_grad.clear()
@@ -622,19 +632,15 @@ def _moves(opt):
     return opt.lr != 0
 
 
-def finite(arr):
-    """Whether every entry of ``arr`` is finite.  A finite sum proves it,
-    since a NaN or an infinity carries into it, so only a non-finite sum,
-    from a non-finite entry or an overflow of finite ones, looks at the
-    entries: a finite array takes no temporary its size."""
-    return bool(np.isfinite(np.sum(arr)) or np.isfinite(arr).all())
-
-
 def _check_finite(prefix, params, names, epoch, t, batch):
     """Raise on the first non-finite array among the parameters ``names``
-    of ``params``, after an optimizer step wrote them."""
+    of ``params``, after an optimizer step wrote them.  A finite sum proves
+    every entry finite, since a NaN or an infinity carries into it, so only
+    a non-finite sum, from a non-finite entry or an overflow of finite
+    ones, looks at the entries: a finite array takes no temporary its size."""
     for name in names:
-        if not finite(getattr(params, name)):
+        arr = getattr(params, name)
+        if not np.isfinite(np.sum(arr)) and not np.isfinite(arr).all():
             users = [int(s.user) for s in batch]
             raise FloatingPointError(
                 f"non-finite {prefix}.{name} after the optimizer step at epoch {epoch}, "
@@ -738,7 +744,7 @@ def load_checkpoint(path):
         # tau = 1 policy scores removal, which a negated last layer maps onto.
         older = meta.pop("policy_dropout", None) is not None
         # fields of older configs that no caller set; their values are the
-        # defaults of SGDMomentum and influence_update, which train() uses
+        # defaults of SGDMomentum and influence_scores, which train() uses
         for name in ("momentum", "influence_damping"):
             meta.pop(name, None)
         cfg = TrainConfig(**meta)

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import platform
+import re
 import zipfile
 from unittest import mock
 
@@ -510,6 +511,26 @@ def test_eval_missing_checkpoint(tmp_path):
     code = cli.main(["eval", "--checkpoint", str(tmp_path / "nope.npz")]
                     + tiny_overrides(tmp_path / "e"))
     assert code == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("policy", ["dips", "random", "hardest", "influence", "oracle"])
+def test_a_diverged_adaptation_in_evaluation_exits_numeric(trained, tmp_path, capsys, policy):
+    # a huge inner rate overflows the adapted users' squared errors after
+    # one inner step, and the adapted users themselves after a few: every
+    # policy's evaluation stops with a numerical error naming the step and
+    # the users, and writes no eval.csv with a NaN or infinite metric
+    for steps, name in ((1, "squared errors"), (3, "adapted user embeddings")):
+        out = tmp_path / f"eval-{steps}"
+        with np.errstate(all="ignore"):
+            code = cli.main(["eval", "--checkpoint", str(trained / "checkpoint.npz")]
+                            + tiny_overrides(out, "train.inner_lr=1e250",
+                                             f"train.inner_steps={steps}",
+                                             f"eval.policies={policy}"))
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert re.search(rf"numerical error: evaluate: non-finite {name} at step t=\d+, "
+                         r"users \[\d+", err), err
+        assert not out.exists() or not (out / "eval.csv").exists()
 
 
 def test_eval_oracle_keeps_the_planted_anchors(trained, tmp_path):

@@ -46,6 +46,11 @@ def test_reservoir_under_capacity_always_inserts():
     assert rng.bit_generator.state == state
 
 
+def test_reservoir_rejects_duplicates():
+    with pytest.raises(ValueError, match="user 0, step t=3: item 1 is already in the sketch"):
+        stepped_table([0, 1, 1], K=4, M=10, policy="random", rng=np.random.default_rng(0))
+
+
 def test_reservoir_replaces_a_kept_slot_in_place():
     # a draw j < k puts the pending slot's item in slot j; every other
     # kept slot keeps its item and its place
@@ -196,6 +201,16 @@ def test_influence_builds_no_graph(setting, monkeypatch):
                                                    table.ratings[up])))
     table.commit(up, rec, u)
     assert table.kept[0] == 2 and len(kept_items(table)) == 2
+
+
+def test_a_non_finite_influence_solve_names_its_user_and_step():
+    # an overflowing user embedding makes the Hessian solve non-finite: a
+    # numerical error naming the user and the step, not a silent keep
+    rec = tiny_model(seed=5)
+    table, up = stepped_table([1, 4, 6], K=2, M=8, policy="influence")
+    with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match="influence: non-finite Hessian solve for user 0 at step t=3"):
+        table.commit(up, rec, np.full((1, 3), -1e200))
 
 
 def test_influence_equal_gradients_equal_scores():
@@ -738,6 +753,7 @@ def test_a_shift_float64_cannot_hold_is_a_score_error_naming_the_row():
     # sum(u) = 5 needs nu within 1e184 of 1e200, where float64 steps by
     # about 1e184: the bracket collapses before the residual test is met
     f = np.array([0.0] + [-1e200] * 9)
+    assert no_float64_shift_meets_the_sum(f, 5)
     with pytest.raises(pol.ScoreError, match="no shift of row 0 meets sum"):
         pol.topk_project(f, 5)
     stack = np.stack([np.linspace(-1.0, 1.0, 10), np.linspace(0.0, 2.0, 10), f])
@@ -746,19 +762,83 @@ def test_a_shift_float64_cannot_hold_is_a_score_error_naming_the_row():
     assert_stack_equals_its_rows(stack, 5)
 
 
+def near_tie_row(scale, seed):
+    """A row of 4-60 scores at ``scale`` in which 2 to all entries sit in a
+    near-tie of relative spread 1e-9, and its k."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 61))
+    f = scale * rng.normal(size=n)
+    tie = rng.choice(n, int(rng.integers(2, n + 1)), replace=False)
+    f[tie] = f[tie[0]] * (1 + 1e-9 * rng.normal(size=tie.size))
+    return f, int(rng.integers(1, n))
+
+
+def residual_bound(f, k):
+    """The residual the shift solve meets on the finite scores of ``f``:
+    1e-11 k, or what one ulp of a shift nu resolves, slope * ulp(nu), with
+    slope at most n / 4 and |nu| at most 20 plus the scores' spread."""
+    g = f[np.isfinite(f)]
+    ulp = np.spacing(20.0 + (g.max() - g.min()))
+    return max(1e-11 * k, g.size / 4 * ulp if ulp <= pol._LINEAR_ULP else 0.0)
+
+
+# rows whose K-th place falls in a near-tie far below the maximum, where
+# one ulp of the shift moves sum(u) by more than 1e-11 k: (scale, seed)
+NEAR_TIES = [(1e5, 205), (1e5, 353), (1e6, 9), (1e6, 21), (1e6, 30), (1e8, 5), (1e8, 9),
+             (1e11, 4), (1e11, 5)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale, seed", NEAR_TIES)
+def test_topk_project_solves_a_near_tie_as_a_row_and_in_a_stack(scale, seed):
+    f, k = near_tie_row(scale, seed)
+    stack = np.stack([np.random.default_rng(1).normal(size=f.size), f,
+                      np.linspace(0.0, 3.0, f.size)])
+    for scores, row in ((f, 0), (stack, 1)):
+        u = np.atleast_2d(pol.topk_project(scores, k).data)[row]
+        assert abs(u.sum() - k) <= residual_bound(f, k)
+    assert isinstance(assert_stack_equals_its_rows(stack, k), bytes)
+
+
+def no_float64_shift_meets_the_sum(row, k):
+    """Whether float64 cannot hold the shift of ``row``: at the two adjacent
+    float64 shifts that bracket the root of sum(u) = k, found by bisection
+    over float64, neither residual meets the solve's stopping test."""
+    g = row[np.isfinite(row)]
+    g = g - g.max()
+
+    def residual(nu):
+        with np.errstate(over="ignore"):
+            s = 1.0 / (1.0 + np.exp(-(g + nu)))
+        return s.sum() - k, (s * (1.0 - s)).sum()
+
+    part = np.sort(g)
+    lo, hi = -20.0 - part[-k], 20.0 - part[-k - 1]
+    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
+        if residual(mid)[0] < 0:
+            lo = mid
+        else:
+            hi = mid
+    return all(abs(r) > max(1e-11 * k, pol._resolution(nu, slope))
+               for nu in (lo, hi) for r, slope in [residual(nu)])
+
+
 @st.composite
 def score_stacks(draw):
-    """R score rows of n entries at a common scale, some tied to another
-    entry of their row, some masked, every row with more than k finite."""
+    """R score rows of n entries at a common scale, some tied or near-tied
+    (relative spread 1e-9) to another entry of their row, some masked,
+    every row with more than k finite."""
     R, n = draw(st.integers(1, 8)), draw(st.integers(2, 60))
     n_masked = draw(st.integers(0, n - 2))
     k = draw(st.integers(1, n - n_masked - 1))
     scale = 10.0 ** draw(st.floats(-3, 200))
     ties = draw(st.integers(0, n))
+    spread = draw(st.sampled_from([0.0, 1e-9]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     f = scale * rng.normal(size=(R, n))
     for row in f:
-        row[rng.choice(n, size=ties, replace=True)] = row[rng.integers(n)]
+        tied = rng.choice(n, size=ties, replace=True)
+        row[tied] = row[rng.integers(n)] * (1 + spread * rng.normal(size=ties))
         row[rng.choice(n, size=n_masked, replace=False)] = -np.inf
     return f, k
 
@@ -772,9 +852,12 @@ def test_topk_project_meets_its_sum_or_names_the_row_it_cannot(case):
             warnings.simplefilter("error")
             u = pol.topk_project(f, k).data
     except pol.ScoreError as e:
-        assert re.fullmatch(r"topk_project: no shift of row \d+ meets .*", str(e))
+        # only a row whose shift float64 cannot hold may fail
+        r = int(re.fullmatch(r"topk_project: no shift of row (\d+) meets .*", str(e))[1])
+        assert no_float64_shift_meets_the_sum(f[r], k)
     else:
-        np.testing.assert_allclose(u.sum(axis=1), k, rtol=0, atol=1e-9)
+        for f_row, u_row in zip(f, u):
+            assert abs(u_row.sum() - k) <= max(1e-9, residual_bound(f_row, k))
         assert np.all(u[f == -np.inf] == 0.0)
         for f_row, u_row in zip(f, u):
             live = f_row > -np.inf
@@ -814,13 +897,23 @@ def test_st_zero_downstream_gradient():
 
 # ----------------------------------------------------------------- sketches
 
-@pytest.mark.parametrize("items", [[1, 1], [0, 2, 4, 2], [0, 2, 4, 4]])
-def test_sketch_duplicate_rejected(items):
+def test_sketch_duplicate_rejected():
     # an item already in its row's slots, kept or pending, names the user
     # and the step that brought it again
-    with pytest.raises(ValueError, match=f"user 0, step t={len(items)}: item {items[-1]} is "
-                       "already in the sketch"):
-        stepped_table(items, K=2, M=5, policy="oracle", tau=2)
+    for items in ([1, 1], [0, 2, 4, 2], [0, 2, 4, 4]):
+        with pytest.raises(ValueError, match=f"user 0, step t={len(items)}: item "
+                           f"{items[-1]} is already in the sketch"):
+            stepped_table(items, K=2, M=5, policy="oracle", tau=2)
+
+
+def test_keep_rejects_unknown_items():
+    # the learned policy keeps the slots its selection keeps: a selection
+    # keeping an item outside the row's slots keeps fewer than K of them
+    table, up = stepped_table([0, 2, 4], K=2, M=5, policy="dips")
+    z = np.zeros((1, 5))
+    z[0, [0, 3]] = 1.0
+    with pytest.raises(ValueError, match="the selection for user 0 does not keep 2 of"):
+        table.commit(up, z=z)
 
 
 def test_intermediate_zhat_identity():

@@ -1131,7 +1131,7 @@ def test_a_stack_steps_as_its_rows_and_names_the_user_of_a_duplicate():
 
 @pytest.mark.parametrize("setting", ["explicit", "implicit"])
 @pytest.mark.parametrize("policy", ["hardest", "influence"])
-def test_commit_given_the_adapted_rows_keeps_the_same_items(setting, policy):
+def test_commit_given_the_adapted_row_keeps_the_same_items(setting, policy):
     # evaluation hands commit the rows of its adaptation of every active
     # user (and, implicit, their scores), training adapts the deciding rows
     # alone, and a user alone is a one-row stack: all three keep the same
@@ -1283,7 +1283,7 @@ def test_warm_start_leaves_the_callers_parameters_untouched():
 
 @pytest.mark.parametrize("tau", [1, 2])
 @pytest.mark.parametrize("setting", ["explicit", "implicit"])
-def test_deterministic_training_commits_a_fresh_selection(monkeypatch, setting, tau):
+def test_deterministic_training_is_unchanged_by_commit_reuse(monkeypatch, setting, tau):
     # deterministic heads: the selection each boundary user commits, the
     # one policy_gradient took, is the one a fresh selection of its
     # intermediate sketch by the same phi makes
