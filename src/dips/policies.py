@@ -398,8 +398,6 @@ def batch_keep(u, k, mode="deterministic", rng=None):
     return w, (kept[0] if u.data.ndim == 1 else kept)
 
 
-
-
 def reservoir_update(steps, k, rngs):
     """Uniform reservoir sampling: every streamed item ends up in a row's k
     kept slots with probability k/step.
@@ -416,7 +414,7 @@ def reservoir_update(steps, k, rngs):
             j = int(rng.integers(row[p]))
             if j < k:
                 taken[j] = p
-    return np.array(src, dtype=np.int64).reshape(len(steps), k)
+    return np.array(src, dtype=np.int64)
 
 
 def entry_losses(rec: rm.RecParams, u, items, ratings, scores=None):
