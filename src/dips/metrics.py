@@ -7,9 +7,9 @@ still streaming, up to ``batch_size`` at a time, form one stack, adapted
 and scored on the graph-free kernel of :mod:`recmodel`, their sketches
 one slot table, and the learned policy selects for the users at a sketch
 boundary in one deterministic call, a numpy forward that keeps no graph; a
-single user still streaming is the stack B = 1.  Each user draws from its own generator, seeded by
-(seed, user id), so a user's records do not depend on which users are
-evaluated with it, or in which order.
+single user still streaming is the stack B = 1.  Each user draws from its
+own generator, seeded by (seed, user id), so a user's records do not
+depend on which users are evaluated with it, or in which order.
 """
 
 from __future__ import annotations
