@@ -452,7 +452,8 @@ class SketchTable:
         fits = filled <= self.cfg.sketch_size
         absorbed = rows[fits]
         self.kept[absorbed] = filled[fits]
-        return absorbed, rows[~fits & (filled - self.kept[rows] == self.cfg.tau)]
+        # a row past its sketch has kept K: tau pending fill its K + tau slots
+        return absorbed, rows[filled == self.items.shape[1]]
 
     def commit(self, rows, rec=None, u=None, scores=None, z=None):
         """Apply the policy at the rows ``rows`` that :meth:`observe` returned
